@@ -1,4 +1,4 @@
-//! Runs the beyond-the-paper ablation studies (DESIGN.md §6): mapping
+//! Runs the beyond-the-paper ablation studies (`qccd::experiments::ablations`): mapping
 //! buffer, heating-model variant, junction-cost sensitivity, device
 //! size and the compiler policy-pipeline matrix. Accepts the usual
 //! `--caps`/`--json`/`--cache` flags where applicable, plus

@@ -8,7 +8,7 @@
 //!
 //! With the all-ones secret, `bv(63)` gives a 64-qubit circuit with 63
 //! CNOTs — one fewer gate than Table II's nominal 64, the closest integral
-//! realisation (recorded in EXPERIMENTS.md). The star-shaped pattern
+//! realisation. The star-shaped pattern
 //! (everything targets the ancilla) is what Table II calls "short and
 //! long-range gates".
 

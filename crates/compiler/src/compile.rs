@@ -15,7 +15,7 @@
 //!   slot ("leveraging full knowledge of the program instructions", §VI);
 //! * intermediate traps on multi-leg routes may transiently exceed their
 //!   capacity by the one transiting ion (it merges only to be reordered
-//!   and split out again) — see DESIGN.md.
+//!   and split out again).
 //!
 //! Congestion at segments and junctions is resolved by the simulator's
 //! resource timeline: because the executable is a dependency-respecting

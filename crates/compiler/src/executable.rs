@@ -79,18 +79,18 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// Ions referenced by this instruction.
-    pub fn ions(&self) -> Vec<IonId> {
-        match self {
+    /// Ions referenced by this instruction, in operand order. Does not
+    /// allocate.
+    pub fn ions(&self) -> impl Iterator<Item = IonId> {
+        let (first, second) = match self {
             Inst::OneQubit { ion, .. }
             | Inst::Split { ion, .. }
             | Inst::Move { ion, .. }
             | Inst::Merge { ion, .. }
-            | Inst::Measure { ion } => vec![*ion],
-            Inst::Ms { a, b } | Inst::SwapGate { a, b } | Inst::IonSwap { a, b } => {
-                vec![*a, *b]
-            }
-        }
+            | Inst::Measure { ion } => (*ion, None),
+            Inst::Ms { a, b } | Inst::SwapGate { a, b } | Inst::IonSwap { a, b } => (*a, Some(*b)),
+        };
+        std::iter::once(first).chain(second)
     }
 
     /// `true` for shuttling instructions (split/move/merge/ion-swap).
@@ -303,13 +303,14 @@ mod tests {
             a: IonId(3),
             b: IonId(5),
         };
-        assert_eq!(ms.ions(), vec![IonId(3), IonId(5)]);
+        assert_eq!(ms.ions().collect::<Vec<_>>(), vec![IonId(3), IonId(5)]);
         assert!(!ms.is_communication());
         let split = Inst::Split {
             ion: IonId(1),
             trap: TrapId(0),
             side: Side::Right,
         };
+        assert_eq!(split.ions().collect::<Vec<_>>(), vec![IonId(1)]);
         assert!(split.is_communication());
     }
 

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
+//! Ablation studies for this reproduction's modelling and compiler choices.
 //!
 //! These go beyond the paper's figures and probe the sensitivity of its
 //! conclusions to our modeling/compiler choices:
@@ -7,7 +7,8 @@
 //!   ions per trap", §VI): how do 0–4 reserved slots change shuttling
 //!   volume and reliability?
 //! * [`heating_ablation`] — the chain-size-scaled k₁ hot-spot refinement
-//!   (DESIGN.md §4.3) versus the strict constant-k₁ reading of §VII-B.
+//!   (calibrated in the `qccd_physics::heating` module docs) versus the
+//!   strict constant-k₁ reading of §VII-B.
 //! * [`junction_cost_sweep`] — sensitivity of the Fig. 7 topology verdict
 //!   to the junction crossing cost (Table I prices X junctions at 120 µs).
 //! * [`device_size_sweep`] — the §VIII-B device range ("we evaluate

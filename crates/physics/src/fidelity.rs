@@ -15,7 +15,7 @@
 //!
 //! Calibration: the paper does not print Γ or the proportionality constant
 //! `A₀`. The defaults below (Γ = 1 quanta/s, A₀ = 1e-5) were fitted against
-//! the Fig. 6 study at paper scale (see EXPERIMENTS.md): the mean two-qubit
+//! the Fig. 6 study at paper scale: the mean two-qubit
 //! error at the capacity sweet spot lands near 1e-3 (Supremacy fidelity in
 //! the 0.1–0.3 band, QAOA ≈0.4, BV ≈0.8), and on heated chains the
 //! background term sits well below the motional term as in Fig. 6g. Both
@@ -58,9 +58,8 @@ pub struct FidelityModel {
     /// Fixed error of a single-qubit gate (not modelled by eq. 1; the
     /// paper's fidelity product includes every operation).
     pub one_qubit_error: f64,
-    /// Fixed error of a measurement. Defaults to 0 — see DESIGN.md §2 for
-    /// why the paper's fidelity plots imply measurement error was not
-    /// charged.
+    /// Fixed error of a measurement. Defaults to 0, because the paper's
+    /// fidelity plots imply measurement error was not charged.
     pub measure_error: f64,
 }
 
@@ -173,7 +172,8 @@ mod tests {
     #[test]
     fn calibration_target_mean_error_at_sweet_spot() {
         // ~1e-3 two-qubit error at N = 20, modest heating (per-mode
-        // n̄ ≈ 4), FM-like duration: the DESIGN.md calibration anchor.
+        // n̄ ≈ 4), FM-like duration: the calibration anchor in the module
+        // docs.
         let f = FidelityModel::default();
         let e = f.two_qubit_error(212.6, 20, 4.0).total();
         assert!(e > 2.0e-4 && e < 5.0e-3, "error was {e}");

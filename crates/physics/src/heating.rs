@@ -34,7 +34,8 @@
 //! `k1 = 0.1` is reproduced exactly for demonstration-scale chains while
 //! long chains heat super-linearly — the hot-spot mechanism of Fig. 6.
 //! Setting `chain_exp = 0` recovers the strict constant-`k1` reading of
-//! the paper's text (see DESIGN.md §4.3 for the calibration discussion).
+//! the paper's text; the `heating_ablation` study in `qccd` compares the
+//! two readings.
 
 use serde::{Deserialize, Serialize};
 

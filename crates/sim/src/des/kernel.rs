@@ -676,8 +676,7 @@ fn finalize(
         makespan = makespan.max(t.end);
     }
 
-    let compute_us = gate_spans.union_length();
-    let communication_us = comm_spans.union_length_excluding(&gate_spans);
+    let (compute_us, communication_us) = SpanSet::time_split(gate_spans, comm_spans);
     SimReport {
         name: exe.name().to_owned(),
         total_time_us: makespan,

@@ -12,15 +12,23 @@ use qccd_physics::PhysicalModel;
 ///
 /// # Errors
 ///
-/// Returns a [`SimError`] if the executable is inconsistent with the
-/// device (unknown ids) or internally malformed (split of a non-end ion,
-/// gate on in-flight ions, …). [`qccd_compiler::compile()`] is designed
-/// to emit executables that pass these checks for the device it compiled
-/// against, but the simulator re-validates every stream: hand-authored
-/// executables, device/executable mismatches, or compiler bugs all
-/// surface here rather than as silent corruption. Each [`SimError`]
-/// variant has a negative-path unit test pinning the condition that
-/// raises it.
+/// Returns a [`SimError`] when one of these checks fails:
+///
+/// * the initial chain table has one chain per device trap, and names
+///   each ion at most once and only ions below `num_ions`;
+/// * every instruction names only known ions, and every split, merge and
+///   move leg names only known traps, segments and junctions;
+/// * gates, ion swaps and measurements act on trapped ions, two-ion
+///   operations on ions of one trap, ion swaps on chain neighbours;
+/// * a split removes the end ion of the named trap on the named side,
+///   and moves and merges act on ions in flight.
+///
+/// Not yet checked: trap capacity (initial chains and merges), and the
+/// continuity of a shuttle (leg endpoints matching the split and merge
+/// traps, legs forming a real device path). An executable compiled for
+/// one device can therefore simulate on a smaller-capacity one.
+/// Each [`SimError`] variant has a negative-path unit test pinning the
+/// condition that raises it.
 pub fn simulate(
     exe: &Executable,
     device: &Device,
@@ -56,8 +64,7 @@ pub fn simulate(
         engine.step(inst)?;
     }
 
-    let compute_us = engine.gate_spans.union_length();
-    let communication_us = engine.comm_spans.union_length_excluding(&engine.gate_spans);
+    let (compute_us, communication_us) = SpanSet::time_split(engine.gate_spans, engine.comm_spans);
     Ok(SimReport {
         name: exe.name().to_owned(),
         total_time_us: engine.makespan,

@@ -7,8 +7,10 @@ use std::fmt;
 ///
 /// These guard against mismatched device/executable pairs, hand-written
 /// executables, and compiler bugs. `qccd-compiler` aims never to emit a
-/// stream that triggers them for the device it compiled against, but the
-/// simulator always re-checks rather than trusting that invariant.
+/// stream that triggers them for the device it compiled against. The
+/// simulator re-checks ids, ion locations and chain order (the list is on
+/// [`crate::simulate`]); it does not yet check trap capacity or shuttle
+/// path continuity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// An instruction referenced a trap the device does not have.

@@ -1,13 +1,25 @@
 //! Interval bookkeeping for the compute/communication time decomposition
 //! (the Fig. 6b analysis).
 
-/// Accumulates time intervals and measures their union.
+/// Accumulates time intervals for the compute/communication split.
 ///
-/// Used to answer "for how much wall-clock time was at least one gate
-/// executing?" without double-counting overlapping intervals.
+/// The simulator records one set of gate intervals and one set of
+/// communication intervals, then measures both at once with
+/// [`SpanSet::time_split`].
 #[derive(Debug, Clone, Default)]
 pub struct SpanSet {
     intervals: Vec<(f64, f64)>,
+}
+
+/// Integer key whose signed order is [`f64::total_cmp`] order.
+fn key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// Inverse of [`key`] (the transform is an involution on the bits).
+fn unkey(k: i64) -> f64 {
+    f64::from_bits(key(f64::from_bits(k as u64)) as u64)
 }
 
 impl SpanSet {
@@ -24,107 +36,304 @@ impl SpanSet {
         }
     }
 
-    /// Total length of the union of all recorded intervals.
-    pub fn union_length(&self) -> f64 {
-        let mut iv = self.intervals.clone();
-        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut total = 0.0;
-        let mut cur: Option<(f64, f64)> = None;
-        for (s, e) in iv {
-            match cur {
-                None => cur = Some((s, e)),
-                Some((cs, ce)) => {
-                    if s <= ce {
-                        cur = Some((cs, ce.max(e)));
-                    } else {
-                        total += ce - cs;
-                        cur = Some((s, e));
-                    }
+    /// Measures `(compute_us, communication_us)`: the length of the union
+    /// of `gates`, and the time covered by `comm` but by no gate.
+    ///
+    /// Both sums are taken in increasing time order. Compute sums the
+    /// merged gate runs (touching runs merge). Communication sums one
+    /// term `t_k - t_{k-1}` per pair of consecutive distinct boundary
+    /// times between which some comm interval and no gate is active.
+    /// Every comm endpoint is a boundary: comm intervals are never
+    /// coalesced, so a split → move → merge chain is summed piecewise.
+    /// For finite times the result is bit-identical to measuring each
+    /// elementary gap of the full boundary sweep.
+    pub fn time_split(gates: SpanSet, comm: SpanSet) -> (f64, f64) {
+        // Merged gate runs, in start order, as key pairs in place.
+        let mut runs: Vec<(i64, i64)> = gates
+            .intervals
+            .into_iter()
+            .map(|(s, e)| (key(s), key(e)))
+            .collect();
+        runs.sort_unstable();
+        let mut merged = 0;
+        for i in 0..runs.len() {
+            if merged > 0 {
+                let ce = unkey(runs[merged - 1].1);
+                if unkey(runs[i].0) <= ce {
+                    runs[merged - 1].1 = key(ce.max(unkey(runs[i].1)));
+                    continue;
                 }
             }
+            runs[merged] = runs[i];
+            merged += 1;
         }
-        if let Some((cs, ce)) = cur {
-            total += ce - cs;
-        }
-        total
-    }
+        runs.truncate(merged);
+        let compute = runs
+            .iter()
+            .fold(0.0, |total, &(s, e)| total + (unkey(e) - unkey(s)));
 
-    /// Length of the union of `self` minus its overlap with `other`
-    /// (time covered by `self` but not by `other`).
-    pub fn union_length_excluding(&self, other: &SpanSet) -> f64 {
-        // Sweep over both sets of boundaries.
-        let mut events: Vec<(f64, i32, i32)> = Vec::new();
-        for &(s, e) in &self.intervals {
-            events.push((s, 1, 0));
-            events.push((e, -1, 0));
-        }
-        for &(s, e) in &other.intervals {
-            events.push((s, 0, 1));
-            events.push((e, 0, -1));
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut mine = 0;
-        let mut theirs = 0;
-        let mut last = f64::NEG_INFINITY;
-        let mut total = 0.0;
-        for (t, dm, dt) in events {
-            if mine > 0 && theirs == 0 && last.is_finite() {
-                total += t - last;
+        // Sweep comm starts, comm ends and merged gate boundaries.
+        // Gate boundaries strictly increase, so an even count consumed
+        // means "outside every gate run".
+        let n = comm.intervals.len();
+        let mut keys: Vec<i64> = Vec::with_capacity(2 * n);
+        keys.extend(comm.intervals.iter().map(|&(s, _)| key(s)));
+        keys.extend(comm.intervals.iter().map(|&(_, e)| key(e)));
+        let (starts, ends) = keys.split_at_mut(n);
+        starts.sort_unstable();
+        ends.sort_unstable();
+        let bounds = 2 * runs.len();
+        let bound = |g: usize| {
+            let (s, e) = runs[g / 2];
+            if g.is_multiple_of(2) {
+                s
+            } else {
+                e
             }
-            mine += dm;
-            theirs += dt;
-            last = t;
+        };
+        let (mut i, mut j, mut g) = (0, 0, 0);
+        let mut last = f64::NEG_INFINITY;
+        let mut communication = 0.0;
+        while j < n {
+            let mut t = ends[j];
+            if i < n {
+                t = t.min(starts[i]);
+            }
+            if g < bounds {
+                t = t.min(bound(g));
+            }
+            let tf = unkey(t);
+            if i > j && g.is_multiple_of(2) && last.is_finite() {
+                communication += tf - last;
+            }
+            while i < n && starts[i] == t {
+                i += 1;
+            }
+            while j < n && ends[j] == t {
+                j += 1;
+            }
+            if g < bounds && bound(g) == t {
+                g += 1;
+            }
+            last = tf;
         }
-        total
+        (compute, communication)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original two-pass measurement, kept as the reference that
+    /// [`SpanSet::time_split`] must match bit for bit.
+    mod reference {
+        /// Length of the union of `intervals`.
+        pub fn union_length(intervals: &[(f64, f64)]) -> f64 {
+            let mut iv = intervals.to_vec();
+            iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut total = 0.0;
+            let mut cur: Option<(f64, f64)> = None;
+            for (s, e) in iv {
+                match cur {
+                    None => cur = Some((s, e)),
+                    Some((cs, ce)) => {
+                        if s <= ce {
+                            cur = Some((cs, ce.max(e)));
+                        } else {
+                            total += ce - cs;
+                            cur = Some((s, e));
+                        }
+                    }
+                }
+            }
+            if let Some((cs, ce)) = cur {
+                total += ce - cs;
+            }
+            total
+        }
+
+        /// Time covered by `mine` but not by `other`.
+        pub fn union_length_excluding(mine: &[(f64, f64)], other: &[(f64, f64)]) -> f64 {
+            let mut events: Vec<(f64, i32, i32)> = Vec::new();
+            for &(s, e) in mine {
+                events.push((s, 1, 0));
+                events.push((e, -1, 0));
+            }
+            for &(s, e) in other {
+                events.push((s, 0, 1));
+                events.push((e, 0, -1));
+            }
+            events.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut m = 0;
+            let mut o = 0;
+            let mut last = f64::NEG_INFINITY;
+            let mut total = 0.0;
+            for (t, dm, dt) in events {
+                if m > 0 && o == 0 && last.is_finite() {
+                    total += t - last;
+                }
+                m += dm;
+                o += dt;
+                last = t;
+            }
+            total
+        }
+    }
+
+    fn set(intervals: &[(f64, f64)]) -> SpanSet {
+        let mut s = SpanSet::new();
+        for &(a, b) in intervals {
+            s.add(a, b);
+        }
+        s
+    }
+
+    /// `time_split` of `(gates, comm)` must equal the reference bit for bit.
+    fn assert_matches_reference(gates: &SpanSet, comm: &SpanSet) {
+        let want = (
+            reference::union_length(&gates.intervals),
+            reference::union_length_excluding(&comm.intervals, &gates.intervals),
+        );
+        let got = SpanSet::time_split(gates.clone(), comm.clone());
+        assert_eq!(
+            (got.0.to_bits(), got.1.to_bits()),
+            (want.0.to_bits(), want.1.to_bits()),
+            "got {got:?}, want {want:?}\ngates {gates:?}\ncomm {comm:?}"
+        );
+    }
 
     #[test]
     fn union_merges_overlaps() {
-        let mut s = SpanSet::new();
-        s.add(0.0, 10.0);
-        s.add(5.0, 15.0);
-        s.add(20.0, 25.0);
-        assert!((s.union_length() - 20.0).abs() < 1e-12);
+        let gates = set(&[(0.0, 10.0), (5.0, 15.0), (20.0, 25.0)]);
+        let (compute, comm) = SpanSet::time_split(gates, SpanSet::new());
+        assert!((compute - 20.0).abs() < 1e-12);
+        assert_eq!(comm, 0.0);
     }
 
     #[test]
     fn empty_and_degenerate_intervals() {
-        let mut s = SpanSet::new();
-        assert_eq!(s.union_length(), 0.0);
-        s.add(5.0, 5.0);
-        s.add(7.0, 3.0);
-        assert_eq!(s.union_length(), 0.0);
+        assert_eq!(
+            SpanSet::time_split(SpanSet::new(), SpanSet::new()),
+            (0.0, 0.0)
+        );
+        let degenerate = set(&[(5.0, 5.0), (7.0, 3.0)]);
+        assert_eq!(
+            SpanSet::time_split(degenerate.clone(), degenerate),
+            (0.0, 0.0)
+        );
     }
 
     #[test]
     fn exclusion_subtracts_overlap() {
-        let mut comm = SpanSet::new();
-        comm.add(0.0, 10.0);
-        let mut gates = SpanSet::new();
-        gates.add(4.0, 6.0);
+        let comm = set(&[(0.0, 10.0)]);
+        let gates = set(&[(4.0, 6.0)]);
         // Communication-only time: [0,4) and [6,10) = 8.
-        assert!((comm.union_length_excluding(&gates) - 8.0).abs() < 1e-12);
+        let (compute, communication) = SpanSet::time_split(gates, comm);
+        assert!((compute - 2.0).abs() < 1e-12);
+        assert!((communication - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn exclusion_with_no_overlap_is_full_union() {
-        let mut a = SpanSet::new();
-        a.add(0.0, 3.0);
-        a.add(10.0, 12.0);
-        let b = SpanSet::new();
-        assert!((a.union_length_excluding(&b) - 5.0).abs() < 1e-12);
+        let comm = set(&[(0.0, 3.0), (10.0, 12.0)]);
+        let (_, communication) = SpanSet::time_split(SpanSet::new(), comm);
+        assert!((communication - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn adjacent_intervals_do_not_double_count() {
+        let gates = set(&[(0.0, 5.0), (5.0, 10.0)]);
+        let (compute, _) = SpanSet::time_split(gates, SpanSet::new());
+        assert!((compute - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn touching_comm_is_summed_piecewise() {
+        // 0.1 + 0.2 != 0.3 in binary: a split → move chain must be
+        // measured as two terms, exactly as the full sweep does.
+        let comm = set(&[(0.0, 0.1), (0.1, 0.30000000000000004)]);
+        assert_matches_reference(&SpanSet::new(), &comm);
+    }
+
+    /// Deterministic xorshift64 driving the interval generator.
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// A multiple of 0.1 below `0.1 * n`.
+    fn tenths(state: &mut u64, n: u64) -> f64 {
+        (xorshift(state) % n) as f64 * 0.1
+    }
+
+    /// Random intervals on a small grid of non-dyadic times (`0.1·k`),
+    /// so starts and ends tie, touch and nest often. At least one in four
+    /// is zero-length or inverted, which `add` drops.
+    fn random_set(state: &mut u64, max_len: u64, grid: u64) -> SpanSet {
+        let len = xorshift(state) % (max_len + 1);
         let mut s = SpanSet::new();
-        s.add(0.0, 5.0);
-        s.add(5.0, 10.0);
-        assert!((s.union_length() - 10.0).abs() < 1e-12);
+        for _ in 0..len {
+            let a = tenths(state, grid);
+            let b = match xorshift(state) % 8 {
+                0 => a,
+                1 => a - 0.1 - tenths(state, 3),
+                _ => tenths(state, grid) + 0.1 + tenths(state, 4),
+            };
+            s.add(a, b);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn time_split_matches_reference(
+            seed in 1u64..u64::MAX,
+            gate_len in 0u64..24,
+            comm_len in 0u64..24,
+            grid in 1u64..40,
+        ) {
+            let mut state = seed;
+            let gates = random_set(&mut state, gate_len, grid);
+            let comm = random_set(&mut state, comm_len, grid);
+            assert_matches_reference(&gates, &comm);
+        }
+
+        #[test]
+        fn time_split_matches_reference_on_sums_of_tenths(
+            seed in 1u64..u64::MAX,
+            n in 1u64..48,
+        ) {
+            // Times built by repeated addition, as the simulator builds
+            // them (start + duration), so ties come from equal sums.
+            let mut state = seed;
+            let mut gates = SpanSet::new();
+            let mut comm = SpanSet::new();
+            let mut clocks = [0.0f64; 4];
+            for _ in 0..n {
+                let lane = (xorshift(&mut state) % 4) as usize;
+                let start = clocks[lane];
+                let end = start + 0.1 + tenths(&mut state, 5);
+                if xorshift(&mut state).is_multiple_of(2) {
+                    gates.add(start, end);
+                } else {
+                    comm.add(start, end);
+                }
+                // Sometimes reuse the start, so later intervals nest.
+                clocks[lane] = if xorshift(&mut state).is_multiple_of(3) {
+                    start
+                } else {
+                    end
+                };
+            }
+            assert_matches_reference(&gates, &comm);
+        }
     }
 }

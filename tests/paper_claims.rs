@@ -1,5 +1,6 @@
 //! Paper-scale shape checks: the qualitative findings of §IX–§X that this
-//! reproduction commits to (see DESIGN.md §5 and EXPERIMENTS.md).
+//! reproduction commits to (the artifacts themselves are regenerated as
+//! in the README's *Regenerating the paper's tables and figures*).
 //!
 //! These run the real 60–80 qubit benchmarks, restricted to a few design
 //! points each to stay test-suite friendly.
