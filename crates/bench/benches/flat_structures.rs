@@ -13,16 +13,12 @@
 //!   claim-counter ring.
 //! * `machine_state` — chain-scanning position lookups vs the O(1)
 //!   position index.
-//! * `timelines` — per-resource `VecDeque` claim queues vs the sealed
-//!   CSR arena.
-//! * `event_queue` — growing vs pre-sized heap allocation.
 //!
 //! The structures are pinned bit-identical by unit tests and proptests;
 //! these benches exist so the layout changes stay visible (and honest)
 //! in `BENCH_sim.json` history.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use qccd::sim::{EventKind, EventQueue, ResourceTimelines};
 use qccd_circuit::generators;
 use qccd_compiler::policy::Congestion;
 use qccd_compiler::{MachineState, Placement};
@@ -185,83 +181,11 @@ fn bench_machine_state(c: &mut Criterion) {
     g.finish();
 }
 
-/// The claim traffic of a mid-size program: `claims` enqueues spread over
-/// `resources` queues, then a full grant/release drain in program order.
-fn timeline_traffic(resources: usize, claims: usize) -> Vec<(usize, usize)> {
-    let mut state = 0x0123_4567_89ab_cdefu64;
-    (0..claims)
-        .map(|inst| ((xorshift(&mut state) as usize) % resources, inst))
-        .collect()
-}
-
-fn bench_timelines(c: &mut Criterion) {
-    let traffic = timeline_traffic(128, 4096);
-    let mut g = c.benchmark_group("timelines");
-    // Before: one `VecDeque` per resource.
-    g.bench_function("claims4096_r128/naive_vecdeque", |b| {
-        b.iter(|| {
-            let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); 128];
-            for &(r, inst) in &traffic {
-                queues[r].push_back(inst);
-            }
-            let mut drained = 0usize;
-            for &(r, inst) in &traffic {
-                assert_eq!(queues[r].pop_front(), Some(inst));
-                drained += 1;
-            }
-            black_box(drained)
-        });
-    });
-    // After: staged pairs counting-sorted into one CSR arena at seal.
-    g.bench_function("claims4096_r128/csr_seal", |b| {
-        b.iter(|| {
-            let mut tl = ResourceTimelines::new(128);
-            for &(r, inst) in &traffic {
-                tl.enqueue(r, inst);
-            }
-            tl.seal();
-            let mut drained = 0usize;
-            for &(r, inst) in &traffic {
-                tl.reserve(r, inst);
-                tl.release(r, inst, inst as f64);
-                drained += 1;
-            }
-            black_box(drained)
-        });
-    });
-    g.finish();
-}
-
-fn bench_event_queue_presized(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    g.bench_function("push4096/growing", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for inst in 0..4096 {
-                q.push(inst as f64, EventKind::GateStart { inst });
-            }
-            black_box(q.len())
-        });
-    });
-    g.bench_function("push4096/presized", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(4096);
-            for inst in 0..4096 {
-                q.push(inst as f64, EventKind::GateStart { inst });
-            }
-            black_box(q.len())
-        });
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_route_cache_warm,
     bench_ready_tracker,
     bench_congestion,
-    bench_machine_state,
-    bench_timelines,
-    bench_event_queue_presized
+    bench_machine_state
 );
 criterion_main!(benches);

@@ -1,12 +1,14 @@
 //! Criterion benchmarks of the end-to-end toolflow (compile + simulate),
 //! sized so `cargo bench` completes quickly while exercising the same
-//! code paths as the paper-scale studies.
+//! code paths as the paper-scale studies, plus the `sim` group timing
+//! the simulator alone on precompiled executables.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use qccd::sim::simulate;
 use qccd::Toolflow;
 use qccd_circuit::generators;
-use qccd_compiler::{CompilerConfig, ReorderMethod};
-use qccd_device::presets;
+use qccd_compiler::{compile, CompilerConfig, Executable, ReorderMethod};
+use qccd_device::{presets, Device};
 use qccd_physics::{GateImpl, PhysicalModel};
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -61,10 +63,43 @@ fn bench_reorder_methods(c: &mut Criterion) {
     group.finish();
 }
 
+/// Gate-heavy workload: deep QAOA on a roomy device, with almost no
+/// shuttling.
+fn gate_heavy() -> (Executable, Device) {
+    let device = presets::l6(20);
+    let circuit = generators::qaoa(40, 4, 11);
+    let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
+    (exe, device)
+}
+
+/// Shuttle-heavy workload: a congested random circuit on small traps,
+/// with long split/move/merge chains queueing on shared segments.
+fn shuttle_heavy() -> (Executable, Device) {
+    let device = presets::g2x3(8);
+    let circuit = generators::random_circuit(40, 400, 0.7, 13);
+    let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
+    (exe, device)
+}
+
+fn bench_simulate(c: &mut Criterion) {
+    let model = PhysicalModel::default();
+    let mut group = c.benchmark_group("sim");
+    for (label, (exe, device)) in [
+        ("gate_heavy", gate_heavy()),
+        ("shuttle_heavy", shuttle_heavy()),
+    ] {
+        group.bench_function(format!("simulate_{label}"), |b| {
+            b.iter(|| simulate(black_box(&exe), &device, &model).expect("simulates"));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_end_to_end,
     bench_gate_impls,
-    bench_reorder_methods
+    bench_reorder_methods,
+    bench_simulate
 );
 criterion_main!(benches);

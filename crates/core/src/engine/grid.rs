@@ -15,7 +15,7 @@ use qccd_circuit::Circuit;
 use qccd_compiler::CompilerConfig;
 use qccd_device::Device;
 use qccd_physics::PhysicalModel;
-use qccd_sim::{SimKernel, SimReport};
+use qccd_sim::SimReport;
 use std::fmt;
 
 /// Version salt folded into every job id; bump when the executable or
@@ -119,10 +119,6 @@ pub struct JobGrid {
     /// [`ExperimentSpec::expand`](super::ExperimentSpec::expand)
     /// overrides it with the deduplicated count.
     parses: usize,
-    /// Simulation kernel pinned by the originating spec, if any.
-    /// Deliberately *not* part of the job ids: both kernels produce
-    /// identical reports, so cached outcomes are shared across kernels.
-    kernel: Option<SimKernel>,
 }
 
 impl JobGrid {
@@ -210,21 +206,7 @@ impl JobGrid {
             cells,
             c_digests,
             parses,
-            kernel: None,
         }
-    }
-
-    /// Pins the simulation kernel executed jobs use, overriding the
-    /// engine's [`EngineOptions::kernel`](super::EngineOptions::kernel)
-    /// default (`None` defers to the engine).
-    pub fn with_kernel(mut self, kernel: Option<SimKernel>) -> JobGrid {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The kernel pinned on this grid, if any.
-    pub fn kernel(&self) -> Option<SimKernel> {
-        self.kernel
     }
 
     /// Records how many circuits were actually constructed (parsed or

@@ -148,12 +148,6 @@ pub struct EngineOptions {
     /// (to a directory shared by all shards) so [`Engine::merge`] can
     /// assemble the full results afterwards.
     pub shard: Option<Shard>,
-    /// Simulation kernel for executed jobs. A grid expanded from a spec
-    /// that pins its own kernel overrides this. Both kernels produce
-    /// identical reports (see [`qccd_sim::SimKernel`]), so cached
-    /// outcomes are shared across kernels and the job ids do not encode
-    /// the choice.
-    pub kernel: qccd_sim::SimKernel,
     /// Share compile stages (route rows, placements, routing episodes)
     /// across the jobs of a run through a per-device
     /// [`qccd_compiler::CompileMemo`], and — when
@@ -173,7 +167,6 @@ impl Default for EngineOptions {
             batch_size: 0,
             verbose: false,
             shard: None,
-            kernel: qccd_sim::SimKernel::default(),
             stage_memo: true,
         }
     }
@@ -361,7 +354,6 @@ impl Engine {
         }
 
         stats.parses = grid.parses();
-        let kernel = grid.kernel().unwrap_or(self.options.kernel);
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| outcomes[i].is_none()).collect();
 
         // One compile-stage memo per device, initialized lazily by the
@@ -437,7 +429,6 @@ impl Engine {
                         }
                         None => {
                             Toolflow::with_config(device.clone(), grid.models()[lead.model], config)
-                                .with_kernel(kernel)
                                 .compile(circuit)
                                 .map_err(|e| e.to_string())
                         }
@@ -447,13 +438,10 @@ impl Engine {
                         Ok(exe) => members
                             .iter()
                             .map(|&ji| {
-                                let toolflow = Toolflow::with_config(
-                                    device.clone(),
-                                    grid.models()[jobs[ji].model],
-                                    config,
-                                )
-                                .with_kernel(kernel);
-                                (ji, toolflow.simulate(&exe).map_err(|e| e.to_string()))
+                                let model = &grid.models()[jobs[ji].model];
+                                let report = qccd_sim::simulate(&exe, device, model)
+                                    .map_err(|e| ToolflowError::from(e).to_string());
+                                (ji, report)
                             })
                             .collect(),
                     }
@@ -1331,7 +1319,6 @@ mod tests {
             }],
             configs: vec![ConfigSpec::Config(CompilerConfig::default())],
             models: vec![ModelSpec::Default],
-            kernel: None,
         };
         let run = run_spec(&spec, &Engine::new()).unwrap();
         let table = run.artifact.into_table();

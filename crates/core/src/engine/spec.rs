@@ -29,7 +29,6 @@ use qccd_circuit::Circuit;
 use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
 use qccd_device::{presets, Device};
 use qccd_physics::{GateImpl, HeatingModel, PhysicalModel, ShuttleTimes};
-use qccd_sim::SimKernel;
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::path::Path;
@@ -723,15 +722,6 @@ pub struct ExperimentSpec {
     pub configs: Vec<ConfigSpec>,
     /// The physical-model axis.
     pub models: Vec<ModelSpec>,
-    /// Simulation kernel override (JSON: `"kernel": "des"`). `None`
-    /// defers to the engine's [`EngineOptions::kernel`]
-    /// default and is omitted from the serialized form, so specs
-    /// written before the kernel switch existed stay byte-identical.
-    /// Both kernels produce identical reports, so this never changes
-    /// results — only execution strategy.
-    ///
-    /// [`EngineOptions::kernel`]: crate::engine::EngineOptions::kernel
-    pub kernel: Option<SimKernel>,
 }
 
 impl ExperimentSpec {
@@ -794,9 +784,7 @@ impl ExperimentSpec {
             .iter()
             .map(ModelSpec::resolve)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(JobGrid::from_axes(circuits, devices, configs, models)
-            .with_kernel(self.kernel)
-            .with_parses(parses))
+        Ok(JobGrid::from_axes(circuits, devices, configs, models).with_parses(parses))
     }
 
     // ------------------------------------------------------------------
@@ -821,7 +809,6 @@ impl ExperimentSpec {
             devices: vec![],
             configs: vec![],
             models: vec![ModelSpec::Default],
-            kernel: None,
         }
     }
 
@@ -835,7 +822,6 @@ impl ExperimentSpec {
             devices: vec![],
             configs: vec![],
             models: vec![],
-            kernel: None,
         }
     }
 
@@ -852,7 +838,6 @@ impl ExperimentSpec {
             }],
             configs: vec![ConfigSpec::Config(CompilerConfig::default())],
             models: vec![ModelSpec::Gate(GateImpl::Fm)],
-            kernel: None,
         }
     }
 
@@ -875,7 +860,6 @@ impl ExperimentSpec {
             ],
             configs: vec![ConfigSpec::Config(CompilerConfig::default())],
             models: vec![ModelSpec::Gate(GateImpl::Fm)],
-            kernel: None,
         }
     }
 
@@ -895,7 +879,6 @@ impl ExperimentSpec {
                 .map(|&r| ConfigSpec::Config(CompilerConfig::with_reorder(r)))
                 .collect(),
             models: GateImpl::ALL.iter().map(|&g| ModelSpec::Gate(g)).collect(),
-            kernel: None,
         }
     }
 
@@ -920,7 +903,6 @@ impl ExperimentSpec {
                 })
                 .collect(),
             models: vec![ModelSpec::Default],
-            kernel: None,
         }
     }
 
@@ -944,7 +926,6 @@ impl ExperimentSpec {
                     ..PhysicalModel::default()
                 }),
             ],
-            kernel: None,
         }
     }
 
@@ -981,7 +962,6 @@ impl ExperimentSpec {
                     })
                 })
                 .collect(),
-            kernel: None,
         }
     }
 
@@ -1003,7 +983,6 @@ impl ExperimentSpec {
                 .collect(),
             configs: vec![ConfigSpec::Config(*base)],
             models: vec![ModelSpec::Default],
-            kernel: None,
         }
     }
 
@@ -1021,14 +1000,13 @@ impl ExperimentSpec {
             }],
             configs: vec![ConfigSpec::PolicyGrid { buffer_slots }],
             models: vec![ModelSpec::Default],
-            kernel: None,
         }
     }
 }
 
 impl Serialize for ExperimentSpec {
     fn to_value(&self) -> Value {
-        let mut entries = vec![
+        Value::Object(vec![
             ("name".to_owned(), Value::Str(self.name.clone())),
             ("projection".to_owned(), self.projection.to_value()),
             ("circuits".to_owned(), self.circuits.to_value()),
@@ -1036,13 +1014,7 @@ impl Serialize for ExperimentSpec {
             ("devices".to_owned(), self.devices.to_value()),
             ("configs".to_owned(), self.configs.to_value()),
             ("models".to_owned(), self.models.to_value()),
-        ];
-        // Emitted only when set: the golden example specs predate the
-        // kernel switch and must stay byte-identical.
-        if let Some(kernel) = self.kernel {
-            entries.push(("kernel".to_owned(), Value::Str(kernel.to_string())));
-        }
-        Value::Object(entries)
+        ])
     }
 }
 
@@ -1059,16 +1031,9 @@ impl Deserialize for ExperimentSpec {
                 "devices",
                 "configs",
                 "models",
-                "kernel",
             ],
             "experiment spec",
         )?;
-        let kernel = opt_field::<String>(entries, "kernel")?
-            .map(|s| {
-                s.parse::<SimKernel>()
-                    .map_err(|e| DeError::custom(format!("field `kernel`: {e}")))
-            })
-            .transpose()?;
         Ok(ExperimentSpec {
             name: req_field(entries, "name", "ExperimentSpec")?,
             projection: req_field(entries, "projection", "ExperimentSpec")?,
@@ -1078,7 +1043,6 @@ impl Deserialize for ExperimentSpec {
             configs: opt_field(entries, "configs")?
                 .unwrap_or_else(|| vec![ConfigSpec::Config(CompilerConfig::default())]),
             models: opt_field(entries, "models")?.unwrap_or_else(|| vec![ModelSpec::Default]),
-            kernel,
         })
     }
 }
@@ -1243,35 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_field_round_trips_and_is_omitted_when_unset() {
-        // Unset: no `kernel` key in the serialized form.
-        let spec = ExperimentSpec::fig6(&QUICK_CAPACITIES);
-        assert_eq!(spec.kernel, None);
-        let json = serde_json::to_string_pretty(&spec).unwrap();
-        assert!(!json.contains("kernel"), "{json}");
-        assert_eq!(spec.expand().unwrap().kernel(), None);
-
-        // Set: serialized, parsed back, carried onto the grid.
-        let mut spec = spec;
-        spec.kernel = Some(SimKernel::Des);
-        let json = serde_json::to_string_pretty(&spec).unwrap();
-        assert!(json.contains("\"kernel\": \"des\""), "{json}");
-        let back = ExperimentSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.expand().unwrap().kernel(), Some(SimKernel::Des));
-
-        // Parses case-insensitively from hand-written JSON; rejects junk.
-        let spec =
-            ExperimentSpec::from_json(r#"{"name": "k", "projection": "cells", "kernel": "DES"}"#)
-                .unwrap();
-        assert_eq!(spec.kernel, Some(SimKernel::Des));
-        let err =
-            ExperimentSpec::from_json(r#"{"name": "k", "projection": "cells", "kernel": "turbo"}"#)
-                .unwrap_err();
-        assert!(err.to_string().contains("turbo"), "{err}");
-    }
-
-    #[test]
     fn spec_errors_are_descriptive() {
         let err = ExperimentSpec::from_json("{\"name\": \"x\"}").unwrap_err();
         assert!(err.to_string().contains("projection"), "{err}");
@@ -1285,6 +1220,10 @@ mod tests {
             ExperimentSpec::from_json(r#"{"name": "x", "projection": "cells", "frobnicate": 3}"#)
                 .unwrap_err();
         assert!(err.to_string().contains("frobnicate"), "{err}");
+
+        let err = ExperimentSpec::from_json(r#"{"name":"x","projection":"cells","kernel":"des"}"#)
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown field `kernel`"), "{err}");
 
         let err = ExperimentSpec::from_json(
             r#"{"name": "x", "projection": "cells", "circuits": ["nope"]}"#,
@@ -1359,7 +1298,6 @@ mod tests {
             }],
             configs: vec![ConfigSpec::Config(CompilerConfig::default())],
             models: vec![ModelSpec::Default],
-            kernel: None,
         };
         let grid = spec.expand().unwrap();
         // The axis keeps its declared shape; only the parse work dedups.

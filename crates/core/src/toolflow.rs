@@ -4,7 +4,7 @@ use qccd_circuit::Circuit;
 use qccd_compiler::{compile, CompileError, CompilerConfig, Executable};
 use qccd_device::Device;
 use qccd_physics::PhysicalModel;
-use qccd_sim::{simulate_with, SimError, SimKernel, SimReport};
+use qccd_sim::{simulate, SimError, SimReport};
 use std::fmt;
 
 /// Errors from a toolflow run.
@@ -74,7 +74,6 @@ pub struct Toolflow {
     device: Device,
     model: PhysicalModel,
     config: CompilerConfig,
-    kernel: SimKernel,
 }
 
 impl Toolflow {
@@ -85,7 +84,6 @@ impl Toolflow {
             device,
             model,
             config: CompilerConfig::default(),
-            kernel: SimKernel::default(),
         }
     }
 
@@ -95,15 +93,7 @@ impl Toolflow {
             device,
             model,
             config,
-            kernel: SimKernel::default(),
         }
-    }
-
-    /// Selects which simulation kernel [`Toolflow::simulate`] uses.
-    /// Both kernels produce identical reports; see [`SimKernel`].
-    pub fn with_kernel(mut self, kernel: SimKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// The candidate device.
@@ -119,11 +109,6 @@ impl Toolflow {
     /// The compiler configuration.
     pub fn config(&self) -> &CompilerConfig {
         &self.config
-    }
-
-    /// The simulation kernel in use.
-    pub fn kernel(&self) -> SimKernel {
-        self.kernel
     }
 
     /// Compiles `circuit` for this architecture.
@@ -142,7 +127,7 @@ impl Toolflow {
     /// Returns [`ToolflowError::Simulate`] if the executable does not fit
     /// this device.
     pub fn simulate(&self, exe: &Executable) -> Result<SimReport, ToolflowError> {
-        Ok(simulate_with(self.kernel, exe, &self.device, &self.model)?)
+        Ok(simulate(exe, &self.device, &self.model)?)
     }
 
     /// Compiles and simulates `circuit`.
@@ -180,16 +165,6 @@ mod tests {
         let direct = tf.simulate(&exe).unwrap();
         let combined = tf.run(&c).unwrap();
         assert_eq!(direct, combined);
-    }
-
-    #[test]
-    fn kernel_choice_does_not_change_the_report() {
-        let c = generators::qaoa(24, 1, 3);
-        let legacy = Toolflow::new(presets::l6(8), PhysicalModel::default());
-        let des = legacy.clone().with_kernel(SimKernel::Des);
-        assert_eq!(legacy.kernel(), SimKernel::Legacy);
-        assert_eq!(des.kernel(), SimKernel::Des);
-        assert_eq!(legacy.run(&c).unwrap(), des.run(&c).unwrap());
     }
 
     #[test]

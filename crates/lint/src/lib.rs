@@ -1,15 +1,14 @@
 //! `qccd-lint` — workspace determinism & hot-path static analysis.
 //!
 //! Every guarantee this reproduction makes — goldens pinned
-//! byte-for-byte, `sim_kernel_diff` proving DES ≡ legacy scan,
-//! `incremental_memo` proving warm ≡ cold — rests on one invariant:
-//! **no nondeterminism may reach an output path**. This crate makes
-//! that invariant machine-checked. It is a token-level analyzer (the
-//! container is offline, so no `syn`; the lexer is hand-rolled in the
-//! style of `qccd_circuit`'s QASM tokenizer) with a small rule engine,
-//! two severities (`deny` fails CI, `advisory` prints annotations),
-//! stable `file:line:col [rule-id]` diagnostics, and inline
-//! suppression comments:
+//! byte-for-byte, `incremental_memo` proving warm ≡ cold — rests on one
+//! invariant: **no nondeterminism may reach an output path**. This
+//! crate makes that invariant machine-checked. It is a token-level
+//! analyzer (the container is offline, so no `syn`; the lexer is
+//! hand-rolled in the style of `qccd_circuit`'s QASM tokenizer) with a
+//! small rule engine, two severities (`deny` fails CI, `advisory`
+//! prints annotations), stable `file:line:col [rule-id]` diagnostics,
+//! and inline suppression comments:
 //!
 //! ```text
 //! // qccd-lint: allow(<rule>[, <rule>…]) — <reason>

@@ -35,66 +35,21 @@ pub fn simulate(
     model: &PhysicalModel,
 ) -> Result<SimReport, SimError> {
     validate(exe, device)?;
-    let placement = Placement::from_chains(exe.initial_chains().to_vec());
-    let mut engine = Engine {
-        device,
-        model,
-        st: MachineState::new(&placement),
-        ion_ready: vec![0.0; exe.num_ions() as usize],
-        trap_ready: vec![0.0; device.trap_count()],
-        seg_ready: vec![0.0; device.segment_count()],
-        junc_ready: vec![0.0; device.junction_count()],
-        trap_energy: vec![0.0; device.trap_count()],
-        trap_peak: vec![0.0; device.trap_count()],
-        flight_energy: vec![0.0; exe.num_ions() as usize],
-        log_fidelity: 0.0,
-        errors: ErrorTotals::default(),
-        ms_executions: 0,
-        ms_background_sum: 0.0,
-        ms_motional_sum: 0.0,
-        gate_spans: SpanSet::new(),
-        comm_spans: SpanSet::new(),
-        gate_busy: 0.0,
-        shuttle_busy: 0.0,
-        shuttle_wait: 0.0,
-        makespan: 0.0,
-    };
-
+    let mut engine = Engine::new(exe, device, model);
     for inst in exe.instructions() {
         engine.step(inst)?;
     }
-
-    let (compute_us, communication_us) = SpanSet::time_split(engine.gate_spans, engine.comm_spans);
-    Ok(SimReport {
-        name: exe.name().to_owned(),
-        total_time_us: engine.makespan,
-        log_fidelity: engine.log_fidelity,
-        counts: exe.counts(),
-        peak_motional_energy: engine.trap_peak.iter().copied().fold(0.0, f64::max),
-        trap_peak_energy: engine.trap_peak,
-        trap_final_energy: engine.trap_energy,
-        ms_executions: engine.ms_executions,
-        ms_background_error_sum: engine.ms_background_sum,
-        ms_motional_error_sum: engine.ms_motional_sum,
-        errors: engine.errors,
-        time: TimeBreakdown {
-            compute_us,
-            communication_us,
-            gate_busy_us: engine.gate_busy,
-            shuttle_busy_us: engine.shuttle_busy,
-            shuttle_wait_us: engine.shuttle_wait,
-        },
-    })
+    Ok(engine.finish(exe))
 }
 
-/// Structural validation of the executable against the device. Shared by
-/// both kernels (legacy and [`crate::des`]) so they reject identical
-/// streams with identical errors.
-pub(crate) fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
+/// Structural validation of the executable against the device, run once
+/// before the first instruction is timed.
+fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
     if exe.initial_chains().len() != device.trap_count() {
-        return Err(SimError::UnknownTrap(TrapId(
-            exe.initial_chains().len() as u32 - 1,
-        )));
+        return Err(SimError::ChainTableMismatch {
+            chains: exe.initial_chains().len(),
+            traps: device.trap_count(),
+        });
     }
     let n = exe.num_ions();
     let mut seen = vec![false; n as usize];
@@ -160,22 +115,70 @@ struct Engine<'a> {
     makespan: f64,
 }
 
-/// Folds one operation's error probability into the running
-/// log-fidelity. Shared by both kernels so the accumulation arithmetic
-/// (clamp, `-inf` on certain failure, `ln_1p` form) cannot drift
-/// between them.
-pub(crate) fn charge(log_fidelity: &mut f64, err: f64) {
-    let err = err.clamp(0.0, 1.0);
-    if err >= 1.0 {
-        *log_fidelity = f64::NEG_INFINITY;
-    } else {
-        *log_fidelity += (1.0 - err).ln_1p_workaround();
+impl<'a> Engine<'a> {
+    /// An engine holding `exe`'s initial placement at time zero.
+    fn new(exe: &Executable, device: &'a Device, model: &'a PhysicalModel) -> Self {
+        let placement = Placement::from_chains(exe.initial_chains().to_vec());
+        Engine {
+            device,
+            model,
+            st: MachineState::new(&placement),
+            ion_ready: vec![0.0; exe.num_ions() as usize],
+            trap_ready: vec![0.0; device.trap_count()],
+            seg_ready: vec![0.0; device.segment_count()],
+            junc_ready: vec![0.0; device.junction_count()],
+            trap_energy: vec![0.0; device.trap_count()],
+            trap_peak: vec![0.0; device.trap_count()],
+            flight_energy: vec![0.0; exe.num_ions() as usize],
+            log_fidelity: 0.0,
+            errors: ErrorTotals::default(),
+            ms_executions: 0,
+            ms_background_sum: 0.0,
+            ms_motional_sum: 0.0,
+            gate_spans: SpanSet::new(),
+            comm_spans: SpanSet::new(),
+            gate_busy: 0.0,
+            shuttle_busy: 0.0,
+            shuttle_wait: 0.0,
+            makespan: 0.0,
+        }
     }
-}
 
-impl Engine<'_> {
+    /// The report for `exe` once every instruction has been stepped.
+    fn finish(self, exe: &Executable) -> SimReport {
+        let (compute_us, communication_us) = SpanSet::time_split(self.gate_spans, self.comm_spans);
+        SimReport {
+            name: exe.name().to_owned(),
+            total_time_us: self.makespan,
+            log_fidelity: self.log_fidelity,
+            counts: exe.counts(),
+            peak_motional_energy: self.trap_peak.iter().copied().fold(0.0, f64::max),
+            trap_peak_energy: self.trap_peak,
+            trap_final_energy: self.trap_energy,
+            ms_executions: self.ms_executions,
+            ms_background_error_sum: self.ms_background_sum,
+            ms_motional_error_sum: self.ms_motional_sum,
+            errors: self.errors,
+            time: TimeBreakdown {
+                compute_us,
+                communication_us,
+                gate_busy_us: self.gate_busy,
+                shuttle_busy_us: self.shuttle_busy,
+                shuttle_wait_us: self.shuttle_wait,
+            },
+        }
+    }
+
+    /// Folds one operation's error probability into the running
+    /// log-fidelity: clamped to [0, 1], `-inf` on certain failure, and
+    /// the `ln_1p` form for small errors.
     fn charge_error(&mut self, err: f64) {
-        charge(&mut self.log_fidelity, err);
+        let err = err.clamp(0.0, 1.0);
+        if err >= 1.0 {
+            self.log_fidelity = f64::NEG_INFINITY;
+        } else {
+            self.log_fidelity += (1.0 - err).ln_1p_workaround();
+        }
     }
 
     fn bump_trap_energy(&mut self, trap: TrapId, energy: f64) {
@@ -346,14 +349,7 @@ impl Engine<'_> {
                 if self.st.trap_of(*ion).is_some() {
                     return Err(SimError::IonNotInFlight(*ion));
                 }
-                let (mut y, mut x) = (0u32, 0u32);
-                for j in &leg.junctions {
-                    match self.device.junction(*j).kind() {
-                        JunctionKind::Y => y += 1,
-                        JunctionKind::X => x += 1,
-                    }
-                }
-                let tau = self.model.shuttle.move_time(leg.length_units, y, x);
+                let tau = self.leg_time(leg);
                 let resource_ready = self.path_ready(leg);
                 let ready = self.ion_ready[ion.index()];
                 let start = ready.max(resource_ready);
@@ -406,6 +402,19 @@ impl Engine<'_> {
         Ok(())
     }
 
+    /// Transit time of one shuttle leg: its segments plus a Y- or
+    /// X-junction crossing for every junction on it.
+    fn leg_time(&self, leg: &Leg) -> f64 {
+        let (mut y, mut x) = (0u32, 0u32);
+        for j in &leg.junctions {
+            match self.device.junction(*j).kind() {
+                JunctionKind::Y => y += 1,
+                JunctionKind::X => x += 1,
+            }
+        }
+        self.model.shuttle.move_time(leg.length_units, y, x)
+    }
+
     fn path_ready(&self, leg: &Leg) -> f64 {
         let mut t: f64 = 0.0;
         for s in &leg.segments {
@@ -444,8 +453,11 @@ impl Ln1pWorkaround for f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qccd_circuit::{generators, Circuit, Qubit};
-    use qccd_compiler::{compile, CompilerConfig, ReorderMethod};
+    use qccd_compiler::{
+        compile, CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind,
+    };
     use qccd_device::presets;
     use qccd_device::Side;
     use qccd_physics::GateImpl;
@@ -681,8 +693,7 @@ mod tests {
 
     // ------------------------------------------------------------------
     // Negative paths: every SimError variant has a pinned raising
-    // condition, and both kernels reject the stream with the identical
-    // error.
+    // condition.
     // ------------------------------------------------------------------
 
     /// A hand-built (usually malformed) executable on `num_ions` ions.
@@ -698,23 +709,34 @@ mod tests {
         chains
     }
 
-    /// Both kernels must reject `exe` with exactly `want`.
-    fn assert_both_kernels_reject(exe: &Executable, want: SimError) {
+    /// The simulator must reject `exe` on L6 with exactly `want`.
+    fn assert_rejects(exe: &Executable, want: SimError) {
         let d = presets::l6(10);
-        let m = PhysicalModel::default();
-        assert_eq!(simulate(exe, &d, &m).unwrap_err(), want, "legacy kernel");
         assert_eq!(
-            crate::simulate_des(exe, &d, &m).unwrap_err(),
-            want,
-            "des kernel"
+            simulate(exe, &d, &PhysicalModel::default()).unwrap_err(),
+            want
         );
     }
 
     #[test]
     fn unknown_trap_when_chain_table_mismatches_device() {
-        // 4 chains against the 6-trap L6 device.
+        // 4 chains, then none, against the 6-trap L6 device.
         let exe = exe_on(1, vec![vec![IonId(0)], vec![], vec![], vec![]], vec![]);
-        assert_both_kernels_reject(&exe, SimError::UnknownTrap(TrapId(3)));
+        assert_rejects(
+            &exe,
+            SimError::ChainTableMismatch {
+                chains: 4,
+                traps: 6,
+            },
+        );
+        let exe = exe_on(0, vec![], vec![]);
+        assert_rejects(
+            &exe,
+            SimError::ChainTableMismatch {
+                chains: 0,
+                traps: 6,
+            },
+        );
     }
 
     #[test]
@@ -728,7 +750,7 @@ mod tests {
                 side: Side::Right,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::UnknownTrap(TrapId(99)));
+        assert_rejects(&exe, SimError::UnknownTrap(TrapId(99)));
     }
 
     #[test]
@@ -736,7 +758,7 @@ mod tests {
         let mut chains = chains_in_trap0(2);
         chains[1] = vec![IonId(7)]; // only ions 0..2 exist
         let exe = exe_on(2, chains, vec![]);
-        assert_both_kernels_reject(&exe, SimError::UnknownIon(IonId(7)));
+        assert_rejects(&exe, SimError::UnknownIon(IonId(7)));
     }
 
     #[test]
@@ -744,13 +766,13 @@ mod tests {
         let mut chains = chains_in_trap0(2);
         chains[1] = vec![IonId(1)]; // ion 1 already placed in trap 0
         let exe = exe_on(2, chains, vec![]);
-        assert_both_kernels_reject(&exe, SimError::UnknownIon(IonId(1)));
+        assert_rejects(&exe, SimError::UnknownIon(IonId(1)));
     }
 
     #[test]
     fn unknown_ion_when_instruction_names_a_missing_ion() {
         let exe = exe_on(1, chains_in_trap0(1), vec![Inst::Measure { ion: IonId(3) }]);
-        assert_both_kernels_reject(&exe, SimError::UnknownIon(IonId(3)));
+        assert_rejects(&exe, SimError::UnknownIon(IonId(3)));
     }
 
     #[test]
@@ -771,7 +793,7 @@ mod tests {
                 },
             ],
         );
-        assert_both_kernels_reject(&exe, SimError::IonInFlight(IonId(1)));
+        assert_rejects(&exe, SimError::IonInFlight(IonId(1)));
     }
 
     #[test]
@@ -786,7 +808,7 @@ mod tests {
                 b: IonId(1),
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::NotColocated(IonId(0), IonId(1)));
+        assert_rejects(&exe, SimError::NotColocated(IonId(0), IonId(1)));
     }
 
     #[test]
@@ -800,7 +822,7 @@ mod tests {
                 b: IonId(2),
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::NotAdjacent(IonId(0), IonId(2)));
+        assert_rejects(&exe, SimError::NotAdjacent(IonId(0), IonId(2)));
     }
 
     #[test]
@@ -814,7 +836,7 @@ mod tests {
                 side: Side::Right,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::SplitNotAtEnd(IonId(1), TrapId(0)));
+        assert_rejects(&exe, SimError::SplitNotAtEnd(IonId(1), TrapId(0)));
     }
 
     #[test]
@@ -829,7 +851,7 @@ mod tests {
                 side: Side::Right,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::SplitNotAtEnd(IonId(0), TrapId(1)));
+        assert_rejects(&exe, SimError::SplitNotAtEnd(IonId(0), TrapId(1)));
     }
 
     #[test]
@@ -843,7 +865,7 @@ mod tests {
                 side: Side::Left,
             }],
         );
-        assert_both_kernels_reject(&exe, SimError::IonNotInFlight(IonId(0)));
+        assert_rejects(&exe, SimError::IonNotInFlight(IonId(0)));
     }
 
     #[test]
@@ -855,6 +877,149 @@ mod tests {
             chains_in_trap0(1),
             vec![Inst::Move { ion: IonId(0), leg }],
         );
-        assert_both_kernels_reject(&exe, SimError::IonNotInFlight(IonId(0)));
+        assert_rejects(&exe, SimError::IonNotInFlight(IonId(0)));
+    }
+
+    #[test]
+    fn empty_executable_yields_zero_report() {
+        let exe = exe_on(1, chains_in_trap0(1), vec![]);
+        let r = simulate(&exe, &presets::l6(10), &PhysicalModel::default()).expect("runs");
+        assert_eq!(r.total_time_us, 0.0);
+        assert_eq!(r.log_fidelity, 0.0);
+        assert_eq!(r.time, TimeBreakdown::default());
+    }
+
+    // ------------------------------------------------------------------
+    // One ion per segment or junction (§V-B): no shuttle leg may start
+    // before the previous leg through any of its path elements ends.
+    // ------------------------------------------------------------------
+
+    /// Every mapping × routing × reorder × eviction pipeline, with two
+    /// buffer slots.
+    fn policy_grid() -> Vec<CompilerConfig> {
+        let mut out = Vec::new();
+        for mapping in MappingKind::ALL {
+            for routing in RoutingKind::ALL {
+                for reorder in ReorderMethod::ALL {
+                    for eviction in EvictionKind::ALL {
+                        out.push(CompilerConfig {
+                            mapping,
+                            routing,
+                            reorder,
+                            eviction,
+                            buffer_slots: 2,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Steps the engine through `exe` on `device` and checks every
+    /// `Move` against the releases of the segments and junctions on its
+    /// leg.
+    fn assert_no_double_booking(exe: &Executable, device: &Device) {
+        let model = PhysicalModel::default();
+        let mut engine = Engine::new(exe, device, &model);
+        for (i, inst) in exe.instructions().iter().enumerate() {
+            let Inst::Move { ion, leg } = inst else {
+                engine.step(inst).expect("simulates");
+                continue;
+            };
+            let released: Vec<f64> = leg
+                .segments
+                .iter()
+                .map(|s| engine.seg_ready[s.index()])
+                .chain(leg.junctions.iter().map(|j| engine.junc_ready[j.index()]))
+                .collect();
+            engine.step(inst).expect("simulates");
+            let end = engine.ion_ready[ion.index()];
+            let tau = engine.leg_time(leg);
+            // Rounding is monotone, so `start >= release` implies
+            // `start + tau >= release + tau` in floating point too.
+            for release in released {
+                assert!(
+                    end >= release + tau,
+                    "move {i} starts at {} before a path element frees at {release}",
+                    end - tau
+                );
+            }
+            // The leg holds every element it crosses until it ends.
+            for s in &leg.segments {
+                assert_eq!(engine.seg_ready[s.index()], end, "move {i}: segment {s}");
+            }
+            for j in &leg.junctions {
+                assert_eq!(engine.junc_ready[j.index()], end, "move {i}: junction {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn opposing_moves_queue_on_the_shared_segment() {
+        // Ions in traps 0 and 1 swap traps: both split at once, then
+        // the second move waits for the first to clear the segment.
+        let d = presets::l6(10);
+        let there = d.route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        let back = d.route(TrapId(1), TrapId(0)).unwrap().legs()[0].clone();
+        let mut chains = chains_in_trap0(1);
+        chains[1] = vec![IonId(1)];
+        let split = |ion, trap, side| Inst::Split { ion, trap, side };
+        let merge = |ion, trap, side| Inst::Merge { ion, trap, side };
+        let exe = exe_on(
+            2,
+            chains,
+            vec![
+                split(IonId(0), TrapId(0), Side::Right),
+                split(IonId(1), TrapId(1), Side::Left),
+                Inst::Move {
+                    ion: IonId(0),
+                    leg: there,
+                },
+                Inst::Move {
+                    ion: IonId(1),
+                    leg: back,
+                },
+                merge(IonId(0), TrapId(1), Side::Left),
+                merge(IonId(1), TrapId(0), Side::Right),
+            ],
+        );
+        let r = simulate(&exe, &d, &PhysicalModel::default()).expect("simulates");
+        assert!(r.time.shuttle_wait_us > 0.0, "{:?}", r.time);
+        assert_no_double_booking(&exe, &d);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random circuits on the linear topology, across all 16
+        /// policy pipelines.
+        #[test]
+        fn random_linear_circuits_never_double_book(
+            n in 2u32..24,
+            ops in 1usize..150,
+            frac in 0.0f64..0.8,
+            seed in 0u64..1000,
+            combo in 0usize..16,
+        ) {
+            let circuit = generators::random_circuit(n, ops, frac, seed);
+            let device = presets::l6(8);
+            let exe = compile(&circuit, &device, &policy_grid()[combo]).expect("compiles");
+            assert_no_double_booking(&exe, &device);
+        }
+
+        /// The same property on the grid topology, whose legs cross
+        /// junctions.
+        #[test]
+        fn random_grid_circuits_never_double_book(
+            n in 2u32..24,
+            ops in 1usize..120,
+            seed in 0u64..1000,
+        ) {
+            let circuit = generators::random_circuit(n, ops, 0.5, seed);
+            let device = presets::g2x3(8);
+            let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
+            assert_no_double_booking(&exe, &device);
+        }
     }
 }

@@ -13,6 +13,13 @@ use std::fmt;
 /// path continuity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
+    /// The initial chain table does not have one chain per device trap.
+    ChainTableMismatch {
+        /// Chains in the executable's initial chain table.
+        chains: usize,
+        /// Traps on the device.
+        traps: usize,
+    },
     /// An instruction referenced a trap the device does not have.
     UnknownTrap(TrapId),
     /// An instruction referenced an ion outside the executable's range.
@@ -32,6 +39,10 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::ChainTableMismatch { chains, traps } => write!(
+                f,
+                "executable has {chains} initial chains but the device has {traps} traps"
+            ),
             SimError::UnknownTrap(t) => write!(f, "executable references unknown trap {t}"),
             SimError::UnknownIon(i) => write!(f, "executable references unknown ion {i}"),
             SimError::SplitNotAtEnd(i, t) => {
@@ -56,5 +67,13 @@ mod tests {
         let e = SimError::NotColocated(IonId(3), IonId(9));
         assert!(e.to_string().contains("ion3"));
         assert!(e.to_string().contains("ion9"));
+        let e = SimError::ChainTableMismatch {
+            chains: 0,
+            traps: 6,
+        };
+        assert_eq!(
+            e.to_string(),
+            "executable has 0 initial chains but the device has 6 traps"
+        );
     }
 }

@@ -53,112 +53,11 @@
 
 #![warn(missing_docs)]
 
-pub mod des;
 pub mod engine;
 pub mod error;
 pub mod report;
 pub mod spans;
 
-pub use des::{
-    simulate_des, simulate_des_with_hook, Event, EventHook, EventKind, EventQueue, NullHook,
-    ResourceTimelines,
-};
 pub use engine::simulate;
 pub use error::SimError;
 pub use report::{canonical_float, ErrorTotals, SimReport, TimeBreakdown};
-
-use qccd_compiler::Executable;
-use qccd_device::Device;
-use qccd_physics::PhysicalModel;
-
-/// Which simulation kernel executes an executable.
-///
-/// Both kernels produce field-for-field identical [`SimReport`]s
-/// (bit-identical floats; pinned by the `sim_kernel_diff` differential
-/// suite), so the choice affects only execution strategy, never
-/// results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimKernel {
-    /// The original lock-step ready-time scan ([`engine`]).
-    #[default]
-    Legacy,
-    /// The discrete-event kernel ([`des`]): a time-ordered event loop
-    /// over explicit resource timelines, with an event-hook seam for
-    /// scenario injection.
-    Des,
-}
-
-impl std::str::FromStr for SimKernel {
-    type Err = String;
-
-    /// Parses `legacy` or `des` (ASCII case-insensitive).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "legacy" => Ok(SimKernel::Legacy),
-            "des" => Ok(SimKernel::Des),
-            other => Err(format!(
-                "unknown kernel `{other}` (expected `legacy` or `des`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SimKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimKernel::Legacy => "legacy",
-            SimKernel::Des => "des",
-        })
-    }
-}
-
-/// Simulates `exe` with the chosen kernel. Equivalent to calling
-/// [`simulate`] or [`simulate_des`] directly.
-///
-/// # Errors
-///
-/// The conditions documented on [`simulate`] — identical for both
-/// kernels.
-pub fn simulate_with(
-    kernel: SimKernel,
-    exe: &Executable,
-    device: &Device,
-    model: &PhysicalModel,
-) -> Result<SimReport, SimError> {
-    match kernel {
-        SimKernel::Legacy => simulate(exe, device, model),
-        SimKernel::Des => simulate_des(exe, device, model),
-    }
-}
-
-#[cfg(test)]
-mod kernel_tests {
-    use super::*;
-
-    #[test]
-    fn kernel_parses_and_displays() {
-        assert_eq!("legacy".parse::<SimKernel>().unwrap(), SimKernel::Legacy);
-        assert_eq!("des".parse::<SimKernel>().unwrap(), SimKernel::Des);
-        assert_eq!("DES".parse::<SimKernel>().unwrap(), SimKernel::Des);
-        assert!("turbo".parse::<SimKernel>().is_err());
-        assert_eq!(SimKernel::Legacy.to_string(), "legacy");
-        assert_eq!(SimKernel::Des.to_string(), "des");
-        assert_eq!(SimKernel::default(), SimKernel::Legacy);
-    }
-
-    #[test]
-    fn simulate_with_dispatches_to_both_kernels() {
-        use qccd_circuit::{Circuit, Qubit};
-        use qccd_compiler::{compile, CompilerConfig};
-        use qccd_device::presets;
-        let mut c = Circuit::new("bell", 2);
-        c.h(Qubit(0));
-        c.cx(Qubit(0), Qubit(1));
-        let d = presets::l6(20);
-        let exe = compile(&c, &d, &CompilerConfig::default()).unwrap();
-        let m = PhysicalModel::default();
-        let a = simulate_with(SimKernel::Legacy, &exe, &d, &m).unwrap();
-        let b = simulate_with(SimKernel::Des, &exe, &d, &m).unwrap();
-        assert_eq!(a, b);
-    }
-}

@@ -33,7 +33,6 @@ fn main() {
         ],
         configs: vec![ConfigSpec::PolicyGrid { buffer_slots: 2 }],
         models: vec![ModelSpec::Default],
-        kernel: None,
     };
     // The JSON form is exactly what `run --spec` consumes:
     println!(

@@ -119,7 +119,6 @@ fn target_inventory_is_complete() {
         "compiler",
         "figures",
         "engine",
-        "des_kernel",
         "flat_structures",
         "incremental",
     ] {
