@@ -1,12 +1,14 @@
 //! Golden snapshots of the paper artifacts' `--json` dumps.
 //!
-//! The studies behind Tables I–II and Figs. 6–8 are regenerated on
-//! every run; these tests pin their JSON serializations to committed
-//! files so a silent drift in the heating/fidelity/timing models (or in
-//! the compiler) breaks the build instead of the paper claims. Figures
-//! are pinned at the `--quick` capacity set (the same three design
-//! points the CI smoke run uses); the full sweeps go through identical
-//! code paths.
+//! The studies behind Tables I–II, Figs. 6–8 and the five ablations
+//! are regenerated on every run; these tests pin their JSON
+//! serializations to committed files so a silent drift in the
+//! heating/fidelity/timing models (or in the compiler) breaks the build
+//! instead of the paper claims. Figs. 6–8 are pinned at the `--quick`
+//! capacity set (the same three design points the CI smoke run uses);
+//! the full sweeps go through identical code paths. The ablations are
+//! pinned exactly as their committed `examples/experiments/` specs
+//! describe them.
 //!
 //! To regenerate after an *intentional* model change:
 //!
@@ -25,6 +27,7 @@
 //! glibc results. If a libm update ever shifts a digit, the failure
 //! message names the first drifted line — regenerate and review.
 
+use qccd::engine::{run_spec, Engine, ExperimentSpec};
 use qccd::experiments::{fig6, fig7, fig8, table1, table2, QUICK_CAPACITIES};
 use qccd_circuit::generators;
 use qccd_device::{presets, Device, DeviceBuilder, Side};
@@ -122,6 +125,44 @@ fn fig8_quick_matches_golden() {
     );
 }
 
+/// Runs the committed spec `examples/experiments/<name>.json` through
+/// the engine and pins its figure to `tests/goldens/<name>.json` — the
+/// same bytes `run --spec examples/experiments/<name>.json --json` dumps.
+fn pin_committed_spec(name: &str) {
+    let rel = format!("examples/experiments/{name}.json");
+    let spec = ExperimentSpec::from_file(repo_path(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    let run = run_spec(&spec, &Engine::new()).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    pin(
+        &format!("tests/goldens/{name}.json"),
+        &run.artifact.into_figure(),
+    );
+}
+
+#[test]
+fn ablation_buffer_matches_golden() {
+    pin_committed_spec("ablation_buffer");
+}
+
+#[test]
+fn ablation_heating_matches_golden() {
+    pin_committed_spec("ablation_heating");
+}
+
+#[test]
+fn ablation_junction_matches_golden() {
+    pin_committed_spec("ablation_junction");
+}
+
+#[test]
+fn ablation_device_size_matches_golden() {
+    pin_committed_spec("ablation_device_size");
+}
+
+#[test]
+fn ablation_policy_matches_golden() {
+    pin_committed_spec("ablation_policy");
+}
+
 /// The checked-in example device file is the serialization of the
 /// paper's L6 device at capacity 20; loading it must reproduce the
 /// preset exactly, and the toolflow must behave identically on both.
@@ -189,7 +230,6 @@ fn example_t3_device_file_loads_and_runs() {
 /// the exact preset.
 #[test]
 fn example_experiment_specs_match_the_presets() {
-    use qccd::engine::ExperimentSpec;
     use qccd::experiments::PAPER_CAPACITIES;
     let base = qccd_compiler::CompilerConfig::default();
     for (rel, spec) in [
