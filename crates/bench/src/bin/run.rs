@@ -18,11 +18,11 @@
 //! cargo run --release -p qccd-bench --bin run -- \
 //!     --cache /shared/cache --cache-gc --cache-max-entries 10000
 //!
-//! # Legacy custom-device mode: the Table II suite end to end on a
-//! # JSON-loaded device:
+//! # Without --spec: the Table II suite end to end on a JSON-loaded
+//! # device, emitted as the per-cell `cells` table:
 //! cargo run --release -p qccd-bench --bin run -- \
 //!     --device examples/devices/l6_cap20.json \
-//!     [--config cfg.json] [--model model.json] [--json report.json] \
+//!     [--config cfg.json] [--model model.json] [--json cells.json] \
 //!     [--mapping round-robin|usage-weighted] \
 //!     [--routing greedy-shortest|lookahead-congestion] \
 //!     [--reorder gs|is] [--eviction furthest-next-use|chain-end]

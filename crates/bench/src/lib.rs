@@ -35,16 +35,15 @@
 #![warn(missing_docs)]
 
 use qccd::engine::{
-    merge_spec, run_spec, run_spec_jobs, Artifact, ArtifactSink, ConfigSpec, CsvSink, DeviceSpec,
-    Engine, EngineOptions, ExperimentSpec, JsonSink, ModelSpec, Projection, ResultCache, Shard,
-    SpecRun, StageCache, STAGE_SUBDIR,
+    merge_spec, run_spec, run_spec_jobs, Artifact, ArtifactSink, CircuitSpec, ConfigSpec, CsvSink,
+    DeviceSpec, Engine, EngineOptions, ExperimentSpec, JsonSink, ModelSpec, Projection,
+    ResultCache, Shard, SpecRun, StageCache, STAGE_SUBDIR,
 };
 use qccd::experiments::{PAPER_CAPACITIES, QUICK_CAPACITIES};
+use qccd_circuit::generators::Benchmark;
 use qccd_compiler::{
     CompilerConfig, EvictionKind, MappingKind, Pipeline, ReorderMethod, RoutingKind,
 };
-use qccd_device::Device;
-use qccd_physics::PhysicalModel;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -324,14 +323,6 @@ impl HarnessArgs {
         })
     }
 
-    /// Loads the `--device` file, or `None` when the flag was not given.
-    /// Aborts with a readable message on parse/validation failure.
-    pub fn load_device(&self) -> Option<Device> {
-        self.device.as_deref().map(|path| {
-            Device::from_json(&read(path)).unwrap_or_else(|e| die(path, &e.to_string()))
-        })
-    }
-
     /// Loads the `--config` file (or the default compiler config), then
     /// applies any `--mapping`/`--routing`/`--reorder`/`--eviction`
     /// policy overrides on top.
@@ -369,15 +360,6 @@ impl HarnessArgs {
             || self.routing.is_some()
             || self.reorder.is_some()
             || self.eviction.is_some()
-    }
-
-    /// Loads the `--model` file, or the paper's default physical model.
-    pub fn load_model_or_default(&self) -> PhysicalModel {
-        self.model
-            .as_deref()
-            .map_or_else(PhysicalModel::default, |path| {
-                PhysicalModel::from_json(&read(path)).unwrap_or_else(|e| die(path, &e.to_string()))
-            })
     }
 
     /// Rewrites `spec`'s axes from the CLI overrides: `--caps`/`--quick`
@@ -438,33 +420,35 @@ fn usage(message: &str) -> ! {
     std::process::exit(if message.is_empty() { 0 } else { 2 });
 }
 
-/// Prints the artifact and optionally writes it as JSON (legacy helper;
-/// the engine-backed path is [`emit_artifact`]).
-pub fn emit<T: std::fmt::Display + Serialize>(artifact: &T, json: Option<&Path>) {
-    println!("{artifact}");
+/// Emits an engine artifact through the CSV sink (stdout) and, when a
+/// path is given, the JSON sink — the same bytes the goldens pin.
+pub fn emit_artifact(artifact: &Artifact, json: Option<&Path>) {
+    if let Err(e) = CsvSink::new(std::io::stdout().lock()).emit(artifact) {
+        write_failed("stdout", e);
+    }
     if let Some(path) = json {
-        let text = serde_json::to_string_pretty(artifact).expect("artifacts serialize"); // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
+        if let Err(e) = JsonSink::new(path).emit(artifact) {
+            write_failed(path.display(), e);
         }
         eprintln!("wrote {}", path.display());
     }
 }
 
-/// Emits an engine artifact through the CSV sink (stdout) and, when a
-/// path is given, the JSON sink — the same bytes the goldens pin.
-pub fn emit_artifact(artifact: &Artifact, json: Option<&Path>) {
-    CsvSink::new(std::io::stdout().lock())
-        .emit(artifact)
-        .expect("stdout is writable"); // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-    if let Some(path) = json {
-        if let Err(e) = JsonSink::new(path).emit(artifact) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
+/// Writes a multi-artifact bundle as pretty JSON to `path`.
+fn write_json(path: &Path, bundle: &impl Serialize) {
+    let written = serde_json::to_string_pretty(bundle)
+        .map_err(|e| e.to_string())
+        .and_then(|text| std::fs::write(path, text).map_err(|e| e.to_string()));
+    if let Err(e) = written {
+        write_failed(path.display(), e);
     }
+    eprintln!("wrote {}", path.display());
+}
+
+/// Reports an output that could not be written and exits 1.
+fn write_failed(target: impl std::fmt::Display, error: impl std::fmt::Display) -> ! {
+    eprintln!("error: could not write {target}: {error}");
+    std::process::exit(1);
 }
 
 /// Runs a spec on the engine, aborting with a readable message on spec
@@ -536,15 +520,12 @@ fn all_main(args: &HarnessArgs, engine: &Engine) {
     println!("{f8}");
 
     if let Some(path) = args.json.as_deref() {
-        let bundle = serde_json::json!({
-            "table1": t1, "table2": t2, "fig6": f6, "fig7": f7, "fig8": f8,
-        });
-        std::fs::write(
+        write_json(
             path,
-            serde_json::to_string_pretty(&bundle).expect("serializes"), // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        )
-        .expect("json written"); // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        eprintln!("wrote {}", path.display());
+            &serde_json::json!({
+                "table1": t1, "table2": t2, "fig6": f6, "fig7": f7, "fig8": f8,
+            }),
+        );
     }
 }
 
@@ -585,20 +566,16 @@ fn ablations_main(args: &HarnessArgs, engine: &Engine) {
     println!("{a5}");
 
     if let Some(path) = args.json.as_deref() {
-        let bundle = serde_json::json!({"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5});
-        std::fs::write(
+        write_json(
             path,
-            serde_json::to_string_pretty(&bundle).expect("serializes"), // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        )
-        .expect("json written"); // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        eprintln!("wrote {}", path.display());
+            &serde_json::json!({"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5}),
+        );
     }
 }
 
 /// The `run` binary: `--spec` executes any experiment spec file;
 /// without it, `--device` runs the Table II suite on a JSON-loaded
-/// device (the legacy custom-device mode, now engine-backed so it
-/// shares `--cache`).
+/// device and emits the generic per-cell table.
 ///
 /// Multi-process mode: `--shard k/M` executes one hash-partitioned
 /// slice of the spec's job grid into the shared `--cache` directory
@@ -637,8 +614,7 @@ pub fn run_main() {
         usage("--shard/--merge need --spec <experiment.json>");
     }
 
-    if args.cache_gc {
-        let dir = args.cache.as_ref().expect("checked above"); // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
+    if let (true, Some(dir)) = (args.cache_gc, args.cache.as_deref()) {
         let cache = ResultCache::open(dir).unwrap_or_else(|e| die(dir, &e.to_string()));
         match cache.gc(args.cache_max_entries) {
             Ok(stats) => eprintln!("cache-gc[{}]: {}", dir.display(), stats.summary()),
@@ -661,127 +637,66 @@ pub fn run_main() {
         }
     }
 
-    let engine = args.engine();
-
-    if let Some(spec_path) = &args.spec {
-        let mut spec = ExperimentSpec::from_file(spec_path).unwrap_or_else(|e| {
+    let mut spec = if let Some(spec_path) = &args.spec {
+        ExperimentSpec::from_file(spec_path).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
-        });
-        args.apply_to_spec(&mut spec);
-        if let Some(shard) = args.shard {
-            // Worker mode: execute this slice into the shared cache.
-            // No artifact — the grid is only partially evaluated here.
-            let run = run_spec_jobs(&spec, &engine).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            eprintln!(
-                "engine[{} shard {shard}]: {}",
-                spec.name,
-                run.stats.summary()
+        })
+    } else if args.device.is_some() {
+        // The device file fixes the trap sizes, so there is no capacity
+        // axis to override; reject rather than silently ignore the flags.
+        if args.quick || args.caps.is_some() {
+            usage(
+                "`run --device` (without --spec) has no capacity sweep; --quick/--caps need --spec",
             );
-            return;
         }
-        let run = if args.merge {
-            let run = merge_spec(&spec, &engine).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("engine[{} merge]: {}", spec.name, run.stats.summary());
-            run
-        } else {
-            run_spec_or_die(&spec, &engine)
-        };
-        emit_artifact(&run.artifact, args.json.as_deref());
-        return;
-    }
-
-    let Some(device_path) = &args.device else {
+        // The Table II suite under the default config and model, whose
+        // device/config/model axes the CLI overrides replace below.
+        ExperimentSpec {
+            name: "run".into(),
+            projection: Projection::Cells,
+            circuits: Benchmark::ALL
+                .iter()
+                .map(|&b| CircuitSpec::Benchmark(b))
+                .collect(),
+            capacities: vec![],
+            devices: vec![],
+            configs: vec![ConfigSpec::Config(CompilerConfig::default())],
+            models: vec![ModelSpec::Default],
+        }
+    } else {
         eprintln!("error: `run` requires --spec <experiment.json> or --device <file.json>");
         eprintln!("       (see examples/experiments/, examples/devices/ and the README)");
         std::process::exit(2);
     };
-    // The legacy suite mode has no capacity axis (the device file fixes
-    // the trap sizes); reject rather than silently ignore the flags.
-    if args.quick || args.caps.is_some() {
-        usage("`run --device` (without --spec) has no capacity sweep; --quick/--caps need --spec");
+    args.apply_to_spec(&mut spec);
+
+    let engine = args.engine();
+    if let Some(shard) = args.shard {
+        // Worker mode: execute this slice into the shared cache.
+        // No artifact — the grid is only partially evaluated here.
+        let run = run_spec_jobs(&spec, &engine).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        eprintln!(
+            "engine[{} shard {shard}]: {}",
+            spec.name,
+            run.stats.summary()
+        );
+        return;
     }
-    let spec = ExperimentSpec {
-        name: "run".into(),
-        projection: Projection::Cells,
-        circuits: qccd_circuit::generators::Benchmark::ALL
-            .iter()
-            .map(|&b| qccd::engine::CircuitSpec::Benchmark(b))
-            .collect(),
-        capacities: vec![],
-        devices: vec![DeviceSpec::File {
-            path: device_path.display().to_string(),
-        }],
-        configs: vec![ConfigSpec::Config(args.load_config_or_default())],
-        models: vec![match &args.model {
-            Some(path) => ModelSpec::File {
-                path: path.display().to_string(),
-            },
-            None => ModelSpec::Default,
-        }],
+    let run = if args.merge {
+        let run = merge_spec(&spec, &engine).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("engine[{} merge]: {}", spec.name, run.stats.summary());
+        run
+    } else {
+        run_spec_or_die(&spec, &engine)
     };
-    let run = run_spec_or_die(&spec, &engine);
-
-    // The legacy per-benchmark report format.
-    let device = &run.grid.devices()[0];
-    let config = run.grid.configs()[0];
-    let model = run.grid.models()[0];
-    println!("device: {device}");
-    println!(
-        "config: {}; gates: {}",
-        Pipeline::from_config(&config).describe(),
-        model.gate_impl
-    );
-    println!(
-        "{:<14}{:>10}{:>12}{:>9}{:>9}{:>9}",
-        "app", "time_s", "fidelity", "ms", "swaps", "moves"
-    );
-    let mut reports = Vec::new();
-    for ci in 0..run.grid.circuits().len() {
-        let name = qccd_circuit::generators::Benchmark::ALL[ci].name();
-        match run.results.outcome(&run.grid, ci, 0, 0, 0) {
-            Err(e) => {
-                println!("{name:<14}  {e}");
-                reports.push((name.to_owned(), None));
-            }
-            Ok(r) => {
-                println!(
-                    "{:<14}{:>10.4}{:>12.4e}{:>9}{:>9}{:>9}",
-                    name,
-                    r.total_time_s(),
-                    r.fidelity(),
-                    r.ms_executions,
-                    r.counts.swap_gates,
-                    r.counts.moves,
-                );
-                reports.push((name.to_owned(), Some(r.clone())));
-            }
-        }
-    }
-
-    if let Some(path) = args.json.as_deref() {
-        let bundle = serde_json::json!({
-            "device": device,
-            "config": config,
-            "model": model,
-            "reports": reports,
-        });
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&bundle).expect("reports serialize"), // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        eprintln!("wrote {}", path.display());
-    }
+    emit_artifact(&run.artifact, args.json.as_deref());
 }
 
 #[cfg(test)]

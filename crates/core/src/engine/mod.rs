@@ -29,8 +29,8 @@
 //!   under their id, so interrupted or repeated sweeps skip every cell
 //!   that already ran.
 //! * [`run_spec`] — the end-to-end entry point: expand, execute,
-//!   project. Artifacts produced this way are byte-identical to the
-//!   legacy per-figure drivers (the golden snapshots pin this).
+//!   project. Every paper artifact is produced this way, and the golden
+//!   snapshots pin the bytes.
 //!
 //! # Example
 //!

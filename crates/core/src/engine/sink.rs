@@ -4,8 +4,7 @@
 //! sinks emit them in the two golden formats the harness has always
 //! used — the CSV-like `Display` text and the pretty-printed JSON dump.
 //! An [`Artifact`] serializes and prints exactly like the figure or
-//! table it wraps, so artifacts routed through the engine are
-//! byte-identical to the legacy per-bin output.
+//! table it wraps.
 
 use crate::experiments::{Figure, Table};
 use serde::{Serialize, Value};
@@ -95,8 +94,8 @@ pub trait ArtifactSink {
     fn emit(&mut self, artifact: &Artifact) -> io::Result<()>;
 }
 
-/// Writes the artifact's CSV-like `Display` text (one trailing
-/// newline, matching the legacy bins' `println!`).
+/// Writes the artifact's CSV-like `Display` text with one trailing
+/// newline, as `println!` would.
 pub struct CsvSink<W: Write> {
     writer: W,
 }

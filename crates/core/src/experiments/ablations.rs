@@ -1,70 +1,36 @@
 //! Ablation studies for this reproduction's modelling and compiler choices.
 //!
 //! These go beyond the paper's figures and probe the sensitivity of its
-//! conclusions to our modeling/compiler choices:
+//! conclusions to our modeling/compiler choices. Each study is an
+//! `ExperimentSpec::ablation_*` preset (committed as
+//! `examples/experiments/ablation_*.json`); this module holds the
+//! projections that shape its engine results into a figure:
 //!
-//! * [`buffer_sweep`] — the mapping buffer ("leave room for 2 incoming
-//!   ions per trap", §VI): how do 0–4 reserved slots change shuttling
-//!   volume and reliability?
-//! * [`heating_ablation`] — the chain-size-scaled k₁ hot-spot refinement
-//!   (calibrated in the `qccd_physics::heating` module docs) versus the
-//!   strict constant-k₁ reading of §VII-B.
-//! * [`junction_cost_sweep`] — sensitivity of the Fig. 7 topology verdict
-//!   to the junction crossing cost (Table I prices X junctions at 120 µs).
-//! * [`device_size_sweep`] — the §VIII-B device range ("we evaluate
-//!   architectures with 50–200 qubits"): linear devices with 4–10 traps
-//!   at fixed capacity.
-//! * [`policy_ablation`] — the compiler-pipeline policy matrix: every
-//!   (mapping × routing × reorder × eviction) combination compared at
-//!   fixed capacities.
+//! * `project_buffer` (A1) — the mapping buffer ("leave room for 2
+//!   incoming ions per trap", §VI): how do 0–4 reserved slots change
+//!   shuttling volume and reliability?
+//! * `project_heating` (A2) — the chain-size-scaled k₁ hot-spot
+//!   refinement (calibrated in the `qccd_physics::heating` module docs)
+//!   versus the strict constant-k₁ reading of §VII-B.
+//! * `project_junction` (A3) — sensitivity of the Fig. 7 topology
+//!   verdict to the junction crossing cost (Table I prices X junctions
+//!   at 120 µs).
+//! * `project_device_size` (A4) — the §VIII-B device range ("we
+//!   evaluate architectures with 50–200 qubits"): linear devices with
+//!   3–10 traps at fixed capacity.
+//! * `project_policy` (A5) — the compiler-pipeline policy matrix:
+//!   every (mapping × routing × reorder × eviction) combination compared
+//!   at fixed capacities.
 //!
-//! Each study takes a base [`CompilerConfig`] so the `ablations` harness
-//! binary's `--mapping`/`--routing`/`--reorder`/`--eviction` flags (and
-//! `--config` files) steer the compiler policies under ablation.
-//!
-//! Since the engine redesign each study is a thin projection: its axes
-//! map onto a [`JobGrid`] (the `ExperimentSpec::ablation_*` presets
-//! describe the same grids declaratively), the engine evaluates the
-//! cells, and a `project_*` function shapes the figure.
+//! The A1–A4 presets take a base `CompilerConfig`, so the `ablations`
+//! harness binary's `--mapping`/`--routing`/`--reorder`/`--eviction`
+//! flags (and `--config` files) steer the compiler policies under
+//! ablation.
 
 use super::{series_of, Figure, Panel, Series};
-use crate::engine::{Engine, GridResults, JobGrid};
-use crate::sweep::policy_grid;
-use qccd_circuit::Circuit;
-use qccd_compiler::CompilerConfig;
-use qccd_device::presets;
-use qccd_physics::{HeatingModel, PhysicalModel, ShuttleTimes};
+use crate::engine::{GridResults, JobGrid};
+use qccd_physics::ShuttleTimes;
 use qccd_sim::SimReport;
-
-/// Runs a grid through a silent engine and projects it.
-fn run_and_project(grid: JobGrid, project: impl Fn(&JobGrid, &GridResults) -> Figure) -> Figure {
-    let run = Engine::new().run(&grid);
-    project(&grid, &run.results)
-}
-
-/// Sweeps the mapping buffer (reserved slots per trap) for one circuit on
-/// L6 at the given capacity. `base` selects the compiler policies; its
-/// own `buffer_slots` is overridden by each sweep point.
-pub fn buffer_sweep(
-    circuit: &Circuit,
-    capacity: u32,
-    buffers: &[u32],
-    base: CompilerConfig,
-) -> Figure {
-    let grid = JobGrid::from_axes(
-        vec![circuit.clone()],
-        vec![presets::l6(capacity)],
-        buffers
-            .iter()
-            .map(|&buffer_slots| CompilerConfig {
-                buffer_slots,
-                ..base
-            })
-            .collect(),
-        vec![PhysicalModel::default()],
-    );
-    run_and_project(grid, project_buffer)
-}
 
 /// Shapes a (circuit × L6 × buffer-configs) grid into the A1 figure.
 /// The x axis is each config's `buffer_slots`.
@@ -97,26 +63,6 @@ pub(crate) fn project_buffer(grid: &JobGrid, results: &GridResults) -> Figure {
             ],
         }],
     }
-}
-
-/// Compares the chain-size-scaled hot-spot heating model against the
-/// strict constant-k₁ reading across trap capacities, compiling with
-/// `base`'s policies.
-pub fn heating_ablation(circuit: &Circuit, capacities: &[u32], base: CompilerConfig) -> Figure {
-    let grid = JobGrid::from_axes(
-        vec![circuit.clone()],
-        capacities.iter().map(|&c| presets::l6(c)).collect(),
-        vec![base],
-        vec![
-            PhysicalModel::default(), // scaled k1 (the paper's model)
-            PhysicalModel {
-                heating: HeatingModel::CONSTANT_K1,
-                ..PhysicalModel::default()
-            },
-        ],
-    );
-    let run = Engine::new().run(&grid);
-    project_heating(&grid, &run.results, capacities)
 }
 
 /// Shapes a (circuit × capacities × 2-heating-models) grid into the A2
@@ -172,34 +118,6 @@ pub(crate) fn project_heating(grid: &JobGrid, results: &GridResults, capacities:
     }
 }
 
-/// Sensitivity of the grid-vs-linear comparison to the X-junction crossing
-/// time (multiplied by the given factors), compiling with `base`'s
-/// policies.
-pub fn junction_cost_sweep(
-    circuit: &Circuit,
-    capacity: u32,
-    factors: &[u32],
-    base: CompilerConfig,
-) -> Figure {
-    let grid = JobGrid::from_axes(
-        vec![circuit.clone()],
-        vec![presets::l6(capacity), presets::g2x3(capacity)],
-        vec![base],
-        factors
-            .iter()
-            .map(|&factor| PhysicalModel {
-                shuttle: ShuttleTimes {
-                    junction_x: ShuttleTimes::TABLE_I.junction_x * f64::from(factor),
-                    junction_y: ShuttleTimes::TABLE_I.junction_y * f64::from(factor),
-                    ..ShuttleTimes::TABLE_I
-                },
-                ..PhysicalModel::default()
-            })
-            .collect(),
-    );
-    run_and_project(grid, project_junction)
-}
-
 /// Shapes a (circuit × {linear, grid} × junction-factor-models) grid
 /// into the A3 figure. The x axis (the junction-time multiplier) is
 /// recovered from each model's X-junction time relative to Table I.
@@ -240,26 +158,6 @@ pub(crate) fn project_junction(grid: &JobGrid, results: &GridResults) -> Figure 
     }
 }
 
-/// Sweeps the number of traps in a linear device at fixed capacity — the
-/// §VIII-B 50–200-qubit device range — compiling with `base`'s policies.
-pub fn device_size_sweep(
-    circuit: &Circuit,
-    trap_counts: &[u32],
-    capacity: u32,
-    base: CompilerConfig,
-) -> Figure {
-    let grid = JobGrid::from_axes(
-        vec![circuit.clone()],
-        trap_counts
-            .iter()
-            .map(|&n| presets::linear(n, capacity, presets::DEFAULT_LINEAR_SPACING))
-            .collect(),
-        vec![base],
-        vec![PhysicalModel::default()],
-    );
-    run_and_project(grid, project_device_size)
-}
-
 /// Shapes a (circuit × linear-devices) grid into the A4 figure. The
 /// x axis is each device's trap count.
 pub(crate) fn project_device_size(grid: &JobGrid, results: &GridResults) -> Figure {
@@ -297,22 +195,6 @@ pub(crate) fn project_device_size(grid: &JobGrid, results: &GridResults) -> Figu
             ],
         }],
     }
-}
-
-/// The policy-pipeline ablation: every (mapping × routing × reorder ×
-/// eviction) combination of the compiler's built-in policies, run on L6
-/// at each capacity. One series per pipeline (labelled with the compact
-/// [`CompilerConfig::policy_label`] form, e.g. `RR+SP+GS+FNU`), panels
-/// for runtime, fidelity and shuttling volume.
-pub fn policy_ablation(circuit: &Circuit, capacities: &[u32], buffer_slots: u32) -> Figure {
-    let grid = JobGrid::from_axes(
-        vec![circuit.clone()],
-        capacities.iter().map(|&c| presets::l6(c)).collect(),
-        policy_grid(buffer_slots),
-        vec![PhysicalModel::default()],
-    );
-    let run = Engine::new().run(&grid);
-    project_policy(&grid, &run.results, capacities)
 }
 
 /// Shapes a (circuit × capacities × 16-policy-configs) grid into the A5
@@ -380,17 +262,49 @@ pub(crate) fn project_policy(grid: &JobGrid, results: &GridResults, capacities: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_axes;
+    use crate::sweep::policy_grid;
     use crate::toolflow::Toolflow;
-    use qccd_circuit::generators;
-    use qccd_compiler::{MappingKind, ReorderMethod};
+    use qccd_circuit::{generators, Circuit};
+    use qccd_compiler::{CompilerConfig, MappingKind, ReorderMethod};
+    use qccd_device::presets;
+    use qccd_physics::{HeatingModel, PhysicalModel};
 
     fn mini() -> Circuit {
         generators::qaoa(20, 1, 5)
     }
 
+    /// A1 over `circuit` on L6 at capacity 8, one config per buffer size.
+    fn buffer_fig(circuit: Circuit, buffers: &[u32], base: CompilerConfig) -> Figure {
+        run_axes(
+            vec![circuit],
+            vec![presets::l6(8)],
+            buffers
+                .iter()
+                .map(|&buffer_slots| CompilerConfig {
+                    buffer_slots,
+                    ..base
+                })
+                .collect(),
+            vec![PhysicalModel::default()],
+            project_buffer,
+        )
+    }
+
+    /// A5 over `circuit` on L6 at each capacity, all 16 pipelines.
+    fn policy_fig(circuit: Circuit, caps: &[u32]) -> Figure {
+        run_axes(
+            vec![circuit],
+            caps.iter().map(|&c| presets::l6(c)).collect(),
+            policy_grid(2),
+            vec![PhysicalModel::default()],
+            |grid, results| project_policy(grid, results, caps),
+        )
+    }
+
     #[test]
     fn buffer_sweep_covers_requested_points() {
-        let fig = buffer_sweep(&mini(), 8, &[0, 2, 4], CompilerConfig::default());
+        let fig = buffer_fig(mini(), &[0, 2, 4], CompilerConfig::default());
         let p = &fig.panels[0];
         assert_eq!(p.x, vec![0, 2, 4]);
         assert!(p.series.iter().all(|s| s.y.len() == 3));
@@ -404,10 +318,9 @@ mod tests {
         // reorder-sensitive circuit must not (the base config reaches
         // the compiler).
         let c = generators::random_circuit(20, 120, 0.6, 4);
-        let gs = buffer_sweep(&c, 8, &[2], CompilerConfig::default());
-        let is = buffer_sweep(
-            &c,
-            8,
+        let gs = buffer_fig(c.clone(), &[2], CompilerConfig::default());
+        let is = buffer_fig(
+            c,
             &[2],
             CompilerConfig::with_reorder(ReorderMethod::IonSwap),
         );
@@ -417,7 +330,20 @@ mod tests {
 
     #[test]
     fn heating_ablation_constant_k1_never_hotter() {
-        let fig = heating_ablation(&mini(), &[8, 12], CompilerConfig::default());
+        let caps = [8, 12];
+        let fig = run_axes(
+            vec![mini()],
+            caps.iter().map(|&c| presets::l6(c)).collect(),
+            vec![CompilerConfig::default()],
+            vec![
+                PhysicalModel::default(),
+                PhysicalModel {
+                    heating: HeatingModel::CONSTANT_K1,
+                    ..PhysicalModel::default()
+                },
+            ],
+            |grid, results| project_heating(grid, results, &caps),
+        );
         let energy = fig.panel("A2-energy").unwrap();
         for i in 0..2 {
             let scaled = energy.series[0].y[i].unwrap();
@@ -428,7 +354,23 @@ mod tests {
 
     #[test]
     fn junction_cost_hurts_grid_only() {
-        let fig = junction_cost_sweep(&mini(), 8, &[1, 4], CompilerConfig::default());
+        let fig = run_axes(
+            vec![mini()],
+            vec![presets::l6(8), presets::g2x3(8)],
+            vec![CompilerConfig::default()],
+            [1.0, 4.0]
+                .iter()
+                .map(|&factor| PhysicalModel {
+                    shuttle: ShuttleTimes {
+                        junction_x: ShuttleTimes::TABLE_I.junction_x * factor,
+                        junction_y: ShuttleTimes::TABLE_I.junction_y * factor,
+                        ..ShuttleTimes::TABLE_I
+                    },
+                    ..PhysicalModel::default()
+                })
+                .collect(),
+            project_junction,
+        );
         let p = &fig.panels[0];
         assert_eq!(p.x, vec![1, 4], "factors recovered from the model axis");
         let linear_cheap = p.series[0].y[0].unwrap();
@@ -444,8 +386,16 @@ mod tests {
 
     #[test]
     fn device_size_sweep_marks_infeasible_small_devices() {
-        let circuit = generators::qaoa(40, 1, 5);
-        let fig = device_size_sweep(&circuit, &[2, 6, 8], 8, CompilerConfig::default());
+        let fig = run_axes(
+            vec![generators::qaoa(40, 1, 5)],
+            [2, 6, 8]
+                .iter()
+                .map(|&n| presets::linear(n, 8, presets::DEFAULT_LINEAR_SPACING))
+                .collect(),
+            vec![CompilerConfig::default()],
+            vec![PhysicalModel::default()],
+            project_device_size,
+        );
         let p = &fig.panels[0];
         assert_eq!(p.x, vec![2, 6, 8], "trap counts recovered from devices");
         // 2 traps × 8 = 16 slots < 40 qubits; 6 and 8 traps fit.
@@ -456,7 +406,7 @@ mod tests {
 
     #[test]
     fn policy_ablation_covers_the_full_grid() {
-        let fig = policy_ablation(&mini(), &[8, 10], 2);
+        let fig = policy_fig(mini(), &[8, 10]);
         for id in ["A5-time", "A5-fidelity", "A5-comm"] {
             let p = fig.panel(id).unwrap();
             assert_eq!(p.x, vec![8, 10]);
@@ -485,7 +435,7 @@ mod tests {
         for i in 0..12u32 {
             c.cx(qccd_circuit::Qubit(i), qccd_circuit::Qubit(23 - i));
         }
-        let fig = policy_ablation(&c, &[8], 2);
+        let fig = policy_fig(c.clone(), &[8]);
         let comm = fig.panel("A5-comm").unwrap();
         let of = |label: &str| -> f64 {
             comm.series.iter().find(|s| s.label == label).unwrap().y[0].unwrap()

@@ -7,58 +7,16 @@
 //! (6b), fidelity (6c–6e), peak motional energy (6f) and the Supremacy
 //! MS-gate error breakdown (6g).
 //!
-//! Since the engine redesign this module is a thin *projection*: the
-//! (app × capacity) grid is described by
-//! [`ExperimentSpec::fig6`](crate::engine::ExperimentSpec::fig6) (or
-//! assembled from resolved axes by [`generate_on`]), executed by
-//! [`crate::engine::Engine`], and shaped into the figure by
-//! [`project`].
+//! This module is the *projection* of that study: the (app × capacity)
+//! grid is described by
+//! [`ExperimentSpec::fig6`](crate::engine::ExperimentSpec::fig6),
+//! executed by [`crate::engine::Engine`], and shaped into the figure by
+//! `project`.
 
 use super::{series_of, Figure, Panel, Series};
-use crate::engine::{run_spec, Engine, ExperimentSpec, GridResults, JobGrid};
-use qccd_circuit::Circuit;
-use qccd_compiler::CompilerConfig;
-use qccd_device::{presets, Device};
-use qccd_physics::{GateImpl, PhysicalModel};
+use crate::engine::{GridResults, JobGrid};
+use qccd_device::Device;
 use qccd_sim::SimReport;
-
-/// Runs the Fig. 6 study on the full Table II suite through the
-/// [`ExperimentSpec::fig6`] preset.
-pub fn generate(capacities: &[u32]) -> Figure {
-    run_spec(&ExperimentSpec::fig6(capacities), &Engine::new())
-        .expect("the fig6 preset spec is valid") // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        .artifact
-        .into_figure()
-}
-
-/// Runs the Fig. 6 study on a custom benchmark suite (used by tests and
-/// scaled-down quick runs).
-pub fn generate_with_suite(suite: &[Circuit], capacities: &[u32]) -> Figure {
-    generate_on(suite, capacities, presets::l6, CompilerConfig::default())
-}
-
-/// Runs the trap-sizing study on an arbitrary device family: the
-/// `--device`/`--config` path of the `fig6` harness binary rescales a
-/// JSON-loaded topology with [`Device::with_uniform_capacity`] and
-/// passes it here.
-pub fn generate_on<F>(
-    suite: &[Circuit],
-    capacities: &[u32],
-    device_at: F,
-    config: CompilerConfig,
-) -> Figure
-where
-    F: Fn(u32) -> Device,
-{
-    let grid = JobGrid::from_axes(
-        suite.to_vec(),
-        capacities.iter().map(|&c| device_at(c)).collect(),
-        vec![config],
-        vec![PhysicalModel::with_gate(GateImpl::Fm)],
-    );
-    let run = Engine::new().run(&grid);
-    project(&grid, &run.results, capacities)
-}
 
 /// Shapes evaluated (app × capacity) grid results into the Fig. 6
 /// panels. The grid's device axis is the capacity sweep; `capacities`
@@ -187,7 +145,12 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::generators;
+    use crate::engine::{run_spec, Engine, ExperimentSpec};
+    use crate::experiments::run_axes;
+    use qccd_circuit::{generators, Circuit};
+    use qccd_compiler::CompilerConfig;
+    use qccd_device::presets;
+    use qccd_physics::{GateImpl, PhysicalModel};
 
     fn mini_suite() -> Vec<Circuit> {
         vec![
@@ -197,9 +160,25 @@ mod tests {
         ]
     }
 
+    /// The Fig. 6 grid (FM gates, default compiler) of `suite` on one
+    /// device per swept capacity.
+    fn fig6_on(suite: Vec<Circuit>, caps: &[u32], device_at: impl Fn(u32) -> Device) -> Figure {
+        run_axes(
+            suite,
+            caps.iter().map(|&c| device_at(c)).collect(),
+            vec![CompilerConfig::default()],
+            vec![PhysicalModel::with_gate(GateImpl::Fm)],
+            |grid, results| project(grid, results, caps),
+        )
+    }
+
+    fn mini_fig6(caps: &[u32]) -> Figure {
+        fig6_on(mini_suite(), caps, presets::l6)
+    }
+
     #[test]
     fn mini_fig6_has_expected_panels() {
-        let fig = generate_with_suite(&mini_suite(), &[6, 10]);
+        let fig = mini_fig6(&[6, 10]);
         assert!(fig.panel("6a").is_some());
         assert!(fig.panel("6b").is_some());
         assert!(fig.panel("6e").is_some());
@@ -212,7 +191,7 @@ mod tests {
 
     #[test]
     fn feasible_points_have_values() {
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig6(&[8]);
         for s in &fig.panel("6a").unwrap().series {
             assert!(s.y[0].is_some(), "{} missing", s.label);
             assert!(s.y[0].unwrap() > 0.0);
@@ -221,22 +200,16 @@ mod tests {
 
     #[test]
     fn custom_topology_study_matches_preset_for_the_same_family() {
-        // `generate_on` with a JSON-round-tripped L6 template must
-        // reproduce the preset study bit-for-bit (the acceptance
-        // criterion behind the `--device` path), apart from nothing.
-        let suite = mini_suite();
+        // A JSON-round-tripped L6 template rescaled per capacity (what a
+        // `{"file": …}` device entry does) must reproduce the preset
+        // study bit-for-bit.
         let caps = [6, 10];
-        let template = qccd_device::Device::from_json(
-            &serde_json::to_string(&qccd_device::presets::l6(99)).unwrap(),
-        )
-        .unwrap();
-        let preset = generate_with_suite(&suite, &caps);
-        let custom = generate_on(
-            &suite,
-            &caps,
-            |cap| template.with_uniform_capacity(cap),
-            qccd_compiler::CompilerConfig::default(),
-        );
+        let template =
+            Device::from_json(&serde_json::to_string(&presets::l6(99)).unwrap()).unwrap();
+        let preset = mini_fig6(&caps);
+        let custom = fig6_on(mini_suite(), &caps, |cap| {
+            template.with_uniform_capacity(cap)
+        });
         assert_eq!(preset, custom);
     }
 
@@ -246,7 +219,7 @@ mod tests {
         // (hot 60-80 qubit runs; asserted in the integration tests); at
         // mini scale both contributions must simply be present and
         // positive.
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig6(&[8]);
         let p = fig.panel("6g").unwrap();
         let motional = p.series[0].y[0].unwrap();
         let background = p.series[1].y[0].unwrap();
@@ -256,11 +229,10 @@ mod tests {
 
     #[test]
     fn spec_preset_and_closure_paths_agree() {
-        // The ExperimentSpec → engine path and the resolved-axes
-        // `generate_on` path must produce identical figures — the
-        // invariant behind keeping the goldens byte-stable. Pruned to
-        // one benchmark to keep the unit test fast; the golden
-        // snapshots pin the full suite.
+        // The ExperimentSpec → engine path and a grid built from
+        // resolved axes must produce identical figures. Pruned to two
+        // benchmarks to keep the unit test fast; the golden snapshots
+        // pin the full suite.
         let caps = [14];
         let mut spec = ExperimentSpec::fig6(&caps);
         spec.circuits.truncate(2); // supremacy + qaoa
@@ -268,11 +240,10 @@ mod tests {
             .unwrap()
             .artifact
             .into_figure();
-        let via_axes = generate_on(
-            &[generators::supremacy_paper(), generators::qaoa_paper()],
+        let via_axes = fig6_on(
+            vec![generators::supremacy_paper(), generators::qaoa_paper()],
             &caps,
             presets::l6,
-            CompilerConfig::default(),
         );
         assert_eq!(via_spec, via_axes);
     }

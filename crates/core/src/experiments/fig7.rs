@@ -5,51 +5,19 @@
 //! runtime and fidelity for both topologies (7a–7f) and, for SquareRoot,
 //! the motional-heating comparison (7g).
 //!
-//! Since the engine redesign this module is a thin projection over
-//! engine results: the device axis carries the linear family followed
-//! by the grid family (one device per swept capacity each), as built by
+//! This module is the projection of that study over engine results:
+//! the device axis carries the linear family followed by the grid
+//! family (one device per swept capacity each), as built by
 //! [`ExperimentSpec::fig7`](crate::engine::ExperimentSpec::fig7).
 
 use super::{series_of, Figure, Panel};
-use crate::engine::{run_spec, Engine, ExperimentSpec, GridResults, JobGrid};
-use qccd_circuit::Circuit;
-use qccd_compiler::CompilerConfig;
-use qccd_device::presets;
-use qccd_physics::{GateImpl, PhysicalModel};
+use crate::engine::{GridResults, JobGrid};
 use qccd_sim::SimReport;
-
-/// Runs the Fig. 7 study on the full Table II suite through the
-/// [`ExperimentSpec::fig7`] preset.
-pub fn generate(capacities: &[u32]) -> Figure {
-    run_spec(&ExperimentSpec::fig7(capacities), &Engine::new())
-        .expect("the fig7 preset spec is valid") // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        .artifact
-        .into_figure()
-}
-
-/// Runs the Fig. 7 study on a custom suite.
-pub fn generate_with_suite(suite: &[Circuit], capacities: &[u32]) -> Figure {
-    generate_on(suite, capacities, CompilerConfig::default())
-}
-
-/// Runs the topology study under an explicit compiler configuration
-/// (the `--config` path of the `fig7` harness binary).
-pub fn generate_on(suite: &[Circuit], capacities: &[u32], config: CompilerConfig) -> Figure {
-    let mut devices: Vec<_> = capacities.iter().map(|&c| presets::l6(c)).collect();
-    devices.extend(capacities.iter().map(|&c| presets::g2x3(c)));
-    let grid = JobGrid::from_axes(
-        suite.to_vec(),
-        devices,
-        vec![config],
-        vec![PhysicalModel::with_gate(GateImpl::Fm)],
-    );
-    let run = Engine::new().run(&grid);
-    project(&grid, &run.results, capacities)
-}
 
 /// Shapes evaluated topology-grid results into the Fig. 7 panels. The
 /// device axis must hold the linear family in its first half and the
-/// grid family in its second (the [`ExperimentSpec::fig7`] layout).
+/// grid family in its second (the
+/// [`ExperimentSpec::fig7`](crate::engine::ExperimentSpec::fig7) layout).
 pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
     let suite = grid.circuits();
     let half = grid.devices().len() / 2;
@@ -121,15 +89,29 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_axes;
     use qccd_circuit::generators;
+    use qccd_compiler::CompilerConfig;
+    use qccd_device::presets;
+    use qccd_physics::{GateImpl, PhysicalModel};
 
-    fn mini_suite() -> Vec<Circuit> {
-        vec![generators::square_root(8, 1, 2), generators::qaoa(14, 1, 2)]
+    /// The Fig. 7 grid (L6 then G2x3 per capacity, FM gates) over a
+    /// mini SquareRoot + QAOA suite.
+    fn mini_fig7(caps: &[u32]) -> Figure {
+        let mut devices: Vec<_> = caps.iter().map(|&c| presets::l6(c)).collect();
+        devices.extend(caps.iter().map(|&c| presets::g2x3(c)));
+        run_axes(
+            vec![generators::square_root(8, 1, 2), generators::qaoa(14, 1, 2)],
+            devices,
+            vec![CompilerConfig::default()],
+            vec![PhysicalModel::with_gate(GateImpl::Fm)],
+            |grid, results| project(grid, results, caps),
+        )
     }
 
     #[test]
     fn per_app_panels_have_four_series() {
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig7(&[8]);
         let p = fig.panel("7a").unwrap();
         assert_eq!(p.series.len(), 4);
         assert!(p.series.iter().all(|s| s.y[0].is_some()));
@@ -137,7 +119,7 @@ mod tests {
 
     #[test]
     fn heating_panel_compares_topologies() {
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig7(&[8]);
         let p = fig.panel("7g").unwrap();
         assert_eq!(p.series.len(), 2);
         assert_eq!(p.series[0].label, "linear");
@@ -148,7 +130,7 @@ mod tests {
         // The headline §IX-B effect, at mini scale: SquareRoot-like
         // irregular communication accrues less motional energy on the
         // grid (no intermediate-trap merges).
-        let fig = generate_with_suite(&mini_suite(), &[6]);
+        let fig = mini_fig7(&[6]);
         let p = fig.panel("7g").unwrap();
         let linear = p.series[0].y[0].unwrap();
         let grid = p.series[1].y[0].unwrap();

@@ -12,53 +12,14 @@
 //! those results into the paper's panels.
 
 use super::{Figure, Panel, Series};
-use crate::engine::{run_spec, Engine, ExperimentSpec, GridResults, JobGrid};
-use qccd_circuit::Circuit;
-use qccd_compiler::{CompilerConfig, ReorderMethod};
-use qccd_device::{presets, Device};
-use qccd_physics::{GateImpl, PhysicalModel};
+use crate::engine::{GridResults, JobGrid};
+use qccd_device::Device;
 use qccd_sim::SimReport;
-
-/// Runs the Fig. 8 study on the full Table II suite through the
-/// [`ExperimentSpec::fig8`] preset.
-pub fn generate(capacities: &[u32]) -> Figure {
-    run_spec(&ExperimentSpec::fig8(capacities), &Engine::new())
-        .expect("the fig8 preset spec is valid") // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
-        .artifact
-        .into_figure()
-}
-
-/// Runs the Fig. 8 study on a custom suite.
-pub fn generate_with_suite(suite: &[Circuit], capacities: &[u32]) -> Figure {
-    generate_on(suite, capacities, presets::l6)
-}
-
-/// Runs the microarchitecture study on an arbitrary device family (the
-/// `--device` path of the `fig8` harness binary).
-pub fn generate_on<F>(suite: &[Circuit], capacities: &[u32], device_at: F) -> Figure
-where
-    F: Fn(u32) -> Device,
-{
-    let grid = JobGrid::from_axes(
-        suite.to_vec(),
-        capacities.iter().map(|&c| device_at(c)).collect(),
-        ReorderMethod::ALL
-            .iter()
-            .map(|&r| CompilerConfig::with_reorder(r))
-            .collect(),
-        GateImpl::ALL
-            .iter()
-            .map(|&g| PhysicalModel::with_gate(g))
-            .collect(),
-    );
-    let run = Engine::new().run(&grid);
-    project(&grid, &run.results, capacities)
-}
 
 /// Shapes evaluated (app × capacity × reorder × gate) grid results into
 /// the Fig. 8 panels. The config axis carries the reorder methods, the
-/// model axis the gate implementations (the [`ExperimentSpec::fig8`]
-/// layout).
+/// model axis the gate implementations (the
+/// [`ExperimentSpec::fig8`](crate::engine::ExperimentSpec::fig8) layout).
 pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
     let suite = grid.circuits();
     let x: Vec<u32> = if capacities.len() == grid.devices().len() {
@@ -127,15 +88,45 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::generators;
+    use crate::engine::Engine;
+    use crate::experiments::run_axes;
+    use qccd_circuit::{generators, Circuit};
+    use qccd_compiler::{CompilerConfig, ReorderMethod};
+    use qccd_device::presets;
+    use qccd_physics::{GateImpl, PhysicalModel};
 
     fn mini_suite() -> Vec<Circuit> {
         vec![generators::qaoa(14, 1, 2), generators::bv(&[true; 13])]
     }
 
+    fn reorder_configs() -> Vec<CompilerConfig> {
+        ReorderMethod::ALL
+            .iter()
+            .map(|&r| CompilerConfig::with_reorder(r))
+            .collect()
+    }
+
+    fn gate_models() -> Vec<PhysicalModel> {
+        GateImpl::ALL
+            .iter()
+            .map(|&g| PhysicalModel::with_gate(g))
+            .collect()
+    }
+
+    /// The Fig. 8 grid (2 reorders × 4 gates on L6) over the mini suite.
+    fn mini_fig8(caps: &[u32]) -> Figure {
+        run_axes(
+            mini_suite(),
+            caps.iter().map(|&c| presets::l6(c)).collect(),
+            reorder_configs(),
+            gate_models(),
+            |grid, results| project(grid, results, caps),
+        )
+    }
+
     #[test]
     fn eight_series_per_panel() {
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig8(&[8]);
         let p = fig.panel("8a").unwrap();
         assert_eq!(p.series.len(), 8);
         let labels: Vec<&str> = p.series.iter().map(|s| s.label.as_str()).collect();
@@ -146,7 +137,7 @@ mod tests {
     #[test]
     fn qaoa_gs_equals_is() {
         // Fig. 8's QAOA curves coincide: no reordering is ever needed.
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig8(&[8]);
         let p = fig.panel("8a").unwrap();
         for g in ["AM1", "AM2", "PM", "FM"] {
             let gs = p
@@ -165,7 +156,7 @@ mod tests {
 
     #[test]
     fn time_panels_exist_per_app() {
-        let fig = generate_with_suite(&mini_suite(), &[8]);
+        let fig = mini_fig8(&[8]);
         assert!(fig.panel("8g").is_some());
         assert!(fig.panel("8h").is_some());
         assert_eq!(fig.panels.len(), 4);
@@ -179,14 +170,8 @@ mod tests {
         let grid = JobGrid::from_axes(
             mini_suite(),
             vec![presets::l6(8)],
-            ReorderMethod::ALL
-                .iter()
-                .map(|&r| CompilerConfig::with_reorder(r))
-                .collect(),
-            GateImpl::ALL
-                .iter()
-                .map(|&g| PhysicalModel::with_gate(g))
-                .collect(),
+            reorder_configs(),
+            gate_models(),
         );
         let run = Engine::new().run(&grid);
         assert_eq!(run.stats.jobs, 16);

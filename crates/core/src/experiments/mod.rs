@@ -1,19 +1,22 @@
-//! Drivers that regenerate every table and figure of the paper's
-//! evaluation (§VIII–§X).
+//! Projections that regenerate every table and figure of the paper's
+//! evaluation (§VIII–§X) from experiment-engine results.
 //!
-//! Each driver returns a serializable [`Figure`] (panels of labelled
-//! series over trap capacity) or [`Table`]; their `Display`
-//! implementations print the same rows/series the paper reports, and the
-//! `qccd-bench` binaries dump them as text and JSON.
+//! Each study is an [`ExperimentSpec`](crate::engine::ExperimentSpec)
+//! preset; [`run_spec`](crate::engine::run_spec) executes its grid and
+//! dispatches to the matching projection here, which returns a
+//! serializable [`Figure`] (panels of labelled series over trap
+//! capacity) or [`Table`]. Their `Display` implementations print the
+//! same rows/series the paper reports, and the `qccd-bench` binaries
+//! emit them as text and JSON.
 //!
-//! | Driver | Paper artifact |
-//! |--------|----------------|
-//! | [`table1::generate`] | Table I — shuttling operation times |
-//! | [`table2::generate`] | Table II — benchmark suite characteristics |
-//! | [`fig6::generate`]   | Fig. 6 — trap-sizing study (L6, FM, GS) |
-//! | [`fig7::generate`]   | Fig. 7 — topology study (L6 vs G2x3) |
-//! | [`fig8::generate`]   | Fig. 8 — microarchitecture study (4 gates × 2 reorders) |
-//! | [`ablations`]        | beyond-the-paper sensitivity studies (buffer, heating model, junction cost, device size, compiler policy pipeline) |
+//! | Spec preset | Module | Paper artifact |
+//! |-------------|--------|----------------|
+//! | `ExperimentSpec::table1` | [`table1`] | Table I — shuttling operation times |
+//! | `ExperimentSpec::table2` | [`table2`] | Table II — benchmark suite characteristics |
+//! | `ExperimentSpec::fig6`   | [`fig6`]   | Fig. 6 — trap-sizing study (L6, FM, GS) |
+//! | `ExperimentSpec::fig7`   | [`fig7`]   | Fig. 7 — topology study (L6 vs G2x3) |
+//! | `ExperimentSpec::fig8`   | [`fig8`]   | Fig. 8 — microarchitecture study (4 gates × 2 reorders) |
+//! | `ExperimentSpec::ablation_*` | [`ablations`] | beyond-the-paper sensitivity studies (buffer, heating model, junction cost, device size, compiler policy pipeline) |
 
 pub mod ablations;
 pub mod fig6;
@@ -135,6 +138,22 @@ impl fmt::Display for Table {
         }
         Ok(())
     }
+}
+
+/// Runs resolved axes through a silent engine and projects the results:
+/// the unit tests' path for mini circuits, which spec presets (paper-size
+/// benchmarks or QASM files) cannot name.
+#[cfg(test)]
+pub(crate) fn run_axes<A>(
+    circuits: Vec<qccd_circuit::Circuit>,
+    devices: Vec<qccd_device::Device>,
+    configs: Vec<qccd_compiler::CompilerConfig>,
+    models: Vec<qccd_physics::PhysicalModel>,
+    project: impl FnOnce(&crate::engine::JobGrid, &crate::engine::GridResults) -> A,
+) -> A {
+    let grid = crate::engine::JobGrid::from_axes(circuits, devices, configs, models);
+    let run = crate::engine::Engine::new().run(&grid);
+    project(&grid, &run.results)
 }
 
 /// Extracts a y-series from per-capacity outcomes with an accessor.

@@ -1,8 +1,9 @@
 //! Table I — shuttling operation times.
 //!
 //! These are model *inputs* (from real characterization experiments,
-//! summarized in Gutiérrez et al. PRA 2019); the driver renders whatever
-//! [`ShuttleTimes`] the caller supplies so ablations show up too.
+//! summarized in Gutiérrez et al. PRA 2019); the projection renders
+//! whatever [`ShuttleTimes`] the spec's model axis supplies so
+//! ablations show up too.
 
 use super::Table;
 use qccd_physics::ShuttleTimes;
@@ -24,18 +25,17 @@ pub fn generate(times: &ShuttleTimes) -> Table {
     }
 }
 
-/// Renders Table I with the paper's published values.
-pub fn generate_paper() -> Table {
-    generate(&ShuttleTimes::TABLE_I)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_spec, Engine, ExperimentSpec};
 
     #[test]
     fn paper_values_render() {
-        let t = generate_paper();
+        let t = run_spec(&ExperimentSpec::table1(), &Engine::new())
+            .unwrap()
+            .artifact
+            .into_table();
         let text = t.to_string();
         assert!(text.contains("Move ion through one segment | 5µs"));
         assert!(text.contains("Splitting operation on a chain | 80µs"));

@@ -5,14 +5,11 @@
 //! any decomposition difference from the paper is visible, not hidden).
 
 use super::Table;
-use qccd_circuit::{generators, Circuit, CircuitStats};
+use qccd_circuit::{Circuit, CircuitStats};
 
-/// Renders Table II for the paper's six benchmarks.
-pub fn generate() -> Table {
-    generate_for(&generators::paper_suite())
-}
-
-/// Renders a Table II-style summary for any circuit collection.
+/// Renders a Table II-style summary for any circuit collection (the
+/// paper's six benchmarks under
+/// [`ExperimentSpec::table2`](crate::engine::ExperimentSpec::table2)).
 pub fn generate_for(suite: &[Circuit]) -> Table {
     let display_name = |name: &str| -> String {
         let base = name.split('_').next().unwrap_or(name);
@@ -54,10 +51,19 @@ pub fn generate_for(suite: &[Circuit]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_spec, Engine, ExperimentSpec};
+    use qccd_circuit::generators;
+
+    fn paper_table2() -> Table {
+        run_spec(&ExperimentSpec::table2(), &Engine::new())
+            .unwrap()
+            .artifact
+            .into_table()
+    }
 
     #[test]
     fn six_rows_with_paper_qubit_counts() {
-        let t = generate();
+        let t = paper_table2();
         assert_eq!(t.rows.len(), 6);
         let qubits: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
         assert_eq!(qubits, vec!["64", "64", "78", "64", "64", "64"]);
@@ -65,7 +71,7 @@ mod tests {
 
     #[test]
     fn qft_row_matches_paper_exactly() {
-        let t = generate();
+        let t = paper_table2();
         let qft = t.rows.iter().find(|r| r[0] == "QFT").unwrap();
         assert_eq!(qft[2], "4032");
         assert_eq!(qft[3], "all distances");

@@ -1,18 +1,14 @@
 //! Parallel design-space exploration helpers.
 //!
 //! The paper's studies sweep trap capacity (Fig. 6), topology (Fig. 7) and
-//! microarchitecture (Fig. 8); [`policy_grid`]/[`policy_sweep`] extend the
+//! microarchitecture (Fig. 8); [`policy_grid`] extends the
 //! microarchitecture axis to every combination of the compiler's pluggable
 //! policies (mapping × routing × reorder × eviction). Sweep points are
-//! independent, so they run on all available cores via scoped threads with
-//! a work-stealing index — no external dependency needed.
+//! independent, so the experiment engine runs them on all available cores
+//! through [`parallel_map`]: scoped threads with a work-stealing index — no
+//! external dependency needed.
 
-use crate::toolflow::{Toolflow, ToolflowError};
-use qccd_circuit::Circuit;
 use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
-use qccd_device::Device;
-use qccd_physics::PhysicalModel;
-use qccd_sim::SimReport;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applies `f` to every item, in parallel, preserving input order.
@@ -74,37 +70,6 @@ where
         .collect()
 }
 
-/// One evaluated design point of a capacity sweep.
-#[derive(Debug, Clone)]
-pub struct CapacityPoint {
-    /// Trap capacity of the candidate device.
-    pub capacity: u32,
-    /// Simulation outcome (an error for infeasible points, e.g. programs
-    /// that do not fit).
-    pub outcome: Result<SimReport, ToolflowError>,
-}
-
-/// Sweeps trap capacity for one circuit: for each capacity, builds a
-/// device with `device_at`, then compiles and simulates.
-pub fn capacity_sweep<F>(
-    circuit: &Circuit,
-    capacities: &[u32],
-    model: &PhysicalModel,
-    config: &CompilerConfig,
-    device_at: F,
-) -> Vec<CapacityPoint>
-where
-    F: Fn(u32) -> Device + Sync,
-{
-    parallel_map(capacities, |&capacity| {
-        let tf = Toolflow::with_config(device_at(capacity), *model, *config);
-        CapacityPoint {
-            capacity,
-            outcome: tf.run(circuit),
-        }
-    })
-}
-
 /// Every combination of the compiler's built-in policies (2 per seam →
 /// 16 configs), with the given buffer slots. The first entry is the
 /// paper's default pipeline.
@@ -128,38 +93,25 @@ pub fn policy_grid(buffer_slots: u32) -> Vec<CompilerConfig> {
     out
 }
 
-/// One evaluated design point of a policy sweep.
-#[derive(Debug, Clone)]
-pub struct PolicyPoint {
-    /// The policy selection this point evaluated.
-    pub config: CompilerConfig,
-    /// Simulation outcome (an error for infeasible points).
-    pub outcome: Result<SimReport, ToolflowError>,
-}
-
-/// Sweeps compiler-policy combinations for one circuit on one device:
-/// the microarchitecture axis the paper varies in Fig. 8, generalized to
-/// all four pipeline seams.
-pub fn policy_sweep(
-    circuit: &Circuit,
-    device: &Device,
-    model: &PhysicalModel,
-    configs: &[CompilerConfig],
-) -> Vec<PolicyPoint> {
-    parallel_map(configs, |&config| {
-        let tf = Toolflow::with_config(device.clone(), *model, config);
-        PolicyPoint {
-            config,
-            outcome: tf.run(circuit),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::generators;
+    use crate::toolflow::{Toolflow, ToolflowError};
+    use qccd_circuit::{generators, Circuit};
     use qccd_device::presets;
+    use qccd_physics::PhysicalModel;
+    use qccd_sim::SimReport;
+
+    /// A capacity sweep of `circuit` on L6: one design point per
+    /// capacity, evaluated in parallel.
+    fn sweep_l6_capacities(
+        circuit: &Circuit,
+        caps: &[u32],
+    ) -> Vec<Result<SimReport, ToolflowError>> {
+        parallel_map(caps, |&cap| {
+            Toolflow::new(presets::l6(cap), PhysicalModel::default()).run(circuit)
+        })
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -234,32 +186,20 @@ mod tests {
     #[test]
     fn capacity_sweep_reports_per_point() {
         let c = generators::bv(&[true; 20]);
-        let points = capacity_sweep(
-            &c,
-            &[6, 10, 14],
-            &PhysicalModel::default(),
-            &CompilerConfig::default(),
-            presets::l6,
-        );
+        let points = sweep_l6_capacities(&c, &[6, 10, 14]);
         assert_eq!(points.len(), 3);
         // 21 qubits on L6(6)=36 slots fits; all should succeed.
-        for p in &points {
-            assert!(p.outcome.is_ok(), "capacity {} failed", p.capacity);
+        for (cap, p) in [6, 10, 14].iter().zip(&points) {
+            assert!(p.is_ok(), "capacity {cap} failed");
         }
     }
 
     #[test]
     fn capacity_sweep_flags_infeasible_points() {
         let c = generators::bv(&[true; 40]); // 41 qubits
-        let points = capacity_sweep(
-            &c,
-            &[4, 8],
-            &PhysicalModel::default(),
-            &CompilerConfig::default(),
-            presets::l6,
-        );
-        assert!(points[0].outcome.is_err()); // 24 slots < 41
-        assert!(points[1].outcome.is_ok()); // 48 slots
+        let points = sweep_l6_capacities(&c, &[4, 8]);
+        assert!(points[0].is_err()); // 24 slots < 41
+        assert!(points[1].is_ok()); // 48 slots
     }
 
     #[test]
@@ -277,35 +217,26 @@ mod tests {
     fn policy_sweep_evaluates_each_config() {
         let c = generators::qaoa(16, 1, 3);
         let grid = policy_grid(2);
-        let points = policy_sweep(&c, &presets::g2x3(8), &PhysicalModel::default(), &grid);
+        let points = parallel_map(&grid, |&config| {
+            Toolflow::with_config(presets::g2x3(8), PhysicalModel::default(), config).run(&c)
+        });
         assert_eq!(points.len(), 16);
-        for p in &points {
-            let r = p.outcome.as_ref().unwrap_or_else(|e| {
-                panic!("{} failed: {e}", p.config.policy_label());
+        for (config, p) in grid.iter().zip(&points) {
+            let r = p.as_ref().unwrap_or_else(|e| {
+                panic!("{} failed: {e}", config.policy_label());
             });
             assert_eq!(r.counts.two_qubit_gates, c.two_qubit_gate_count());
         }
-        // The reorder axis must actually reach the compiler: GS and IS
-        // points exist and are tagged as configured.
-        assert!(points
-            .iter()
-            .any(|p| p.config.reorder == ReorderMethod::IonSwap));
     }
 
     #[test]
     fn sweep_is_deterministic_despite_parallelism() {
         let c = generators::qaoa(20, 1, 5);
         let run = || {
-            capacity_sweep(
-                &c,
-                &[8, 10, 12],
-                &PhysicalModel::default(),
-                &CompilerConfig::default(),
-                presets::l6,
-            )
-            .into_iter()
-            .map(|p| p.outcome.map(|r| (r.total_time_us, r.log_fidelity)))
-            .collect::<Vec<_>>()
+            sweep_l6_capacities(&c, &[8, 10, 12])
+                .into_iter()
+                .map(|p| p.map(|r| (r.total_time_us, r.log_fidelity)))
+                .collect::<Vec<_>>()
         };
         let a = run();
         let b = run();

@@ -34,8 +34,9 @@
 //! `k1 = 0.1` is reproduced exactly for demonstration-scale chains while
 //! long chains heat super-linearly — the hot-spot mechanism of Fig. 6.
 //! Setting `chain_exp = 0` recovers the strict constant-`k1` reading of
-//! the paper's text; the `heating_ablation` study in `qccd` compares the
-//! two readings.
+//! the paper's text; the A2 heating ablation in `qccd`
+//! (`examples/experiments/ablation_heating.json`) compares the two
+//! readings.
 
 use serde::{Deserialize, Serialize};
 

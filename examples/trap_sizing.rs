@@ -9,48 +9,54 @@
 //! (default: supremacy) and prints the capacity/runtime/fidelity/heating
 //! series the paper plots.
 
-use qccd::sweep::capacity_sweep;
+use qccd::engine::{
+    run_spec, CircuitSpec, ConfigSpec, DeviceSpec, Engine, ExperimentSpec, ModelSpec, Projection,
+};
 use qccd_circuit::generators::Benchmark;
 use qccd_compiler::CompilerConfig;
-use qccd_device::presets;
-use qccd_physics::PhysicalModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench: Benchmark = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "supremacy".into())
         .parse()?;
-    let circuit = bench.build();
+    // One benchmark on L6 at every even capacity 14–34, default
+    // compiler and physical model: the Fig. 6 grid for a single app.
+    let spec = ExperimentSpec {
+        name: "trap-sizing".into(),
+        projection: Projection::Cells,
+        circuits: vec![CircuitSpec::Benchmark(bench)],
+        capacities: (14..=34).step_by(2).collect(),
+        devices: vec![DeviceSpec::Preset {
+            family: "l6".into(),
+            capacity: None,
+        }],
+        configs: vec![ConfigSpec::Config(CompilerConfig::default())],
+        models: vec![ModelSpec::Default],
+    };
+    let run = run_spec(&spec, &Engine::new())?;
+    let circuit = &run.grid.circuits()[0];
     println!(
         "trap sizing study: {} ({} qubits) on L6, FM gates, GS reordering\n",
         circuit.name(),
         circuit.num_qubits()
     );
 
-    let capacities: Vec<u32> = (14..=34).step_by(2).collect();
-    let points = capacity_sweep(
-        &circuit,
-        &capacities,
-        &PhysicalModel::default(),
-        &CompilerConfig::default(),
-        presets::l6,
-    );
-
     println!(
         "{:>9} {:>11} {:>13} {:>13} {:>9}",
         "capacity", "time (s)", "fidelity", "peak n̄", "shuttles"
     );
-    for p in points {
-        match p.outcome {
+    for (k, capacity) in spec.capacities.iter().enumerate() {
+        match run.results.outcome(&run.grid, 0, k, 0, 0) {
             Ok(r) => println!(
                 "{:>9} {:>11.4} {:>13.4e} {:>13.3} {:>9}",
-                p.capacity,
+                capacity,
                 r.total_time_s(),
                 r.fidelity(),
                 r.peak_motional_energy,
                 r.counts.splits
             ),
-            Err(e) => println!("{:>9}  infeasible: {e}", p.capacity),
+            Err(e) => println!("{capacity:>9}  infeasible: {e}"),
         }
     }
     println!(

@@ -1,19 +1,20 @@
-//! Engine/legacy equivalence and cache behavior of the declarative
+//! Toolflow equivalence and cache behavior of the declarative
 //! experiment engine.
 //!
-//! The redesign's correctness contract: an [`ExperimentSpec`]-expanded
-//! job grid must reproduce the legacy sweep helpers cell for cell, a
-//! repeated run against the same cache must execute zero jobs while
-//! producing byte-identical artifacts, and the committed
+//! The engine's correctness contract: an expanded job grid must
+//! reproduce a serial `Toolflow::run` of every cell, a repeated run
+//! against the same cache must execute zero jobs while producing
+//! byte-identical artifacts, and the committed
 //! `examples/experiments/*.json` presets must drive the engine to the
-//! same artifacts as the figure modules.
+//! same artifacts the goldens pin.
 
 use proptest::prelude::*;
 use qccd::engine::{
     merge_spec, run_spec, run_spec_jobs, Engine, EngineOptions, ExperimentSpec, JobGrid,
     JobOutcome, Projection, ResultCache, Shard, SpecError,
 };
-use qccd::sweep::{capacity_sweep, policy_grid, policy_sweep};
+use qccd::sweep::policy_grid;
+use qccd::Toolflow;
 use qccd_circuit::generators;
 use qccd_compiler::CompilerConfig;
 use qccd_device::presets;
@@ -290,9 +291,9 @@ proptest! {
         }
     }
 
-    /// A spec-shaped grid over (circuit × capacities) reproduces
-    /// `capacity_sweep` cell for cell: same successful reports, same
-    /// error text for infeasible points.
+    /// A spec-shaped grid over (circuit × capacities) reproduces a
+    /// serial toolflow run per capacity cell for cell: same successful
+    /// reports, same error text for infeasible points.
     #[test]
     fn grid_reproduces_capacity_sweep_cell_for_cell(
         n in 4u32..30,
@@ -308,8 +309,6 @@ proptest! {
         let config = CompilerConfig::default();
         let model = PhysicalModel::default();
 
-        let legacy = capacity_sweep(&circuit, &caps, &model, &config, presets::l6);
-
         let grid = JobGrid::from_axes(
             vec![circuit.clone()],
             caps.iter().map(|&c| presets::l6(c)).collect(),
@@ -318,24 +317,25 @@ proptest! {
         );
         let run = Engine::new().run(&grid);
 
-        for (k, point) in legacy.iter().enumerate() {
+        for (k, &cap) in caps.iter().enumerate() {
+            let serial = Toolflow::with_config(presets::l6(cap), model, config).run(&circuit);
             let engine_outcome = run.results.outcome(&grid, 0, k, 0, 0);
-            match (&point.outcome, engine_outcome) {
+            match (&serial, engine_outcome) {
                 (Ok(expected), Ok(got)) => prop_assert_eq!(expected, got),
                 (Err(expected), Err(got)) => {
                     prop_assert_eq!(&expected.to_string(), got)
                 }
                 (expected, got) => prop_assert!(
                     false,
-                    "capacity {}: legacy {:?} vs engine {:?}",
-                    point.capacity, expected, got
+                    "capacity {}: toolflow {:?} vs engine {:?}",
+                    cap, expected, got
                 ),
             }
         }
     }
 
     /// A spec-shaped grid over the 16-combination policy axis
-    /// reproduces `policy_sweep` cell for cell.
+    /// reproduces a serial toolflow run per config cell for cell.
     #[test]
     fn grid_reproduces_policy_sweep_cell_for_cell(
         n in 4u32..22,
@@ -347,8 +347,6 @@ proptest! {
         let model = PhysicalModel::default();
         let configs = policy_grid(2);
 
-        let legacy = policy_sweep(&circuit, &device, &model, &configs);
-
         let grid = JobGrid::from_axes(
             vec![circuit.clone()],
             vec![device.clone()],
@@ -357,17 +355,18 @@ proptest! {
         );
         let run = Engine::new().run(&grid);
 
-        for (g, point) in legacy.iter().enumerate() {
+        for (g, &config) in configs.iter().enumerate() {
+            let serial = Toolflow::with_config(device.clone(), model, config).run(&circuit);
             let engine_outcome = run.results.outcome(&grid, 0, 0, g, 0);
-            match (&point.outcome, engine_outcome) {
+            match (&serial, engine_outcome) {
                 (Ok(expected), Ok(got)) => prop_assert_eq!(expected, got),
                 (Err(expected), Err(got)) => {
                     prop_assert_eq!(&expected.to_string(), got)
                 }
                 (expected, got) => prop_assert!(
                     false,
-                    "combo {}: legacy {:?} vs engine {:?}",
-                    point.config.policy_label(), expected, got
+                    "combo {}: toolflow {:?} vs engine {:?}",
+                    config.policy_label(), expected, got
                 ),
             }
         }

@@ -27,8 +27,8 @@
 //! glibc results. If a libm update ever shifts a digit, the failure
 //! message names the first drifted line — regenerate and review.
 
-use qccd::engine::{run_spec, Engine, ExperimentSpec};
-use qccd::experiments::{fig6, fig7, fig8, table1, table2, QUICK_CAPACITIES};
+use qccd::engine::{run_spec, Artifact, Engine, ExperimentSpec};
+use qccd::experiments::QUICK_CAPACITIES;
 use qccd_circuit::generators;
 use qccd_device::{presets, Device, DeviceBuilder, Side};
 use qccd_physics::PhysicalModel;
@@ -91,21 +91,34 @@ where
     );
 }
 
+/// Runs a spec through a fresh engine and returns its artifact.
+fn artifact_of(spec: &ExperimentSpec) -> Artifact {
+    run_spec(spec, &Engine::new())
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+        .artifact
+}
+
 #[test]
 fn table1_matches_golden() {
-    pin("tests/goldens/table1.json", &table1::generate_paper());
+    pin(
+        "tests/goldens/table1.json",
+        &artifact_of(&ExperimentSpec::table1()).into_table(),
+    );
 }
 
 #[test]
 fn table2_matches_golden() {
-    pin("tests/goldens/table2.json", &table2::generate());
+    pin(
+        "tests/goldens/table2.json",
+        &artifact_of(&ExperimentSpec::table2()).into_table(),
+    );
 }
 
 #[test]
 fn fig6_quick_matches_golden() {
     pin(
         "tests/goldens/fig6_quick.json",
-        &fig6::generate(&QUICK_CAPACITIES),
+        &artifact_of(&ExperimentSpec::fig6(&QUICK_CAPACITIES)).into_figure(),
     );
 }
 
@@ -113,7 +126,7 @@ fn fig6_quick_matches_golden() {
 fn fig7_quick_matches_golden() {
     pin(
         "tests/goldens/fig7_quick.json",
-        &fig7::generate(&QUICK_CAPACITIES),
+        &artifact_of(&ExperimentSpec::fig7(&QUICK_CAPACITIES)).into_figure(),
     );
 }
 
@@ -121,7 +134,7 @@ fn fig7_quick_matches_golden() {
 fn fig8_quick_matches_golden() {
     pin(
         "tests/goldens/fig8_quick.json",
-        &fig8::generate(&QUICK_CAPACITIES),
+        &artifact_of(&ExperimentSpec::fig8(&QUICK_CAPACITIES)).into_figure(),
     );
 }
 
@@ -131,10 +144,9 @@ fn fig8_quick_matches_golden() {
 fn pin_committed_spec(name: &str) {
     let rel = format!("examples/experiments/{name}.json");
     let spec = ExperimentSpec::from_file(repo_path(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
-    let run = run_spec(&spec, &Engine::new()).unwrap_or_else(|e| panic!("{rel}: {e}"));
     pin(
         &format!("tests/goldens/{name}.json"),
-        &run.artifact.into_figure(),
+        &artifact_of(&spec).into_figure(),
     );
 }
 
