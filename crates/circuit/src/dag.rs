@@ -173,7 +173,7 @@ impl<'a> ReadyTracker<'a> {
         let i = self
             .ready
             .min_one_from(self.scan_from)
-            // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
             .expect("ready_count tracks set bits at or above the cursor");
         self.ready.remove(i);
         self.ready_count -= 1;

@@ -42,7 +42,7 @@ use qccd_circuit::Circuit;
 use qccd_device::{Device, Route, RouteCache, TrapId};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Version salt folded into every stage key. Bump when a stage's
 /// content or encoding changes incompatibly: old persisted entries
@@ -78,7 +78,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn content_digest<T: Serialize>(value: &T) -> u64 {
     fnv1a(
         serde_json::to_string(value)
-            // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             .expect("stage inputs serialize")
             .as_bytes(),
     )
@@ -313,7 +313,7 @@ impl<'d> CompileMemo<'d> {
             } else {
                 self.route_misses.fetch_add(1, Ordering::Relaxed);
                 if let Some(persist) = &self.persist {
-                    // qccd-lint: allow(engine-panic, panic-discipline) — routes are warmed for every source trap before placement runs
+                    // qccd-lint: allow(engine-panic) — routes are warmed for every source trap before placement runs
                     let snapshot = self.routes.snapshot(from).expect("warmed row");
                     if let Ok(payload) = serde_json::to_string(&snapshot) {
                         persist.store(ROUTE_ROW_KIND, self.route_row_key(from), &payload);
@@ -345,7 +345,7 @@ impl<'d> CompileMemo<'d> {
         let key = self.placement_key(circuit_digest, mapping.name(), buffer_slots);
         loop {
             let (slot, claimed) = {
-                // qccd-lint: allow(engine-panic, panic-discipline) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
+                // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
                 let mut store = self.placements.lock().expect("memo lock");
                 match store.binary_search_by_key(&key, |(k, _)| *k) {
                     Ok(pos) => (store[pos].1.clone(), false),
@@ -360,10 +360,10 @@ impl<'d> CompileMemo<'d> {
             if claimed {
                 return self.fill_claim(key, &slot, circuit, mapping, buffer_slots);
             }
-            // qccd-lint: allow(engine-panic, panic-discipline) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
+            // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
             let mut state = slot.0.lock().expect("memo slot lock");
             while matches!(*state, SlotState::InFlight) {
-                // qccd-lint: allow(engine-panic, panic-discipline) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
+                // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
                 state = slot.1.wait(state).expect("memo slot lock");
             }
             if let SlotState::Ready(placement) = &*state {
@@ -398,14 +398,21 @@ impl<'d> CompileMemo<'d> {
                 if self.resolved {
                     return;
                 }
-                let mut store = self.memo.placements.lock().expect("memo lock"); // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
+                // A poisoned lock still holds a consistent store (every
+                // critical section is a single insert or remove), and
+                // panicking here would abort a thread already unwinding.
+                let mut store = self
+                    .memo
+                    .placements
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 if let Ok(pos) = store.binary_search_by_key(&self.key, |(k, _)| *k) {
                     if Arc::ptr_eq(&store[pos].1, self.slot) {
                         store.remove(pos);
                     }
                 }
                 drop(store);
-                *self.slot.0.lock().expect("memo slot lock") = SlotState::Failed; // qccd-lint: allow(panic-discipline) — TODO(triage): justify this panic or propagate the error
+                *self.slot.0.lock().unwrap_or_else(PoisonError::into_inner) = SlotState::Failed;
                 self.slot.1.notify_all();
             }
         }
@@ -437,7 +444,7 @@ impl<'d> CompileMemo<'d> {
             }
         };
         claim.resolved = true;
-        // qccd-lint: allow(engine-panic, panic-discipline) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
+        // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
         *slot.0.lock().expect("memo slot lock") = SlotState::Ready(placement.clone());
         slot.1.notify_all();
         Ok(placement)
@@ -446,7 +453,7 @@ impl<'d> CompileMemo<'d> {
     /// The memoized route for an [`CompileMemo::episode_key`], counting
     /// a route hit when present.
     pub fn episode(&self, key: u64) -> Option<Route> {
-        // qccd-lint: allow(engine-panic, panic-discipline) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
+        // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
         let store = self.episodes.lock().expect("memo lock");
         match store.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(pos) => {
@@ -460,7 +467,7 @@ impl<'d> CompileMemo<'d> {
     /// Records a freshly-computed routing episode (a route miss).
     pub fn record_episode(&self, key: u64, route: &Route) {
         self.route_misses.fetch_add(1, Ordering::Relaxed);
-        // qccd-lint: allow(engine-panic, panic-discipline) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
+        // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
         let mut store = self.episodes.lock().expect("memo lock");
         if let Err(pos) = store.binary_search_by_key(&key, |(k, _)| *k) {
             store.insert(pos, (key, route.clone()));
@@ -809,6 +816,51 @@ mod tests {
         // The third call is a plain memo hit.
         assert_eq!(memo.placement(&c, digest, &mapping, 2).unwrap(), placed);
         assert_eq!(memo.counters().placement_hits, 1);
+    }
+
+    /// Mapping that poisons the memo's placement store mid-claim (a
+    /// worker panicking while holding the lock), then fails.
+    struct PoisoningMapping<'a> {
+        store: &'a Mutex<Vec<(u64, PlacementSlot)>>,
+    }
+
+    impl MappingPolicy for PoisoningMapping<'_> {
+        fn name(&self) -> &'static str {
+            "poisoning"
+        }
+
+        fn place(&self, _: &Circuit, _: &Device, _: u32) -> Result<Placement, CompileError> {
+            std::thread::scope(|scope| {
+                let poisoner = scope.spawn(|| {
+                    let _held = self.store.lock().unwrap();
+                    panic!("worker panics while holding the placement lock");
+                });
+                assert!(poisoner.join().is_err());
+            });
+            Err(CompileError::InsufficientCapacity {
+                needed: 1,
+                capacity: 0,
+            })
+        }
+    }
+
+    #[test]
+    fn unresolved_claim_withdraws_through_a_poisoned_lock() {
+        let d = presets::l6(14);
+        let memo = CompileMemo::new(&d);
+        let c = generators::qaoa(20, 1, 3);
+        let mapping = PoisoningMapping {
+            store: &memo.placements,
+        };
+        // The claim's drop must not panic on the poisoned lock: the
+        // mapping error comes back and the claim is withdrawn.
+        assert!(memo.placement(&c, content_digest(&c), &mapping, 2).is_err());
+        assert!(memo.placements.is_poisoned());
+        let store = memo
+            .placements
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        assert!(store.is_empty());
     }
 
     mod stage_key_invalidation {

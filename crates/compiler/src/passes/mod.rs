@@ -332,12 +332,12 @@ impl Ctx<'_> {
         let ta = self
             .st
             .trap_of(self.st.ion_of_qubit(qa))
-            // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
             .expect("scheduled ions are never in flight");
         let tb = self
             .st
             .trap_of(self.st.ion_of_qubit(qb))
-            // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
             .expect("scheduled ions are never in flight");
         if ta != tb {
             // Co-locate at the second operand's trap (the paper's compiler
@@ -364,7 +364,7 @@ impl Ctx<'_> {
             let src = self
                 .st
                 .trap_of(ion)
-                // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
                 .expect("shuttled ions are between ops, not in flight");
             if src == dest {
                 return Ok(());

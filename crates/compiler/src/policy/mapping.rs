@@ -98,7 +98,7 @@ impl MappingPolicy for UsageWeighted {
                             .iter()
                             .map(|q| q.index())
                             .find(|&q| !placed[q])
-                            // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
                             .expect("num_placed < n implies an unplaced qubit")
                     } else {
                         // Fill: highest affinity to the trap's residents,
@@ -112,7 +112,7 @@ impl MappingPolicy for UsageWeighted {
                         (0..n)
                             .filter(|&q| !placed[q])
                             .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
-                            // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
                             .expect("num_placed < n implies an unplaced qubit")
                     };
                     placed[next] = true;

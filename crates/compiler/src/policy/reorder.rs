@@ -27,7 +27,7 @@ impl ReorderPolicy for GateSwapReorder {
     ) {
         let end = state
             .end_ion(trap, side)
-            // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
             .expect("reorder on a non-empty chain");
         if end != ion {
             out.push(Inst::SwapGate { a: ion, b: end });

@@ -98,7 +98,7 @@ impl MachineState {
     ///
     /// Panics if the ion is in flight.
     pub fn position(&self, ion: IonId) -> usize {
-        // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
         let trap = self.location[ion.index()].expect("ion is in flight");
         let p = self.pos[ion.index()] as usize;
         debug_assert_eq!(
@@ -159,7 +159,7 @@ impl MachineState {
     ///
     /// Panics if the ions are not adjacent in the same chain.
     pub fn swap_positions(&mut self, a: IonId, b: IonId) {
-        // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
         let trap = self.location[a.index()].expect("ion a in flight");
         assert_eq!(Some(trap), self.location[b.index()], "ions not co-located");
         let pa = self.position(a);

@@ -193,7 +193,7 @@ impl ResultCache {
             ok: outcome.as_ref().ok().cloned(),
             err: outcome.as_ref().err().cloned(),
         };
-        // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+        // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
         let text = serde_json::to_string(&entry).expect("cache entries serialize");
         let _ = write_atomic(&self.path_of(id), &text);
     }
@@ -461,7 +461,7 @@ impl qccd_compiler::StagePersist for StageCache {
             version: STAGE_FILE_VERSION.to_owned(),
             payload: payload.to_owned(),
         };
-        // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+        // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
         let text = serde_json::to_string(&entry).expect("stage entries serialize");
         // Best-effort like ResultCache::store: an unwritable stage dir
         // degrades to recomputation, never a failed run.

@@ -135,22 +135,22 @@ impl JobGrid {
         let digest = |json: String| fnv1a(json.as_bytes());
         let c_digests: Vec<u64> = circuits
             .iter()
-            // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             .map(|c| digest(serde_json::to_string(c).expect("circuits serialize")))
             .collect();
         let d_digests: Vec<u64> = devices
             .iter()
-            // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             .map(|d| digest(serde_json::to_string(d).expect("devices serialize")))
             .collect();
         let cfg_digests: Vec<u64> = configs
             .iter()
-            // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             .map(|c| digest(serde_json::to_string(c).expect("configs serialize")))
             .collect();
         let m_digests: Vec<u64> = models
             .iter()
-            // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             .map(|m| digest(serde_json::to_string(m).expect("models serialize")))
             .collect();
 

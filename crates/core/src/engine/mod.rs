@@ -480,7 +480,7 @@ impl Engine {
 
         let outcomes: Vec<JobOutcome> = outcomes
             .into_iter()
-            // qccd-lint: allow(engine-panic, panic-discipline) — the job loop fills every slot before this map runs
+            // qccd-lint: allow(engine-panic) — the job loop fills every slot before this map runs
             .map(|o| o.expect("every job executed, cached, or skipped"))
             .collect();
         EngineRun {

@@ -138,7 +138,7 @@ impl JsonSink {
 
 impl ArtifactSink for JsonSink {
     fn emit(&mut self, artifact: &Artifact) -> io::Result<()> {
-        // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+        // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
         let text = serde_json::to_string_pretty(artifact).expect("artifacts serialize");
         // Atomic (temp file + rename): a concurrent reader of the
         // artifact path sees a previous complete dump or this one,

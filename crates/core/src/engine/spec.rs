@@ -761,7 +761,7 @@ impl ExperimentSpec {
         let mut resolved: Vec<(String, Circuit)> = Vec::new();
         let mut circuits = Vec::with_capacity(self.circuits.len());
         for c in &self.circuits {
-            // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             let key = serde_json::to_string(c).expect("circuit specs serialize");
             match resolved.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
                 Ok(pos) => circuits.push(resolved[pos].1.clone()),

@@ -65,7 +65,7 @@ where
 
     results
         .into_iter()
-        // qccd-lint: allow(engine-panic, panic-discipline) — the worker loop visits every index exactly once
+        // qccd-lint: allow(engine-panic) — the worker loop visits every index exactly once
         .map(|r| r.expect("every index visited"))
         .collect()
 }

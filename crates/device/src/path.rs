@@ -361,17 +361,17 @@ impl Device {
                 NodeRef::Junction(j) => leg_junctions.push(j),
                 NodeRef::Trap(t) => {
                     let first = leg_segments[0];
-                    // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                    // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
                     let last = *leg_segments.last().expect("non-empty leg");
                     let exit_side = self
                         .trap(leg_start_trap)
                         .side_of_port(first)
-                        // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
                         .expect("leg's first segment attaches to its source trap");
                     let entry_side = self
                         .trap(t)
                         .side_of_port(last)
-                        // qccd-lint: allow(engine-panic, panic-discipline) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
                         .expect("leg's last segment attaches to its destination trap");
                     let length_units = leg_segments.iter().map(|&s| self.segment(s).length()).sum();
                     legs.push(Leg {

@@ -35,10 +35,10 @@ pub fn linear(n: u32, capacity: u32, spacing: u32) -> Device {
     let traps: Vec<_> = (0..n).map(|_| b.add_trap(capacity)).collect();
     for w in traps.windows(2) {
         b.connect((w[0], Side::Right), (w[1], Side::Left), spacing)
-            // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+            // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
             .expect("fresh ports cannot collide");
     }
-    // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+    // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
     b.build().expect("linear construction is always valid")
 }
 
@@ -85,12 +85,12 @@ pub fn grid(rows: u32, cols: u32, capacity: u32, stub: u32, link: u32) -> Device
                     junctions[junction(r, c - 1) as usize],
                     stub,
                 )
-                // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+                // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
                 .expect("grid stub");
             }
             if c < cols - 1 {
                 b.connect((t, Side::Right), junctions[junction(r, c) as usize], stub)
-                    // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+                    // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
                     .expect("grid stub");
             }
         }
@@ -109,19 +109,19 @@ pub fn grid(rows: u32, cols: u32, capacity: u32, stub: u32, link: u32) -> Device
     }
     for w in order.windows(2) {
         b.connect(junctions[w[0] as usize], junctions[w[1] as usize], link)
-            // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+            // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
             .expect("grid fabric");
     }
     // Close the ring when it adds a genuinely new edge.
     if order.len() > 2 {
-        // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+        // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
         let first = junctions[*order.first().expect("non-empty fabric") as usize];
-        // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+        // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
         let last = junctions[*order.last().expect("non-empty fabric") as usize];
-        // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+        // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
         b.connect(last, first, link).expect("grid ring closure");
     }
-    // qccd-lint: allow(engine-panic, panic-discipline) — preset geometry is statically well-formed
+    // qccd-lint: allow(engine-panic) — preset geometry is statically well-formed
     b.build().expect("grid construction is always valid")
 }
 

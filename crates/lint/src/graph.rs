@@ -662,6 +662,19 @@ fn scan_file(file: &GraphFile, fns: &mut Vec<FnNode>) -> Vec<(String, Vec<String
     uses
 }
 
+/// Whether token `i` is the name of a `self.<name>(…)` call in a file
+/// that defines `fn <name>` itself — shadowing the std panicking
+/// method with a local one.
+fn self_call_to_local_fn(toks: &[Token], i: usize, name: &str) -> bool {
+    let ident = |k: usize| toks.get(k).and_then(|t| t.kind.ident());
+    let punct = |k: usize, c: char| matches!(toks.get(k), Some(Token { kind: TokenKind::Punct(p), .. }) if *p == c);
+    let self_recv =
+        i >= 2 && punct(i - 1, '.') && ident(i - 2) == Some("self") && punct(i + 1, '(');
+    self_recv
+        && (0..toks.len().saturating_sub(1))
+            .any(|k| ident(k) == Some("fn") && ident(k + 1) == Some(name))
+}
+
 /// Records at most one fact for the token at `i` into `node`.
 fn scan_body_fact(file: &GraphFile, toks: &[Token], i: usize, node: &mut FnNode) {
     let ident = |k: usize| toks.get(k).and_then(|t| t.kind.ident());
@@ -684,7 +697,7 @@ fn scan_body_fact(file: &GraphFile, toks: &[Token], i: usize, node: &mut FnNode)
     }
 
     // Ambient reads — same patterns as the phase-1 rule, so the taint
-    // diagnostic can add the trace on top of the per-file deny.
+    // diagnostic can add the trace on top of the per-file diagnostic.
     let seg_after = |k: usize| {
         if punct(k, ':') && punct(k + 1, ':') {
             ident(k + 2)
@@ -717,9 +730,8 @@ fn scan_body_fact(file: &GraphFile, toks: &[Token], i: usize, node: &mut FnNode)
             "unwrap" | "expect" => {
                 // `self.expect(…)` to a locally defined `fn expect`
                 // (the QASM parser's Result-returning token matcher)
-                // propagates instead of panicking — same exemption as
-                // the phase-1 `panic-discipline` rule.
-                if !crate::rules::self_call_to_local_fn(toks, i, name) {
+                // propagates instead of panicking.
+                if !self_call_to_local_fn(toks, i, name) {
                     node.panics.push(Effect {
                         what: format!(".{name}()"),
                         pos,

@@ -6,25 +6,21 @@
 //! crate makes that invariant machine-checked. It is a token-level
 //! analyzer (the container is offline, so no `syn`; the lexer is
 //! hand-rolled in the style of `qccd_circuit`'s QASM tokenizer) with a
-//! small rule engine, two severities (`deny` fails CI, `advisory`
-//! prints annotations), stable `file:line:col [rule-id]` diagnostics,
-//! and inline suppression comments:
+//! small rule engine, one tier (any diagnostic fails CI), stable
+//! `file:line:col [rule-id]` diagnostics, and inline suppression
+//! comments:
 //!
 //! ```text
 //! // qccd-lint: allow(<rule>[, <rule>…]) — <reason>
 //! ```
 //!
 //! The reason is mandatory — an allow without one is itself a
-//! deny-tier diagnostic (`bad-suppression`). A suppression applies to
-//! the rest of its own line, or, when the comment stands alone, to the
+//! diagnostic (`bad-suppression`). A suppression applies to the rest
+//! of its own line, or, when the comment stands alone, to the
 //! next line of code.
 //!
 //! ```
-//! let diags = qccd_lint::lint_file(
-//!     "crates/sim/src/hot.rs",
-//!     "use std::collections::HashMap;\n",
-//!     &[],
-//! );
+//! let diags = qccd_lint::lint_file("crates/sim/src/hot.rs", "use std::collections::HashMap;\n");
 //! assert_eq!(diags.len(), 1);
 //! assert!(diags[0]
 //!     .render()
@@ -33,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fix;
 pub mod graph;
 pub mod lexer;
 mod rules;
@@ -42,30 +37,7 @@ mod taint;
 mod walk;
 
 pub use rules::{RuleInfo, AMBIENT_ALLOWLIST, RULES};
-pub use walk::{
-    crate_deps, external_crates, lint_workspace, lint_workspace_graph, load_sources,
-    workspace_files,
-};
-
-/// Diagnostic severity tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the build: the invariant is load-bearing for bit-identity
-    /// or the offline container.
-    Deny,
-    /// Printed but non-fatal: style pressure, not a broken guarantee.
-    Advisory,
-}
-
-impl Severity {
-    /// Stable lowercase name (`deny` / `advisory`), used in `--json`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Advisory => "advisory",
-        }
-    }
-}
+pub use walk::{crate_deps, lint_workspace, lint_workspace_graph, load_sources, workspace_files};
 
 /// A single finding, addressed by file, 1-based line and column.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,8 +50,6 @@ pub struct Diagnostic {
     pub col: u32,
     /// Rule identifier (an entry of [`RULES`]).
     pub rule: &'static str,
-    /// Severity tier.
-    pub severity: Severity,
     /// Human-readable explanation.
     pub message: String,
 }
@@ -102,21 +72,6 @@ pub struct LintReport {
     pub files: Vec<String>,
     /// All diagnostics, sorted by (file, line, col, rule).
     pub diagnostics: Vec<Diagnostic>,
-}
-
-impl LintReport {
-    /// Number of deny-tier diagnostics (nonzero fails the build).
-    pub fn deny_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .count()
-    }
-
-    /// Number of advisory-tier diagnostics.
-    pub fn advisory_count(&self) -> usize {
-        self.diagnostics.len() - self.deny_count()
-    }
 }
 
 /// What kind of target a source file belongs to; several rules only
@@ -185,16 +140,10 @@ pub fn crate_name_of(path: &str) -> String {
 /// all of them and runs the taint rules (golden-path purity,
 /// sort-stability, engine-panic). Suppressions apply to both phases.
 ///
-/// `external` is the set of crate identifiers (underscore form) that
-/// `vendored-only` accepts beside the language built-ins — normally
-/// the output of [`external_crates`]. `deps` is the crate dependency
-/// table bounding call resolution (see [`graph::CallGraph::build`]);
-/// pass `&[]` to leave resolution unconstrained.
-pub fn lint_sources(
-    files: &[SourceFile],
-    external: &[String],
-    deps: &[(String, Vec<String>)],
-) -> LintReport {
+/// `deps` is the crate dependency table bounding call resolution
+/// (see [`graph::CallGraph::build`]); pass `&[]` to leave resolution
+/// unconstrained.
+pub fn lint_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> LintReport {
     let lexed: Vec<lexer::Lexed> = files.iter().map(|f| lexer::lex(&f.source)).collect();
     let masks: Vec<Vec<bool>> = lexed.iter().map(|l| rules::test_mask(&l.tokens)).collect();
 
@@ -206,7 +155,6 @@ pub fn lint_sources(
             kind: classify(&f.path),
             tokens: &l.tokens,
             in_test: m,
-            external,
         };
         per_file.push(rules::run_all(&ctx));
     }
@@ -257,11 +205,11 @@ pub fn lint_sources(
 /// and helper in the same file). The path only has to *look* right:
 /// fixture tests lint in-memory sources under virtual paths like
 /// `crates/sim/src/fixture.rs` to exercise path-scoped rules.
-pub fn lint_file(path: &str, source: &str, external: &[String]) -> Vec<Diagnostic> {
+pub fn lint_file(path: &str, source: &str) -> Vec<Diagnostic> {
     let files = [SourceFile {
         path: path.to_owned(),
         source: source.to_owned(),
         crate_name: crate_name_of(path),
     }];
-    lint_sources(&files, external, &[]).diagnostics
+    lint_sources(&files, &[]).diagnostics
 }

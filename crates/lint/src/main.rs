@@ -1,5 +1,5 @@
 //! `qccd-lint` binary: walk the workspace, print diagnostics, exit
-//! nonzero on any deny-tier hit.
+//! nonzero on any hit.
 //!
 //! ```text
 //! cargo run -p qccd-lint            # human-readable, from the repo root
@@ -9,28 +9,23 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qccd_lint::{LintReport, Severity};
+use qccd_lint::LintReport;
 
 const USAGE: &str = "\
-usage: qccd-lint [--root DIR] [--json] [--fix] [--graph-json]
+usage: qccd-lint [--root DIR] [--json] [--graph-json]
 
 Walks the Rust workspace at DIR (default: current directory), runs the
 determinism & hot-path rules — phase 1 token rules per file, phase 2
 taint rules over the workspace call graph — and prints
 `file:line:col [rule-id]` diagnostics. Exit status is 1 if any
-deny-tier diagnostic fired, 0 otherwise. Suppress a finding inline
-with `// qccd-lint: allow(<rule>) — <reason>` (the reason is
-mandatory).
+diagnostic fired, 0 otherwise. Suppress a finding inline with
+`// qccd-lint: allow(<rule>) — <reason>` (the reason is mandatory).
 
-    --fix         append `// qccd-lint: allow(…) — TODO(triage): …`
-                  comments for surviving fixable advisories
-                  (idempotent; a clean tree is left untouched)
     --graph-json  dump the resolved call graph as JSON and exit";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json = false;
-    let mut fix = false;
     let mut graph_json = false;
     // A Bin target is exempt from `ambient-nondeterminism`: argv is
     // the program's input, not simulation state.
@@ -38,7 +33,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--fix" => fix = true,
             "--graph-json" => graph_json = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
@@ -87,49 +81,22 @@ fn main() -> ExitCode {
         }
     };
 
-    if fix {
-        match qccd_lint::fix::apply(&root, &report) {
-            Ok(outcome) => {
-                for file in &outcome.edited {
-                    println!("fixed: {file}");
-                }
-                eprintln!(
-                    "qccd-lint: --fix annotated {} advisory site(s) across {} file(s)",
-                    outcome.annotated,
-                    outcome.edited.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("qccd-lint: --fix failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
     if json {
         println!("{}", render_json(&report));
     } else {
         for d in &report.diagnostics {
-            let tier = match d.severity {
-                Severity::Deny => "",
-                Severity::Advisory => "advisory: ",
-            };
-            println!(
-                "{}:{}:{} [{}] {tier}{}",
-                d.file, d.line, d.col, d.rule, d.message
-            );
+            println!("{}", d.render());
         }
     }
     eprintln!(
-        "qccd-lint: {} files, {} deny, {} advisory",
+        "qccd-lint: {} files, {} diagnostics",
         report.files.len(),
-        report.deny_count(),
-        report.advisory_count()
+        report.diagnostics.len()
     );
-    if report.deny_count() > 0 {
-        ExitCode::FAILURE
-    } else {
+    if report.diagnostics.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -138,8 +105,6 @@ fn main() -> ExitCode {
 fn render_json(report: &LintReport) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files\": {},\n", report.files.len()));
-    out.push_str(&format!("  \"deny\": {},\n", report.deny_count()));
-    out.push_str(&format!("  \"advisory\": {},\n", report.advisory_count()));
     out.push_str("  \"diagnostics\": [");
     for (i, d) in report.diagnostics.iter().enumerate() {
         if i > 0 {
@@ -147,12 +112,11 @@ fn render_json(report: &LintReport) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-             \"severity\": \"{}\", \"message\": \"{}\"}}",
+             \"message\": \"{}\"}}",
             escape(&d.file),
             d.line,
             d.col,
             d.rule,
-            d.severity.as_str(),
             escape(&d.message)
         ));
     }

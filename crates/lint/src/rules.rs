@@ -1,89 +1,59 @@
 //! The rule engine: each rule is a scan over the token stream of one
 //! file, scoped by path and target kind (see `FileCtx`).
 //!
-//! Rules are derived from invariants earlier PRs established by hand:
-//! flat data layouts on hot loops (PR 7), atomic cache writes (PR 5),
-//! total-order float comparisons and content-keyed determinism
-//! (PRs 4–8), and the offline vendored dependency set (PR 2).
+//! Rules are derived from invariants the code base established by
+//! hand: flat data layouts on hot loops, atomic cache writes and
+//! content-keyed determinism.
 
 use crate::lexer::{Token, TokenKind};
-use crate::{Diagnostic, FileKind, Severity};
+use crate::{Diagnostic, FileKind};
 
 /// Registry entry describing one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Stable rule identifier used in diagnostics and `allow(…)`.
     pub id: &'static str,
-    /// Severity tier.
-    pub severity: Severity,
     /// One-line summary (also the README rule table).
     pub summary: &'static str,
 }
 
-/// All rules, in documentation order.
+/// All rules, in documentation order. Every one is fatal: any
+/// diagnostic fails the lint pass.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "hash-iteration",
-        severity: Severity::Deny,
         summary: "no HashMap/HashSet/BTreeMap/BTreeSet in device/compiler/sim sources",
     },
     RuleInfo {
         id: "ambient-nondeterminism",
-        severity: Severity::Deny,
         summary: "no Instant::now/SystemTime::now/thread_rng/from_entropy/std::env in library code",
     },
     RuleInfo {
-        id: "float-ordering",
-        severity: Severity::Deny,
-        summary: "no partial_cmp on sim/compiler ordering paths; total_cmp is the convention",
-    },
-    RuleInfo {
         id: "atomic-write",
-        severity: Severity::Deny,
         summary: "no raw fs::write/File::create in crates/core/src/engine/",
     },
     RuleInfo {
-        id: "panic-discipline",
-        severity: Severity::Advisory,
-        summary: ".unwrap()/.expect() in library (non-test, non-bin) code",
-    },
-    RuleInfo {
-        id: "vendored-only",
-        severity: Severity::Deny,
-        summary: "use/extern-crate only from the workspace + vendor/ set",
-    },
-    RuleInfo {
         id: "bad-suppression",
-        severity: Severity::Deny,
         summary: "qccd-lint allow comments must name known rules and carry a reason",
     },
     RuleInfo {
         id: "unused-suppression",
-        severity: Severity::Advisory,
         summary: "allow comments that matched no diagnostic",
-    },
-    RuleInfo {
-        id: "test-mask-hygiene",
-        severity: Severity::Deny,
-        summary: "no use paths reaching into a tests module from library code",
     },
     // Phase-2 rules (see `graph`/`taint`): these walk the workspace
     // call graph, so they only fire from `lint_sources`-based entry
     // points, never from a single-file token scan alone.
     RuleInfo {
         id: "golden-path-purity",
-        severity: Severity::Deny,
         summary: "no print macros or ambient state reachable from an artifact sink",
     },
     RuleInfo {
         id: "sort-stability",
-        severity: Severity::Deny,
         summary: "no unstable or partial_cmp-keyed sorts feeding an artifact sink",
     },
     RuleInfo {
         id: "engine-panic",
-        severity: Severity::Deny,
-        summary: "panic-discipline escalated to deny for code reachable from the engine",
+        summary: ".unwrap()/.expect() in library code reachable from the engine",
     },
 ];
 
@@ -98,23 +68,15 @@ pub(crate) struct FileCtx<'a> {
     pub kind: FileKind,
     pub tokens: &'a [Token],
     pub in_test: &'a [bool],
-    pub external: &'a [String],
 }
 
 impl FileCtx<'_> {
-    fn diag(
-        &self,
-        i: usize,
-        rule: &'static str,
-        severity: Severity,
-        message: String,
-    ) -> Diagnostic {
+    fn diag(&self, i: usize, rule: &'static str, message: String) -> Diagnostic {
         Diagnostic {
             file: self.path.to_owned(),
             line: self.tokens[i].line,
             col: self.tokens[i].col,
             rule,
-            severity,
             message,
         }
     }
@@ -125,11 +87,7 @@ pub(crate) fn run_all(ctx: &FileCtx) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     hash_iteration(ctx, &mut out);
     ambient_nondeterminism(ctx, &mut out);
-    float_ordering(ctx, &mut out);
     atomic_write(ctx, &mut out);
-    panic_discipline(ctx, &mut out);
-    vendored_only(ctx, &mut out);
-    test_mask_hygiene(ctx, &mut out);
     out
 }
 
@@ -170,7 +128,6 @@ fn hash_iteration(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 out.push(ctx.diag(
                     i,
                     "hash-iteration",
-                    Severity::Deny,
                     format!(
                         "`{id}` in a hot-path crate: device/compiler/sim keep dense flat \
                          layouts (Vec, FixedBitSet) so iteration order can never reach an \
@@ -203,36 +160,12 @@ fn ambient_nondeterminism(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         out.push(ctx.diag(
             i,
             "ambient-nondeterminism",
-            Severity::Deny,
             format!(
                 "ambient nondeterminism: `{what}` can leak wall-clock/environment state \
                  into an output path; thread inputs through explicitly (allowlisted site: \
                  crates/core/src/engine/cache.rs)"
             ),
         ));
-    }
-}
-
-fn float_ordering(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    let scoped =
-        ctx.path.starts_with("crates/sim/src/") || ctx.path.starts_with("crates/compiler/src/");
-    if !scoped {
-        return;
-    }
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if t.kind.ident() == Some("partial_cmp") {
-            out.push(
-                ctx.diag(
-                    i,
-                    "float-ordering",
-                    Severity::Deny,
-                    "`partial_cmp` on a sim/compiler ordering path: float keys compare via \
-                 `total_cmp` (project convention) so NaN and -0.0 cannot reorder results \
-                 across platforms"
-                        .to_owned(),
-                ),
-            );
-        }
     }
 }
 
@@ -252,166 +185,12 @@ fn atomic_write(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         out.push(ctx.diag(
             i,
             "atomic-write",
-            Severity::Deny,
             format!(
                 "raw `{what}` in the engine: a concurrent reader can observe a truncated \
                  entry — route writes through the temp-file + rename helpers in \
                  engine/cache.rs"
             ),
         ));
-    }
-}
-
-fn panic_discipline(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if ctx.kind != FileKind::Lib {
-        return;
-    }
-    for i in 0..ctx.tokens.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let id = match ident_at(ctx.tokens, i) {
-            Some(id @ ("unwrap" | "expect")) => id,
-            _ => continue,
-        };
-        // Only method calls: `.unwrap(` / `.expect(` — definitions and
-        // idents like `unwrap_or` don't match. A `self.expect(…)` call
-        // in a file defining its own `fn expect` (the QASM parser's
-        // Result-returning token matcher) is that method, not
-        // `Option::expect` — it propagates, so it is exempt.
-        if self_call_to_local_fn(ctx.tokens, i, id) {
-            continue;
-        }
-        if i > 0 && punct_at(ctx.tokens, i - 1, '.') && punct_at(ctx.tokens, i + 1, '(') {
-            out.push(ctx.diag(
-                i,
-                "panic-discipline",
-                Severity::Advisory,
-                format!(
-                    "`.{id}()` panics on the error path in library code; prefer \
-                     propagating the error (a panic on an engine thread aborts the \
-                     whole sweep)"
-                ),
-            ));
-        }
-    }
-}
-
-/// Whether token `i` is the name of a `self.<name>(…)` call in a file
-/// that defines `fn <name>` itself — shadowing the std panicking
-/// method with a local one (shared by `panic-discipline` and the
-/// graph's panic-event collection, so advisory and deny tiers agree).
-pub(crate) fn self_call_to_local_fn(tokens: &[Token], i: usize, name: &str) -> bool {
-    let self_recv = i >= 2
-        && punct_at(tokens, i - 1, '.')
-        && ident_at(tokens, i - 2) == Some("self")
-        && punct_at(tokens, i + 1, '(');
-    self_recv
-        && (0..tokens.len().saturating_sub(1))
-            .any(|k| ident_at(tokens, k) == Some("fn") && ident_at(tokens, k + 1) == Some(name))
-}
-
-const LANG_ROOTS: &[&str] = &[
-    "crate",
-    "self",
-    "super",
-    "std",
-    "core",
-    "alloc",
-    "proc_macro",
-    "test",
-];
-
-fn vendored_only(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    // Modules declared in this file are legal first segments under
-    // Rust-2018 uniform paths.
-    let mut local_mods: Vec<&str> = Vec::new();
-    for i in 0..ctx.tokens.len() {
-        if ident_at(ctx.tokens, i) == Some("mod") {
-            if let Some(name) = ident_at(ctx.tokens, i + 1) {
-                local_mods.push(name);
-            }
-        }
-    }
-    let allowed = |seg: &str| {
-        LANG_ROOTS.contains(&seg)
-            || ctx.external.iter().any(|c| c == seg)
-            || local_mods.contains(&seg)
-            // CamelCase first segments are in-scope types
-            // (`use Side::*;`), never external crates.
-            || seg.chars().next().is_some_and(|c| c.is_uppercase())
-    };
-    let flag = |idx: usize, seg: &str, out: &mut Vec<Diagnostic>| {
-        out.push(ctx.diag(
-            idx,
-            "vendored-only",
-            Severity::Deny,
-            format!(
-                "`{seg}` is outside the workspace + vendor/ set: the container is \
-                 offline — vendor a minimal stand-in (see vendor/) or drop the import"
-            ),
-        ));
-    };
-    for i in 0..ctx.tokens.len() {
-        match ident_at(ctx.tokens, i) {
-            // `use` is a reserved word: every occurrence is an import.
-            Some("use") => {
-                let mut j = i + 1;
-                if punct_at(ctx.tokens, j, ':') && punct_at(ctx.tokens, j + 1, ':') {
-                    j += 2;
-                }
-                if let Some(seg) = ident_at(ctx.tokens, j) {
-                    if !allowed(seg) {
-                        flag(j, seg, out);
-                    }
-                }
-            }
-            Some("extern") if ident_at(ctx.tokens, i + 1) == Some("crate") => {
-                if let Some(seg) = ident_at(ctx.tokens, i + 2) {
-                    if !allowed(seg) {
-                        flag(i + 2, seg, out);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn test_mask_hygiene(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    // ROADMAP's *test-mask hygiene*: a `#[cfg(test)]` module importing
-    // from another module's `tests` submodule couples test helpers
-    // across masks — the helper silently becomes shared infrastructure
-    // with no owner. Flagged in library files wherever a `use` path
-    // contains a `tests` segment (outside test code such an import
-    // would not even compile, so the mask needs no consulting).
-    if ctx.kind != FileKind::Lib {
-        return;
-    }
-    for i in 0..ctx.tokens.len() {
-        if ident_at(ctx.tokens, i) != Some("use") {
-            continue;
-        }
-        // Walk the path segments of this declaration up to `;`,
-        // `{`-groups included (segment-by-segment is enough: any
-        // `tests` identifier inside the declaration is a reach-in).
-        let mut j = i + 1;
-        while j < ctx.tokens.len() && !punct_at(ctx.tokens, j, ';') {
-            if ident_at(ctx.tokens, j) == Some("tests") {
-                out.push(
-                    ctx.diag(
-                        j,
-                        "test-mask-hygiene",
-                        Severity::Deny,
-                        "`use` path reaches into a `tests` module: shared test helpers \
-                     must live in a non-test module or a tests/ support file, not be \
-                     borrowed across `#[cfg(test)]` masks"
-                            .to_owned(),
-                    ),
-                );
-            }
-            j += 1;
-        }
     }
 }
 

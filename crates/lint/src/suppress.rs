@@ -6,12 +6,12 @@
 //! live workspace carries no bare allows. A suppression placed after
 //! code applies to its own line; a suppression on a line of its own
 //! applies to the next line of code. Matching any diagnostic marks the
-//! suppression used; unused ones are flagged (advisory) so stale
-//! allows cannot linger after the code they excused is gone.
+//! suppression used; unused ones are flagged so stale allows cannot
+//! linger after the code they excused is gone.
 
 use crate::lexer::{Comment, Token};
 use crate::rules::RULES;
-use crate::{Diagnostic, Severity};
+use crate::Diagnostic;
 
 const MARKER: &str = "qccd-lint:";
 
@@ -25,7 +25,7 @@ pub(crate) struct Suppression {
 }
 
 /// Parses every `qccd-lint:` comment. Returns the well-formed
-/// suppressions plus deny-tier `bad-suppression` diagnostics for
+/// suppressions plus `bad-suppression` diagnostics for
 /// malformed ones (unknown rule, missing reason, bad shape).
 pub(crate) fn parse(
     path: &str,
@@ -48,7 +48,6 @@ pub(crate) fn parse(
                 line: c.line,
                 col: c.col,
                 rule: "bad-suppression",
-                severity: Severity::Deny,
                 message,
             });
         };
@@ -145,7 +144,7 @@ pub(crate) fn apply(diags: Vec<Diagnostic>, sups: &mut [Suppression]) -> Vec<Dia
         .collect()
 }
 
-/// Advisory diagnostics for suppressions that matched nothing.
+/// Diagnostics for suppressions that matched nothing.
 pub(crate) fn unused(path: &str, sups: &[Suppression]) -> Vec<Diagnostic> {
     sups.iter()
         .filter(|s| !s.used)
@@ -154,7 +153,6 @@ pub(crate) fn unused(path: &str, sups: &[Suppression]) -> Vec<Diagnostic> {
             line: s.line,
             col: s.col,
             rule: "unused-suppression",
-            severity: Severity::Advisory,
             message: format!(
                 "suppression for `{}` matched no diagnostic on line {}; remove it",
                 s.rules.join(", "),

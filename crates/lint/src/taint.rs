@@ -5,29 +5,28 @@
 //! formatter every float passes through before it reaches a golden).
 //! Three rules walk the graph around them:
 //!
-//! * **golden-path-purity** (deny) — no print macros or ambient state
+//! * **golden-path-purity** — no print macros or ambient state
 //!   in any library function *reachable from* a sink: anything the
 //!   emit path can run may interleave bytes or smuggle wall-clock
 //!   state into artifact content.
-//! * **sort-stability** (deny) — no order-unstable or
+//! * **sort-stability** — no order-unstable or
 //!   `partial_cmp`-keyed sorts in any library function that *feeds*
 //!   a sink: ties would be platform-dependent exactly where ordering
 //!   becomes output bytes.
-//! * **engine-panic** (deny) — the advisory `panic-discipline`
-//!   escalates to deny for functions reachable from
-//!   `crates/core/src/engine` entry points: a panic on an engine
-//!   thread aborts the whole sweep, so `.unwrap()`/`.expect()` there
-//!   is a correctness bug, not a style nit.
+//! * **engine-panic** — no `.unwrap()`/`.expect()` in library
+//!   functions reachable from `crates/core/src/engine` entry points:
+//!   a panic on an engine thread aborts the whole sweep, so a panic
+//!   there is a correctness bug, not a style nit.
 //!
 //! Every diagnostic carries a taint trace (the BFS witness chain) so
 //! the reader can see *why* the site is on the golden path, not just
 //! that it is.
 
 use crate::graph::CallGraph;
-use crate::{Diagnostic, FileKind, Severity};
+use crate::{Diagnostic, FileKind};
 
 /// Directory whose library functions count as engine entry points for
-/// the `engine-panic` escalation.
+/// the `engine-panic` rule.
 const ENGINE_DIR: &str = "crates/core/src/engine/";
 
 /// Runs all graph-backed rules, returning unsorted diagnostics (the
@@ -76,7 +75,6 @@ fn golden_path_purity(graph: &CallGraph, sinks: &[usize], out: &mut Vec<Diagnost
                 line: eff.pos.line,
                 col: eff.pos.col,
                 rule: "golden-path-purity",
-                severity: Severity::Deny,
                 message: format!(
                     "`{}` on the golden path: artifact sink reaches it via {trace}; \
                      emit paths must stay pure — no prints or ambient state may \
@@ -108,7 +106,6 @@ fn sort_stability(graph: &CallGraph, sinks: &[usize], out: &mut Vec<Diagnostic>)
                 line: eff.pos.line,
                 col: eff.pos.col,
                 rule: "sort-stability",
-                severity: Severity::Deny,
                 message: format!(
                     "`{}` feeds an artifact sink via {trace}; ties are \
                      platform-dependent exactly where ordering becomes output \
@@ -141,11 +138,9 @@ fn engine_panic(graph: &CallGraph, out: &mut Vec<Diagnostic>) {
                 line: eff.pos.line,
                 col: eff.pos.col,
                 rule: "engine-panic",
-                severity: Severity::Deny,
                 message: format!(
-                    "`{}` is reachable from the engine via {trace}; \
-                     panic-discipline is deny-tier on engine paths (a panic on an \
-                     engine thread aborts the whole sweep) — propagate the error",
+                    "`{}` is reachable from the engine via {trace}; a panic on an \
+                     engine thread aborts the whole sweep — propagate the error",
                     eff.what
                 ),
             });
@@ -248,9 +243,8 @@ mod tests {
             vec![
                 "crates/compiler/src/lib.rs:1:28 [engine-panic] `.expect()` is \
                  reachable from the engine via qccd::engine::run → \
-                 qccd_compiler::compile; panic-discipline is deny-tier on engine paths \
-                 (a panic on an engine thread aborts the whole sweep) — propagate the \
-                 error"
+                 qccd_compiler::compile; a panic on an engine thread aborts the whole \
+                 sweep — propagate the error"
                     .to_owned(),
             ]
         );

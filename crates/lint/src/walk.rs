@@ -1,5 +1,5 @@
-//! Workspace discovery: which files get linted, and which crate names
-//! the `vendored-only` rule accepts.
+//! Workspace discovery: which files get linted, and which crates each
+//! package may call into.
 //!
 //! Everything here is deterministic by construction — `read_dir`
 //! order is OS-dependent, so file lists are sorted before use. A lint
@@ -49,33 +49,6 @@ fn collect(dir: &Path, rel: String, files: &mut Vec<String>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Crate identifiers (underscore form) the `vendored-only` rule
-/// accepts: the root package plus every package under `crates/` and
-/// `vendor/`, read straight from their `Cargo.toml` `[package]`
-/// sections (no TOML dependency — the linter polices the dependency
-/// set, so it cannot join it).
-pub fn external_crates(root: &Path) -> io::Result<Vec<String>> {
-    let mut names = Vec::new();
-    if let Some(name) = package_name(&root.join("Cargo.toml"))? {
-        names.push(name);
-    }
-    for group in ["crates", "vendor"] {
-        let dir = root.join(group);
-        if !dir.is_dir() {
-            continue;
-        }
-        for entry in fs::read_dir(&dir)? {
-            let manifest = entry?.path().join("Cargo.toml");
-            if let Some(name) = package_name(&manifest)? {
-                names.push(name);
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    Ok(names)
 }
 
 /// Crate-level dependency table: package ident → direct dependency
@@ -199,10 +172,9 @@ pub fn load_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
 /// list is sorted too, so two runs over the same tree are
 /// byte-identical.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    let external = external_crates(root)?;
     let sources = load_sources(root)?;
     let deps = crate_deps(root)?;
-    Ok(lint_sources(&sources, &external, &deps))
+    Ok(lint_sources(&sources, &deps))
 }
 
 /// Builds (only) the resolved workspace call graph at `root` — the

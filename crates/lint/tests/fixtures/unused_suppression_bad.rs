@@ -1,4 +1,4 @@
-// qccd-lint: allow(float-ordering) — stale: the partial_cmp this excused is gone.
+// qccd-lint: allow(hash-iteration) — stale: the HashMap this excused is gone.
 pub fn id(x: u32) -> u32 {
     x
 }

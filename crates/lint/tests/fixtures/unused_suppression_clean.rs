@@ -1,4 +1,4 @@
-pub fn nan_aware(a: f64, b: f64) -> bool {
-    // qccd-lint: allow(float-ordering) — exercising NaN comparison deliberately.
-    a.partial_cmp(&b).is_none()
+pub fn tally() -> usize {
+    // qccd-lint: allow(hash-iteration) — exercising a used allow deliberately.
+    std::collections::HashMap::<u32, u32>::new().len()
 }

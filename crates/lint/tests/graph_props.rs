@@ -160,10 +160,9 @@ proptest! {
                 crate_name: PATHS[i].1.to_owned(),
             })
             .collect();
-        let external = vec!["qccd".to_owned()];
         let shuffled = vec![files[2].clone(), files[0].clone(), files[3].clone(), files[1].clone()];
-        let a = lint_sources(&files, &external, &[]);
-        let b = lint_sources(&shuffled, &external, &[]);
+        let a = lint_sources(&files, &[]);
+        let b = lint_sources(&shuffled, &[]);
         prop_assert_eq!(a.diagnostics, b.diagnostics);
         prop_assert_eq!(a.files, b.files);
     }

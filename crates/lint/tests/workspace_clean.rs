@@ -1,13 +1,13 @@
 //! Meta-test: the live workspace is lint-clean.
 //!
-//! No deny-tier diagnostic may fire on the tree as committed. Because
-//! `bad-suppression` is deny-tier, this single assertion also proves
-//! every inline `allow` carries its mandatory reason; the
-//! `unused-suppression` check proves no allow has gone stale.
+//! No diagnostic may fire on the tree as committed. Because every rule
+//! is fatal, this single assertion also proves every inline `allow`
+//! carries its mandatory reason (`bad-suppression`) and that no allow
+//! has gone stale (`unused-suppression`).
 
 use std::path::Path;
 
-use qccd_lint::{lint_workspace, Severity};
+use qccd_lint::lint_workspace;
 
 fn repo_root() -> &'static Path {
     // crates/lint/ -> workspace root.
@@ -22,27 +22,11 @@ fn live_workspace_is_deny_clean_with_reasoned_allows() {
         "walker found implausibly few files ({}) — skip list too broad?",
         report.files.len()
     );
-    let deny: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Deny)
-        .map(|d| d.render())
-        .collect();
+    let diags: Vec<String> = report.diagnostics.iter().map(|d| d.render()).collect();
     assert!(
-        deny.is_empty(),
-        "deny-tier diagnostics in the live workspace:\n{}",
-        deny.join("\n")
-    );
-    let stale: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "unused-suppression")
-        .map(|d| d.render())
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "stale allow comments in the live workspace:\n{}",
-        stale.join("\n")
+        report.diagnostics.is_empty(),
+        "diagnostics in the live workspace:\n{}",
+        diags.join("\n")
     );
 }
 

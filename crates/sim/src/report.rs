@@ -15,7 +15,7 @@ use std::fmt;
 /// `serde_json::to_string` API only, so it survives swapping the
 /// vendored stub for the real crate.
 pub fn canonical_float(f: f64) -> String {
-    // qccd-lint: allow(engine-panic, panic-discipline) — serializing plain data structs cannot fail
+    // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
     serde_json::to_string(&f).expect("f64 always serializes")
 }
 
