@@ -12,7 +12,6 @@
 //! |-------|-----------|----------------|
 //! | placement | device digest · circuit digest · mapping policy name · buffer slots | routing/reorder/eviction policies, physical models |
 //! | route row | *topology* digest · source trap | capacities, all policies, circuits |
-//! | routing episode | topology digest · trap pair · penalties · congestion-load digest | capacities, mapping/reorder/eviction policies, circuits |
 //!
 //! Routes depend only on the device's segments, junctions and lengths —
 //! never on trap capacities — so route stages are keyed by the
@@ -23,10 +22,8 @@
 //!
 //! Every memoized stage is **bit-identical** to its cold computation:
 //! route rows snapshot/preload the dense [`RouteCache`] rows exactly
-//! (including positionally-reconstructed errors), placements are pure
-//! functions of their key inputs, and a routing episode's weighted
-//! Dijkstra is fully determined by the topology, endpoints, penalties
-//! and congestion load counters the key hashes. The differential suite
+//! (including positionally-reconstructed errors), and placements are
+//! pure functions of their key inputs. The differential suite
 //! in `tests/incremental_memo.rs` pins this across the full device ×
 //! circuit × 16-policy matrix.
 //!
@@ -118,16 +115,15 @@ pub struct StageCounters {
     pub placement_hits: u64,
     /// Initial placements computed cold.
     pub placement_misses: u64,
-    /// Route stages served from the memo: persisted route rows plus
-    /// memoized congestion-routing episodes.
+    /// Route rows preloaded from the persist sink.
     pub route_hits: u64,
-    /// Route stages computed cold (Dijkstra runs).
+    /// Route rows computed cold by the batched Dijkstra.
     pub route_misses: u64,
 }
 
 /// The incremental-compilation memo for one device: a warmed
-/// [`RouteCache`] plus content-keyed placement and routing-episode
-/// stores, shareable across sweep workers (`Sync`).
+/// [`RouteCache`] plus a content-keyed placement store, shareable
+/// across sweep workers (`Sync`).
 ///
 /// Construction eagerly warms every route row — preloading persisted
 /// rows where a [`StagePersist`] sink has them, running the batched
@@ -165,9 +161,6 @@ pub struct CompileMemo<'d> {
     /// computes the stage, racers block on its condvar, so a placement
     /// is computed (and counted as a miss) exactly once.
     placements: Mutex<Vec<(u64, PlacementSlot)>>,
-    /// Sorted by key; one entry per distinct congestion-window state a
-    /// lookahead router has routed under.
-    episodes: Mutex<Vec<(u64, Route)>>,
     placement_hits: AtomicU64,
     placement_misses: AtomicU64,
     route_hits: AtomicU64,
@@ -201,7 +194,6 @@ impl<'d> CompileMemo<'d> {
             topology_digest: content_digest(&device.with_uniform_capacity(0)),
             routes: RouteCache::new(device),
             placements: Mutex::new(Vec::new()),
-            episodes: Mutex::new(Vec::new()),
             placement_hits: AtomicU64::new(0),
             placement_misses: AtomicU64::new(0),
             route_hits: AtomicU64::new(0),
@@ -264,29 +256,6 @@ impl<'d> CompileMemo<'d> {
             format!(
                 "{STAGE_VERSION}|{PLACEMENT_KIND}|{:016x}|{circuit_digest:016x}|{mapping_name}|{buffer_slots}",
                 self.device_digest
-            )
-            .as_bytes(),
-        )
-    }
-
-    /// The stage key of one congestion-aware routing episode: the
-    /// weighted Dijkstra's answer is fully determined by the topology,
-    /// the endpoints, the penalty weights and the congestion window's
-    /// per-resource load counters (`state_digest`).
-    pub fn episode_key(
-        &self,
-        from: TrapId,
-        to: TrapId,
-        segment_penalty: u64,
-        junction_penalty: u64,
-        state_digest: u64,
-    ) -> u64 {
-        fnv1a(
-            format!(
-                "{STAGE_VERSION}|episode|{:016x}|{}|{}|{segment_penalty}|{junction_penalty}|{state_digest:016x}",
-                self.topology_digest,
-                from.index(),
-                to.index()
             )
             .as_bytes(),
         )
@@ -449,30 +418,6 @@ impl<'d> CompileMemo<'d> {
         slot.1.notify_all();
         Ok(placement)
     }
-
-    /// The memoized route for an [`CompileMemo::episode_key`], counting
-    /// a route hit when present.
-    pub fn episode(&self, key: u64) -> Option<Route> {
-        // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
-        let store = self.episodes.lock().expect("memo lock");
-        match store.binary_search_by_key(&key, |(k, _)| *k) {
-            Ok(pos) => {
-                self.route_hits.fetch_add(1, Ordering::Relaxed);
-                Some(store[pos].1.clone())
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Records a freshly-computed routing episode (a route miss).
-    pub fn record_episode(&self, key: u64, route: &Route) {
-        self.route_misses.fetch_add(1, Ordering::Relaxed);
-        // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
-        let mut store = self.episodes.lock().expect("memo lock");
-        if let Err(pos) = store.binary_search_by_key(&key, |(k, _)| *k) {
-            store.insert(pos, (key, route.clone()));
-        }
-    }
 }
 
 /// A borrowed memo plus the circuit digest the caller already computed
@@ -587,10 +532,6 @@ mod tests {
         for from in d14.trap_ids() {
             assert_eq!(m14.route_row_key(from), m20.route_row_key(from));
         }
-        assert_eq!(
-            m14.episode_key(TrapId(0), TrapId(3), 4, 16, 77),
-            m20.episode_key(TrapId(0), TrapId(3), 4, 16, 77),
-        );
         // Placement keys differ: the mapper reads capacities.
         assert_ne!(
             m14.placement_key(1, "round-robin", 2),
@@ -618,21 +559,6 @@ mod tests {
         let third = memo.placement(&c, digest, &*uw, 2).unwrap();
         assert_eq!(third, uw.place(&c, &d, 2).unwrap());
         assert_eq!(memo.counters().placement_misses, 2);
-    }
-
-    #[test]
-    fn episode_memo_round_trips() {
-        let d = presets::g2x3(14);
-        let memo = CompileMemo::new(&d);
-        let route = d.route(TrapId(0), TrapId(5)).unwrap();
-        let key = memo.episode_key(TrapId(0), TrapId(5), 4, 16, 123);
-        assert_eq!(memo.episode(key), None);
-        memo.record_episode(key, &route);
-        assert_eq!(memo.episode(key), Some(route));
-        // A different congestion state is a different episode.
-        let other = memo.episode_key(TrapId(0), TrapId(5), 4, 16, 124);
-        assert_ne!(key, other);
-        assert_eq!(memo.episode(other), None);
     }
 
     #[test]
@@ -891,7 +817,7 @@ mod tests {
 
         proptest! {
             /// A capacity tweak invalidates exactly the placement stage:
-            /// route-row and episode keys are capacity-blind.
+            /// route-row keys are capacity-blind.
             #[test]
             fn capacity_edit_invalidates_only_placements(
                 cap in 8u32..40,
@@ -906,10 +832,6 @@ mod tests {
                 for from in before.trap_ids() {
                     prop_assert_eq!(mb.route_row_key(from), ma.route_row_key(from));
                 }
-                prop_assert_eq!(
-                    mb.episode_key(TrapId(0), TrapId(3), 4, 16, 9),
-                    ma.episode_key(TrapId(0), TrapId(3), 4, 16, 9)
-                );
                 let digest = 0x1234;
                 prop_assert_ne!(
                     mb.placement_key(digest, config.mapping.name(), config.buffer_slots),

@@ -24,7 +24,7 @@ use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::executable::{Executable, Inst};
 use crate::lowering::lower_two_qubit;
-use crate::memo::{CompileMemo, CompileMemoRef};
+use crate::memo::CompileMemoRef;
 use crate::policy::{
     Congestion, EvictionPolicy, EvictionQuery, MappingPolicy, ReorderPolicy, RouteQuery,
     RoutingPolicy,
@@ -209,9 +209,8 @@ impl Pipeline {
 
     /// Compiles `circuit` for `device`, reusing (and feeding) the
     /// incremental stage memo when one is given: the initial placement
-    /// is served from the memo's content-keyed store, the static route
-    /// cache is the memo's pre-warmed one, and congestion-aware routing
-    /// episodes are memoized across compilations. With `memo == None`
+    /// is served from the memo's content-keyed store and the static
+    /// route cache is the memo's pre-warmed one. With `memo == None`
     /// this is exactly [`Pipeline::compile`]; with a memo the output is
     /// bit-identical (pinned by the `incremental_memo` differential
     /// suite).
@@ -259,7 +258,6 @@ impl Pipeline {
         let mut ctx = Ctx {
             device,
             routes,
-            memo: memo.map(|m| m.memo()),
             congestion: Congestion::new(device),
             routing: &*self.routing,
             reorder: &*self.reorder,
@@ -310,7 +308,6 @@ impl Pipeline {
 struct Ctx<'a> {
     device: &'a Device,
     routes: &'a RouteCache<'a>,
-    memo: Option<&'a CompileMemo<'a>>,
     congestion: Congestion,
     routing: &'a dyn RoutingPolicy,
     reorder: &'a dyn ReorderPolicy,
@@ -369,10 +366,13 @@ impl Ctx<'_> {
             if src == dest {
                 return Ok(());
             }
-            let route = self.routing.next_route(
-                &RouteQuery::new(self.device, self.routes, &self.congestion, src, dest)
-                    .with_memo(self.memo),
-            )?;
+            let route = self.routing.next_route(&RouteQuery::new(
+                self.device,
+                self.routes,
+                &self.congestion,
+                src,
+                dest,
+            ))?;
             let leg = route.legs()[0].clone();
             if leg.to == dest && self.busy.is_full(dest) {
                 let pick = self.eviction.pick(&EvictionQuery::new(
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn compile_with_memo_matches_cold_compile() {
         use crate::config::RoutingKind;
-        use crate::memo::{CompileMemo, CompileMemoRef};
+        use crate::memo::CompileMemo;
         let c = generators::random_circuit(24, 200, 0.4, 5);
         let d = presets::l6(8);
         let memo = CompileMemo::new(&d);

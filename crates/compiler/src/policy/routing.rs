@@ -3,7 +3,6 @@
 
 use super::RoutingPolicy;
 use crate::error::CompileError;
-use crate::memo::CompileMemo;
 use qccd_device::{Device, JunctionId, Leg, Route, RouteCache, SegmentId, TrapId};
 
 /// What a routing policy can see when choosing the next route.
@@ -12,7 +11,6 @@ pub struct RouteQuery<'a> {
     device: &'a Device,
     routes: &'a RouteCache<'a>,
     congestion: &'a Congestion,
-    memo: Option<&'a CompileMemo<'a>>,
     from: TrapId,
     to: TrapId,
 }
@@ -31,23 +29,9 @@ impl<'a> RouteQuery<'a> {
             device,
             routes,
             congestion,
-            memo: None,
             from,
             to,
         }
-    }
-
-    /// Attaches the stage memo (if any) so memo-aware policies can
-    /// reuse routing episodes across compilations.
-    #[must_use]
-    pub fn with_memo(mut self, memo: Option<&'a CompileMemo<'a>>) -> Self {
-        self.memo = memo;
-        self
-    }
-
-    /// The incremental-compilation memo, when compiling through one.
-    pub fn memo(&self) -> Option<&'a CompileMemo<'a>> {
-        self.memo
     }
 
     /// The device being routed over.
@@ -173,28 +157,6 @@ impl Congestion {
     pub fn in_flight(&self) -> usize {
         self.len
     }
-
-    /// Content hash of the per-resource load counters — the complete
-    /// input a weighted route derives from this window. Two windows
-    /// with the same digest produce identical penalties for every
-    /// segment and junction regardless of ring order, so the digest is
-    /// the "congestion state class" of the stage-memo episode keys.
-    pub fn state_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u32| {
-            for b in word.to_le_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for &load in &self.segment_load {
-            mix(load);
-        }
-        for &load in &self.junction_load {
-            mix(load);
-        }
-        hash
-    }
 }
 
 /// The paper's §VI router: always the device's cheapest static route
@@ -250,34 +212,12 @@ impl RoutingPolicy for LookaheadCongestion {
             // from the cache.
             return Ok(query.routes().route(query.from(), query.to())?.clone());
         }
-        // The weighted route is a pure function of the topology, the
-        // endpoints, the penalty weights and the window's load counters
-        // — exactly what the episode key hashes — so a memoized episode
-        // is bit-identical to recomputing it.
-        let episode_key = query.memo().map(|memo| {
-            memo.episode_key(
-                query.from(),
-                query.to(),
-                self.segment_penalty,
-                self.junction_penalty,
-                congestion.state_digest(),
-            )
-        });
-        if let (Some(memo), Some(key)) = (query.memo(), episode_key) {
-            if let Some(route) = memo.episode(key) {
-                return Ok(route);
-            }
-        }
         let segment = |s: SegmentId| u64::from(congestion.segment_load(s)) * self.segment_penalty;
         let junction =
             |j: JunctionId| u64::from(congestion.junction_load(j)) * self.junction_penalty;
-        let route = query
+        Ok(query
             .device()
-            .route_weighted(query.from(), query.to(), &segment, &junction)?;
-        if let (Some(memo), Some(key)) = (query.memo(), episode_key) {
-            memo.record_episode(key, &route);
-        }
-        Ok(route)
+            .route_weighted(query.from(), query.to(), &segment, &junction)?)
     }
 }
 
@@ -300,6 +240,13 @@ mod tests {
         assert_eq!(c.in_flight(), 2);
         assert_eq!(c.segment_load(leg.segments[0]), 2);
         assert_eq!(c.junction_load(leg.junctions[0]), 2);
+        // A horizon-1 window retires a leg entirely once another commits.
+        let other = d.route(TrapId(2), TrapId(3)).unwrap().legs()[0].clone();
+        let mut one = Congestion::with_horizon(&d, 1);
+        one.commit(&leg);
+        one.commit(&other);
+        assert_eq!(one.in_flight(), 1);
+        assert_eq!(one.segment_load(leg.segments[0]), 0);
     }
 
     #[test]
@@ -330,65 +277,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn state_digest_tracks_load_counters() {
-        let d = presets::g2x3(10);
-        let leg = d.route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
-        let mut a = Congestion::new(&d);
-        let mut b = Congestion::new(&d);
-        assert_eq!(a.state_digest(), b.state_digest());
-        a.commit(&leg);
-        assert_ne!(a.state_digest(), b.state_digest());
-        b.commit(&leg);
-        assert_eq!(a.state_digest(), b.state_digest());
-        // Retiring back to all-zero loads restores the empty digest.
-        let empty = Congestion::new(&d).state_digest();
-        let mut c = Congestion::with_horizon(&d, 1);
-        let other = d.route(TrapId(2), TrapId(3)).unwrap().legs()[0].clone();
-        c.commit(&leg);
-        c.commit(&other);
-        assert_ne!(c.state_digest(), empty);
-        assert_eq!(
-            c.segment_load(leg.segments[0]),
-            0,
-            "first leg retired by horizon-1 window"
-        );
-    }
-
-    #[test]
-    fn lookahead_through_memo_matches_plain_lookahead() {
-        let d = presets::g2x3(10);
-        let memo = crate::memo::CompileMemo::new(&d);
-        let static_route = d.route(TrapId(0), TrapId(5)).unwrap();
-        let mut congestion = Congestion::new(&d);
-        for _ in 0..Congestion::DEFAULT_HORIZON {
-            congestion.commit(&static_route.legs()[0]);
-        }
-        let cache = RouteCache::new(&d);
-        let plain = LookaheadCongestion::default()
-            .next_route(&RouteQuery::new(
-                &d,
-                &cache,
-                &congestion,
-                TrapId(0),
-                TrapId(5),
-            ))
-            .unwrap();
-        let misses_before = memo.counters().route_misses;
-        for _ in 0..2 {
-            let memoed = LookaheadCongestion::default()
-                .next_route(
-                    &RouteQuery::new(&d, memo.routes(), &congestion, TrapId(0), TrapId(5))
-                        .with_memo(Some(&memo)),
-                )
-                .unwrap();
-            assert_eq!(memoed, plain, "memoized episode must be bit-identical");
-        }
-        let counters = memo.counters();
-        assert_eq!(counters.route_misses, misses_before + 1, "one cold episode");
-        assert_eq!(counters.route_hits, 1, "second query hits the episode");
     }
 
     #[test]

@@ -148,8 +148,8 @@ pub struct EngineOptions {
     /// (to a directory shared by all shards) so [`Engine::merge`] can
     /// assemble the full results afterwards.
     pub shard: Option<Shard>,
-    /// Share compile stages (route rows, placements, routing episodes)
-    /// across the jobs of a run through a per-device
+    /// Share compile stages (route rows, placements) across the jobs
+    /// of a run through a per-device
     /// [`qccd_compiler::CompileMemo`], and — when
     /// [`EngineOptions::cache_dir`] is set — persist them under
     /// `<cache-dir>/stages/` so a re-invoked sweep warm-starts across
@@ -199,10 +199,9 @@ pub struct RunStats {
     pub placement_hits: u64,
     /// Placement stages computed cold this run.
     pub placement_misses: u64,
-    /// Route stages (dense route rows and congestion-window routing
-    /// episodes) served from the stage memo.
+    /// Dense route rows preloaded from the persisted stage cache.
     pub route_hits: u64,
-    /// Route stages computed cold this run.
+    /// Dense route rows computed cold this run.
     pub route_misses: u64,
 }
 
@@ -358,8 +357,8 @@ impl Engine {
 
         // One compile-stage memo per device, initialized lazily by the
         // first group that compiles on it and shared by every circuit
-        // and config of the run: route rows, placements, and routing
-        // episodes are computed once per stage key, not once per job.
+        // and config of the run: route rows and placements are
+        // computed once per stage key, not once per job.
         // With a cache directory, stages also persist under
         // `<cache-dir>/stages/` so the next process warm-starts.
         let stage_persist: Option<Arc<dyn StagePersist>> = match (&cache, self.options.stage_memo) {
