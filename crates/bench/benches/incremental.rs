@@ -1,24 +1,17 @@
-//! Criterion benchmarks of the incremental-compilation layer: a
-//! warm-started 16-policy sweep must be at least 2× cheaper than a
-//! cold one (the acceptance ratio recorded in `BENCH_sim.json`), and
-//! the compile-stage memo must beat memo-free compilation on the same
-//! policy grid.
+//! Criterion benchmarks of the engine's result cache: a warm-started
+//! 16-policy sweep must be at least 2× cheaper than a cold one (the
+//! acceptance ratio recorded in `BENCH_sim.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qccd::engine::{Engine, EngineOptions, JobGrid};
 use qccd::sweep::policy_grid;
-use qccd_circuit::{generators, Circuit};
-use qccd_compiler::{CompileMemo, CompileMemoRef, Pipeline};
+use qccd_circuit::generators;
 use qccd_device::presets;
 use qccd_physics::PhysicalModel;
 
-fn circuit() -> Circuit {
-    generators::bv(&[true; 16])
-}
-
 fn grid(model: PhysicalModel) -> JobGrid {
     JobGrid::from_axes(
-        vec![circuit()],
+        vec![generators::bv(&[true; 16])],
         vec![presets::l6(10)],
         policy_grid(2),
         vec![model],
@@ -26,7 +19,7 @@ fn grid(model: PhysicalModel) -> JobGrid {
 }
 
 /// Cold 16-policy sweep: no result cache, every job compiled and
-/// simulated (the in-run stage memo is on, as it is by default).
+/// simulated.
 fn bench_policy16_cold(c: &mut Criterion) {
     c.bench_function("incremental/policy16_cold", |b| {
         b.iter(|| {
@@ -47,7 +40,7 @@ fn bench_policy16_warm(c: &mut Criterion) {
         cache_dir: Some(dir.clone()),
         ..EngineOptions::default()
     });
-    engine.run(&grid(PhysicalModel::default())); // prime results + stages
+    engine.run(&grid(PhysicalModel::default())); // prime the results
     c.bench_function("incremental/policy16_warm", |b| {
         b.iter(|| {
             let run = engine.run(&grid(PhysicalModel::default()));
@@ -58,88 +51,5 @@ fn bench_policy16_warm(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Warm *stages*, fresh process: a brand-new [`CompileMemo`] per
-/// iteration reloads placements and route rows from the on-disk stage
-/// files a previous engine run persisted — the recompile cost a
-/// re-invoked sweep pays after an edit invalidated its job ids.
-fn bench_compile16_disk_warm(c: &mut Criterion) {
-    use qccd::engine::StageCache;
-    use qccd_compiler::StagePersist;
-    use std::sync::Arc;
-    let dir = std::env::temp_dir().join(format!("qccd-bench-incr-stage-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let engine = Engine::with_options(EngineOptions {
-        cache_dir: Some(dir.clone()),
-        ..EngineOptions::default()
-    });
-    engine.run(&grid(PhysicalModel::default())); // prime the stage files
-    let stages: Arc<dyn StagePersist> =
-        Arc::new(StageCache::open(dir.join("stages")).expect("stage dir"));
-    let circuit = circuit();
-    let device = presets::l6(10);
-    let configs = policy_grid(2);
-    c.bench_function("incremental/compile16_disk_warm", |b| {
-        b.iter(|| {
-            let memo = CompileMemo::with_persist(&device, Some(stages.clone()));
-            let memo_ref = CompileMemoRef::for_circuit(&memo, &circuit);
-            configs
-                .iter()
-                .map(|cfg| {
-                    Pipeline::from_config(cfg)
-                        .compile_with(&circuit, &device, Some(memo_ref))
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Compile-only pair: the 16-policy grid through a memo-free pipeline
-/// vs. a shared pre-warmed [`CompileMemo`].
-fn bench_compile16(c: &mut Criterion) {
-    let circuit = circuit();
-    let device = presets::l6(10);
-    let configs = policy_grid(2);
-    c.bench_function("incremental/compile16_unmemoized", |b| {
-        b.iter(|| {
-            configs
-                .iter()
-                .map(|cfg| {
-                    Pipeline::from_config(cfg)
-                        .compile(&circuit, &device)
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-    });
-    let memo = CompileMemo::new(&device);
-    let memo_ref = CompileMemoRef::for_circuit(&memo, &circuit);
-    for cfg in &configs {
-        // Warm every stage the grid touches.
-        Pipeline::from_config(cfg)
-            .compile_with(&circuit, &device, Some(memo_ref))
-            .unwrap();
-    }
-    c.bench_function("incremental/compile16_memoized", |b| {
-        b.iter(|| {
-            configs
-                .iter()
-                .map(|cfg| {
-                    Pipeline::from_config(cfg)
-                        .compile_with(&circuit, &device, Some(memo_ref))
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_policy16_cold,
-    bench_policy16_warm,
-    bench_compile16_disk_warm,
-    bench_compile16
-);
+criterion_group!(benches, bench_policy16_cold, bench_policy16_warm);
 criterion_main!(benches);

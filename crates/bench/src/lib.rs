@@ -37,7 +37,7 @@
 use qccd::engine::{
     merge_spec, run_spec, run_spec_jobs, Artifact, ArtifactSink, CircuitSpec, ConfigSpec, CsvSink,
     DeviceSpec, Engine, EngineOptions, ExperimentSpec, JsonSink, ModelSpec, Projection,
-    ResultCache, Shard, SpecRun, StageCache, STAGE_SUBDIR,
+    ResultCache, Shard, SpecRun,
 };
 use qccd::experiments::{PAPER_CAPACITIES, QUICK_CAPACITIES};
 use qccd_circuit::generators::Benchmark;
@@ -73,13 +73,6 @@ pub struct HarnessArgs {
     /// Entry cap enforced by `--cache-gc` (oldest entries beyond it are
     /// evicted).
     pub cache_max_entries: Option<usize>,
-    /// Stage-memo cap enforced by `--cache-gc` on `<cache>/stages/`
-    /// (oldest stage files beyond it are evicted).
-    pub cache_max_stages: Option<usize>,
-    /// Stage-memo age limit in seconds enforced by `--cache-gc` on
-    /// `<cache>/stages/` (stage files not touched for longer are
-    /// evicted).
-    pub cache_max_stage_age: Option<u64>,
     /// JSON device description replacing the study's preset topology.
     pub device: Option<PathBuf>,
     /// JSON compiler configuration replacing the study's default.
@@ -141,8 +134,6 @@ pub const BIN_FLAGS: &[(&str, &[&str])] = &[
             "--merge",
             "--cache-gc",
             "--cache-max-entries",
-            "--cache-max-stages",
-            "--cache-max-stage-age",
         ],
     ),
 ];
@@ -200,22 +191,6 @@ impl HarnessArgs {
                             .map_err(|_| "--cache-max-entries expects a non-negative integer")?,
                     );
                 }
-                "--cache-max-stages" => {
-                    let value = args.next().ok_or("--cache-max-stages needs a count")?;
-                    out.cache_max_stages = Some(
-                        value
-                            .parse()
-                            .map_err(|_| "--cache-max-stages expects a non-negative integer")?,
-                    );
-                }
-                "--cache-max-stage-age" => {
-                    let value = args
-                        .next()
-                        .ok_or("--cache-max-stage-age needs a number of seconds")?;
-                    out.cache_max_stage_age = Some(value.parse().map_err(|_| {
-                        "--cache-max-stage-age expects a non-negative number of seconds"
-                    })?);
-                }
                 "--device" => out.device = Some(path("--device", &mut args)?),
                 "--config" => out.config = Some(path("--config", &mut args)?),
                 "--model" => out.model = Some(path("--model", &mut args)?),
@@ -255,8 +230,6 @@ impl HarnessArgs {
             ("--merge", self.merge),
             ("--cache-gc", self.cache_gc),
             ("--cache-max-entries", self.cache_max_entries.is_some()),
-            ("--cache-max-stages", self.cache_max_stages.is_some()),
-            ("--cache-max-stage-age", self.cache_max_stage_age.is_some()),
             ("--device", self.device.is_some()),
             ("--config", self.config.is_some()),
             ("--model", self.model.is_some()),
@@ -319,7 +292,6 @@ impl HarnessArgs {
             batch_size: 0,
             verbose: true,
             shard: self.shard,
-            ..EngineOptions::default()
         })
     }
 
@@ -410,7 +382,6 @@ fn usage(message: &str) -> ! {
         "usage: <bin> [--quick] [--caps 14,22,30] [--json out.json] \
          [--spec experiment.json] [--cache dir] \
          [--shard k/M] [--merge] [--cache-gc] [--cache-max-entries N] \
-         [--cache-max-stages N] [--cache-max-stage-age SECS] \
          [--device dev.json] [--config cfg.json] [--model model.json] \
          [--mapping round-robin|usage-weighted] \
          [--routing greedy-shortest|lookahead-congestion] \
@@ -582,10 +553,7 @@ fn ablations_main(args: &HarnessArgs, engine: &Engine) {
 /// (stats only, no artifact); `--merge` assembles the artifact purely
 /// from that cache once every shard has run. `--cache-gc` sweeps the
 /// cache (stale-salt entries, orphaned temp files, and — with
-/// `--cache-max-entries` — the oldest entries beyond the cap); when a
-/// `stages/` subdirectory exists it gets the same sweep, capped by
-/// `--cache-max-stages` and aged out by `--cache-max-stage-age`
-/// (seconds since a stage file was last written).
+/// `--cache-max-entries` — the oldest entries beyond the cap).
 pub fn run_main() {
     let args = HarnessArgs::parse();
     args.validate("run");
@@ -597,15 +565,8 @@ pub fn run_main() {
     if (args.shard.is_some() || args.merge || args.cache_gc) && args.cache.is_none() {
         usage("--shard/--merge/--cache-gc coordinate through a shared cache; add --cache <dir>");
     }
-    if (args.cache_max_entries.is_some()
-        || args.cache_max_stages.is_some()
-        || args.cache_max_stage_age.is_some())
-        && !args.cache_gc
-    {
-        usage(
-            "--cache-max-entries/--cache-max-stages/--cache-max-stage-age only apply to a \
-             --cache-gc sweep",
-        );
+    if args.cache_max_entries.is_some() && !args.cache_gc {
+        usage("--cache-max-entries only applies to a --cache-gc sweep");
     }
     if args.shard.is_some() && args.json.is_some() {
         usage("--shard emits no artifact (each process owns one slice); --json needs --merge or an unsharded run");
@@ -619,18 +580,6 @@ pub fn run_main() {
         match cache.gc(args.cache_max_entries) {
             Ok(stats) => eprintln!("cache-gc[{}]: {}", dir.display(), stats.summary()),
             Err(e) => die(dir, &e.to_string()),
-        }
-        let stage_dir = dir.join(STAGE_SUBDIR);
-        if stage_dir.is_dir() {
-            let stages =
-                StageCache::open(&stage_dir).unwrap_or_else(|e| die(&stage_dir, &e.to_string()));
-            let max_age = args.cache_max_stage_age.map(std::time::Duration::from_secs);
-            match stages.gc(args.cache_max_stages, max_age) {
-                Ok(stats) => {
-                    eprintln!("stage-gc[{}]: {}", stage_dir.display(), stats.summary());
-                }
-                Err(e) => die(&stage_dir, &e.to_string()),
-            }
         }
         if args.spec.is_none() && args.device.is_none() {
             return; // a pure GC invocation
@@ -758,31 +707,13 @@ mod tests {
         assert_eq!(args.shard, Some(Shard::new(1, 4).unwrap()));
         assert_eq!(args.given_flags(), vec!["--cache", "--shard"]);
 
-        let args = parse(&[
-            "--merge",
-            "--cache-gc",
-            "--cache-max-entries",
-            "100",
-            "--cache-max-stages",
-            "40",
-            "--cache-max-stage-age",
-            "86400",
-        ])
-        .unwrap();
+        let args = parse(&["--merge", "--cache-gc", "--cache-max-entries", "100"]).unwrap();
         assert!(args.merge);
         assert!(args.cache_gc);
         assert_eq!(args.cache_max_entries, Some(100));
-        assert_eq!(args.cache_max_stages, Some(40));
-        assert_eq!(args.cache_max_stage_age, Some(86400));
         assert_eq!(
             args.given_flags(),
-            vec![
-                "--merge",
-                "--cache-gc",
-                "--cache-max-entries",
-                "--cache-max-stages",
-                "--cache-max-stage-age"
-            ]
+            vec!["--merge", "--cache-gc", "--cache-max-entries"]
         );
 
         // Malformed values carry the flag name and the accepted shape.
@@ -794,10 +725,6 @@ mod tests {
         assert!(parse(&["--shard"]).unwrap_err().contains("--shard needs"));
         let err = parse(&["--cache-max-entries", "many"]).unwrap_err();
         assert!(err.contains("non-negative integer"), "{err}");
-        let err = parse(&["--cache-max-stages", "many"]).unwrap_err();
-        assert!(err.contains("non-negative integer"), "{err}");
-        let err = parse(&["--cache-max-stage-age", "soon"]).unwrap_err();
-        assert!(err.contains("number of seconds"), "{err}");
     }
 
     #[test]
@@ -809,14 +736,7 @@ mod tests {
                 .map(|(_, f)| *f)
                 .unwrap()
         };
-        for flag in [
-            "--shard",
-            "--merge",
-            "--cache-gc",
-            "--cache-max-entries",
-            "--cache-max-stages",
-            "--cache-max-stage-age",
-        ] {
+        for flag in ["--shard", "--merge", "--cache-gc", "--cache-max-entries"] {
             assert!(flags_of("run").contains(&flag), "run must accept {flag}");
             for bin in [
                 "table1",

@@ -28,9 +28,11 @@
 //! circuit × 16-policy matrix.
 //!
 //! Stages optionally persist across processes through a [`StagePersist`]
-//! sink (the engine wires its on-disk result cache's `stages/`
-//! directory in); keys carry [`STAGE_VERSION`] so a format change
-//! abandons old entries instead of misreading them.
+//! sink (`qccd::engine::StageCache` keeps them as files in a
+//! directory); keys carry [`STAGE_VERSION`] so a format change
+//! abandons old entries instead of misreading them. The sweep engine
+//! compiles without a memo; memoized compiles serve callers that
+//! replay its runs.
 
 use crate::error::CompileError;
 use crate::mapping::Placement;
@@ -75,7 +77,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn content_digest<T: Serialize>(value: &T) -> u64 {
     fnv1a(
         serde_json::to_string(value)
-            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
             .expect("stage inputs serialize")
             .as_bytes(),
     )
@@ -282,7 +283,6 @@ impl<'d> CompileMemo<'d> {
             } else {
                 self.route_misses.fetch_add(1, Ordering::Relaxed);
                 if let Some(persist) = &self.persist {
-                    // qccd-lint: allow(engine-panic) — routes are warmed for every source trap before placement runs
                     let snapshot = self.routes.snapshot(from).expect("warmed row");
                     if let Ok(payload) = serde_json::to_string(&snapshot) {
                         persist.store(ROUTE_ROW_KIND, self.route_row_key(from), &payload);

@@ -103,7 +103,7 @@ fn is_entry_stem(stem: &str) -> bool {
             .all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c))
 }
 
-/// Counters from one [`ResultCache::gc`] or [`StageCache::gc`] sweep.
+/// Counters from one [`ResultCache::gc`] sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcStats {
     /// Valid current-version entries left in the cache.
@@ -111,8 +111,6 @@ pub struct GcStats {
     /// Entries removed for a stale version salt, a mismatched embedded
     /// id, or unparseable content.
     pub removed_stale: usize,
-    /// Valid entries removed for exceeding the age limit.
-    pub removed_aged: usize,
     /// Valid entries removed (oldest first) to enforce the entry cap.
     pub removed_excess: usize,
     /// Orphaned temp files swept (writers killed mid-store).
@@ -122,17 +120,16 @@ pub struct GcStats {
 impl GcStats {
     /// Total files removed by the sweep.
     pub fn removed(&self) -> usize {
-        self.removed_stale + self.removed_aged + self.removed_excess + self.removed_temp
+        self.removed_stale + self.removed_excess + self.removed_temp
     }
 
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "kept {} entries, removed {} ({} stale, {} aged out, {} over the entry cap, {} orphaned temp files)",
+            "kept {} entries, removed {} ({} stale, {} over the entry cap, {} orphaned temp files)",
             self.kept,
             self.removed(),
             self.removed_stale,
-            self.removed_aged,
             self.removed_excess,
             self.removed_temp
         )
@@ -242,101 +239,69 @@ impl ResultCache {
     /// Returns the underlying error if the directory cannot be listed;
     /// individual file removals are best-effort.
     pub fn gc(&self, max_entries: Option<usize>) -> io::Result<GcStats> {
-        gc_sweep(&self.dir, max_entries, None, |stem, text| {
-            serde_json::from_str::<CacheEntry>(text)
-                .ok()
-                .is_some_and(|e| e.version == JOB_ID_VERSION && e.id == stem)
-        })
-    }
-}
-
-/// The shared eviction sweep behind [`ResultCache::gc`] and
-/// [`StageCache::gc`]: walks `dir` (non-recursively), removes orphaned
-/// temp files and well-formed entries that `is_current` rejects
-/// (stale salt, corrupt content, name/content mismatch), then removes
-/// valid entries older than `max_age` (by modification time), then —
-/// when `max_entries` is given — removes the oldest surviving entries
-/// until at most that many remain. Files not shaped like cache
-/// entries are never touched.
-fn gc_sweep(
-    dir: &Path,
-    max_entries: Option<usize>,
-    max_age: Option<std::time::Duration>,
-    is_current: impl Fn(&str, &str) -> bool,
-) -> io::Result<GcStats> {
-    let mut stats = GcStats::default();
-    let mut kept: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if !path.is_file() {
-            continue;
-        }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        // Only our own temp names (`<entry-stem>.json.tmp-…`) are
-        // sweepable; a foreign file that merely contains ".tmp-"
-        // is left alone like any other foreign file.
-        if let Some((stem, _)) = name.split_once(".json.tmp-") {
-            if is_entry_stem(stem) {
-                if std::fs::remove_file(&path).is_ok() {
-                    stats.removed_temp += 1;
-                }
+        let mut stats = GcStats::default();
+        let mut kept: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            let path = entry.path();
+            if !path.is_file() {
                 continue;
             }
-        }
-        let Some(stem) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if !is_entry_stem(stem) {
-            continue; // foreign file: not ours to delete
-        }
-        let current = std::fs::read_to_string(&path)
-            .ok()
-            .is_some_and(|text| is_current(stem, &text));
-        if current {
-            let modified = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            kept.push((modified, path));
-        } else if std::fs::remove_file(&path).is_ok() {
-            stats.removed_stale += 1;
-        }
-    }
-    if let Some(max_age) = max_age {
-        // The allowlisted wall-clock read: eviction policy only —
-        // entry *content* never depends on it.
-        let now = std::time::SystemTime::now();
-        kept.retain(|(modified, path)| {
-            let aged = now.duration_since(*modified).is_ok_and(|age| age > max_age);
-            if aged && std::fs::remove_file(path).is_ok() {
-                stats.removed_aged += 1;
-                return false;
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            // Only our own temp names (`<entry-stem>.json.tmp-…`) are
+            // sweepable; a foreign file that merely contains ".tmp-"
+            // is left alone like any other foreign file.
+            if let Some((stem, _)) = name.split_once(".json.tmp-") {
+                if is_entry_stem(stem) {
+                    if std::fs::remove_file(&path).is_ok() {
+                        stats.removed_temp += 1;
+                    }
+                    continue;
+                }
             }
-            true
-        });
-    }
-    if let Some(max) = max_entries {
-        if kept.len() > max {
-            kept.sort(); // oldest first, path as the tie-breaker
-            for (_, path) in kept.drain(..kept.len() - max) {
-                if std::fs::remove_file(&path).is_ok() {
-                    stats.removed_excess += 1;
+            let Some(stem) = name.strip_suffix(".json") else {
+                continue;
+            };
+            if !is_entry_stem(stem) {
+                continue; // foreign file: not ours to delete
+            }
+            let current = std::fs::read_to_string(&path)
+                .ok()
+                .and_then(|text| serde_json::from_str::<CacheEntry>(&text).ok())
+                .is_some_and(|e| e.version == JOB_ID_VERSION && e.id == stem);
+            if current {
+                let modified = entry
+                    .metadata()
+                    .and_then(|m| m.modified())
+                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+                kept.push((modified, path));
+            } else if std::fs::remove_file(&path).is_ok() {
+                stats.removed_stale += 1;
+            }
+        }
+        if let Some(max) = max_entries {
+            if kept.len() > max {
+                kept.sort(); // oldest first, path as the tie-breaker
+                for (_, path) in kept.drain(..kept.len() - max) {
+                    if std::fs::remove_file(&path).is_ok() {
+                        stats.removed_excess += 1;
+                    }
                 }
             }
         }
+        stats.kept = kept.len();
+        Ok(stats)
     }
-    stats.kept = kept.len();
-    Ok(stats)
 }
 
 /// Version salt embedded in every stage-memo file so a future change
 /// to the on-disk envelope can invalidate old entries wholesale.
 const STAGE_FILE_VERSION: &str = "qccd-stage-file-v1";
 
-/// The directory under a result-cache dir that holds stage-memo files.
+/// The directory under a result-cache dir where a persisted
+/// [`qccd_compiler::CompileMemo`] keeps its stage files.
 pub const STAGE_SUBDIR: &str = "stages";
 
 /// The serialized envelope of one stage-memo file. Kind and key are
@@ -353,19 +318,19 @@ struct StageEntry {
 }
 
 /// On-disk persistence for compile-stage memos: one JSON file per
-/// stage entry (`<cache-dir>/stages/<kind>-<key>.json`), written with
-/// the same atomic temp-file + rename protocol as result entries, so a
-/// re-invoked sweep warm-starts its route rows and placements across
-/// processes. Stage keys already hash the full upstream content (see
-/// [`qccd_compiler::CompileMemo`]), so an entry can never be served
-/// for a different device, circuit, or policy; corrupt or mismatched
-/// files read as misses and are overwritten.
+/// stage entry (`<dir>/<kind>-<key>.json`), written with the same
+/// atomic temp-file + rename protocol as result entries, so a fresh
+/// [`qccd_compiler::CompileMemo`] can warm-start its route rows and
+/// placements from a previous process. Stage keys already hash the
+/// full upstream content (see [`qccd_compiler::CompileMemo`]), so an
+/// entry can never be served for a different device, circuit, or
+/// policy; corrupt or mismatched files read as misses and are
+/// overwritten.
 ///
-/// [`ResultCache::gc`] never descends into the stages directory (it
-/// skips non-files), so sweeping results leaves warm stages intact;
-/// [`StageCache::gc`] applies the same eviction sweep to the stage
-/// files themselves, and deleting the directory outright is always
-/// safe — it merely costs the next run a cold start.
+/// The engine compiles without a memo and never opens a stage
+/// directory. A `stages/` directory left in a result cache by an
+/// older build is inert: [`ResultCache::gc`] skips it (it skips
+/// non-files), and deleting it is always safe.
 #[derive(Debug, Clone)]
 pub struct StageCache {
     dir: PathBuf,
@@ -390,57 +355,6 @@ impl StageCache {
 
     fn path_of(&self, kind: &str, key: u64) -> PathBuf {
         self.dir.join(format!("{kind}-{key:016x}.json"))
-    }
-
-    /// Number of stage files currently on disk (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .filter(|e| {
-                        e.file_name()
-                            .to_str()
-                            .and_then(|name| name.strip_suffix(".json"))
-                            .is_some_and(is_entry_stem)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether the stage directory holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Garbage-collects the stage directory with the same sweep as
-    /// [`ResultCache::gc`]: orphaned temp files go, files whose
-    /// embedded kind/key disagree with their name or whose
-    /// version salt predates the current stage-file version go; when
-    /// `max_age` is given, valid stage files not touched for longer
-    /// than that are evicted; and — when `max_entries` is given — the
-    /// oldest valid stage files (by modification time) are evicted
-    /// until at most that many remain. Foreign files are never
-    /// touched. An evicted stage is not a correctness event: the next
-    /// run recomputes and re-persists it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error if the directory cannot be listed;
-    /// individual file removals are best-effort.
-    pub fn gc(
-        &self,
-        max_entries: Option<usize>,
-        max_age: Option<std::time::Duration>,
-    ) -> io::Result<GcStats> {
-        gc_sweep(&self.dir, max_entries, max_age, |stem, text| {
-            serde_json::from_str::<StageEntry>(text)
-                .ok()
-                .is_some_and(|e| {
-                    e.version == STAGE_FILE_VERSION && format!("{}-{}", e.kind, e.key) == stem
-                })
-        })
     }
 }
 
@@ -659,12 +573,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("qccd-stage-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let stages = StageCache::open(&dir).unwrap();
-        assert!(stages.is_empty());
         assert_eq!(stages.load("placement", 7), None, "fresh cache misses");
 
         stages.store("placement", 7, "[1,2,3]");
         assert_eq!(stages.load("placement", 7), Some("[1,2,3]".to_owned()));
-        assert_eq!(stages.len(), 1);
         // The wrong kind or key never serves the entry.
         assert_eq!(stages.load("route-row", 7), None);
         assert_eq!(stages.load("placement", 8), None);
@@ -703,91 +615,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(stages.load("placement", 1), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stage_gc_sweeps_stale_and_caps_oldest_first() {
-        use qccd_compiler::StagePersist;
-        let dir = std::env::temp_dir().join(format!("qccd-stage-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let stages = StageCache::open(&dir).unwrap();
-        // Four valid entries with distinct mtimes so "oldest first" is
-        // deterministic.
-        for key in 1u64..=4 {
-            stages.store("route-row", key, &format!("[{key}]"));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        // A stale-salt file, a name/content mismatch, an orphaned temp
-        // file, and two foreign files.
-        std::fs::write(
-            stages.dir().join("placement-0000000000000009.json"),
-            r#"{"kind": "placement", "key": "0000000000000009", "version": "qccd-stage-file-v0", "payload": "x"}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            stages.dir().join("placement-000000000000000a.json"),
-            r#"{"kind": "route-row", "key": "000000000000000a", "version": "qccd-stage-file-v1", "payload": "x"}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            stages
-                .dir()
-                .join("route-row-0000000000000001.json.tmp-999-3"),
-            "{ par",
-        )
-        .unwrap();
-        std::fs::write(stages.dir().join("notes.json"), "{}").unwrap();
-        std::fs::write(stages.dir().join("README.md"), "hi").unwrap();
-
-        let stats = stages.gc(Some(2), None).unwrap();
-        assert_eq!(stats.kept, 2);
-        assert_eq!(stats.removed_stale, 2);
-        assert_eq!(stats.removed_temp, 1);
-        assert_eq!(stats.removed_excess, 2);
-        // The two most recently stored stages survive.
-        assert_eq!(stages.load("route-row", 1), None);
-        assert_eq!(stages.load("route-row", 2), None);
-        assert_eq!(stages.load("route-row", 3), Some("[3]".to_owned()));
-        assert_eq!(stages.load("route-row", 4), Some("[4]".to_owned()));
-        assert!(
-            stages.dir().join("notes.json").exists(),
-            "foreign json kept"
-        );
-        assert!(stages.dir().join("README.md").exists(), "foreign file kept");
-        // A cap at/above the entry count removes nothing further.
-        assert_eq!(stages.gc(Some(2), None).unwrap().removed(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stage_gc_evicts_entries_over_the_age_limit() {
-        use qccd_compiler::StagePersist;
-        let dir = std::env::temp_dir().join(format!("qccd-stage-age-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let stages = StageCache::open(&dir).unwrap();
-        stages.store("route-row", 1, "[old]");
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        stages.store("route-row", 2, "[new]");
-
-        // Only the entry older than the limit is aged out; the recent
-        // one survives even though no entry cap is set.
-        let stats = stages
-            .gc(None, Some(std::time::Duration::from_millis(200)))
-            .unwrap();
-        assert_eq!(stats.removed_aged, 1, "{stats:?}");
-        assert_eq!(stats.kept, 1);
-        assert_eq!(stages.load("route-row", 1), None);
-        assert_eq!(stages.load("route-row", 2), Some("[new]".to_owned()));
-
-        // No age limit: repeated sweeps are no-ops.
-        assert_eq!(stages.gc(None, None).unwrap().removed(), 0);
-        // A generous limit keeps the survivor.
-        let stats = stages
-            .gc(None, Some(std::time::Duration::from_secs(3600)))
-            .unwrap();
-        assert_eq!(stats.removed_aged, 0);
-        assert_eq!(stats.kept, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -111,8 +111,8 @@ pub struct JobGrid {
     cells: Vec<usize>,
     /// Per-circuit content digests (FNV-1a over the serialized form) —
     /// the same value [`qccd_compiler::content_digest`] computes, so
-    /// the engine can key compile-stage memos without re-serializing
-    /// circuits per job.
+    /// a memoized compile over the grid can key its stages without
+    /// re-serializing circuits per job.
     c_digests: Vec<u64>,
     /// How many circuits were actually constructed (parsed/generated)
     /// to build this grid. Defaults to the circuit-axis length;
@@ -225,9 +225,10 @@ impl JobGrid {
 
     /// Content digest of a circuit-axis entry: FNV-1a 64 over its
     /// serialized form, identical to
-    /// [`qccd_compiler::content_digest`] of the same circuit. The
-    /// engine passes this to the compile-stage memo so placement stage
-    /// keys are computed once per circuit, not once per job.
+    /// [`qccd_compiler::content_digest`] of the same circuit. A caller
+    /// compiling through a [`qccd_compiler::CompileMemo`] passes this
+    /// as its circuit key, so placement stage keys are computed once
+    /// per circuit, not once per job.
     ///
     /// # Panics
     ///

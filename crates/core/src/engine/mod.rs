@@ -50,7 +50,10 @@ pub mod grid;
 pub mod sink;
 pub mod spec;
 
-pub use cache::{GcStats, ResultCache, StageCache, STAGE_SUBDIR};
+pub use cache::{GcStats, ResultCache};
+// Stage-file persistence for memoized compiles outside the engine
+// (perfbench's traced replay); `Engine::run` never opens it.
+pub use cache::{StageCache, STAGE_SUBDIR};
 pub use grid::{GridResults, Job, JobGrid, JobId, JobOutcome};
 pub use sink::{Artifact, ArtifactSink, CsvSink, JsonSink};
 pub use spec::{
@@ -59,12 +62,11 @@ pub use spec::{
 
 use crate::experiments::{ablations, fig6, fig7, fig8, table1, table2, Table};
 use crate::sweep::parallel_map;
-use crate::toolflow::{Toolflow, ToolflowError};
-use qccd_compiler::{CompileMemo, CompileMemoRef, Executable, Pipeline, StagePersist};
+use crate::toolflow::ToolflowError;
+use qccd_compiler::Pipeline;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock};
 
 /// One slice of a deterministic shard partition: an engine configured
 /// with shard `index` of `count` executes only the jobs whose id hashes
@@ -134,7 +136,7 @@ impl FromStr for Shard {
 }
 
 /// Execution knobs for an [`Engine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Directory of the on-disk result cache; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
@@ -148,28 +150,6 @@ pub struct EngineOptions {
     /// (to a directory shared by all shards) so [`Engine::merge`] can
     /// assemble the full results afterwards.
     pub shard: Option<Shard>,
-    /// Share compile stages (route rows, placements) across the jobs
-    /// of a run through a per-device
-    /// [`qccd_compiler::CompileMemo`], and — when
-    /// [`EngineOptions::cache_dir`] is set — persist them under
-    /// `<cache-dir>/stages/` so a re-invoked sweep warm-starts across
-    /// processes. Memoized compiles are bit-identical to cold ones
-    /// (the stage memo only reuses pure functions of its keys), so
-    /// this is on by default; turning it off exists for A/B timing
-    /// and debugging.
-    pub stage_memo: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            cache_dir: None,
-            batch_size: 0,
-            verbose: false,
-            shard: None,
-            stage_memo: true,
-        }
-    }
 }
 
 /// Default number of jobs per execution batch.
@@ -194,26 +174,13 @@ pub struct RunStats {
     /// Circuits constructed (parsed or generated) for the grid — each
     /// distinct circuit-axis entry once, however many jobs share it.
     pub parses: usize,
-    /// Placement stages served from the stage memo (in-memory or
-    /// persisted) instead of recomputed.
-    pub placement_hits: u64,
-    /// Placement stages computed cold this run.
-    pub placement_misses: u64,
-    /// Dense route rows preloaded from the persisted stage cache.
-    pub route_hits: u64,
-    /// Dense route rows computed cold this run.
-    pub route_misses: u64,
 }
 
 impl RunStats {
     /// One-line human-readable summary (`executed N of M jobs, …`).
-    /// Stage counters render as `hits/total` so reuse is observable at
-    /// a glance; totals are zero when the stage memo is disabled or
-    /// nothing compiled.
     pub fn summary(&self) -> String {
         format!(
-            "executed {} of {} jobs ({} cached, {} skipped, {} compiles, {} batches, \
-             {} parses, {}/{} placement hits, {}/{} route hits)",
+            "executed {} of {} jobs ({} cached, {} skipped, {} compiles, {} batches, {} parses)",
             self.executed,
             self.jobs,
             self.cached,
@@ -221,10 +188,6 @@ impl RunStats {
             self.compiles,
             self.batches,
             self.parses,
-            self.placement_hits,
-            self.placement_hits + self.placement_misses,
-            self.route_hits,
-            self.route_hits + self.route_misses,
         )
     }
 }
@@ -355,30 +318,6 @@ impl Engine {
         stats.parses = grid.parses();
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| outcomes[i].is_none()).collect();
 
-        // One compile-stage memo per device, initialized lazily by the
-        // first group that compiles on it and shared by every circuit
-        // and config of the run: route rows and placements are
-        // computed once per stage key, not once per job.
-        // With a cache directory, stages also persist under
-        // `<cache-dir>/stages/` so the next process warm-starts.
-        let stage_persist: Option<Arc<dyn StagePersist>> = match (&cache, self.options.stage_memo) {
-            (Some(cache), true) => StageCache::open(cache.dir().join(STAGE_SUBDIR))
-                .map_err(|e| {
-                    eprintln!(
-                        "engine: stage directory under {} unusable ({e}); \
-                         stages stay in-memory only",
-                        cache.dir().display()
-                    );
-                })
-                .ok()
-                .map(|s| Arc::new(s) as Arc<dyn StagePersist>),
-            _ => None,
-        };
-        let memos: Vec<OnceLock<CompileMemo<'_>>> = if self.options.stage_memo {
-            (0..grid.devices().len()).map(|_| OnceLock::new()).collect()
-        } else {
-            Vec::new()
-        };
         let batch_size = if self.options.batch_size == 0 {
             DEFAULT_BATCH_SIZE
         } else {
@@ -406,32 +345,11 @@ impl Engine {
                     let circuit = &grid.circuits()[lead.circuit];
                     let device = &grid.devices()[lead.device];
                     let config = grid.configs()[lead.config];
-                    // The memoized path compiles through the pipeline
-                    // directly; errors are wrapped the same way
-                    // Toolflow::compile wraps them so the persisted
-                    // outcome text is identical either way.
-                    let compiled: Result<Executable, String> = match memos.get(lead.device) {
-                        Some(slot) => {
-                            let memo = slot.get_or_init(|| {
-                                CompileMemo::with_persist(device, stage_persist.clone())
-                            });
-                            Pipeline::from_config(&config)
-                                .compile_with(
-                                    circuit,
-                                    device,
-                                    Some(CompileMemoRef::new(
-                                        memo,
-                                        grid.circuit_digest(lead.circuit),
-                                    )),
-                                )
-                                .map_err(|e| ToolflowError::from(e).to_string())
-                        }
-                        None => {
-                            Toolflow::with_config(device.clone(), grid.models()[lead.model], config)
-                                .compile(circuit)
-                                .map_err(|e| e.to_string())
-                        }
-                    };
+                    // Errors are wrapped the way Toolflow::compile wraps
+                    // them, so the persisted outcome text is the same.
+                    let compiled = Pipeline::from_config(&config)
+                        .compile(circuit, device)
+                        .map_err(|e| ToolflowError::from(e).to_string());
                     match compiled {
                         Err(e) => members.iter().map(|&ji| (ji, Err(e.clone()))).collect(),
                         Ok(exe) => members
@@ -467,14 +385,6 @@ impl Engine {
                     stats.skipped,
                 );
             }
-        }
-
-        for memo in memos.iter().filter_map(OnceLock::get) {
-            let counters = memo.counters();
-            stats.placement_hits += counters.placement_hits;
-            stats.placement_misses += counters.placement_misses;
-            stats.route_hits += counters.route_hits;
-            stats.route_misses += counters.route_misses;
         }
 
         let outcomes: Vec<JobOutcome> = outcomes
@@ -811,6 +721,7 @@ fn cells_table(name: &str, grid: &JobGrid, results: &GridResults) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toolflow::Toolflow;
     use qccd_circuit::generators;
     use qccd_compiler::CompilerConfig;
     use qccd_device::presets;
@@ -866,6 +777,7 @@ mod tests {
 
     #[test]
     fn summary_reports_stage_counters() {
+        // Per-stage work of one run: parses, compile groups, batches.
         let stats = RunStats {
             jobs: 4,
             executed: 2,
@@ -874,15 +786,10 @@ mod tests {
             batches: 1,
             compiles: 2,
             parses: 3,
-            placement_hits: 5,
-            placement_misses: 2,
-            route_hits: 7,
-            route_misses: 3,
         };
         assert_eq!(
             stats.summary(),
-            "executed 2 of 4 jobs (1 cached, 1 skipped, 2 compiles, 1 batches, \
-             3 parses, 5/7 placement hits, 7/10 route hits)"
+            "executed 2 of 4 jobs (1 cached, 1 skipped, 2 compiles, 1 batches, 3 parses)"
         );
         // The CLI contracts grep these two shapes out of stderr; they
         // must survive summary format changes.
@@ -902,95 +809,6 @@ mod tests {
             "{}",
             warm.summary()
         );
-    }
-
-    #[test]
-    fn stage_memo_is_bit_identical_and_counts_reuse() {
-        // Two configs sharing the mapping stage: the second compile
-        // group reuses the first group's placement, and outcomes are
-        // identical to a memo-free run.
-        let grid = JobGrid::from_axes(
-            vec![generators::bv(&[true; 8])],
-            vec![presets::l6(8)],
-            vec![
-                CompilerConfig::default(),
-                CompilerConfig {
-                    eviction: qccd_compiler::EvictionKind::ChainEnd,
-                    ..CompilerConfig::default()
-                },
-            ],
-            vec![PhysicalModel::default()],
-        );
-        // The memo's claim protocol keeps the counts below exact even
-        // when both compile groups race in one batch: the second racer
-        // blocks on the first's in-flight claim instead of missing too.
-        let memoized = Engine::new().run(&grid);
-        let cold = Engine::with_options(EngineOptions {
-            stage_memo: false,
-            ..EngineOptions::default()
-        })
-        .run(&grid);
-        assert_eq!(
-            memoized.results.job_outcomes(),
-            cold.results.job_outcomes(),
-            "stage-memoized outcomes must be bit-identical to cold ones"
-        );
-        assert_eq!(memoized.stats.compiles, 2);
-        assert_eq!(
-            memoized.stats.placement_misses, 1,
-            "one distinct placement stage"
-        );
-        assert_eq!(
-            memoized.stats.placement_hits, 1,
-            "the second config reuses it"
-        );
-        // Warming the device's route cache computes one row per trap.
-        assert_eq!(memoized.stats.route_misses, 6);
-        assert_eq!(memoized.stats.parses, 1);
-        // The memo-free engine reports all-zero stage counters.
-        assert_eq!(cold.stats.placement_hits + cold.stats.placement_misses, 0);
-        assert_eq!(cold.stats.route_hits + cold.stats.route_misses, 0);
-    }
-
-    #[test]
-    fn persisted_stages_warm_start_the_next_process() {
-        let dir = temp_dir("stage-warm");
-        let options = EngineOptions {
-            cache_dir: Some(dir.clone()),
-            ..EngineOptions::default()
-        };
-        let grid = |model| {
-            JobGrid::from_axes(
-                vec![generators::bv(&[true; 8])],
-                vec![presets::l6(8)],
-                vec![CompilerConfig::default()],
-                vec![model],
-            )
-        };
-        // Cold run: every stage misses, and the stage files land next
-        // to the result entries.
-        let first = Engine::with_options(options.clone()).run(&grid(PhysicalModel::default()));
-        assert_eq!(first.stats.placement_misses, 1);
-        assert_eq!(first.stats.route_misses, 6);
-        assert_eq!(first.stats.placement_hits + first.stats.route_hits, 0);
-        let stages = StageCache::open(dir.join(STAGE_SUBDIR)).unwrap();
-        assert_eq!(stages.len(), 7, "6 route rows + 1 placement persisted");
-
-        // A different model is a different job (result-cache miss), but
-        // every compile stage warm-starts from disk — as a re-invoked
-        // sweep with one edited axis would.
-        let second =
-            Engine::with_options(options).run(&grid(PhysicalModel::with_gate(GateImpl::Am1)));
-        assert_eq!(
-            second.stats.cached, 0,
-            "new job id: the result cache misses"
-        );
-        assert_eq!(second.stats.executed, 1);
-        assert_eq!(second.stats.placement_hits, 1);
-        assert_eq!(second.stats.placement_misses, 0);
-        assert_eq!(second.stats.route_hits, 6);
-        assert_eq!(second.stats.route_misses, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

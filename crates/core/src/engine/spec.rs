@@ -27,7 +27,7 @@ use super::grid::JobGrid;
 use qccd_circuit::generators::Benchmark;
 use qccd_circuit::Circuit;
 use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
-use qccd_device::{presets, Device};
+use qccd_device::{check_node_count, presets, Device};
 use qccd_physics::{GateImpl, HeatingModel, PhysicalModel, ShuttleTimes};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -270,6 +270,7 @@ impl DeviceSpec {
                          got {traps}/{capacity}/{spacing}"
                     )));
                 }
+                check_node_count(u64::from(*traps), "traps").map_err(SpecError::Invalid)?;
                 Ok(vec![presets::linear(*traps, *capacity, *spacing)])
             }
             DeviceSpec::Grid {
@@ -286,6 +287,10 @@ impl DeviceSpec {
                          stub {stub} link {link}"
                     )));
                 }
+                // A grid has fewer junctions than traps, so the trap
+                // count bounds both.
+                check_node_count(u64::from(*rows) * u64::from(*cols), "traps")
+                    .map_err(SpecError::Invalid)?;
                 Ok(vec![presets::grid(*rows, *cols, *capacity, *stub, *link)])
             }
             DeviceSpec::File { path } => {

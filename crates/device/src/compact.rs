@@ -34,7 +34,7 @@
 
 use crate::builder::{DeviceBuilder, Endpoint};
 use crate::ids::{JunctionId, Side, TrapId};
-use crate::topology::{Device, DeviceJsonError};
+use crate::topology::{check_node_count, Device, DeviceJsonError};
 use serde::Value;
 // qccd-lint: allow(hash-iteration) — one-shot JSON schema validation at load time,
 // never iterated on an output path; see `used` below.
@@ -132,10 +132,13 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
 
     // Per-trap capacities: a count with uniform `capacity`, or an array.
     let capacities: Vec<u32> = match (field("traps"), field("capacity")) {
-        (Some(Value::Array(items)), None) => items
-            .iter()
-            .map(|v| as_u32(v, "a trap capacity"))
-            .collect::<Result<_, _>>()?,
+        (Some(Value::Array(items)), None) => {
+            check_node_count(items.len() as u64, "traps").map_err(DeviceJsonError::Invalid)?;
+            items
+                .iter()
+                .map(|v| as_u32(v, "a trap capacity"))
+                .collect::<Result<_, _>>()?
+        }
         (Some(Value::Array(_)), Some(_)) => {
             return Err(parse_err(
                 "`capacity` must be absent when `traps` lists per-trap capacities",
@@ -143,6 +146,7 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
         }
         (Some(count), Some(capacity)) => {
             let count = as_u32(count, "`traps`")?;
+            check_node_count(u64::from(count), "traps").map_err(DeviceJsonError::Invalid)?;
             let capacity = as_u32(capacity, "`capacity`")?;
             vec![capacity; count as usize]
         }
@@ -203,7 +207,10 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
         parsed_edges.push((a, b, length));
     }
     let junctions: Vec<JunctionId> = match max_junction {
-        Some(max) => (0..=max).map(|_| builder.add_junction()).collect(),
+        Some(max) => {
+            check_node_count(u64::from(max) + 1, "junctions").map_err(DeviceJsonError::Invalid)?;
+            (0..=max).map(|_| builder.add_junction()).collect()
+        }
         None => Vec::new(),
     };
 

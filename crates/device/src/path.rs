@@ -336,10 +336,21 @@ impl Device {
             return Err(RouteError::Unreachable(from, to));
         }
 
-        // Reconstruct the node/segment path.
-        let mut nodes: Vec<NodeRef> = vec![NodeRef::Trap(to)];
-        let mut segs: Vec<SegmentId> = Vec::new();
-        let mut cur = dst;
+        // Reconstruct the node/segment path. One walk of the parent
+        // chain sizes every vector up front: a row fill extracts one
+        // route per destination, and regrowing them dominated its cost.
+        let (mut hops, mut leg_count, mut cur) = (0, 0, dst);
+        while scratch.prev[cur] != NO_PREV {
+            hops += 1;
+            if cur < n_traps {
+                leg_count += 1; // every leg ends at a trap
+            }
+            cur = (scratch.prev[cur] >> 32) as usize;
+        }
+        let mut nodes: Vec<NodeRef> = Vec::with_capacity(hops + 1);
+        nodes.push(NodeRef::Trap(to));
+        let mut segs: Vec<SegmentId> = Vec::with_capacity(hops);
+        cur = dst;
         while scratch.prev[cur] != NO_PREV {
             let packed = scratch.prev[cur];
             let p = (packed >> 32) as usize;
@@ -351,7 +362,7 @@ impl Device {
         segs.reverse();
 
         // Cut into legs at trap nodes.
-        let mut legs = Vec::new();
+        let mut legs = Vec::with_capacity(leg_count);
         let mut leg_start_trap = from;
         let mut leg_segments: Vec<SegmentId> = Vec::new();
         let mut leg_junctions: Vec<JunctionId> = Vec::new();

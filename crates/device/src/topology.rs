@@ -184,6 +184,29 @@ impl fmt::Display for DeviceJsonError {
 
 impl std::error::Error for DeviceJsonError {}
 
+/// The most traps, and separately the most junctions, one [`Device`]
+/// may have. Every loader checks counts that come from external input
+/// against it before allocating, so an oversized description is an
+/// error instead of an out-of-memory abort. The paper's devices have 6
+/// traps and the design-space studies stay far below this.
+pub const MAX_DEVICE_NODES: u32 = 4096;
+
+/// Checks a trap or junction count against [`MAX_DEVICE_NODES`];
+/// `what` names the counted nodes (`"traps"`, `"junctions"`).
+///
+/// # Errors
+///
+/// Returns a message naming the count and the limit.
+pub fn check_node_count(count: u64, what: &str) -> Result<(), String> {
+    if count > u64::from(MAX_DEVICE_NODES) {
+        return Err(format!(
+            "{count} {what} exceed the device size limit of {MAX_DEVICE_NODES} \
+             (MAX_DEVICE_NODES)"
+        ));
+    }
+    Ok(())
+}
+
 /// A complete QCCD device: the input "candidate architecture" of the
 /// paper's toolflow (Fig. 3).
 ///
@@ -273,6 +296,8 @@ impl Device {
         if self.traps.is_empty() {
             return Err("device must contain at least one trap".into());
         }
+        check_node_count(self.traps.len() as u64, "traps")?;
+        check_node_count(self.junctions.len() as u64, "junctions")?;
         for t in self.trap_ids() {
             if self.trap(t).capacity() == 0 {
                 return Err(format!("trap {t} has zero capacity"));

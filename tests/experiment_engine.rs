@@ -334,8 +334,9 @@ proptest! {
         }
     }
 
-    /// A spec-shaped grid over the 16-combination policy axis
-    /// reproduces a serial toolflow run per config cell for cell.
+    /// A spec-shaped grid over the 16-combination policy axis on two
+    /// devices reproduces a serial toolflow run per config cell for
+    /// cell.
     #[test]
     fn grid_reproduces_policy_sweep_cell_for_cell(
         n in 4u32..22,
@@ -343,31 +344,33 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let circuit = generators::random_circuit(n, ops, 0.5, seed);
-        let device = presets::g2x3(8);
+        let devices = vec![presets::l6(8), presets::g2x3(8)];
         let model = PhysicalModel::default();
         let configs = policy_grid(2);
 
         let grid = JobGrid::from_axes(
             vec![circuit.clone()],
-            vec![device.clone()],
+            devices.clone(),
             configs.clone(),
             vec![model],
         );
         let run = Engine::new().run(&grid);
 
-        for (g, &config) in configs.iter().enumerate() {
-            let serial = Toolflow::with_config(device.clone(), model, config).run(&circuit);
-            let engine_outcome = run.results.outcome(&grid, 0, 0, g, 0);
-            match (&serial, engine_outcome) {
-                (Ok(expected), Ok(got)) => prop_assert_eq!(expected, got),
-                (Err(expected), Err(got)) => {
-                    prop_assert_eq!(&expected.to_string(), got)
+        for (d, device) in devices.iter().enumerate() {
+            for (g, &config) in configs.iter().enumerate() {
+                let serial = Toolflow::with_config(device.clone(), model, config).run(&circuit);
+                let engine_outcome = run.results.outcome(&grid, 0, d, g, 0);
+                match (&serial, engine_outcome) {
+                    (Ok(expected), Ok(got)) => prop_assert_eq!(expected, got),
+                    (Err(expected), Err(got)) => {
+                        prop_assert_eq!(&expected.to_string(), got)
+                    }
+                    (expected, got) => prop_assert!(
+                        false,
+                        "{} combo {}: toolflow {:?} vs engine {:?}",
+                        device.name(), config.policy_label(), expected, got
+                    ),
                 }
-                (expected, got) => prop_assert!(
-                    false,
-                    "combo {}: toolflow {:?} vs engine {:?}",
-                    config.policy_label(), expected, got
-                ),
             }
         }
     }

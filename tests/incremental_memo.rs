@@ -1,15 +1,15 @@
-//! Differential suite for the incremental-compilation layer: memoized
-//! warm compiles must be byte-identical to cold compiles across the
-//! full device × circuit × 16-policy matrix, at the pipeline level and
-//! through the engine (stage memo on vs. off, in-memory and via the
-//! on-disk stage cache).
+//! Differential suite for the compile-stage memo: memoized warm
+//! compiles must be byte-identical to cold compiles across the full
+//! device × circuit × 16-policy matrix, in memory and via the on-disk
+//! stage cache. The engine compiles without a memo; this contract is
+//! what lets a memoized replay of an engine run report the same
+//! outcomes.
 
-use qccd::engine::{Engine, EngineOptions, JobGrid, StageCache};
+use qccd::engine::StageCache;
 use qccd::sweep::policy_grid;
 use qccd_circuit::{generators, Circuit};
 use qccd_compiler::{CompileMemo, CompileMemoRef, Pipeline, StagePersist};
 use qccd_device::{presets, Device};
-use qccd_physics::PhysicalModel;
 use std::sync::Arc;
 
 fn devices() -> Vec<Device> {
@@ -68,64 +68,29 @@ fn memoized_compiles_are_byte_identical_across_the_policy_matrix() {
     }
 }
 
-/// The same contract one layer up: an engine run with the stage memo
-/// (the default) produces bit-identical outcomes to one without it,
-/// over the full matrix as one grid.
-#[test]
-fn engine_stage_memo_matches_memo_free_run_over_the_matrix() {
-    let grid = JobGrid::from_axes(
-        circuits(),
-        devices(),
-        policy_grid(2),
-        vec![PhysicalModel::default()],
-    );
-    assert_eq!(grid.job_count(), 2 * 2 * 16);
-    let memoized = Engine::new().run(&grid);
-    let memo_free = Engine::with_options(EngineOptions {
-        stage_memo: false,
-        ..EngineOptions::default()
-    })
-    .run(&grid);
-    assert_eq!(
-        memoized.results.job_outcomes(),
-        memo_free.results.job_outcomes(),
-        "stage-memoized outcomes diverged from the memo-free engine"
-    );
-    assert!(
-        memoized.stats.placement_hits > 0,
-        "{}",
-        memoized.stats.summary()
-    );
-    assert_eq!(
-        memo_free.stats.placement_hits + memo_free.stats.placement_misses,
-        0
-    );
-}
-
 /// Cross-process warm start: compiles through a fresh memo backed by
-/// the stage files of a previous engine run are byte-identical to cold
-/// compiles, and serve every placement and route row from disk.
+/// the stage files a previous memo persisted are byte-identical to
+/// cold compiles, and serve every placement and route row from disk.
 #[test]
 fn disk_warmed_compiles_are_byte_identical() {
     let dir = std::env::temp_dir().join(format!("qccd-incr-disk-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let device = presets::l6(8);
     let circuit = generators::bv(&[true; 8]);
-    let grid = JobGrid::from_axes(
-        vec![circuit.clone()],
-        vec![device.clone()],
-        policy_grid(2),
-        vec![PhysicalModel::default()],
-    );
-    Engine::with_options(EngineOptions {
-        cache_dir: Some(dir.clone()),
-        ..EngineOptions::default()
-    })
-    .run(&grid);
+    let open_stages = || -> Arc<dyn StagePersist> { Arc::new(StageCache::open(&dir).unwrap()) };
+    // A first process fills the stage directory over the policy grid.
+    {
+        let memo = CompileMemo::with_persist(&device, Some(open_stages()));
+        let memo_ref = CompileMemoRef::for_circuit(&memo, &circuit);
+        for config in policy_grid(2) {
+            Pipeline::from_config(&config)
+                .compile_with(&circuit, &device, Some(memo_ref))
+                .unwrap();
+        }
+    }
 
     // A second process: fresh memo, same stage directory.
-    let stages: Arc<dyn StagePersist> = Arc::new(StageCache::open(dir.join("stages")).unwrap());
-    let memo = CompileMemo::with_persist(&device, Some(stages));
+    let memo = CompileMemo::with_persist(&device, Some(open_stages()));
     let memo_ref = CompileMemoRef::for_circuit(&memo, &circuit);
     assert_eq!(
         memo.counters().route_misses,
