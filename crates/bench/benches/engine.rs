@@ -2,7 +2,9 @@
 //! `parallel_map` sweep it is built on: the engine's grid bookkeeping,
 //! job hashing and batching must stay a small constant overhead, its
 //! model-sharing groups must beat naive per-job compilation, and a warm
-//! result cache must beat both.
+//! result cache must beat both: `engine_warm_cache` must stay at least
+//! 2× cheaper than `engine_uncached` (the acceptance recorded in
+//! `BENCH_sim.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qccd::engine::{Engine, EngineOptions, JobGrid};
@@ -91,7 +93,8 @@ fn bench_engine_model_sharing(c: &mut Criterion) {
     });
 }
 
-/// A fully warm result cache: every job served from disk.
+/// A fully warm result cache: every job served from disk. The ratio
+/// against `engine_uncached` is the pinned warm-vs-cold acceptance.
 fn bench_engine_cached(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("qccd-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

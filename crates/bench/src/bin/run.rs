@@ -1,7 +1,8 @@
-//! The spec-driven engine entry point.
+//! The spec-driven engine entry point: every paper artifact and custom
+//! study runs through it.
 //!
 //! ```text
-//! # Execute any experiment spec (presets live in examples/experiments/):
+//! # Execute any experiment spec (the paper's studies live in examples/experiments/):
 //! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json
 //! cargo run --release -p qccd-bench --bin run -- --spec my_study.json \
 //!     --quick --cache /tmp/qccd-cache --json out.json

@@ -1,16 +1,13 @@
-//! Shared harness utilities for the table/figure regeneration binaries.
-//!
-//! Since the experiment-engine redesign every artifact binary
-//! (`table1`, `table2`, `fig6`, `fig7`, `fig8`, `all`, `ablations`) is
-//! a two-line wrapper over [`artifact_main`], which builds the matching
-//! [`ExperimentSpec`] preset, applies the CLI overrides, runs it
-//! through the engine and emits the artifact through the CSV/JSON
-//! sinks. The `run` binary is the generic spec-driven entry point:
+//! The command-line harness behind the `run` binary, the one way to
+//! produce a paper artifact. Each of the paper's studies (Tables I–II,
+//! Figs. 6–8, ablations A1–A5) is a committed experiment spec under
+//! `examples/experiments/`; [`run_main`] loads it, applies the CLI
+//! overrides, runs it through the engine and emits the artifact through
+//! the CSV/JSON sinks:
 //!
 //! ```text
-//! cargo run --release -p qccd-bench --bin fig6              # full sweep
-//! cargo run --release -p qccd-bench --bin fig6 -- --quick   # 3 capacities
-//! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json
+//! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/table1.json
+//! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json  # full sweep
 //! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json \
 //!     --quick --cache /tmp/qccd-cache --json fig6.json      # cached re-runs skip all jobs
 //! cargo run --release -p qccd-bench --bin run -- --device examples/devices/l6_cap20.json
@@ -23,13 +20,11 @@
 //! cargo run --release -p qccd-bench --bin run -- --cache dir --cache-gc --cache-max-entries 10000
 //! ```
 //!
-//! Device descriptions, compiler configs and physical models can be
-//! loaded from JSON files instead of the built-in presets where a study
-//! supports it, and the compiler's policy seams can be selected
-//! directly from the command line on the `run` and `ablations` bins
-//! (`--mapping usage-weighted --routing lookahead-congestion …`).
-//! Which binary accepts which flag is declared once in [`BIN_FLAGS`];
-//! anything else is rejected with a usage error so nothing is ever
+//! `--quick`/`--caps` replace a spec's capacity axis, `--device`,
+//! `--config` and `--model` its device, config and model axes, and the
+//! policy flags (`--mapping usage-weighted --routing
+//! lookahead-congestion …`) steer every explicit config in place. Any
+//! other flag is rejected with a usage error, so nothing is ever
 //! silently ignored.
 
 #![warn(missing_docs)]
@@ -39,15 +34,12 @@ use qccd::engine::{
     DeviceSpec, Engine, EngineOptions, ExperimentSpec, JsonSink, ModelSpec, Projection,
     ResultCache, Shard, SpecRun,
 };
-use qccd::experiments::{PAPER_CAPACITIES, QUICK_CAPACITIES};
+use qccd::experiments::QUICK_CAPACITIES;
 use qccd_circuit::generators::Benchmark;
-use qccd_compiler::{
-    CompilerConfig, EvictionKind, MappingKind, Pipeline, ReorderMethod, RoutingKind,
-};
-use serde::Serialize;
+use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
 use std::path::{Path, PathBuf};
 
-/// Parsed command-line options shared by all harness binaries.
+/// Parsed command-line options of the `run` binary.
 #[derive(Debug, Clone, Default)]
 pub struct HarnessArgs {
     /// Use the reduced capacity set.
@@ -88,55 +80,6 @@ pub struct HarnessArgs {
     /// Eviction-policy override (pipeline seam 4).
     pub eviction: Option<EvictionKind>,
 }
-
-/// The declarative allowed-flags table: which binary consumes which
-/// flag (`--json` is accepted everywhere). [`HarnessArgs::validate`]
-/// checks a parsed argument set against this table, replacing the
-/// per-bin rejection lists each binary used to re-implement.
-pub const BIN_FLAGS: &[(&str, &[&str])] = &[
-    ("table1", &["--model"]),
-    ("table2", &[]),
-    (
-        "fig6",
-        &["--quick", "--caps", "--device", "--config", "--cache"],
-    ),
-    ("fig7", &["--quick", "--caps", "--config", "--cache"]),
-    ("fig8", &["--quick", "--caps", "--device", "--cache"]),
-    ("all", &["--quick", "--caps", "--cache"]),
-    (
-        "ablations",
-        &[
-            "--quick",
-            "--caps",
-            "--config",
-            "--mapping",
-            "--routing",
-            "--reorder",
-            "--eviction",
-            "--cache",
-        ],
-    ),
-    (
-        "run",
-        &[
-            "--spec",
-            "--quick",
-            "--caps",
-            "--device",
-            "--config",
-            "--model",
-            "--mapping",
-            "--routing",
-            "--reorder",
-            "--eviction",
-            "--cache",
-            "--shard",
-            "--merge",
-            "--cache-gc",
-            "--cache-max-entries",
-        ],
-    ),
-];
 
 impl HarnessArgs {
     /// Parses `std::env::args()`. Unknown flags abort with a usage
@@ -217,71 +160,12 @@ impl HarnessArgs {
         Ok(out)
     }
 
-    /// The flags present in this argument set (spelled as given on the
-    /// command line).
-    pub fn given_flags(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        for (flag, given) in [
-            ("--quick", self.quick),
-            ("--caps", self.caps.is_some()),
-            ("--spec", self.spec.is_some()),
-            ("--cache", self.cache.is_some()),
-            ("--shard", self.shard.is_some()),
-            ("--merge", self.merge),
-            ("--cache-gc", self.cache_gc),
-            ("--cache-max-entries", self.cache_max_entries.is_some()),
-            ("--device", self.device.is_some()),
-            ("--config", self.config.is_some()),
-            ("--model", self.model.is_some()),
-            ("--mapping", self.mapping.is_some()),
-            ("--routing", self.routing.is_some()),
-            ("--reorder", self.reorder.is_some()),
-            ("--eviction", self.eviction.is_some()),
-        ] {
-            if given {
-                out.push(flag);
-            }
-        }
-        out
-    }
-
-    /// Checks every given flag against `bin`'s row of [`BIN_FLAGS`],
-    /// aborting with a usage error on the first unsupported one, so
-    /// nothing is ever silently ignored (`--json` is always accepted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` has no [`BIN_FLAGS`] row (a harness bug, not a
-    /// user error).
-    pub fn validate(&self, bin: &str) {
-        let supported = BIN_FLAGS
-            .iter()
-            .find(|(name, _)| *name == bin)
-            .map(|(_, flags)| *flags)
-            .unwrap_or_else(|| panic!("binary `{bin}` is missing from BIN_FLAGS"));
-        for flag in self.given_flags() {
-            if !supported.contains(&flag) {
-                let hint = if supported.is_empty() {
-                    "only --json".to_owned()
-                } else {
-                    format!("--json, {}", supported.join(", "))
-                };
-                usage(&format!(
-                    "`{bin}` does not support {flag} (supported here: {hint})"
-                ));
-            }
-        }
-    }
-
-    /// The capacity sweep to run.
-    pub fn capacities(&self) -> Vec<u32> {
-        if let Some(caps) = &self.caps {
-            caps.clone()
-        } else if self.quick {
-            QUICK_CAPACITIES.to_vec()
-        } else {
-            PAPER_CAPACITIES.to_vec()
-        }
+    /// The capacity sweep `--caps` (or else `--quick`) asks for; `None`
+    /// keeps the spec's own.
+    pub fn capacities(&self) -> Option<Vec<u32>> {
+        self.caps
+            .clone()
+            .or_else(|| self.quick.then(|| QUICK_CAPACITIES.to_vec()))
     }
 
     /// An engine configured from the CLI: result cache from `--cache`,
@@ -293,19 +177,6 @@ impl HarnessArgs {
             verbose: true,
             shard: self.shard,
         })
-    }
-
-    /// Loads the `--config` file (or the default compiler config), then
-    /// applies any `--mapping`/`--routing`/`--reorder`/`--eviction`
-    /// policy overrides on top.
-    pub fn load_config_or_default(&self) -> CompilerConfig {
-        let base = self
-            .config
-            .as_deref()
-            .map_or_else(CompilerConfig::default, |path| {
-                CompilerConfig::from_json(&read(path)).unwrap_or_else(|e| die(path, &e.to_string()))
-            });
-        self.apply_policies(base)
     }
 
     /// Applies the CLI policy overrides to `config`.
@@ -338,16 +209,18 @@ impl HarnessArgs {
     /// replace the capacities, `--device` the device axis, `--config`
     /// (or any policy flag) the config axis, `--model` the model axis.
     pub fn apply_to_spec(&self, spec: &mut ExperimentSpec) {
-        if self.caps.is_some() || self.quick {
-            spec.capacities = self.capacities();
+        if let Some(caps) = self.capacities() {
+            spec.capacities = caps;
         }
         if let Some(path) = &self.device {
             spec.devices = vec![DeviceSpec::File {
                 path: path.display().to_string(),
             }];
         }
-        if self.config.is_some() {
-            spec.configs = vec![ConfigSpec::Config(self.load_config_or_default())];
+        if let Some(path) = &self.config {
+            let config = CompilerConfig::from_json(&read(path))
+                .unwrap_or_else(|e| die(path, &e.to_string()));
+            spec.configs = vec![ConfigSpec::Config(self.apply_policies(config))];
         } else if self.has_policy_overrides() {
             // Steer the policy seams of every explicit config in place
             // (a policy-grid axis entry already sweeps all seams).
@@ -379,7 +252,7 @@ fn usage(message: &str) -> ! {
         eprintln!("error: {message}");
     }
     eprintln!(
-        "usage: <bin> [--quick] [--caps 14,22,30] [--json out.json] \
+        "usage: run [--quick] [--caps 14,22,30] [--json out.json] \
          [--spec experiment.json] [--cache dir] \
          [--shard k/M] [--merge] [--cache-gc] [--cache-max-entries N] \
          [--device dev.json] [--config cfg.json] [--model model.json] \
@@ -405,17 +278,6 @@ pub fn emit_artifact(artifact: &Artifact, json: Option<&Path>) {
     }
 }
 
-/// Writes a multi-artifact bundle as pretty JSON to `path`.
-fn write_json(path: &Path, bundle: &impl Serialize) {
-    let written = serde_json::to_string_pretty(bundle)
-        .map_err(|e| e.to_string())
-        .and_then(|text| std::fs::write(path, text).map_err(|e| e.to_string()));
-    if let Err(e) = written {
-        write_failed(path.display(), e);
-    }
-    eprintln!("wrote {}", path.display());
-}
-
 /// Reports an output that could not be written and exits 1.
 fn write_failed(target: impl std::fmt::Display, error: impl std::fmt::Display) -> ! {
     eprintln!("error: could not write {target}: {error}");
@@ -433,117 +295,6 @@ fn run_spec_or_die(spec: &ExperimentSpec, engine: &Engine) -> SpecRun {
     run
 }
 
-/// The shared driver behind every artifact binary: builds the preset
-/// [`ExperimentSpec`] for `bin`, applies the CLI overrides, executes it
-/// on the engine and emits the artifact. `all` and `ablations` run
-/// their artifact sequence through the same engine (sharing one result
-/// cache when `--cache` is given).
-pub fn artifact_main(bin: &str) {
-    let args = HarnessArgs::parse();
-    args.validate(bin);
-    let engine = args.engine();
-    match bin {
-        "table1" | "table2" | "fig6" | "fig7" | "fig8" => {
-            let mut spec = match bin {
-                "table1" => ExperimentSpec::table1(),
-                "table2" => ExperimentSpec::table2(),
-                "fig6" => ExperimentSpec::fig6(&args.capacities()),
-                "fig7" => ExperimentSpec::fig7(&args.capacities()),
-                _ => ExperimentSpec::fig8(&args.capacities()),
-            };
-            args.apply_to_spec(&mut spec);
-            let run = run_spec_or_die(&spec, &engine);
-            emit_artifact(&run.artifact, args.json.as_deref());
-        }
-        "all" => all_main(&args, &engine),
-        "ablations" => ablations_main(&args, &engine),
-        other => panic!("artifact_main does not drive `{other}`"),
-    }
-}
-
-/// Regenerates every paper artifact in one process (the `all` binary).
-fn all_main(args: &HarnessArgs, engine: &Engine) {
-    let caps = args.capacities();
-
-    let t1 = run_spec_or_die(&ExperimentSpec::table1(), engine)
-        .artifact
-        .into_table();
-    println!("{t1}");
-    let t2 = run_spec_or_die(&ExperimentSpec::table2(), engine)
-        .artifact
-        .into_table();
-    println!("{t2}");
-
-    eprintln!("running fig6 ({} capacities)...", caps.len());
-    let f6 = run_spec_or_die(&ExperimentSpec::fig6(&caps), engine)
-        .artifact
-        .into_figure();
-    println!("{f6}");
-    eprintln!("running fig7...");
-    let f7 = run_spec_or_die(&ExperimentSpec::fig7(&caps), engine)
-        .artifact
-        .into_figure();
-    println!("{f7}");
-    eprintln!("running fig8...");
-    let f8 = run_spec_or_die(&ExperimentSpec::fig8(&caps), engine)
-        .artifact
-        .into_figure();
-    println!("{f8}");
-
-    if let Some(path) = args.json.as_deref() {
-        write_json(
-            path,
-            &serde_json::json!({
-                "table1": t1, "table2": t2, "fig6": f6, "fig7": f7, "fig8": f8,
-            }),
-        );
-    }
-}
-
-/// Runs the five ablation studies (the `ablations` binary).
-fn ablations_main(args: &HarnessArgs, engine: &Engine) {
-    let caps = args.capacities();
-    let base = args.load_config_or_default();
-    eprintln!("compiler: {}", Pipeline::from_config(&base).describe());
-
-    eprintln!("A1: mapping buffer sweep (supremacy, L6 cap 20)...");
-    let a1 = run_spec_or_die(&ExperimentSpec::ablation_buffer(&base), engine)
-        .artifact
-        .into_figure();
-    println!("{a1}");
-
-    eprintln!("A2: heating-model ablation (supremacy)...");
-    let a2 = run_spec_or_die(&ExperimentSpec::ablation_heating(&caps, &base), engine)
-        .artifact
-        .into_figure();
-    println!("{a2}");
-
-    eprintln!("A3: junction-cost sensitivity (squareroot, cap 20)...");
-    let a3 = run_spec_or_die(&ExperimentSpec::ablation_junction(&base), engine)
-        .artifact
-        .into_figure();
-    println!("{a3}");
-
-    eprintln!("A4: device-size sweep (qft, capacity 25, 50-250 device qubits)...");
-    let a4 = run_spec_or_die(&ExperimentSpec::ablation_device_size(&base), engine)
-        .artifact
-        .into_figure();
-    println!("{a4}");
-
-    eprintln!("A5: compiler policy-pipeline matrix (qft, caps 16/24)...");
-    let a5 = run_spec_or_die(&ExperimentSpec::ablation_policy(base.buffer_slots), engine)
-        .artifact
-        .into_figure();
-    println!("{a5}");
-
-    if let Some(path) = args.json.as_deref() {
-        write_json(
-            path,
-            &serde_json::json!({"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5}),
-        );
-    }
-}
-
 /// The `run` binary: `--spec` executes any experiment spec file;
 /// without it, `--device` runs the Table II suite on a JSON-loaded
 /// device and emits the generic per-cell table.
@@ -556,7 +307,6 @@ fn ablations_main(args: &HarnessArgs, engine: &Engine) {
 /// `--cache-max-entries` — the oldest entries beyond the cap).
 pub fn run_main() {
     let args = HarnessArgs::parse();
-    args.validate("run");
     if args.shard.is_some() && args.merge {
         usage(
             "--shard runs one slice of the grid and --merge assembles finished results; pick one",
@@ -656,21 +406,30 @@ mod tests {
         HarnessArgs::parse_from(args.iter().map(|s| s.to_string()))
     }
 
+    /// Loads the committed study `examples/experiments/<name>.json`.
+    fn committed(name: &str) -> ExperimentSpec {
+        let path = format!(
+            "{}/../../examples/experiments/{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        ExperimentSpec::from_file(path).unwrap()
+    }
+
     #[test]
     fn capacities_default_quick_and_explicit() {
         let default = HarnessArgs::default();
-        assert_eq!(default.capacities(), PAPER_CAPACITIES.to_vec());
+        assert_eq!(default.capacities(), None, "the spec keeps its own sweep");
         let quick = HarnessArgs {
             quick: true,
             ..Default::default()
         };
-        assert_eq!(quick.capacities(), QUICK_CAPACITIES.to_vec());
+        assert_eq!(quick.capacities(), Some(QUICK_CAPACITIES.to_vec()));
         let explicit = HarnessArgs {
             caps: Some(vec![10, 12]),
             quick: true,
             ..Default::default()
         };
-        assert_eq!(explicit.capacities(), vec![10, 12]);
+        assert_eq!(explicit.capacities(), Some(vec![10, 12]));
     }
 
     #[test]
@@ -697,7 +456,6 @@ mod tests {
         let args = parse(&["--spec", "f.json", "--cache", "/tmp/c"]).unwrap();
         assert_eq!(args.spec, Some(PathBuf::from("f.json")));
         assert_eq!(args.cache, Some(PathBuf::from("/tmp/c")));
-        assert_eq!(args.given_flags(), vec!["--spec", "--cache"]);
         assert!(parse(&["--spec"]).unwrap_err().contains("--spec needs"));
     }
 
@@ -705,16 +463,11 @@ mod tests {
     fn shard_merge_and_gc_flags_parse() {
         let args = parse(&["--shard", "1/4", "--cache", "/tmp/c"]).unwrap();
         assert_eq!(args.shard, Some(Shard::new(1, 4).unwrap()));
-        assert_eq!(args.given_flags(), vec!["--cache", "--shard"]);
 
         let args = parse(&["--merge", "--cache-gc", "--cache-max-entries", "100"]).unwrap();
         assert!(args.merge);
         assert!(args.cache_gc);
         assert_eq!(args.cache_max_entries, Some(100));
-        assert_eq!(
-            args.given_flags(),
-            vec!["--merge", "--cache-gc", "--cache-max-entries"]
-        );
 
         // Malformed values carry the flag name and the accepted shape.
         let err = parse(&["--shard", "4/4"]).unwrap_err();
@@ -725,34 +478,6 @@ mod tests {
         assert!(parse(&["--shard"]).unwrap_err().contains("--shard needs"));
         let err = parse(&["--cache-max-entries", "many"]).unwrap_err();
         assert!(err.contains("non-negative integer"), "{err}");
-    }
-
-    #[test]
-    fn sharding_flags_are_run_only() {
-        let flags_of = |bin: &str| {
-            BIN_FLAGS
-                .iter()
-                .find(|(name, _)| *name == bin)
-                .map(|(_, f)| *f)
-                .unwrap()
-        };
-        for flag in ["--shard", "--merge", "--cache-gc", "--cache-max-entries"] {
-            assert!(flags_of("run").contains(&flag), "run must accept {flag}");
-            for bin in [
-                "table1",
-                "table2",
-                "fig6",
-                "fig7",
-                "fig8",
-                "all",
-                "ablations",
-            ] {
-                assert!(
-                    !flags_of(bin).contains(&flag),
-                    "`{bin}` must not accept {flag}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -784,46 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn bin_flags_table_covers_every_artifact_binary() {
-        for bin in [
-            "table1",
-            "table2",
-            "fig6",
-            "fig7",
-            "fig8",
-            "all",
-            "ablations",
-            "run",
-        ] {
-            assert!(
-                BIN_FLAGS.iter().any(|(name, _)| *name == bin),
-                "`{bin}` missing from BIN_FLAGS"
-            );
-        }
-        // Spot-check a few rules the old per-bin lists enforced.
-        let flags_of = |bin: &str| {
-            BIN_FLAGS
-                .iter()
-                .find(|(name, _)| *name == bin)
-                .map(|(_, f)| *f)
-                .unwrap()
-        };
-        assert!(!flags_of("table2").contains(&"--device"));
-        assert!(
-            !flags_of("fig7").contains(&"--device"),
-            "fig7 is L6-vs-G2x3 by design"
-        );
-        assert!(
-            !flags_of("fig8").contains(&"--config"),
-            "fig8 sweeps reorders itself"
-        );
-        assert!(flags_of("run").contains(&"--spec"));
-    }
-
-    #[test]
     fn apply_to_spec_rewrites_the_right_axes() {
         let args = parse(&["--quick", "--device", "dev.json"]).unwrap();
-        let mut spec = ExperimentSpec::fig6(&PAPER_CAPACITIES);
+        let mut spec = committed("fig6");
         args.apply_to_spec(&mut spec);
         assert_eq!(spec.capacities, QUICK_CAPACITIES.to_vec());
         assert_eq!(
@@ -835,7 +523,7 @@ mod tests {
         // A policy flag steers explicit configs without touching a
         // policy-grid axis entry.
         let args = parse(&["--routing", "LC"]).unwrap();
-        let mut spec = ExperimentSpec::ablation_policy(2);
+        let mut spec = committed("ablation_policy");
         spec.configs
             .push(ConfigSpec::Config(CompilerConfig::default()));
         args.apply_to_spec(&mut spec);

@@ -16,9 +16,8 @@
 //!
 //! * [`ExperimentSpec`] — a JSON-loadable description of the study's
 //!   axes (circuits, devices, capacities, compiler policies, physical
-//!   models) plus the projection that shapes the results. The six
-//!   paper artifacts are preset constructors ([`ExperimentSpec::fig6`]
-//!   and friends).
+//!   models) plus the projection that shapes the results. The paper's
+//!   studies are the committed `examples/experiments/*.json` files.
 //! * [`JobGrid`] — the resolved, deduplicated cartesian product;
 //!   every unique cell gets a stable content-hashed [`JobId`].
 //! * [`Engine`] — executes a grid in parallel batches on top of
@@ -36,9 +35,11 @@
 //!
 //! ```
 //! use qccd::engine::{run_spec, Engine, ExperimentSpec};
+//! # std::env::set_current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).unwrap();
 //!
-//! // A scaled-down Fig. 6: the full paper run uses PAPER_CAPACITIES.
-//! let spec = ExperimentSpec::fig6(&[8]);
+//! // A scaled-down Fig. 6: the committed spec sweeps 11 capacities.
+//! let mut spec = ExperimentSpec::from_file("examples/experiments/fig6.json").unwrap();
+//! spec.capacities = vec![8];
 //! let run = run_spec(&spec, &Engine::new()).unwrap();
 //! let figure = run.artifact.into_figure();
 //! assert_eq!(figure.id, "6");
@@ -616,7 +617,8 @@ fn axis_minima(projection: Projection) -> (usize, usize, usize, usize) {
     }
 }
 
-/// Verifies `grid` satisfies the projection's axis minima.
+/// Verifies `grid` satisfies the projection's axis minima, and that a
+/// Fig. 7 device axis pairs its linear half with its grid half.
 fn check_axes(projection: Projection, grid: &JobGrid) -> Result<(), SpecError> {
     let (circuits, devices, configs, models) = axis_minima(projection);
     for (axis, need, have) in [
@@ -630,6 +632,21 @@ fn check_axes(projection: Projection, grid: &JobGrid) -> Result<(), SpecError> {
                 "the {projection} projection needs at least {need} `{axis}` axis \
                  {} after expansion, found {have}",
                 if need == 1 { "entry" } else { "entries" }
+            )));
+        }
+    }
+    if projection == Projection::Fig7 {
+        let caps: Vec<u32> = grid
+            .devices()
+            .iter()
+            .map(qccd_device::Device::max_trap_capacity)
+            .collect();
+        let (linear, grid_half) = caps.split_at(caps.len() / 2);
+        if caps.is_empty() || linear != grid_half {
+            return Err(SpecError::Invalid(format!(
+                "the fig7 projection needs a non-empty `devices` axis whose two halves \
+                 (linear, then grid) match trap capacity position by position, found \
+                 capacities {caps:?} after expansion"
             )));
         }
     }
@@ -720,6 +737,7 @@ fn cells_table(name: &str, grid: &JobGrid, results: &GridResults) -> Table {
 
 #[cfg(test)]
 mod tests {
+    use super::spec::committed;
     use super::*;
     use crate::toolflow::Toolflow;
     use qccd_circuit::generators;
@@ -1021,14 +1039,17 @@ mod tests {
             shard: Some(Shard::new(0, 2).unwrap()),
             ..EngineOptions::default()
         });
-        let err = run_spec(&ExperimentSpec::fig6(&[8]), &engine).unwrap_err();
+        let mut spec = committed("fig6");
+        spec.capacities = vec![8];
+        let err = run_spec(&spec, &engine).unwrap_err();
         assert!(err.to_string().contains("shard 0/2"), "{err}");
         assert!(err.to_string().contains("run_spec_jobs"), "{err}");
     }
 
     #[test]
     fn run_spec_jobs_guards_the_sharded_worker_mode() {
-        let spec = ExperimentSpec::fig6(&[8]);
+        let mut spec = committed("fig6");
+        spec.capacities = vec![8];
 
         // No cache: a shard worker's results would be discarded.
         let engine = Engine::with_options(EngineOptions {
@@ -1060,7 +1081,8 @@ mod tests {
             shard: Some(Shard::new(0, 2).unwrap()),
             ..EngineOptions::default()
         });
-        let mut heating = ExperimentSpec::ablation_heating(&[8], &CompilerConfig::default());
+        let mut heating = committed("ablation_heating");
+        heating.capacities = vec![8];
         heating.models.truncate(1); // needs scaled + constant entries
         let err = run_spec_jobs(&heating, &engine).unwrap_err();
         assert!(err.to_string().contains("models"), "{err}");
@@ -1077,7 +1099,9 @@ mod tests {
             cache_dir: Some(file.clone()),
             ..EngineOptions::default()
         });
-        let err = merge_spec(&ExperimentSpec::fig6(&[8]), &engine).unwrap_err();
+        let mut spec = committed("fig6");
+        spec.capacities = vec![8];
+        let err = merge_spec(&spec, &engine).unwrap_err();
         assert!(matches!(err, SpecError::Io { .. }), "{err:?}");
         assert!(err.to_string().contains("qccd-not-a-dir"), "{err}");
         let _ = std::fs::remove_file(&file);
@@ -1086,7 +1110,8 @@ mod tests {
     #[test]
     fn merge_spec_projects_from_the_cache_and_reports_missing_ids() {
         let dir = temp_dir("merge-spec");
-        let mut spec = ExperimentSpec::fig6(&[8]);
+        let mut spec = committed("fig6");
+        spec.capacities = vec![8];
         spec.circuits.truncate(2);
         let cached_engine = Engine::with_options(EngineOptions {
             cache_dir: Some(dir.clone()),
@@ -1147,7 +1172,7 @@ mod tests {
 
     #[test]
     fn spec_run_table1_renders_the_model_axis() {
-        let run = run_spec(&ExperimentSpec::table1(), &Engine::new()).unwrap();
+        let run = run_spec(&committed("table1"), &Engine::new()).unwrap();
         assert_eq!(run.stats.jobs, 0, "table1 runs no simulations");
         let table = run.artifact.into_table();
         assert_eq!(table.id, "I");
@@ -1157,24 +1182,37 @@ mod tests {
     fn projections_reject_too_thin_axes_instead_of_panicking() {
         // A valid spec whose axes don't satisfy the projection's layout
         // must surface as a SpecError, not an index panic.
-        let mut heating = ExperimentSpec::ablation_heating(&[8], &CompilerConfig::default());
+        let mut heating = committed("ablation_heating");
+        heating.capacities = vec![8];
         heating.models.truncate(1); // needs scaled + constant entries
         let err = run_spec(&heating, &Engine::new()).unwrap_err();
         assert!(err.to_string().contains("heating-ablation"), "{err}");
         assert!(err.to_string().contains("models"), "{err}");
 
-        let mut junction = ExperimentSpec::ablation_junction(&CompilerConfig::default());
+        let mut junction = committed("ablation_junction");
         junction.devices.truncate(1); // needs linear + grid entries
         let err = run_spec(&junction, &Engine::new()).unwrap_err();
         assert!(err.to_string().contains("devices"), "{err}");
 
-        let mut table1 = ExperimentSpec::table1();
+        let mut table1 = committed("table1");
         table1.models.clear();
         let err = run_spec(&table1, &Engine::new()).unwrap_err();
         assert!(err.to_string().contains("models"), "{err}");
 
-        let mut buffer = ExperimentSpec::ablation_buffer(&CompilerConfig::default());
+        let mut buffer = committed("ablation_buffer");
         buffer.circuits.clear();
         assert!(run_spec(&buffer, &Engine::new()).is_err());
+
+        // Fig. 7 splits its devices into a linear and a grid half; one
+        // device file swept over three capacities has no such halves.
+        let mut fig7 = committed("fig7");
+        fig7.capacities = vec![14, 22, 30];
+        fig7.devices = vec![DeviceSpec::Preset {
+            family: "l6".into(),
+            capacity: None,
+        }];
+        let err = run_spec(&fig7, &Engine::new()).unwrap_err();
+        assert!(err.to_string().contains("fig7"), "{err}");
+        assert!(err.to_string().contains("devices"), "{err}");
     }
 }

@@ -3,9 +3,10 @@
 //! An [`ExperimentSpec`] is a JSON-loadable description of a design-space
 //! study: which circuits, devices, trap capacities, compiler-policy
 //! combinations and physical models to evaluate, and which projection
-//! turns the evaluated grid into a paper artifact. The paper's six
-//! artifacts (Tables I–II, Figs. 6–8, the ablation studies) are preset
-//! constructors on this type; custom studies are JSON files:
+//! turns the evaluated grid into a paper artifact. Every study is a
+//! JSON file: the paper's (Tables I–II, Figs. 6–8, ablations A1–A5) are
+//! committed under `examples/experiments/`, and custom studies take the
+//! same shape:
 //!
 //! ```json
 //! {
@@ -28,7 +29,7 @@ use qccd_circuit::generators::Benchmark;
 use qccd_circuit::Circuit;
 use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
 use qccd_device::{check_node_count, presets, Device};
-use qccd_physics::{GateImpl, HeatingModel, PhysicalModel, ShuttleTimes};
+use qccd_physics::{GateImpl, PhysicalModel};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::path::Path;
@@ -707,9 +708,8 @@ impl Deserialize for Projection {
 
 /// A declarative design-space study: axes plus a projection.
 ///
-/// See the [module docs](self) for the JSON shape, and the preset
-/// constructors ([`ExperimentSpec::fig6`] etc.) for the paper's own
-/// studies.
+/// See the [module docs](self) for the JSON shape, and
+/// `examples/experiments/` for the paper's own studies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Study name (used in progress output and file naming).
@@ -790,222 +790,6 @@ impl ExperimentSpec {
             .map(ModelSpec::resolve)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(JobGrid::from_axes(circuits, devices, configs, models).with_parses(parses))
-    }
-
-    // ------------------------------------------------------------------
-    // Preset constructors: the paper's six artifacts.
-    // ------------------------------------------------------------------
-
-    /// All six Table II benchmarks as circuit specs.
-    fn paper_circuits() -> Vec<CircuitSpec> {
-        Benchmark::ALL
-            .iter()
-            .map(|&b| CircuitSpec::Benchmark(b))
-            .collect()
-    }
-
-    /// Table I — shuttling operation times.
-    pub fn table1() -> ExperimentSpec {
-        ExperimentSpec {
-            name: "table1".into(),
-            projection: Projection::Table1,
-            circuits: vec![],
-            capacities: vec![],
-            devices: vec![],
-            configs: vec![],
-            models: vec![ModelSpec::Default],
-        }
-    }
-
-    /// Table II — benchmark suite characteristics.
-    pub fn table2() -> ExperimentSpec {
-        ExperimentSpec {
-            name: "table2".into(),
-            projection: Projection::Table2,
-            circuits: Self::paper_circuits(),
-            capacities: vec![],
-            devices: vec![],
-            configs: vec![],
-            models: vec![],
-        }
-    }
-
-    /// Fig. 6 — trap sizing on L6 with FM gates and GS reordering.
-    pub fn fig6(capacities: &[u32]) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "fig6".into(),
-            projection: Projection::Fig6,
-            circuits: Self::paper_circuits(),
-            capacities: capacities.to_vec(),
-            devices: vec![DeviceSpec::Preset {
-                family: "l6".into(),
-                capacity: None,
-            }],
-            configs: vec![ConfigSpec::Config(CompilerConfig::default())],
-            models: vec![ModelSpec::Gate(GateImpl::Fm)],
-        }
-    }
-
-    /// Fig. 7 — L6 vs G2x3 topology comparison.
-    pub fn fig7(capacities: &[u32]) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "fig7".into(),
-            projection: Projection::Fig7,
-            circuits: Self::paper_circuits(),
-            capacities: capacities.to_vec(),
-            devices: vec![
-                DeviceSpec::Preset {
-                    family: "l6".into(),
-                    capacity: None,
-                },
-                DeviceSpec::Preset {
-                    family: "g2x3".into(),
-                    capacity: None,
-                },
-            ],
-            configs: vec![ConfigSpec::Config(CompilerConfig::default())],
-            models: vec![ModelSpec::Gate(GateImpl::Fm)],
-        }
-    }
-
-    /// Fig. 8 — 4 gate implementations × 2 reorder methods on L6.
-    pub fn fig8(capacities: &[u32]) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "fig8".into(),
-            projection: Projection::Fig8,
-            circuits: Self::paper_circuits(),
-            capacities: capacities.to_vec(),
-            devices: vec![DeviceSpec::Preset {
-                family: "l6".into(),
-                capacity: None,
-            }],
-            configs: ReorderMethod::ALL
-                .iter()
-                .map(|&r| ConfigSpec::Config(CompilerConfig::with_reorder(r)))
-                .collect(),
-            models: GateImpl::ALL.iter().map(|&g| ModelSpec::Gate(g)).collect(),
-        }
-    }
-
-    /// A1 — mapping-buffer ablation (Supremacy on L6 at capacity 20,
-    /// 0–4 reserved slots), compiling with `base`'s policies.
-    pub fn ablation_buffer(base: &CompilerConfig) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "ablation-a1-buffer".into(),
-            projection: Projection::BufferAblation,
-            circuits: vec![CircuitSpec::Benchmark(Benchmark::Supremacy)],
-            capacities: vec![],
-            devices: vec![DeviceSpec::Preset {
-                family: "l6".into(),
-                capacity: Some(20),
-            }],
-            configs: (0..=4)
-                .map(|buffer_slots| {
-                    ConfigSpec::Config(CompilerConfig {
-                        buffer_slots,
-                        ..*base
-                    })
-                })
-                .collect(),
-            models: vec![ModelSpec::Default],
-        }
-    }
-
-    /// A2 — scaled-k₁ vs constant-k₁ heating (Supremacy across trap
-    /// capacities), compiling with `base`'s policies.
-    pub fn ablation_heating(capacities: &[u32], base: &CompilerConfig) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "ablation-a2-heating".into(),
-            projection: Projection::HeatingAblation,
-            circuits: vec![CircuitSpec::Benchmark(Benchmark::Supremacy)],
-            capacities: capacities.to_vec(),
-            devices: vec![DeviceSpec::Preset {
-                family: "l6".into(),
-                capacity: None,
-            }],
-            configs: vec![ConfigSpec::Config(*base)],
-            models: vec![
-                ModelSpec::Default,
-                ModelSpec::Inline(PhysicalModel {
-                    heating: HeatingModel::CONSTANT_K1,
-                    ..PhysicalModel::default()
-                }),
-            ],
-        }
-    }
-
-    /// A3 — junction-crossing-cost sensitivity (SquareRoot at capacity
-    /// 20, linear vs grid, Table I junction times ×1/×2/×4/×8),
-    /// compiling with `base`'s policies.
-    pub fn ablation_junction(base: &CompilerConfig) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "ablation-a3-junction".into(),
-            projection: Projection::JunctionAblation,
-            circuits: vec![CircuitSpec::Benchmark(Benchmark::SquareRoot)],
-            capacities: vec![],
-            devices: vec![
-                DeviceSpec::Preset {
-                    family: "l6".into(),
-                    capacity: Some(20),
-                },
-                DeviceSpec::Preset {
-                    family: "g2x3".into(),
-                    capacity: Some(20),
-                },
-            ],
-            configs: vec![ConfigSpec::Config(*base)],
-            models: [1u32, 2, 4, 8]
-                .iter()
-                .map(|&factor| {
-                    ModelSpec::Inline(PhysicalModel {
-                        shuttle: ShuttleTimes {
-                            junction_x: ShuttleTimes::TABLE_I.junction_x * f64::from(factor),
-                            junction_y: ShuttleTimes::TABLE_I.junction_y * f64::from(factor),
-                            ..ShuttleTimes::TABLE_I
-                        },
-                        ..PhysicalModel::default()
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// A4 — device-size sweep (QFT on linear devices of 3–10 traps at
-    /// capacity 25), compiling with `base`'s policies.
-    pub fn ablation_device_size(base: &CompilerConfig) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "ablation-a4-device-size".into(),
-            projection: Projection::DeviceSizeAblation,
-            circuits: vec![CircuitSpec::Benchmark(Benchmark::Qft)],
-            capacities: vec![],
-            devices: [3u32, 4, 5, 6, 8, 10]
-                .iter()
-                .map(|&traps| DeviceSpec::Linear {
-                    traps,
-                    capacity: 25,
-                    spacing: presets::DEFAULT_LINEAR_SPACING,
-                })
-                .collect(),
-            configs: vec![ConfigSpec::Config(*base)],
-            models: vec![ModelSpec::Default],
-        }
-    }
-
-    /// A5 — compiler policy-pipeline matrix (QFT on L6 at capacities
-    /// 16 and 24, all 16 policy combinations).
-    pub fn ablation_policy(buffer_slots: u32) -> ExperimentSpec {
-        ExperimentSpec {
-            name: "ablation-a5-policy".into(),
-            projection: Projection::PolicyAblation,
-            circuits: vec![CircuitSpec::Benchmark(Benchmark::Qft)],
-            capacities: vec![16, 24],
-            devices: vec![DeviceSpec::Preset {
-                family: "l6".into(),
-                capacity: None,
-            }],
-            configs: vec![ConfigSpec::PolicyGrid { buffer_slots }],
-            models: vec![ModelSpec::Default],
-        }
     }
 }
 
@@ -1116,36 +900,24 @@ fn single_key<'v>(
     }
 }
 
+/// Loads the committed study `examples/experiments/<name>.json`.
+#[cfg(test)]
+pub(crate) fn committed(name: &str) -> ExperimentSpec {
+    let path = format!(
+        "{}/../../examples/experiments/{name}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    ExperimentSpec::from_file(path).unwrap_or_else(|e| panic!("{e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::QUICK_CAPACITIES;
-
-    #[test]
-    fn presets_round_trip_through_json() {
-        let base = CompilerConfig::default();
-        for spec in [
-            ExperimentSpec::table1(),
-            ExperimentSpec::table2(),
-            ExperimentSpec::fig6(&QUICK_CAPACITIES),
-            ExperimentSpec::fig7(&QUICK_CAPACITIES),
-            ExperimentSpec::fig8(&QUICK_CAPACITIES),
-            ExperimentSpec::ablation_buffer(&base),
-            ExperimentSpec::ablation_heating(&QUICK_CAPACITIES, &base),
-            ExperimentSpec::ablation_junction(&base),
-            ExperimentSpec::ablation_device_size(&base),
-            ExperimentSpec::ablation_policy(2),
-        ] {
-            let json = serde_json::to_string_pretty(&spec).unwrap();
-            let back = ExperimentSpec::from_json(&json)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{json}", spec.name));
-            assert_eq!(back, spec, "{} drifted through JSON", spec.name);
-        }
-    }
 
     #[test]
     fn fig6_expansion_matches_the_paper_grid() {
-        let spec = ExperimentSpec::fig6(&[8, 10]);
+        let mut spec = committed("fig6");
+        spec.capacities = vec![8, 10];
         let grid = spec.expand().unwrap();
         assert_eq!(grid.circuits().len(), 6);
         assert_eq!(grid.devices().len(), 2);
@@ -1159,7 +931,9 @@ mod tests {
 
     #[test]
     fn fig8_expansion_covers_reorders_and_gates() {
-        let grid = ExperimentSpec::fig8(&[8]).expand().unwrap();
+        let mut spec = committed("fig8");
+        spec.capacities = vec![8];
+        let grid = spec.expand().unwrap();
         assert_eq!(grid.configs().len(), 2);
         assert_eq!(grid.models().len(), 4);
         assert_eq!(grid.cell_count(), 6 * 2 * 4);
@@ -1239,7 +1013,8 @@ mod tests {
 
     #[test]
     fn expansion_rejects_invalid_axes() {
-        let mut spec = ExperimentSpec::fig6(&[8]);
+        let mut spec = committed("fig6");
+        spec.capacities = vec![8];
         spec.devices = vec![DeviceSpec::Preset {
             family: "hex".into(),
             capacity: None,
@@ -1248,12 +1023,11 @@ mod tests {
         assert!(err.to_string().contains("hex"), "{err}");
         assert!(err.to_string().contains("l6, g2x3"), "{err}");
 
-        let mut spec = ExperimentSpec::fig6(&[]);
+        let mut spec = committed("fig6");
         spec.capacities.clear();
         let err = spec.expand().unwrap_err();
         assert!(err.to_string().contains("capacities"), "{err}");
 
-        let mut spec = ExperimentSpec::fig6(&[0]);
         spec.capacities = vec![0];
         assert!(spec.expand().is_err());
     }

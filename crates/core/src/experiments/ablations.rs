@@ -1,10 +1,9 @@
 //! Ablation studies for this reproduction's modelling and compiler choices.
 //!
 //! These go beyond the paper's figures and probe the sensitivity of its
-//! conclusions to our modeling/compiler choices. Each study is an
-//! `ExperimentSpec::ablation_*` preset (committed as
-//! `examples/experiments/ablation_*.json`); this module holds the
-//! projections that shape its engine results into a figure:
+//! conclusions to our modeling/compiler choices. Each study is a
+//! committed spec, `examples/experiments/ablation_*.json`; this module
+//! holds the projections that shape its engine results into a figure:
 //!
 //! * `project_buffer` (A1) — the mapping buffer ("leave room for 2
 //!   incoming ions per trap", §VI): how do 0–4 reserved slots change

@@ -8,10 +8,8 @@
 //! MS-gate error breakdown (6g).
 //!
 //! This module is the *projection* of that study: the (app × capacity)
-//! grid is described by
-//! [`ExperimentSpec::fig6`](crate::engine::ExperimentSpec::fig6),
-//! executed by [`crate::engine::Engine`], and shaped into the figure by
-//! `project`.
+//! grid is described by `examples/experiments/fig6.json`, executed by
+//! [`crate::engine::Engine`], and shaped into the figure by `project`.
 
 use super::{series_of, Figure, Panel, Series};
 use crate::engine::{GridResults, JobGrid};
@@ -145,7 +143,8 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_spec, Engine, ExperimentSpec};
+    use crate::engine::spec::committed;
+    use crate::engine::{run_spec, Engine};
     use crate::experiments::run_axes;
     use qccd_circuit::{generators, Circuit};
     use qccd_compiler::CompilerConfig;
@@ -234,7 +233,8 @@ mod tests {
         // benchmarks to keep the unit test fast; the golden snapshots
         // pin the full suite.
         let caps = [14];
-        let mut spec = ExperimentSpec::fig6(&caps);
+        let mut spec = committed("fig6");
+        spec.capacities = caps.to_vec();
         spec.circuits.truncate(2); // supremacy + qaoa
         let via_spec = run_spec(&spec, &Engine::new())
             .unwrap()

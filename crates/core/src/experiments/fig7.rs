@@ -7,8 +7,8 @@
 //!
 //! This module is the projection of that study over engine results:
 //! the device axis carries the linear family followed by the grid
-//! family (one device per swept capacity each), as built by
-//! [`ExperimentSpec::fig7`](crate::engine::ExperimentSpec::fig7).
+//! family (one device per swept capacity each), as in
+//! `examples/experiments/fig7.json`.
 
 use super::{series_of, Figure, Panel};
 use crate::engine::{GridResults, JobGrid};
@@ -16,8 +16,9 @@ use qccd_sim::SimReport;
 
 /// Shapes evaluated topology-grid results into the Fig. 7 panels. The
 /// device axis must hold the linear family in its first half and the
-/// grid family in its second (the
-/// [`ExperimentSpec::fig7`](crate::engine::ExperimentSpec::fig7) layout).
+/// grid family in its second, at the same capacities (the
+/// `examples/experiments/fig7.json` layout, which `run_spec` checks
+/// before projecting).
 pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
     let suite = grid.circuits();
     let half = grid.devices().len() / 2;

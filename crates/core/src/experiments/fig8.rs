@@ -19,7 +19,7 @@ use qccd_sim::SimReport;
 /// Shapes evaluated (app × capacity × reorder × gate) grid results into
 /// the Fig. 8 panels. The config axis carries the reorder methods, the
 /// model axis the gate implementations (the
-/// [`ExperimentSpec::fig8`](crate::engine::ExperimentSpec::fig8) layout).
+/// `examples/experiments/fig8.json` layout).
 pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
     let suite = grid.circuits();
     let x: Vec<u32> = if capacities.len() == grid.devices().len() {

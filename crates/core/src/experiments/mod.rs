@@ -2,21 +2,22 @@
 //! evaluation (§VIII–§X) from experiment-engine results.
 //!
 //! Each study is an [`ExperimentSpec`](crate::engine::ExperimentSpec)
-//! preset; [`run_spec`](crate::engine::run_spec) executes its grid and
+//! file under `examples/experiments/`;
+//! [`run_spec`](crate::engine::run_spec) executes its grid and
 //! dispatches to the matching projection here, which returns a
 //! serializable [`Figure`] (panels of labelled series over trap
 //! capacity) or [`Table`]. Their `Display` implementations print the
-//! same rows/series the paper reports, and the `qccd-bench` binaries
-//! emit them as text and JSON.
+//! same rows/series the paper reports, and the `qccd-bench` `run`
+//! binary emits them as text and JSON.
 //!
-//! | Spec preset | Module | Paper artifact |
-//! |-------------|--------|----------------|
-//! | `ExperimentSpec::table1` | [`table1`] | Table I — shuttling operation times |
-//! | `ExperimentSpec::table2` | [`table2`] | Table II — benchmark suite characteristics |
-//! | `ExperimentSpec::fig6`   | [`fig6`]   | Fig. 6 — trap-sizing study (L6, FM, GS) |
-//! | `ExperimentSpec::fig7`   | [`fig7`]   | Fig. 7 — topology study (L6 vs G2x3) |
-//! | `ExperimentSpec::fig8`   | [`fig8`]   | Fig. 8 — microarchitecture study (4 gates × 2 reorders) |
-//! | `ExperimentSpec::ablation_*` | [`ablations`] | beyond-the-paper sensitivity studies (buffer, heating model, junction cost, device size, compiler policy pipeline) |
+//! | Spec file | Module | Paper artifact |
+//! |-----------|--------|----------------|
+//! | `table1.json` | [`table1`] | Table I — shuttling operation times |
+//! | `table2.json` | [`table2`] | Table II — benchmark suite characteristics |
+//! | `fig6.json`   | [`fig6`]   | Fig. 6 — trap-sizing study (L6, FM, GS) |
+//! | `fig7.json`   | [`fig7`]   | Fig. 7 — topology study (L6 vs G2x3) |
+//! | `fig8.json`   | [`fig8`]   | Fig. 8 — microarchitecture study (4 gates × 2 reorders) |
+//! | `ablation_*.json` | [`ablations`] | beyond-the-paper sensitivity studies (buffer, heating model, junction cost, device size, compiler policy pipeline) |
 
 pub mod ablations;
 pub mod fig6;
@@ -27,9 +28,6 @@ pub mod table2;
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// The trap capacities swept in Figs. 6–8 (x-axis ticks 14–34).
-pub const PAPER_CAPACITIES: [u32; 11] = [14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34];
 
 /// A reduced capacity set for quick runs and CI.
 pub const QUICK_CAPACITIES: [u32; 3] = [14, 22, 30];

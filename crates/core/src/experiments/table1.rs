@@ -28,11 +28,12 @@ pub fn generate(times: &ShuttleTimes) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_spec, Engine, ExperimentSpec};
+    use crate::engine::spec::committed;
+    use crate::engine::{run_spec, Engine};
 
     #[test]
     fn paper_values_render() {
-        let t = run_spec(&ExperimentSpec::table1(), &Engine::new())
+        let t = run_spec(&committed("table1"), &Engine::new())
             .unwrap()
             .artifact
             .into_table();

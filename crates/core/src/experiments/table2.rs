@@ -8,8 +8,7 @@ use super::Table;
 use qccd_circuit::{Circuit, CircuitStats};
 
 /// Renders a Table II-style summary for any circuit collection (the
-/// paper's six benchmarks under
-/// [`ExperimentSpec::table2`](crate::engine::ExperimentSpec::table2)).
+/// paper's six benchmarks under `examples/experiments/table2.json`).
 pub fn generate_for(suite: &[Circuit]) -> Table {
     let display_name = |name: &str| -> String {
         let base = name.split('_').next().unwrap_or(name);
@@ -51,11 +50,12 @@ pub fn generate_for(suite: &[Circuit]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_spec, Engine, ExperimentSpec};
+    use crate::engine::spec::committed;
+    use crate::engine::{run_spec, Engine};
     use qccd_circuit::generators;
 
     fn paper_table2() -> Table {
-        run_spec(&ExperimentSpec::table2(), &Engine::new())
+        run_spec(&committed("table2"), &Engine::new())
             .unwrap()
             .artifact
             .into_table()

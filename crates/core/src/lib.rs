@@ -20,7 +20,7 @@
 //!   artifacts;
 //! * [`experiments`] — the projections that regenerate **every table
 //!   and figure** of the paper's evaluation (Tables I–II, Figs. 6–8)
-//!   from engine results, used by the `qccd-bench` harness binaries.
+//!   from engine results, emitted by the `qccd-bench` `run` binary.
 //!
 //! # Example
 //!

@@ -20,18 +20,8 @@ const EXAMPLES: [&str; 7] = [
     "trap_sizing",
 ];
 
-/// The artifact-regeneration binaries in `qccd-bench`.
-const BENCH_BINS: [&str; 9] = [
-    "ablations",
-    "all",
-    "fig6",
-    "fig7",
-    "fig8",
-    "inspect",
-    "run",
-    "table1",
-    "table2",
-];
+/// The binaries in `qccd-bench`: `run` produces every paper artifact.
+const BENCH_BINS: [&str; 2] = ["inspect", "run"];
 
 fn cargo() -> Command {
     // Use the same cargo that is running this test.
@@ -114,13 +104,7 @@ fn target_inventory_is_complete() {
         metadata.contains("lint/src/main.rs"),
         "qccd-lint binary missing from cargo metadata"
     );
-    for bench in [
-        "toolflow",
-        "compiler",
-        "engine",
-        "flat_structures",
-        "incremental",
-    ] {
+    for bench in ["toolflow", "compiler", "engine", "flat_structures"] {
         let needle = format!("benches/{bench}.rs");
         assert!(
             metadata.contains(&needle),

@@ -5,7 +5,7 @@
 //! reproduce a serial `Toolflow::run` of every cell, a repeated run
 //! against the same cache must execute zero jobs while producing
 //! byte-identical artifacts, and the committed
-//! `examples/experiments/*.json` presets must drive the engine to the
+//! `examples/experiments/*.json` studies must drive the engine to the
 //! same artifacts the goldens pin.
 
 use proptest::prelude::*;
@@ -25,16 +25,24 @@ fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
+/// Loads the committed spec `examples/experiments/<name>.json`.
+fn committed(name: &str) -> ExperimentSpec {
+    let rel = format!("examples/experiments/{name}.json");
+    ExperimentSpec::from_file(repo_path(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qccd-engine-suite-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Every committed experiment spec parses, round-trips, and expands.
+/// Every committed experiment spec parses, expands, and is written in
+/// its canonical form: the file text is the pretty serialization of its
+/// own parse, so a hand edit cannot hide a field the parser drops or
+/// defaults.
 #[test]
 fn committed_experiment_specs_load_and_expand() {
-    let quick = qccd::experiments::QUICK_CAPACITIES;
     for (rel, expected_jobs) in [
         ("examples/experiments/table1.json", 0),
         ("examples/experiments/table2.json", 0),
@@ -48,22 +56,21 @@ fn committed_experiment_specs_load_and_expand() {
         ("examples/experiments/ablation_device_size.json", 6),
         ("examples/experiments/ablation_policy.json", 2 * 16),
     ] {
-        let spec =
-            ExperimentSpec::from_file(repo_path(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        let text = std::fs::read_to_string(repo_path(rel)).expect("spec file exists");
+        let spec = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{rel}: {e}"));
         let grid = spec.expand().unwrap_or_else(|e| panic!("{rel}: {e}"));
         assert_eq!(grid.job_count(), expected_jobs, "{rel} job grid size");
-        // Round trip: serialization is the canonical pinned form.
         let json = serde_json::to_string_pretty(&spec).unwrap();
+        assert_eq!(text, json, "{rel} is not in canonical form");
         assert_eq!(ExperimentSpec::from_json(&json).unwrap(), spec, "{rel}");
     }
-    let _ = quick;
 }
 
 /// The committed fig6 spec, capped to the quick capacities, reproduces
 /// the committed golden bytes through the generic `run --spec` path.
 #[test]
 fn quick_capped_fig6_spec_reproduces_the_golden_bytes() {
-    let mut spec = ExperimentSpec::from_file(repo_path("examples/experiments/fig6.json")).unwrap();
+    let mut spec = committed("fig6");
     spec.capacities = qccd::experiments::QUICK_CAPACITIES.to_vec();
     let run = run_spec(&spec, &Engine::new()).unwrap();
     let produced = serde_json::to_string_pretty(&run.artifact).unwrap();
@@ -80,7 +87,8 @@ fn second_spec_run_is_all_cache_hits_with_identical_bytes() {
         cache_dir: Some(dir.clone()),
         ..EngineOptions::default()
     });
-    let mut spec = ExperimentSpec::fig8(&[8]);
+    let mut spec = committed("fig8");
+    spec.capacities = vec![8];
     spec.circuits.truncate(2);
     spec.name = "fig8-mini".into();
 
@@ -108,7 +116,8 @@ fn cache_is_shared_across_projections_of_the_same_grid() {
         cache_dir: Some(dir.clone()),
         ..EngineOptions::default()
     });
-    let mut spec = ExperimentSpec::fig6(&[8]);
+    let mut spec = committed("fig6");
+    spec.capacities = vec![8];
     spec.circuits.truncate(1);
     let first = run_spec(&spec, &engine).unwrap();
     assert_eq!(first.stats.executed, 1);
@@ -192,7 +201,8 @@ fn concurrent_cache_writers_never_yield_corrupt_or_missing_loads() {
 #[test]
 fn sharded_spec_runs_plus_merge_match_the_unsharded_artifact() {
     let dir = temp_dir("shard-merge");
-    let mut spec = ExperimentSpec::fig6(&[8, 10]);
+    let mut spec = committed("fig6");
+    spec.capacities = vec![8, 10];
     spec.circuits.truncate(3);
     spec.name = "fig6-shard-mini".into();
     let unsharded = run_spec(&spec, &Engine::new()).unwrap();

@@ -1,14 +1,14 @@
 //! Golden snapshots of the paper artifacts' `--json` dumps.
 //!
 //! The studies behind Tables I–II, Figs. 6–8 and the five ablations
-//! are regenerated on every run; these tests pin their JSON
-//! serializations to committed files so a silent drift in the
-//! heating/fidelity/timing models (or in the compiler) breaks the build
-//! instead of the paper claims. Figs. 6–8 are pinned at the `--quick`
-//! capacity set (the same three design points the CI smoke run uses);
-//! the full sweeps go through identical code paths. The ablations are
-//! pinned exactly as their committed `examples/experiments/` specs
-//! describe them.
+//! are the committed `examples/experiments/` specs, regenerated on
+//! every run; these tests pin their JSON serializations to committed
+//! files so a silent drift in the heating/fidelity/timing models (or in
+//! the compiler) breaks the build instead of the paper claims. Figs.
+//! 6–8 are pinned at the `--quick` capacity set (the same three design
+//! points the CI smoke run uses); the full sweeps go through identical
+//! code paths. The tables and ablations are pinned exactly as their
+//! specs describe them.
 //!
 //! To regenerate after an *intentional* model change:
 //!
@@ -74,8 +74,7 @@ fn check_golden(rel: &str, actual: &str) {
     }
 }
 
-/// Serializes an artifact the exact way the harness bins' `--json` flag
-/// does, checks it against its golden, and round-trips it through the
+/// Serializes an artifact the exact way `run --json` does, checks it against its golden, and round-trips it through the
 /// parser.
 fn pin<T>(rel: &str, artifact: &T)
 where
@@ -91,6 +90,12 @@ where
     );
 }
 
+/// Loads the committed spec `examples/experiments/<name>.json`.
+fn committed(name: &str) -> ExperimentSpec {
+    let rel = format!("examples/experiments/{name}.json");
+    ExperimentSpec::from_file(repo_path(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
 /// Runs a spec through a fresh engine and returns its artifact.
 fn artifact_of(spec: &ExperimentSpec) -> Artifact {
     run_spec(spec, &Engine::new())
@@ -98,11 +103,18 @@ fn artifact_of(spec: &ExperimentSpec) -> Artifact {
         .artifact
 }
 
+/// The committed figure spec `name` at the `--quick` capacities.
+fn quick(name: &str) -> ExperimentSpec {
+    let mut spec = committed(name);
+    spec.capacities = QUICK_CAPACITIES.to_vec();
+    spec
+}
+
 #[test]
 fn table1_matches_golden() {
     pin(
         "tests/goldens/table1.json",
-        &artifact_of(&ExperimentSpec::table1()).into_table(),
+        &artifact_of(&committed("table1")).into_table(),
     );
 }
 
@@ -110,7 +122,7 @@ fn table1_matches_golden() {
 fn table2_matches_golden() {
     pin(
         "tests/goldens/table2.json",
-        &artifact_of(&ExperimentSpec::table2()).into_table(),
+        &artifact_of(&committed("table2")).into_table(),
     );
 }
 
@@ -118,7 +130,7 @@ fn table2_matches_golden() {
 fn fig6_quick_matches_golden() {
     pin(
         "tests/goldens/fig6_quick.json",
-        &artifact_of(&ExperimentSpec::fig6(&QUICK_CAPACITIES)).into_figure(),
+        &artifact_of(&quick("fig6")).into_figure(),
     );
 }
 
@@ -126,7 +138,7 @@ fn fig6_quick_matches_golden() {
 fn fig7_quick_matches_golden() {
     pin(
         "tests/goldens/fig7_quick.json",
-        &artifact_of(&ExperimentSpec::fig7(&QUICK_CAPACITIES)).into_figure(),
+        &artifact_of(&quick("fig7")).into_figure(),
     );
 }
 
@@ -134,7 +146,7 @@ fn fig7_quick_matches_golden() {
 fn fig8_quick_matches_golden() {
     pin(
         "tests/goldens/fig8_quick.json",
-        &artifact_of(&ExperimentSpec::fig8(&QUICK_CAPACITIES)).into_figure(),
+        &artifact_of(&quick("fig8")).into_figure(),
     );
 }
 
@@ -142,11 +154,9 @@ fn fig8_quick_matches_golden() {
 /// the engine and pins its figure to `tests/goldens/<name>.json` — the
 /// same bytes `run --spec examples/experiments/<name>.json --json` dumps.
 fn pin_committed_spec(name: &str) {
-    let rel = format!("examples/experiments/{name}.json");
-    let spec = ExperimentSpec::from_file(repo_path(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
     pin(
         &format!("tests/goldens/{name}.json"),
-        &artifact_of(&spec).into_figure(),
+        &artifact_of(&committed(name)).into_figure(),
     );
 }
 
@@ -233,61 +243,6 @@ fn example_t3_device_file_loads_and_runs() {
         .run(&generators::qaoa(24, 1, 3))
         .expect("fits on 48 slots");
     assert!(report.fidelity() > 0.0);
-}
-
-/// The committed experiment-spec files are the serializations of the
-/// preset `ExperimentSpec` constructors — the declarative form of every
-/// paper artifact. Pinned golden-style (regenerate with
-/// `UPDATE_GOLDENS=1`), and each must round-trip through the parser to
-/// the exact preset.
-#[test]
-fn example_experiment_specs_match_the_presets() {
-    use qccd::experiments::PAPER_CAPACITIES;
-    let base = qccd_compiler::CompilerConfig::default();
-    for (rel, spec) in [
-        ("examples/experiments/table1.json", ExperimentSpec::table1()),
-        ("examples/experiments/table2.json", ExperimentSpec::table2()),
-        (
-            "examples/experiments/fig6.json",
-            ExperimentSpec::fig6(&PAPER_CAPACITIES),
-        ),
-        (
-            "examples/experiments/fig7.json",
-            ExperimentSpec::fig7(&PAPER_CAPACITIES),
-        ),
-        (
-            "examples/experiments/fig8.json",
-            ExperimentSpec::fig8(&PAPER_CAPACITIES),
-        ),
-        (
-            "examples/experiments/ablation_buffer.json",
-            ExperimentSpec::ablation_buffer(&base),
-        ),
-        (
-            "examples/experiments/ablation_heating.json",
-            ExperimentSpec::ablation_heating(&PAPER_CAPACITIES, &base),
-        ),
-        (
-            "examples/experiments/ablation_junction.json",
-            ExperimentSpec::ablation_junction(&base),
-        ),
-        (
-            "examples/experiments/ablation_device_size.json",
-            ExperimentSpec::ablation_device_size(&base),
-        ),
-        (
-            "examples/experiments/ablation_policy.json",
-            ExperimentSpec::ablation_policy(base.buffer_slots),
-        ),
-    ] {
-        check_golden(
-            rel,
-            &serde_json::to_string_pretty(&spec).expect("specs serialize"),
-        );
-        let text = std::fs::read_to_string(repo_path(rel)).expect("spec file exists");
-        let loaded = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{rel}: {e}"));
-        assert_eq!(loaded, spec, "{rel} does not round-trip to its preset");
-    }
 }
 
 /// The hand-written compact device example loads to the same device as
