@@ -215,6 +215,33 @@ fn example_device_file_loads_and_matches_the_preset() {
     assert_eq!(from_file, from_preset);
 }
 
+/// The committed experiment-spec files are the paper's study presets —
+/// the declarative form of every paper artifact. Each file's text is
+/// pinned golden-style to the pretty serialization of its own parse
+/// (regenerate with `UPDATE_GOLDENS=1`), so a hand edit cannot hide a
+/// field the parser drops or defaults, and that form round-trips.
+#[test]
+fn example_experiment_specs_match_the_presets() {
+    for name in [
+        "table1",
+        "table2",
+        "fig6",
+        "fig7",
+        "fig8",
+        "ablation_buffer",
+        "ablation_heating",
+        "ablation_junction",
+        "ablation_device_size",
+        "ablation_policy",
+    ] {
+        let spec = committed(name);
+        let json = serde_json::to_string_pretty(&spec).expect("specs serialize");
+        check_golden(&format!("examples/experiments/{name}.json"), &json);
+        let reparsed = ExperimentSpec::from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(reparsed, spec, "{name} does not round-trip");
+    }
+}
+
 /// A topology the presets cannot express (three traps around a Y
 /// junction): pinned as a second example file and loadable end to end.
 #[test]
