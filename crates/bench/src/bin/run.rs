@@ -7,18 +7,6 @@
 //! cargo run --release -p qccd-bench --bin run -- --spec my_study.json \
 //!     --quick --cache /tmp/qccd-cache --json out.json
 //!
-//! # Multi-process sharding: workers execute disjoint hash-partitioned
-//! # slices into one shared cache; --merge assembles the artifact once
-//! # all shards have run. --cache-gc sweeps stale/orphaned entries.
-//! cargo run --release -p qccd-bench --bin run -- \
-//!     --spec my_study.json --cache /shared/cache --shard 0/2
-//! cargo run --release -p qccd-bench --bin run -- \
-//!     --spec my_study.json --cache /shared/cache --shard 1/2
-//! cargo run --release -p qccd-bench --bin run -- \
-//!     --spec my_study.json --cache /shared/cache --merge --json out.json
-//! cargo run --release -p qccd-bench --bin run -- \
-//!     --cache /shared/cache --cache-gc --cache-max-entries 10000
-//!
 //! # Without --spec: the Table II suite end to end on a JSON-loaded
 //! # device, emitted as the per-cell `cells` table:
 //! cargo run --release -p qccd-bench --bin run -- \
@@ -31,9 +19,9 @@
 //!
 //! `--quick`/`--caps` override a spec's capacities axis, `--device`/
 //! `--config`/`--model` its axes, and the policy flags its explicit
-//! configs. With `--cache dir`, finished jobs are skipped on repeated
-//! runs (the engine reports `executed 0 of N jobs` on a full cache
-//! hit).
+//! configs. With `--cache dir`, repeated runs load finished jobs from
+//! the cache instead of executing them (the engine reports
+//! `executed 0 of N jobs` on a full cache hit).
 
 fn main() {
     qccd_bench::run_main()

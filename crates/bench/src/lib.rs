@@ -11,13 +11,6 @@
 //! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json \
 //!     --quick --cache /tmp/qccd-cache --json fig6.json      # cached re-runs skip all jobs
 //! cargo run --release -p qccd-bench --bin run -- --device examples/devices/l6_cap20.json
-//!
-//! # Multi-process sharding: each worker executes one hash-partitioned
-//! # slice into the shared cache; --merge assembles the artifact.
-//! cargo run --release -p qccd-bench --bin run -- --spec f.json --cache dir --shard 0/2
-//! cargo run --release -p qccd-bench --bin run -- --spec f.json --cache dir --shard 1/2
-//! cargo run --release -p qccd-bench --bin run -- --spec f.json --cache dir --merge
-//! cargo run --release -p qccd-bench --bin run -- --cache dir --cache-gc --cache-max-entries 10000
 //! ```
 //!
 //! `--quick`/`--caps` replace a spec's capacity axis, `--device`,
@@ -30,9 +23,8 @@
 #![warn(missing_docs)]
 
 use qccd::engine::{
-    merge_spec, run_spec, run_spec_jobs, Artifact, ArtifactSink, CircuitSpec, ConfigSpec, CsvSink,
-    DeviceSpec, Engine, EngineOptions, ExperimentSpec, JsonSink, ModelSpec, Projection,
-    ResultCache, Shard, SpecRun,
+    run_spec, Artifact, ArtifactSink, CircuitSpec, ConfigSpec, CsvSink, DeviceSpec, Engine,
+    EngineOptions, ExperimentSpec, JsonSink, ModelSpec, Projection, SpecRun,
 };
 use qccd::experiments::QUICK_CAPACITIES;
 use qccd_circuit::generators::Benchmark;
@@ -51,20 +43,8 @@ pub struct HarnessArgs {
     /// Experiment spec file driving the generic `run --spec` mode.
     pub spec: Option<PathBuf>,
     /// Engine result-cache directory (repeated runs skip finished
-    /// jobs; sharded runs coordinate through it).
+    /// jobs).
     pub cache: Option<PathBuf>,
-    /// Execute only one slice of the job grid (`--shard k/M`); the
-    /// other slices are skipped and no artifact is emitted.
-    pub shard: Option<Shard>,
-    /// Assemble the artifact purely from the shared cache once every
-    /// shard has run (`--merge`).
-    pub merge: bool,
-    /// Garbage-collect the cache directory (`--cache-gc`): stale-salt
-    /// entries and orphaned temp files are removed.
-    pub cache_gc: bool,
-    /// Entry cap enforced by `--cache-gc` (oldest entries beyond it are
-    /// evicted).
-    pub cache_max_entries: Option<usize>,
     /// JSON device description replacing the study's preset topology.
     pub device: Option<PathBuf>,
     /// JSON compiler configuration replacing the study's default.
@@ -120,20 +100,6 @@ impl HarnessArgs {
                 "--json" => out.json = Some(path("--json", &mut args)?),
                 "--spec" => out.spec = Some(path("--spec", &mut args)?),
                 "--cache" => out.cache = Some(path("--cache", &mut args)?),
-                "--shard" => {
-                    let value = args.next().ok_or("--shard needs index/count (e.g. 0/2)")?;
-                    out.shard = Some(value.parse().map_err(|e| format!("--shard: {e}"))?);
-                }
-                "--merge" => out.merge = true,
-                "--cache-gc" => out.cache_gc = true,
-                "--cache-max-entries" => {
-                    let value = args.next().ok_or("--cache-max-entries needs a count")?;
-                    out.cache_max_entries = Some(
-                        value
-                            .parse()
-                            .map_err(|_| "--cache-max-entries expects a non-negative integer")?,
-                    );
-                }
                 "--device" => out.device = Some(path("--device", &mut args)?),
                 "--config" => out.config = Some(path("--config", &mut args)?),
                 "--model" => out.model = Some(path("--model", &mut args)?),
@@ -173,9 +139,7 @@ impl HarnessArgs {
     pub fn engine(&self) -> Engine {
         Engine::with_options(EngineOptions {
             cache_dir: self.cache.clone(),
-            batch_size: 0,
             verbose: true,
-            shard: self.shard,
         })
     }
 
@@ -254,7 +218,6 @@ fn usage(message: &str) -> ! {
     eprintln!(
         "usage: run [--quick] [--caps 14,22,30] [--json out.json] \
          [--spec experiment.json] [--cache dir] \
-         [--shard k/M] [--merge] [--cache-gc] [--cache-max-entries N] \
          [--device dev.json] [--config cfg.json] [--model model.json] \
          [--mapping round-robin|usage-weighted] \
          [--routing greedy-shortest|lookahead-congestion] \
@@ -298,44 +261,8 @@ fn run_spec_or_die(spec: &ExperimentSpec, engine: &Engine) -> SpecRun {
 /// The `run` binary: `--spec` executes any experiment spec file;
 /// without it, `--device` runs the Table II suite on a JSON-loaded
 /// device and emits the generic per-cell table.
-///
-/// Multi-process mode: `--shard k/M` executes one hash-partitioned
-/// slice of the spec's job grid into the shared `--cache` directory
-/// (stats only, no artifact); `--merge` assembles the artifact purely
-/// from that cache once every shard has run. `--cache-gc` sweeps the
-/// cache (stale-salt entries, orphaned temp files, and — with
-/// `--cache-max-entries` — the oldest entries beyond the cap).
 pub fn run_main() {
     let args = HarnessArgs::parse();
-    if args.shard.is_some() && args.merge {
-        usage(
-            "--shard runs one slice of the grid and --merge assembles finished results; pick one",
-        );
-    }
-    if (args.shard.is_some() || args.merge || args.cache_gc) && args.cache.is_none() {
-        usage("--shard/--merge/--cache-gc coordinate through a shared cache; add --cache <dir>");
-    }
-    if args.cache_max_entries.is_some() && !args.cache_gc {
-        usage("--cache-max-entries only applies to a --cache-gc sweep");
-    }
-    if args.shard.is_some() && args.json.is_some() {
-        usage("--shard emits no artifact (each process owns one slice); --json needs --merge or an unsharded run");
-    }
-    if (args.shard.is_some() || args.merge) && args.spec.is_none() {
-        usage("--shard/--merge need --spec <experiment.json>");
-    }
-
-    if let (true, Some(dir)) = (args.cache_gc, args.cache.as_deref()) {
-        let cache = ResultCache::open(dir).unwrap_or_else(|e| die(dir, &e.to_string()));
-        match cache.gc(args.cache_max_entries) {
-            Ok(stats) => eprintln!("cache-gc[{}]: {}", dir.display(), stats.summary()),
-            Err(e) => die(dir, &e.to_string()),
-        }
-        if args.spec.is_none() && args.device.is_none() {
-            return; // a pure GC invocation
-        }
-    }
-
     let mut spec = if let Some(spec_path) = &args.spec {
         ExperimentSpec::from_file(spec_path).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -370,31 +297,7 @@ pub fn run_main() {
     };
     args.apply_to_spec(&mut spec);
 
-    let engine = args.engine();
-    if let Some(shard) = args.shard {
-        // Worker mode: execute this slice into the shared cache.
-        // No artifact — the grid is only partially evaluated here.
-        let run = run_spec_jobs(&spec, &engine).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        eprintln!(
-            "engine[{} shard {shard}]: {}",
-            spec.name,
-            run.stats.summary()
-        );
-        return;
-    }
-    let run = if args.merge {
-        let run = merge_spec(&spec, &engine).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("engine[{} merge]: {}", spec.name, run.stats.summary());
-        run
-    } else {
-        run_spec_or_die(&spec, &engine)
-    };
+    let run = run_spec_or_die(&spec, &args.engine());
     emit_artifact(&run.artifact, args.json.as_deref());
 }
 
@@ -460,27 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_and_gc_flags_parse() {
-        let args = parse(&["--shard", "1/4", "--cache", "/tmp/c"]).unwrap();
-        assert_eq!(args.shard, Some(Shard::new(1, 4).unwrap()));
-
-        let args = parse(&["--merge", "--cache-gc", "--cache-max-entries", "100"]).unwrap();
-        assert!(args.merge);
-        assert!(args.cache_gc);
-        assert_eq!(args.cache_max_entries, Some(100));
-
-        // Malformed values carry the flag name and the accepted shape.
-        let err = parse(&["--shard", "4/4"]).unwrap_err();
-        assert!(err.contains("--shard"), "{err}");
-        assert!(err.contains("out of range"), "{err}");
-        let err = parse(&["--shard", "two/4"]).unwrap_err();
-        assert!(err.contains("index/count"), "{err}");
-        assert!(parse(&["--shard"]).unwrap_err().contains("--shard needs"));
-        let err = parse(&["--cache-max-entries", "many"]).unwrap_err();
-        assert!(err.contains("non-negative integer"), "{err}");
-    }
-
-    #[test]
     fn unknown_policy_names_report_the_accepted_set() {
         let err = parse(&["--routing", "warp"]).unwrap_err();
         assert!(err.contains("warp"), "{err}");
@@ -492,9 +374,14 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        assert!(parse(&["--frobnicate"])
-            .unwrap_err()
-            .contains("--frobnicate"));
+        for (args, flag) in [
+            (&["--frobnicate"][..], "--frobnicate"),
+            (&["--shard", "0/2"], "--shard"),
+            (&["--cache", "/tmp/x", "--cache-gc"], "--cache-gc"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
     }
 
     #[test]

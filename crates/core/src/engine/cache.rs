@@ -11,15 +11,13 @@
 //! Corrupt or truncated entries are treated as misses and overwritten;
 //! a cache read can therefore never fail a run.
 //!
-//! The directory is safe to share between concurrent processes (the
-//! substrate of sharded multi-host runs): every write lands in a unique
-//! sibling temp file (`<name>.tmp-<process-token>-<seq>`) that is
-//! renamed over its final name, so a reader observes either a previous
-//! complete entry or the new complete entry — never a partial write. A process
-//! killed between write and rename leaves an orphaned temp file behind;
-//! [`ResultCache::gc`] sweeps those, along with entries written under a
-//! stale version salt and (optionally) the oldest entries beyond a size
-//! cap.
+//! The directory is safe to share between concurrent processes: every
+//! write lands in a unique sibling temp file
+//! (`<name>.tmp-<process-token>-<seq>`) that is renamed over its final
+//! name, so a reader observes either a previous complete entry or the
+//! new complete entry — never a partial write. Entries written under an
+//! older job-id version salt read as misses; deleting the directory
+//! reclaims its space.
 
 use super::grid::{JobId, JobOutcome, JOB_ID_VERSION};
 use serde::{Deserialize, Serialize};
@@ -29,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The serialized form of one cache entry. The id is stored inside the
 /// file too, so an entry renamed to the wrong filename is rejected
-/// rather than mis-served; the version salt lets [`ResultCache::gc`]
-/// evict entries from before a [`JOB_ID_VERSION`] bump.
+/// rather than mis-served; the version salt turns entries from before a
+/// [`JOB_ID_VERSION`] bump into misses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CacheEntry {
     id: String,
@@ -87,8 +85,7 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 
 /// Whether a file stem is shaped like a [`JobId`]
 /// (`<label>-<16 lowercase hex digits>` over filesystem-safe
-/// characters), so foreign `*.json` files are never counted as entries
-/// or touched by [`ResultCache::gc`].
+/// characters), so foreign `*.json` files are never counted as entries.
 fn is_entry_stem(stem: &str) -> bool {
     let Some((label, hash)) = stem.rsplit_once('-') else {
         return false;
@@ -101,39 +98,6 @@ fn is_entry_stem(stem: &str) -> bool {
         && hash
             .chars()
             .all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c))
-}
-
-/// Counters from one [`ResultCache::gc`] sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GcStats {
-    /// Valid current-version entries left in the cache.
-    pub kept: usize,
-    /// Entries removed for a stale version salt, a mismatched embedded
-    /// id, or unparseable content.
-    pub removed_stale: usize,
-    /// Valid entries removed (oldest first) to enforce the entry cap.
-    pub removed_excess: usize,
-    /// Orphaned temp files swept (writers killed mid-store).
-    pub removed_temp: usize,
-}
-
-impl GcStats {
-    /// Total files removed by the sweep.
-    pub fn removed(&self) -> usize {
-        self.removed_stale + self.removed_excess + self.removed_temp
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "kept {} entries, removed {} ({} stale, {} over the entry cap, {} orphaned temp files)",
-            self.kept,
-            self.removed(),
-            self.removed_stale,
-            self.removed_excess,
-            self.removed_temp
-        )
-    }
 }
 
 /// A directory of per-job result files.
@@ -179,8 +143,8 @@ impl ResultCache {
     }
 
     /// Persists the outcome for `id`, atomically (temp file + rename),
-    /// so a concurrent reader — another thread or another sharded
-    /// process on the same cache directory — can never observe a
+    /// so a concurrent reader — another thread or another process on
+    /// the same cache directory — can never observe a
     /// partial entry. Best-effort: an unwritable cache degrades to
     /// re-execution next run instead of failing this one.
     pub fn store(&self, id: &JobId, outcome: &JobOutcome) {
@@ -218,82 +182,6 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Garbage-collects the cache directory:
-    ///
-    /// * removes orphaned temp files (a writer killed between write and
-    ///   rename),
-    /// * removes entries whose embedded version salt predates the
-    ///   current [`JOB_ID_VERSION`] (they can never be served again —
-    ///   the salt is folded into every job id), along with entries whose
-    ///   content is unparseable or disagrees with their filename,
-    /// * when `max_entries` is given, removes the oldest valid entries
-    ///   (by modification time) until at most that many remain.
-    ///
-    /// Files that are not shaped like cache entries are left untouched.
-    /// Run it from one process at a time; a writer racing a sweep loses
-    /// at worst its in-flight temp file and re-executes that job.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error if the directory cannot be listed;
-    /// individual file removals are best-effort.
-    pub fn gc(&self, max_entries: Option<usize>) -> io::Result<GcStats> {
-        let mut stats = GcStats::default();
-        let mut kept: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            // Only our own temp names (`<entry-stem>.json.tmp-…`) are
-            // sweepable; a foreign file that merely contains ".tmp-"
-            // is left alone like any other foreign file.
-            if let Some((stem, _)) = name.split_once(".json.tmp-") {
-                if is_entry_stem(stem) {
-                    if std::fs::remove_file(&path).is_ok() {
-                        stats.removed_temp += 1;
-                    }
-                    continue;
-                }
-            }
-            let Some(stem) = name.strip_suffix(".json") else {
-                continue;
-            };
-            if !is_entry_stem(stem) {
-                continue; // foreign file: not ours to delete
-            }
-            let current = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| serde_json::from_str::<CacheEntry>(&text).ok())
-                .is_some_and(|e| e.version == JOB_ID_VERSION && e.id == stem);
-            if current {
-                let modified = entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                kept.push((modified, path));
-            } else if std::fs::remove_file(&path).is_ok() {
-                stats.removed_stale += 1;
-            }
-        }
-        if let Some(max) = max_entries {
-            if kept.len() > max {
-                kept.sort(); // oldest first, path as the tie-breaker
-                for (_, path) in kept.drain(..kept.len() - max) {
-                    if std::fs::remove_file(&path).is_ok() {
-                        stats.removed_excess += 1;
-                    }
-                }
-            }
-        }
-        stats.kept = kept.len();
-        Ok(stats)
-    }
 }
 
 /// Version salt embedded in every stage-memo file so a future change
@@ -329,8 +217,7 @@ struct StageEntry {
 ///
 /// The engine compiles without a memo and never opens a stage
 /// directory. A `stages/` directory left in a result cache by an
-/// older build is inert: [`ResultCache::gc`] skips it (it skips
-/// non-files), and deleting it is always safe.
+/// older build is inert, and deleting it is always safe.
 #[derive(Debug, Clone)]
 pub struct StageCache {
     dir: PathBuf,
@@ -498,76 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_sweeps_stale_entries_and_orphaned_temps_but_not_foreign_files() {
-        let cache = temp_cache("gc");
-        let id = one_job_id();
-        cache.store(&id, &Err("e".into()));
-        // A stale-salt entry under a well-formed name, an orphaned temp
-        // file, and two foreign files.
-        let stale_name = "old_job-00000000deadbeef.json";
-        std::fs::write(
-            cache.dir().join(stale_name),
-            r#"{"id": "old_job-00000000deadbeef", "version": "qccd-job-v0", "ok": null, "err": "x"}"#,
-        )
-        .unwrap();
-        std::fs::write(cache.dir().join(format!("{id}.json.tmp-999-7")), "{ par").unwrap();
-        std::fs::write(cache.dir().join("notes.json"), "{}").unwrap();
-        std::fs::write(cache.dir().join("README.md"), "hi").unwrap();
-        // Foreign files that merely contain ".tmp-" are not ours.
-        std::fs::write(cache.dir().join("backup.tmp-2024"), "keep").unwrap();
-        std::fs::write(cache.dir().join("notes.tmp-1.json"), "keep").unwrap();
-
-        let stats = cache.gc(None).unwrap();
-        assert_eq!(stats.kept, 1);
-        assert_eq!(stats.removed_stale, 1);
-        assert_eq!(stats.removed_temp, 1);
-        assert_eq!(stats.removed_excess, 0);
-        assert_eq!(stats.removed(), 2);
-        assert_eq!(cache.load(&id), Some(Err("e".into())), "valid entry kept");
-        assert!(cache.dir().join("notes.json").exists(), "foreign json kept");
-        assert!(cache.dir().join("README.md").exists(), "foreign file kept");
-        assert!(
-            cache.dir().join("backup.tmp-2024").exists(),
-            "foreign tmp-lookalike kept"
-        );
-        assert!(
-            cache.dir().join("notes.tmp-1.json").exists(),
-            "foreign tmp-lookalike json kept"
-        );
-        assert!(!cache.dir().join(stale_name).exists());
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn gc_enforces_the_entry_cap_oldest_first() {
-        let cache = temp_cache("gc-cap");
-        let grid = JobGrid::from_axes(
-            vec![generators::bv(&[true; 6]), generators::qft(5)],
-            vec![presets::l6(6), presets::l6(8)],
-            vec![CompilerConfig::default()],
-            vec![PhysicalModel::default()],
-        );
-        let ids: Vec<JobId> = grid.jobs().iter().map(|j| j.id.clone()).collect();
-        assert_eq!(ids.len(), 4);
-        for (k, id) in ids.iter().enumerate() {
-            cache.store(id, &Err(format!("e{k}")));
-            // Distinct mtimes so "oldest first" is deterministic.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let stats = cache.gc(Some(2)).unwrap();
-        assert_eq!(stats.kept, 2);
-        assert_eq!(stats.removed_excess, 2);
-        // The two most recently stored entries survive.
-        assert!(cache.load(&ids[0]).is_none());
-        assert!(cache.load(&ids[1]).is_none());
-        assert_eq!(cache.load(&ids[2]), Some(Err("e2".into())));
-        assert_eq!(cache.load(&ids[3]), Some(Err("e3".into())));
-        // A cap at/above the entry count removes nothing.
-        assert_eq!(cache.gc(Some(2)).unwrap().removed(), 0);
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn stage_cache_round_trips_and_rejects_mismatches() {
         use qccd_compiler::StagePersist;
         let dir = std::env::temp_dir().join(format!("qccd-stage-test-{}", std::process::id()));
@@ -616,24 +433,6 @@ mod tests {
         .unwrap();
         assert_eq!(stages.load("placement", 1), None);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn result_gc_leaves_the_stage_subdirectory_alone() {
-        use qccd_compiler::StagePersist;
-        let cache = temp_cache("gc-stages");
-        let id = one_job_id();
-        cache.store(&id, &Err("e".into()));
-        let stages = StageCache::open(cache.dir().join(STAGE_SUBDIR)).unwrap();
-        stages.store("route-row", 3, "[]");
-        let stats = cache.gc(Some(0)).unwrap();
-        assert_eq!(stats.kept, 0, "the result entry is evicted by the cap");
-        assert_eq!(
-            stages.load("route-row", 3),
-            Some("[]".to_owned()),
-            "stage files survive a result-cache sweep"
-        );
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -20,9 +20,8 @@ use std::fmt;
 
 /// Version salt folded into every job id; bump when the executable or
 /// report semantics change so stale caches invalidate themselves. The
-/// result cache also embeds this salt in every entry so
-/// [`super::cache::ResultCache::gc`] can evict entries written under an
-/// older salt.
+/// result cache also embeds this salt in every entry and reads entries
+/// written under an older salt as misses.
 pub(crate) const JOB_ID_VERSION: &str = "qccd-job-v1";
 
 /// FNV-1a 64-bit over a byte string: a small, dependency-free,
@@ -61,19 +60,6 @@ impl JobId {
     /// The id as a string (also the cache file stem).
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// Which of `count` shards owns this job: the FNV-1a hash of the id
-    /// string modulo `count`. Hash-based (not positional), so the
-    /// assignment is stable under grid edits — adding or removing other
-    /// cells never moves an existing job to a different shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn shard_of(&self, count: usize) -> usize {
-        assert!(count > 0, "shard count must be positive");
-        (fnv1a(self.0.as_bytes()) % count as u64) as usize
     }
 }
 

@@ -51,7 +51,7 @@ pub mod grid;
 pub mod sink;
 pub mod spec;
 
-pub use cache::{GcStats, ResultCache};
+pub use cache::ResultCache;
 // Stage-file persistence for memoized compiles outside the engine
 // (perfbench's traced replay); `Engine::run` never opens it.
 pub use cache::{StageCache, STAGE_SUBDIR};
@@ -65,95 +65,19 @@ use crate::experiments::{ablations, fig6, fig7, fig8, table1, table2, Table};
 use crate::sweep::parallel_map;
 use crate::toolflow::ToolflowError;
 use qccd_compiler::Pipeline;
-use std::fmt;
 use std::path::PathBuf;
-use std::str::FromStr;
-
-/// One slice of a deterministic shard partition: an engine configured
-/// with shard `index` of `count` executes only the jobs whose id hashes
-/// to `index` modulo `count` (see [`JobId::shard_of`]), skipping the
-/// rest. Because the assignment hashes the content-stable job id (not
-/// the job's position in the grid), shards stay disjoint and exhaustive
-/// across processes and stable under grid edits — `count` cooperating
-/// processes sharing one cache directory cover every job exactly once,
-/// and [`Engine::merge`] assembles the full result set afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    index: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// Shard `index` of `count` (0-based).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `count` is zero or `index` is out of range.
-    pub fn new(index: usize, count: usize) -> Result<Shard, String> {
-        if count == 0 {
-            return Err("shard count must be positive".into());
-        }
-        if index >= count {
-            return Err(format!(
-                "shard index {index} out of range for {count} shard(s) (indices are 0-based)"
-            ));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// This shard's 0-based index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards in the partition.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Whether this shard owns the job with id `id`.
-    pub fn owns(&self, id: &JobId) -> bool {
-        id.shard_of(self.count) == self.index
-    }
-}
-
-impl fmt::Display for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
-impl FromStr for Shard {
-    type Err = String;
-
-    /// Parses the CLI spelling `index/count`, e.g. `0/2`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || format!("expected `index/count` (e.g. 0/2), got `{s}`");
-        let (index, count) = s.split_once('/').ok_or_else(err)?;
-        let index: usize = index.trim().parse().map_err(|_| err())?;
-        let count: usize = count.trim().parse().map_err(|_| err())?;
-        Shard::new(index, count)
-    }
-}
 
 /// Execution knobs for an [`Engine`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Directory of the on-disk result cache; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// Jobs per execution batch (progress is streamed per batch);
-    /// `0` uses the default.
-    pub batch_size: usize,
     /// Stream per-batch progress to stderr.
     pub verbose: bool,
-    /// Execute only this slice of the grid's jobs; `None` runs them
-    /// all. Sharded runs normally also set [`EngineOptions::cache_dir`]
-    /// (to a directory shared by all shards) so [`Engine::merge`] can
-    /// assemble the full results afterwards.
-    pub shard: Option<Shard>,
 }
 
-/// Default number of jobs per execution batch.
+/// Number of jobs per execution batch (progress is streamed per batch,
+/// and the cache is written as each batch completes).
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 
 /// Counters describing one engine run.
@@ -165,8 +89,6 @@ pub struct RunStats {
     pub executed: usize,
     /// Jobs served from the result cache.
     pub cached: usize,
-    /// Jobs skipped because another shard owns them.
-    pub skipped: usize,
     /// Execution batches run.
     pub batches: usize,
     /// Compilations performed (jobs differing only in physical model
@@ -181,57 +103,11 @@ impl RunStats {
     /// One-line human-readable summary (`executed N of M jobs, …`).
     pub fn summary(&self) -> String {
         format!(
-            "executed {} of {} jobs ({} cached, {} skipped, {} compiles, {} batches, {} parses)",
-            self.executed,
-            self.jobs,
-            self.cached,
-            self.skipped,
-            self.compiles,
-            self.batches,
-            self.parses,
+            "executed {} of {} jobs ({} cached, {} compiles, {} batches, {} parses)",
+            self.executed, self.jobs, self.cached, self.compiles, self.batches, self.parses,
         )
     }
 }
-
-/// Error from [`Engine::merge`]: the shared cache does not (yet) hold a
-/// complete result set for the grid.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MergeError {
-    /// The engine has no cache directory configured — there is nothing
-    /// to merge from.
-    NoCache,
-    /// The cache directory exists but could not be opened.
-    Unusable {
-        /// The cache directory that failed to open.
-        path: String,
-        /// The underlying error text.
-        message: String,
-    },
-    /// One or more jobs have no cache entry: some shard has not run (or
-    /// not finished) yet.
-    Incomplete {
-        /// Ids of the jobs with no cached outcome, in grid job order.
-        missing: Vec<JobId>,
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::NoCache => {
-                write!(f, "merge needs a result cache directory (none configured)")
-            }
-            MergeError::Unusable { path, message } => {
-                write!(f, "cache directory {path} unusable: {message}")
-            }
-            MergeError::Incomplete { missing } => {
-                spec::fmt_missing_jobs(f, missing.iter().map(JobId::as_str))
-            }
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
 
 /// Executes [`JobGrid`]s: batched, parallel, optionally cached.
 #[derive(Debug, Clone, Default)]
@@ -259,22 +135,11 @@ impl Engine {
         Engine { options }
     }
 
-    /// The engine's options.
-    pub fn options(&self) -> &EngineOptions {
-        &self.options
-    }
-
-    /// Executes every job of `grid` this engine owns and returns the
-    /// outcomes.
+    /// Executes every job of `grid` and returns the outcomes.
     ///
     /// Cached jobs are loaded without executing; fresh outcomes are
     /// persisted as soon as their batch completes, so an interrupted
-    /// run resumes from the last finished batch. With a
-    /// [`EngineOptions::shard`] configured, jobs owned by other shards
-    /// are skipped entirely (never executed, loaded, or stored): their
-    /// outcome slot carries a synthetic `skipped` error and
-    /// [`RunStats::skipped`] counts them — assemble the complete result
-    /// set with [`Engine::merge`] once every shard has run.
+    /// run resumes from the last finished batch.
     pub fn run(&self, grid: &JobGrid) -> EngineRun {
         let jobs = grid.jobs();
         let cache = self.options.cache_dir.as_ref().and_then(|dir| {
@@ -293,25 +158,11 @@ impl Engine {
             jobs: jobs.len(),
             ..RunStats::default()
         };
-        if let Some(shard) = self.options.shard {
-            for (i, job) in jobs.iter().enumerate() {
-                if !shard.owns(&job.id) {
-                    outcomes[i] = Some(Err(format!(
-                        "skipped: shard {}/{} owns this job, not {shard}",
-                        job.id.shard_of(shard.count()),
-                        shard.count()
-                    )));
-                    stats.skipped += 1;
-                }
-            }
-        }
         if let Some(cache) = &cache {
             for (i, job) in jobs.iter().enumerate() {
-                if outcomes[i].is_none() {
-                    if let Some(outcome) = cache.load(&job.id) {
-                        outcomes[i] = Some(outcome);
-                        stats.cached += 1;
-                    }
+                if let Some(outcome) = cache.load(&job.id) {
+                    outcomes[i] = Some(outcome);
+                    stats.cached += 1;
                 }
             }
         }
@@ -319,13 +170,8 @@ impl Engine {
         stats.parses = grid.parses();
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| outcomes[i].is_none()).collect();
 
-        let batch_size = if self.options.batch_size == 0 {
-            DEFAULT_BATCH_SIZE
-        } else {
-            self.options.batch_size
-        };
-        let total_batches = pending.len().div_ceil(batch_size);
-        for (bi, batch) in pending.chunks(batch_size).enumerate() {
+        let total_batches = pending.len().div_ceil(DEFAULT_BATCH_SIZE);
+        for (bi, batch) in pending.chunks(DEFAULT_BATCH_SIZE).enumerate() {
             // Group jobs that share (circuit, device, config): the
             // executable is model-independent, so each group compiles
             // once and simulates once per member.
@@ -375,15 +221,12 @@ impl Engine {
             }
             stats.batches += 1;
             if self.options.verbose {
-                // Skipped jobs count as settled, so a sharded run's
-                // progress still converges on N of N.
                 eprintln!(
-                    "engine: batch {}/{total_batches}: {}/{} jobs settled ({} cached, {} skipped)",
+                    "engine: batch {}/{total_batches}: {}/{} jobs settled ({} cached)",
                     bi + 1,
-                    stats.cached + stats.executed + stats.skipped,
+                    stats.cached + stats.executed,
                     stats.jobs,
                     stats.cached,
-                    stats.skipped,
                 );
             }
         }
@@ -391,54 +234,12 @@ impl Engine {
         let outcomes: Vec<JobOutcome> = outcomes
             .into_iter()
             // qccd-lint: allow(engine-panic) — the job loop fills every slot before this map runs
-            .map(|o| o.expect("every job executed, cached, or skipped"))
+            .map(|o| o.expect("every job executed or cached"))
             .collect();
         EngineRun {
             results: GridResults::new(outcomes, grid),
             stats,
         }
-    }
-
-    /// Assembles `grid`'s complete result set purely from the shared
-    /// result cache, executing nothing — the final step of a sharded
-    /// multi-process run, after every shard has finished against the
-    /// same cache directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MergeError::Incomplete`] with the ids of every job
-    /// that has no cached outcome (a shard is still running, or was
-    /// never launched), [`MergeError::NoCache`] if the engine has no
-    /// cache directory, and [`MergeError::Unusable`] if the directory
-    /// cannot be opened.
-    pub fn merge(&self, grid: &JobGrid) -> Result<EngineRun, MergeError> {
-        let dir = self.options.cache_dir.as_ref().ok_or(MergeError::NoCache)?;
-        let cache = ResultCache::open(dir).map_err(|e| MergeError::Unusable {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
-        let jobs = grid.jobs();
-        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-        let mut missing: Vec<JobId> = Vec::new();
-        for job in jobs {
-            match cache.load(&job.id) {
-                Some(outcome) => outcomes.push(outcome),
-                None => missing.push(job.id.clone()),
-            }
-        }
-        if !missing.is_empty() {
-            return Err(MergeError::Incomplete { missing });
-        }
-        let stats = RunStats {
-            jobs: jobs.len(),
-            cached: jobs.len(),
-            parses: grid.parses(),
-            ..RunStats::default()
-        };
-        Ok(EngineRun {
-            results: GridResults::new(outcomes, grid),
-            stats,
-        })
     }
 }
 
@@ -463,99 +264,12 @@ pub struct SpecRun {
 /// Returns a [`SpecError`] if the spec does not expand or its
 /// projection's axis requirements are not met.
 pub fn run_spec(spec: &ExperimentSpec, engine: &Engine) -> Result<SpecRun, SpecError> {
-    // A shard-configured engine evaluates only a slice of the grid;
-    // projecting that would silently render the other shards' cells as
-    // failed/missing points. Refuse instead of emitting a wrong
-    // artifact — the sharded flow is run_spec_jobs + merge_spec.
-    if let Some(shard) = engine.options().shard {
-        return Err(SpecError::Invalid(format!(
-            "the engine is configured for shard {shard}, which evaluates only a slice of \
-             the grid; execute the slice with run_spec_jobs and assemble the artifact \
-             with merge_spec"
-        )));
-    }
     let grid = spec.expand()?;
     // Check the projection's axis assumptions before spending any
     // compute on the grid — the single call site for this validation
     // on the execute path (`project` assumes it already ran).
     check_axes(spec.projection, &grid)?;
     let run = engine.run(&grid);
-    let artifact = project(spec, &grid, &run.results)?;
-    Ok(SpecRun {
-        artifact,
-        stats: run.stats,
-        grid,
-        results: run.results,
-    })
-}
-
-/// Executes a spec's expanded grid without projecting an artifact —
-/// the per-shard worker mode of a multi-process run. Each worker runs
-/// this with a distinct [`EngineOptions::shard`] against one shared
-/// cache directory; [`merge_spec`] produces the artifact afterwards.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] if the spec does not expand or its axes do
-/// not satisfy the projection (checked here so a doomed study fails on
-/// every worker before burning compute, not at merge time). For a
-/// shard-configured engine the shared cache is the worker's only
-/// output, so a missing or unopenable cache directory is an error too
-/// — silently running uncached would discard every result and leave
-/// the merge permanently incomplete.
-pub fn run_spec_jobs(spec: &ExperimentSpec, engine: &Engine) -> Result<EngineRun, SpecError> {
-    if engine.options().shard.is_some() {
-        match &engine.options().cache_dir {
-            None => {
-                return Err(SpecError::Invalid(
-                    "a sharded engine persists results only through the shared cache; \
-                     configure EngineOptions::cache_dir"
-                        .into(),
-                ))
-            }
-            Some(dir) => {
-                ResultCache::open(dir).map_err(|e| SpecError::Io {
-                    path: dir.display().to_string(),
-                    message: format!(
-                        "shard workers persist results only through the shared cache, \
-                         which cannot be opened: {e}"
-                    ),
-                })?;
-            }
-        }
-    }
-    let grid = spec.expand()?;
-    check_axes(spec.projection, &grid)?;
-    Ok(engine.run(&grid))
-}
-
-/// Assembles a spec's results purely from the engine's shared result
-/// cache — executing nothing — and applies the spec's projection: the
-/// final step of a sharded multi-process run.
-///
-/// # Errors
-///
-/// Returns [`SpecError::IncompleteCache`] naming every job id the
-/// cache is missing when not all shards have run, and otherwise as
-/// [`run_spec`].
-pub fn merge_spec(spec: &ExperimentSpec, engine: &Engine) -> Result<SpecRun, SpecError> {
-    let grid = spec.expand()?;
-    check_axes(spec.projection, &grid)?;
-    let run = engine.merge(&grid).map_err(|e| match e {
-        MergeError::Incomplete { missing } => SpecError::IncompleteCache {
-            missing: missing.iter().map(|id| id.as_str().to_owned()).collect(),
-        },
-        // An unopenable cache is an environment problem, not a spec
-        // problem — keep the error category truthful. A missing cache
-        // directory is engine misconfiguration (like run_spec's shard
-        // guard); say so rather than implicating the spec.
-        MergeError::Unusable { path, message } => SpecError::Io { path, message },
-        MergeError::NoCache => SpecError::Invalid(
-            "merge_spec needs an engine with EngineOptions::cache_dir configured \
-             (the cache is the only input a merge reads)"
-                .into(),
-        ),
-    })?;
     let artifact = project(spec, &grid, &run.results)?;
     Ok(SpecRun {
         artifact,
@@ -654,9 +368,9 @@ fn check_axes(projection: Projection, grid: &JobGrid) -> Result<(), SpecError> {
 }
 
 /// Applies a spec's projection to evaluated grid results. Callers must
-/// have run [`check_axes`] on the grid first (both entry points —
-/// [`run_spec`] and [`merge_spec`] — do, before touching the cache or
-/// spending compute), so projection error paths stay single-sourced.
+/// have run [`check_axes`] on the grid first ([`run_spec`] does, before
+/// touching the cache or spending compute), so projection error paths
+/// stay single-sourced.
 fn project(
     spec: &ExperimentSpec,
     grid: &JobGrid,
@@ -794,27 +508,25 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_stage_counters() {
+    fn summary_reports_run_counters() {
         // Per-stage work of one run: parses, compile groups, batches.
         let stats = RunStats {
             jobs: 4,
             executed: 2,
-            cached: 1,
-            skipped: 1,
+            cached: 2,
             batches: 1,
             compiles: 2,
             parses: 3,
         };
         assert_eq!(
             stats.summary(),
-            "executed 2 of 4 jobs (1 cached, 1 skipped, 2 compiles, 1 batches, 3 parses)"
+            "executed 2 of 4 jobs (2 cached, 2 compiles, 1 batches, 3 parses)"
         );
         // The CLI contracts grep these two shapes out of stderr; they
         // must survive summary format changes.
         let warm = RunStats {
             jobs: 2,
-            cached: 1,
-            skipped: 1,
+            cached: 2,
             ..RunStats::default()
         };
         assert!(
@@ -822,11 +534,7 @@ mod tests {
             "{}",
             warm.summary()
         );
-        assert!(
-            warm.summary().contains("(1 cached, 1 skipped"),
-            "{}",
-            warm.summary()
-        );
+        assert!(warm.summary().contains("(2 cached"), "{}", warm.summary());
     }
 
     #[test]
@@ -921,229 +629,33 @@ mod tests {
 
     #[test]
     fn batching_does_not_change_outcomes() {
-        let grid = tiny_grid();
-        let whole = Engine::new().run(&grid);
-        let tiny_batches = Engine::with_options(EngineOptions {
-            batch_size: 1,
-            ..EngineOptions::default()
-        })
-        .run(&grid);
-        assert_eq!(
-            whole.results.job_outcomes(),
-            tiny_batches.results.job_outcomes()
+        // 3 devices × 16 pipelines = 48 jobs: one full batch and a
+        // partial one, each cell checked against a serial toolflow run.
+        let circuit = generators::bv(&[true; 8]);
+        let devices = vec![presets::l6(6), presets::l6(8), presets::g2x3(6)];
+        let configs = crate::sweep::policy_grid(2);
+        let model = PhysicalModel::default();
+        let grid = JobGrid::from_axes(
+            vec![circuit.clone()],
+            devices.clone(),
+            configs.clone(),
+            vec![model],
         );
-        assert_eq!(tiny_batches.stats.batches, 8);
-        // One-job batches cannot share compilations.
-        assert_eq!(tiny_batches.stats.compiles, 8);
-    }
-
-    #[test]
-    fn shard_parsing_and_validation() {
-        assert_eq!("0/2".parse::<Shard>().unwrap(), Shard::new(0, 2).unwrap());
-        assert_eq!("1/3".parse::<Shard>().unwrap().to_string(), "1/3");
-        assert_eq!(" 1 / 3 ".parse::<Shard>().unwrap().index(), 1);
-        for bad in ["2/2", "x/2", "1", "1/", "/2", "1/0", "-1/2"] {
-            assert!(bad.parse::<Shard>().is_err(), "`{bad}` must not parse");
-        }
-        assert!(Shard::new(0, 0).is_err());
-        assert!(Shard::new(3, 3).is_err());
-    }
-
-    #[test]
-    fn sharded_runs_skip_unowned_jobs_and_merge_reassembles() {
-        let dir = temp_dir("shard");
-        let grid = tiny_grid();
-        let full = Engine::new().run(&grid);
-
-        let mut total_executed = 0;
-        for k in 0..3 {
-            let engine = Engine::with_options(EngineOptions {
-                cache_dir: Some(dir.clone()),
-                shard: Some(Shard::new(k, 3).unwrap()),
-                ..EngineOptions::default()
-            });
-            let run = engine.run(&grid);
-            assert_eq!(
-                run.stats.executed + run.stats.skipped + run.stats.cached,
-                run.stats.jobs,
-                "shard {k}/3: every job accounted for"
-            );
-            assert_eq!(run.stats.cached, 0, "disjoint shards share no jobs");
-            // Skipped jobs carry a synthetic error naming the owner.
-            for (job, outcome) in grid.jobs().iter().zip(run.results.job_outcomes()) {
-                if !Shard::new(k, 3).unwrap().owns(&job.id) {
-                    let err = outcome.as_ref().unwrap_err();
-                    assert!(err.starts_with("skipped: shard"), "{err}");
-                }
+        assert!(grid.job_count() > DEFAULT_BATCH_SIZE);
+        let run = Engine::new().run(&grid);
+        assert_eq!(run.stats.batches, 2);
+        for (di, device) in devices.iter().enumerate() {
+            for (cfgi, config) in configs.iter().enumerate() {
+                let direct = Toolflow::with_config(device.clone(), model, *config)
+                    .run(&circuit)
+                    .map_err(|e| e.to_string());
+                assert_eq!(
+                    run.results.outcome(&grid, 0, di, cfgi, 0),
+                    &direct,
+                    "cell (0,{di},{cfgi},0) diverged from the direct toolflow"
+                );
             }
-            total_executed += run.stats.executed;
         }
-        assert_eq!(
-            total_executed,
-            grid.job_count(),
-            "the shards together executed each job exactly once"
-        );
-
-        let merged = Engine::with_options(EngineOptions {
-            cache_dir: Some(dir.clone()),
-            ..EngineOptions::default()
-        })
-        .merge(&grid)
-        .expect("every job cached");
-        assert_eq!(merged.stats.executed, 0);
-        assert_eq!(merged.stats.cached, grid.job_count());
-        assert_eq!(
-            merged.results.job_outcomes(),
-            full.results.job_outcomes(),
-            "merged results must match an unsharded run bit for bit"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_requires_a_cache_and_names_missing_jobs() {
-        let grid = tiny_grid();
-        assert_eq!(Engine::new().merge(&grid).unwrap_err(), MergeError::NoCache);
-
-        let dir = temp_dir("merge-missing");
-        let options = EngineOptions {
-            cache_dir: Some(dir.clone()),
-            ..EngineOptions::default()
-        };
-        let engine = Engine::with_options(options);
-        match engine.merge(&grid).unwrap_err() {
-            MergeError::Incomplete { missing } => {
-                assert_eq!(missing.len(), grid.job_count(), "empty cache misses all");
-            }
-            other => panic!("expected Incomplete, got {other:?}"),
-        }
-        // Fill all but the first job; the error names exactly that one.
-        let cache = ResultCache::open(&dir).unwrap();
-        for job in &grid.jobs()[1..] {
-            cache.store(&job.id, &Err("stub".into()));
-        }
-        match engine.merge(&grid).unwrap_err() {
-            MergeError::Incomplete { missing } => {
-                assert_eq!(missing, vec![grid.jobs()[0].id.clone()]);
-            }
-            other => panic!("expected Incomplete, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_spec_refuses_a_shard_configured_engine() {
-        // A projection over one shard's slice would silently drop the
-        // other shards' cells; run_spec must error, not emit it.
-        let engine = Engine::with_options(EngineOptions {
-            shard: Some(Shard::new(0, 2).unwrap()),
-            ..EngineOptions::default()
-        });
-        let mut spec = committed("fig6");
-        spec.capacities = vec![8];
-        let err = run_spec(&spec, &engine).unwrap_err();
-        assert!(err.to_string().contains("shard 0/2"), "{err}");
-        assert!(err.to_string().contains("run_spec_jobs"), "{err}");
-    }
-
-    #[test]
-    fn run_spec_jobs_guards_the_sharded_worker_mode() {
-        let mut spec = committed("fig6");
-        spec.capacities = vec![8];
-
-        // No cache: a shard worker's results would be discarded.
-        let engine = Engine::with_options(EngineOptions {
-            shard: Some(Shard::new(0, 2).unwrap()),
-            ..EngineOptions::default()
-        });
-        let err = run_spec_jobs(&spec, &engine).unwrap_err();
-        assert!(err.to_string().contains("cache"), "{err}");
-
-        // Unopenable cache: a hard error, not a silent uncached run
-        // that leaves the merge permanently incomplete.
-        let file =
-            std::env::temp_dir().join(format!("qccd-shard-not-a-dir-{}", std::process::id()));
-        std::fs::write(&file, "x").unwrap();
-        let engine = Engine::with_options(EngineOptions {
-            cache_dir: Some(file.clone()),
-            shard: Some(Shard::new(0, 2).unwrap()),
-            ..EngineOptions::default()
-        });
-        let err = run_spec_jobs(&spec, &engine).unwrap_err();
-        assert!(matches!(err, SpecError::Io { .. }), "{err:?}");
-        let _ = std::fs::remove_file(&file);
-
-        // Axis shortfalls fail on every worker before any compute,
-        // not at merge time.
-        let dir = temp_dir("worker-axes");
-        let engine = Engine::with_options(EngineOptions {
-            cache_dir: Some(dir.clone()),
-            shard: Some(Shard::new(0, 2).unwrap()),
-            ..EngineOptions::default()
-        });
-        let mut heating = committed("ablation_heating");
-        heating.capacities = vec![8];
-        heating.models.truncate(1); // needs scaled + constant entries
-        let err = run_spec_jobs(&heating, &engine).unwrap_err();
-        assert!(err.to_string().contains("models"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_surfaces_an_unusable_cache_as_an_io_error() {
-        // cache_dir pointing at a regular file cannot be opened; that
-        // is an environment error, not a spec error.
-        let file = std::env::temp_dir().join(format!("qccd-not-a-dir-{}", std::process::id()));
-        std::fs::write(&file, "x").unwrap();
-        let engine = Engine::with_options(EngineOptions {
-            cache_dir: Some(file.clone()),
-            ..EngineOptions::default()
-        });
-        let mut spec = committed("fig6");
-        spec.capacities = vec![8];
-        let err = merge_spec(&spec, &engine).unwrap_err();
-        assert!(matches!(err, SpecError::Io { .. }), "{err:?}");
-        assert!(err.to_string().contains("qccd-not-a-dir"), "{err}");
-        let _ = std::fs::remove_file(&file);
-    }
-
-    #[test]
-    fn merge_spec_projects_from_the_cache_and_reports_missing_ids() {
-        let dir = temp_dir("merge-spec");
-        let mut spec = committed("fig6");
-        spec.capacities = vec![8];
-        spec.circuits.truncate(2);
-        let cached_engine = Engine::with_options(EngineOptions {
-            cache_dir: Some(dir.clone()),
-            ..EngineOptions::default()
-        });
-
-        // Before any shard ran, the merge names what is missing.
-        let err = merge_spec(&spec, &cached_engine).unwrap_err();
-        match &err {
-            SpecError::IncompleteCache { missing } => assert_eq!(missing.len(), 2),
-            other => panic!("expected IncompleteCache, got {other:?}"),
-        }
-        assert!(err.to_string().contains("missing 2 job(s)"), "{err}");
-
-        // Run both shards, then the merge reproduces the direct run.
-        let direct = run_spec(&spec, &Engine::new()).unwrap();
-        for k in 0..2 {
-            let engine = Engine::with_options(EngineOptions {
-                cache_dir: Some(dir.clone()),
-                shard: Some(Shard::new(k, 2).unwrap()),
-                ..EngineOptions::default()
-            });
-            run_spec_jobs(&spec, &engine).unwrap();
-        }
-        let merged = merge_spec(&spec, &cached_engine).unwrap();
-        assert_eq!(merged.stats.executed, 0);
-        assert_eq!(
-            serde_json::to_string_pretty(&merged.artifact).unwrap(),
-            serde_json::to_string_pretty(&direct.artifact).unwrap(),
-            "merged artifact bytes must match the single-process run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

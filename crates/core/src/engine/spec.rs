@@ -50,36 +50,6 @@ pub enum SpecError {
     /// The spec is well-formed but describes an invalid study
     /// (unknown preset family, zero-sized device, invalid model, …).
     Invalid(String),
-    /// [`crate::engine::merge_spec`] found no cached outcome for these
-    /// job ids: not every shard of the study has run (to completion)
-    /// against the shared cache yet.
-    IncompleteCache {
-        /// Ids of the jobs with no cached outcome, in grid job order.
-        missing: Vec<String>,
-    },
-}
-
-/// Renders the shared "missing N job(s): a, b, … (run the remaining
-/// shards …)" message used by both [`SpecError::IncompleteCache`] and
-/// [`crate::engine::MergeError::Incomplete`], so the library and CLI
-/// spellings cannot drift apart.
-pub(crate) fn fmt_missing_jobs<'a>(
-    f: &mut fmt::Formatter<'_>,
-    missing: impl ExactSizeIterator<Item = &'a str>,
-) -> fmt::Result {
-    const SHOWN: usize = 10;
-    let total = missing.len();
-    write!(f, "the result cache is missing {total} job(s): ")?;
-    for (k, id) in missing.take(SHOWN).enumerate() {
-        if k > 0 {
-            write!(f, ", ")?;
-        }
-        f.write_str(id)?;
-    }
-    if total > SHOWN {
-        write!(f, ", … and {} more", total - SHOWN)?;
-    }
-    write!(f, " (run the remaining shards against this cache first)")
 }
 
 impl fmt::Display for SpecError {
@@ -88,10 +58,6 @@ impl fmt::Display for SpecError {
             SpecError::Parse(m) => write!(f, "experiment spec parse error: {m}"),
             SpecError::Io { path, message } => write!(f, "{path}: {message}"),
             SpecError::Invalid(m) => write!(f, "invalid experiment spec: {m}"),
-            SpecError::IncompleteCache { missing } => {
-                write!(f, "cannot merge: ")?;
-                fmt_missing_jobs(f, missing.iter().map(String::as_str))
-            }
         }
     }
 }

@@ -44,7 +44,6 @@ fn main() {
     let engine = Engine::with_options(EngineOptions {
         cache_dir: Some(cache.clone()),
         verbose: true,
-        ..EngineOptions::default()
     });
 
     let first = run_spec(&spec, &engine).expect("spec expands");

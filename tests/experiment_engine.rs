@@ -10,8 +10,7 @@
 
 use proptest::prelude::*;
 use qccd::engine::{
-    merge_spec, run_spec, run_spec_jobs, Engine, EngineOptions, ExperimentSpec, JobGrid,
-    JobOutcome, Projection, ResultCache, Shard, SpecError,
+    run_spec, Engine, EngineOptions, ExperimentSpec, JobGrid, JobOutcome, Projection, ResultCache,
 };
 use qccd::sweep::policy_grid;
 use qccd::Toolflow;
@@ -192,64 +191,14 @@ fn concurrent_cache_writers_never_yield_corrupt_or_missing_loads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sharded execution + merge against one shared cache reproduces the
-/// unsharded artifact byte for byte, and a premature merge names the
-/// missing jobs.
-#[test]
-fn sharded_spec_runs_plus_merge_match_the_unsharded_artifact() {
-    let dir = temp_dir("shard-merge");
-    let mut spec = committed("fig6");
-    spec.capacities = vec![8, 10];
-    spec.circuits.truncate(3);
-    spec.name = "fig6-shard-mini".into();
-    let unsharded = run_spec(&spec, &Engine::new()).unwrap();
-    assert_eq!(unsharded.stats.jobs, 6);
-
-    let cached_engine = Engine::with_options(EngineOptions {
-        cache_dir: Some(dir.clone()),
-        ..EngineOptions::default()
-    });
-    // Merging before any shard ran fails, naming every missing job.
-    match merge_spec(&spec, &cached_engine).unwrap_err() {
-        SpecError::IncompleteCache { missing } => assert_eq!(missing.len(), 6),
-        other => panic!("expected IncompleteCache, got {other:?}"),
-    }
-
-    let mut executed = 0;
-    let mut skipped = 0;
-    for k in 0..3 {
-        let engine = Engine::with_options(EngineOptions {
-            cache_dir: Some(dir.clone()),
-            shard: Some(Shard::new(k, 3).unwrap()),
-            ..EngineOptions::default()
-        });
-        let run = run_spec_jobs(&spec, &engine).unwrap();
-        assert_eq!(run.stats.cached, 0, "shards own disjoint job sets");
-        executed += run.stats.executed;
-        skipped += run.stats.skipped;
-    }
-    assert_eq!(executed, 6, "every job executed exactly once across shards");
-    assert_eq!(skipped, 2 * 6, "each shard skipped the other two slices");
-
-    let merged = merge_spec(&spec, &cached_engine).unwrap();
-    assert_eq!(merged.stats.executed, 0, "merge only reads the cache");
-    assert_eq!(
-        serde_json::to_string_pretty(&merged.artifact).unwrap(),
-        serde_json::to_string_pretty(&unsharded.artifact).unwrap(),
-        "merged artifact drifted from the single-process run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Shard partitioning: for random grids and M ∈ {2, 3, 5}, the M
-    /// shards are pairwise disjoint, their union is exactly `jobs()`,
-    /// and the assignment is stable across grid constructions and
-    /// unchanged for surviving jobs when the grid is edited.
+    /// Job ids are stable across grid constructions and unchanged for
+    /// surviving jobs when the grid is edited — the properties the
+    /// result cache's warm resweep relies on.
     #[test]
-    fn shard_partition_is_disjoint_exhaustive_and_stable(
+    fn job_ids_are_stable_across_constructions_and_grid_edits(
         n_circuits in 1usize..4,
         n_devices in 1usize..3,
         n_configs in 1usize..3,
@@ -264,37 +213,22 @@ proptest! {
         let grid = JobGrid::from_axes(
             circuits.clone(), devices.clone(), configs.clone(), models.clone());
 
-        for m in [2usize, 3, 5] {
-            let shards: Vec<Shard> = (0..m).map(|k| Shard::new(k, m).unwrap()).collect();
-            for job in grid.jobs() {
-                let owners = shards.iter().filter(|s| s.owns(&job.id)).count();
-                prop_assert_eq!(owners, 1, "job {} must have exactly one owner", job.id);
-                prop_assert!(job.id.shard_of(m) < m);
-            }
-            // Stable across constructions: the same axes give the same
-            // ids, hence the same owners.
-            let rebuilt = JobGrid::from_axes(
-                circuits.clone(), devices.clone(), configs.clone(), models.clone());
-            for (a, b) in grid.jobs().iter().zip(rebuilt.jobs()) {
-                prop_assert_eq!(&a.id, &b.id);
-                prop_assert_eq!(a.id.shard_of(m), b.id.shard_of(m));
-            }
-            // Stable under grid edits: the assignment hashes the job id,
-            // not its position, so adding an axis entry never moves an
-            // existing job to a different shard.
-            let mut extended = circuits.clone();
-            extended.push(generators::qft(5));
-            let edited = JobGrid::from_axes(
-                extended, devices.clone(), configs.clone(), models.clone());
-            for job in grid.jobs() {
-                let owner_before = job.id.shard_of(m);
-                let survived = edited
-                    .jobs()
-                    .iter()
-                    .find(|j| j.id == job.id)
-                    .expect("original job survives the edit");
-                prop_assert_eq!(owner_before, survived.id.shard_of(m));
-            }
+        // Stable across constructions: the same axes give the same ids.
+        let rebuilt = JobGrid::from_axes(
+            circuits.clone(), devices.clone(), configs.clone(), models.clone());
+        for (a, b) in grid.jobs().iter().zip(rebuilt.jobs()) {
+            prop_assert_eq!(&a.id, &b.id);
+        }
+        // Stable under grid edits: ids hash the job's content, not its
+        // position, so adding an axis entry keeps every existing id.
+        let mut extended = circuits.clone();
+        extended.push(generators::qft(5));
+        let edited = JobGrid::from_axes(extended, devices, configs, models);
+        for job in grid.jobs() {
+            prop_assert!(
+                edited.jobs().iter().any(|j| j.id == job.id),
+                "job {} did not survive the edit", job.id
+            );
         }
     }
 
