@@ -81,12 +81,24 @@ fn shuttle_heavy() -> (Executable, Device) {
     (exe, device)
 }
 
+/// Ion-swap-heavy workload: ion-swap reordering on chains longer than
+/// the heating model's reference length, where split/merge heating
+/// scales with the chain length.
+fn ionswap_heavy() -> (Executable, Device) {
+    let device = presets::l6(20);
+    let circuit = generators::random_circuit(100, 600, 0.6, 17);
+    let config = CompilerConfig::with_reorder(ReorderMethod::IonSwap);
+    let exe = compile(&circuit, &device, &config).expect("compiles");
+    (exe, device)
+}
+
 fn bench_simulate(c: &mut Criterion) {
     let model = PhysicalModel::default();
     let mut group = c.benchmark_group("sim");
     for (label, (exe, device)) in [
         ("gate_heavy", gate_heavy()),
         ("shuttle_heavy", shuttle_heavy()),
+        ("ionswap_heavy", ionswap_heavy()),
     ] {
         group.bench_function(format!("simulate_{label}"), |b| {
             b.iter(|| simulate(black_box(&exe), &device, &model).expect("simulates"));

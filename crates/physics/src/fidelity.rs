@@ -115,12 +115,15 @@ impl FidelityModel {
     }
 
     /// Error breakdown for a two-qubit MS gate of duration `tau_us` (µs)
-    /// in a chain of `chain_len` ions at motional energy `nbar` quanta.
-    pub fn two_qubit_error(&self, tau_us: f64, chain_len: u32, nbar: f64) -> ErrorBreakdown {
+    /// at motional energy `nbar` quanta, in a chain whose beam-instability
+    /// factor is `beam` ([`FidelityModel::beam_instability`] of its
+    /// length). The factor depends only on the model and the chain
+    /// length, so a caller stepping many gates tabulates it per length.
+    pub fn two_qubit_error(&self, tau_us: f64, beam: f64, nbar: f64) -> ErrorBreakdown {
         debug_assert!(tau_us >= 0.0 && nbar >= 0.0);
         ErrorBreakdown {
             background: self.gamma_per_s * 1.0e-6 * tau_us,
-            motional: self.beam_instability(chain_len) * (2.0 * nbar + 1.0),
+            motional: beam * (2.0 * nbar + 1.0),
         }
     }
 }
@@ -146,8 +149,12 @@ mod tests {
     #[test]
     fn background_term_is_linear_in_duration() {
         let f = FidelityModel::default();
-        let e1 = f.two_qubit_error(100.0, 10, 0.0).background;
-        let e2 = f.two_qubit_error(200.0, 10, 0.0).background;
+        let e1 = f
+            .two_qubit_error(100.0, f.beam_instability(10), 0.0)
+            .background;
+        let e2 = f
+            .two_qubit_error(200.0, f.beam_instability(10), 0.0)
+            .background;
         assert!((e2 - 2.0 * e1).abs() < 1e-15);
         // Γ = 1 quanta/s at 100 µs → 1e-4.
         assert!((e1 - 1.0e-4).abs() < 1e-15);
@@ -157,7 +164,7 @@ mod tests {
     fn motional_term_is_linear_in_nbar() {
         let f = FidelityModel::default();
         let a = f.beam_instability(20);
-        let e = f.two_qubit_error(100.0, 20, 3.0).motional;
+        let e = f.two_qubit_error(100.0, a, 3.0).motional;
         assert!((e - a * 7.0).abs() < 1e-15);
     }
 
@@ -165,7 +172,7 @@ mod tests {
     fn cold_chain_still_has_motional_floor() {
         // (2n̄+1) = 1 at n̄ = 0: the zero-point term.
         let f = FidelityModel::default();
-        let e = f.two_qubit_error(100.0, 20, 0.0);
+        let e = f.two_qubit_error(100.0, f.beam_instability(20), 0.0);
         assert!(e.motional > 0.0);
     }
 
@@ -175,14 +182,16 @@ mod tests {
         // n̄ ≈ 4), FM-like duration: the calibration anchor in the module
         // docs.
         let f = FidelityModel::default();
-        let e = f.two_qubit_error(212.6, 20, 4.0).total();
+        let e = f
+            .two_qubit_error(212.6, f.beam_instability(20), 4.0)
+            .total();
         assert!(e > 2.0e-4 && e < 5.0e-3, "error was {e}");
     }
 
     #[test]
     fn background_is_minor_contributor_on_heated_chains_fig6g() {
         let f = FidelityModel::default();
-        let e = f.two_qubit_error(212.6, 20, 8.0);
+        let e = f.two_qubit_error(212.6, f.beam_instability(20), 8.0);
         assert!(
             e.motional > 5.0 * e.background,
             "motional {} vs background {}",
@@ -194,7 +203,7 @@ mod tests {
     #[test]
     fn total_error_clamps_at_one() {
         let f = FidelityModel::default();
-        let e = f.two_qubit_error(1.0e9, 20, 1.0e9);
+        let e = f.two_qubit_error(1.0e9, f.beam_instability(20), 1.0e9);
         assert_eq!(e.total(), 1.0);
         assert_eq!(e.fidelity(), 0.0);
     }

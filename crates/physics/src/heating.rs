@@ -87,22 +87,26 @@ impl HeatingModel {
     /// Splits a chain of `n_a + n_b` ions with energy `energy` into
     /// sub-chains of `n_a` and `n_b` ions, returning their energies.
     ///
+    /// `k1` is [`HeatingModel::k1_for`]`(n_a + n_b)`. It is passed in
+    /// because it depends only on the model and the chain length, so a
+    /// caller stepping many operations tabulates it once per length.
+    ///
     /// # Panics
     ///
     /// Panics if either sub-chain is empty.
-    pub fn split(&self, energy: f64, n_a: u32, n_b: u32) -> (f64, f64) {
+    pub fn split(energy: f64, n_a: u32, n_b: u32, k1: f64) -> (f64, f64) {
         assert!(n_a > 0 && n_b > 0, "split sub-chains must be non-empty");
         let total = f64::from(n_a + n_b);
-        let k1 = self.k1_for(n_a + n_b);
         let e_a = energy * f64::from(n_a) / total + k1;
         let e_b = energy * f64::from(n_b) / total + k1;
         (e_a, e_b)
     }
 
-    /// Merges two chains with energies `e_a` and `e_b` into a chain of
-    /// `n_result` ions.
-    pub fn merge(&self, e_a: f64, e_b: f64, n_result: u32) -> f64 {
-        e_a + e_b + self.k1_for(n_result)
+    /// Merges two chains with energies `e_a` and `e_b` into one chain.
+    /// `k1` is [`HeatingModel::k1_for`] of the merged chain's length,
+    /// passed in as for [`HeatingModel::split`].
+    pub fn merge(e_a: f64, e_b: f64, k1: f64) -> f64 {
+        e_a + e_b + k1
     }
 
     /// Energy gained by a shuttled ion moving over `segments` unit
@@ -175,7 +179,7 @@ mod tests {
     #[test]
     fn split_conserves_energy_up_to_k1_additions() {
         let h = HeatingModel::default();
-        let (a, b) = h.split(1.0, 3, 7);
+        let (a, b) = HeatingModel::split(1.0, 3, 7, h.k1_for(10));
         assert!((a - (0.3 + 0.1)).abs() < 1e-12);
         assert!((b - (0.7 + 0.1)).abs() < 1e-12);
         assert!((a + b - (1.0 + 2.0 * h.k1_for(10))).abs() < 1e-12);
@@ -184,7 +188,7 @@ mod tests {
     #[test]
     fn split_of_cold_chain_still_heats() {
         let h = HeatingModel::default();
-        let (a, b) = h.split(0.0, 1, 9);
+        let (a, b) = HeatingModel::split(0.0, 1, 9, h.k1_for(10));
         assert_eq!(a, 0.1);
         assert_eq!(b, 0.1);
     }
@@ -192,16 +196,16 @@ mod tests {
     #[test]
     fn long_chain_split_heats_more() {
         let h = HeatingModel::default();
-        let (small, _) = h.split(0.0, 1, 9);
-        let (large, _) = h.split(0.0, 1, 32);
+        let (small, _) = HeatingModel::split(0.0, 1, 9, h.k1_for(10));
+        let (large, _) = HeatingModel::split(0.0, 1, 32, h.k1_for(33));
         assert!(large > 2.0 * small, "large {large} vs small {small}");
     }
 
     #[test]
     fn merge_sums_plus_k1() {
         let h = HeatingModel::default();
-        assert!((h.merge(0.4, 0.7, 8) - 1.2).abs() < 1e-12);
-        assert!(h.merge(0.4, 0.7, 30) > 1.2);
+        assert!((HeatingModel::merge(0.4, 0.7, h.k1_for(8)) - 1.2).abs() < 1e-12);
+        assert!(HeatingModel::merge(0.4, 0.7, h.k1_for(30)) > 1.2);
     }
 
     #[test]
@@ -217,8 +221,8 @@ mod tests {
         // The full Fig. 2d sequence on an adjacent-trap shuttle: split off
         // one ion, move it, merge it into another cold 9-ion chain.
         let h = HeatingModel::default();
-        let (ion, rest) = h.split(0.0, 1, 9);
-        let merged = h.merge(ion + h.move_energy(4, 0), 0.0, 10);
+        let (ion, rest) = HeatingModel::split(0.0, 1, 9, h.k1_for(10));
+        let merged = HeatingModel::merge(ion + h.move_energy(4, 0), 0.0, h.k1_for(10));
         assert!((merged - (2.0 * h.k1 + 0.04)).abs() < 1e-12);
         assert_eq!(rest, h.k1);
     }
@@ -226,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_subchain_panics() {
-        let _ = HeatingModel::default().split(1.0, 0, 5);
+        let _ = HeatingModel::split(1.0, 0, 5, 0.1);
     }
 
     #[test]
@@ -254,12 +258,12 @@ mod tests {
         }
         // And whole split/merge cycles agree between the two spellings.
         assert_eq!(
-            flat.split(2.0, 13, 21),
-            HeatingModel::CONSTANT_K1.split(2.0, 13, 21)
+            HeatingModel::split(2.0, 13, 21, flat.k1_for(34)),
+            HeatingModel::split(2.0, 13, 21, HeatingModel::CONSTANT_K1.k1_for(34))
         );
         assert_eq!(
-            flat.merge(0.3, 0.9, 34),
-            HeatingModel::CONSTANT_K1.merge(0.3, 0.9, 34)
+            HeatingModel::merge(0.3, 0.9, flat.k1_for(34)),
+            HeatingModel::merge(0.3, 0.9, HeatingModel::CONSTANT_K1.k1_for(34))
         );
     }
 
@@ -280,15 +284,16 @@ mod tests {
                 serde_json::from_str(&serde_json::to_string(&model).unwrap()).unwrap();
             assert_eq!(loaded, model);
             for (energy, n_a, n_b) in [(0.0, 1, 9), (1.7, 3, 7), (4.2, 20, 15)] {
-                let (e_a, e_b) = loaded.split(energy, n_a, n_b);
-                let expected = energy + 2.0 * loaded.k1_for(n_a + n_b);
+                let k1 = loaded.k1_for(n_a + n_b);
+                let (e_a, e_b) = HeatingModel::split(energy, n_a, n_b, k1);
+                let expected = energy + 2.0 * k1;
                 assert!(
                     (e_a + e_b - expected).abs() < 1e-12,
                     "split({energy}, {n_a}, {n_b}) leaked energy"
                 );
-                let merged = loaded.merge(e_a, e_b, n_a + n_b);
+                let merged = HeatingModel::merge(e_a, e_b, k1);
                 assert!(
-                    (merged - (e_a + e_b + loaded.k1_for(n_a + n_b))).abs() < 1e-12,
+                    (merged - (e_a + e_b + k1)).abs() < 1e-12,
                     "merge({n_a}+{n_b}) leaked energy"
                 );
             }

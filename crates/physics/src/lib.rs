@@ -28,8 +28,9 @@
 //! let t2 = GateImpl::Fm.two_qubit_time(15, 20);
 //! assert_eq!(t1, t2);
 //! // Fidelity degrades as the chain heats up:
-//! let cold = model.fidelity.two_qubit_error(t1, 20, 0.0).total();
-//! let hot = model.fidelity.two_qubit_error(t1, 20, 10.0).total();
+//! let beam = model.fidelity.beam_instability(20);
+//! let cold = model.fidelity.two_qubit_error(t1, beam, 0.0).total();
+//! let hot = model.fidelity.two_qubit_error(t1, beam, 10.0).total();
 //! assert!(hot > cold);
 //! ```
 

@@ -141,7 +141,11 @@ impl PhysicalModel {
     /// Error probability of a native MS gate (eq. 1).
     pub fn two_qubit_error(&self, distance: u32, chain_len: u32, nbar: f64) -> f64 {
         self.fidelity
-            .two_qubit_error(self.two_qubit_time(distance, chain_len), chain_len, nbar)
+            .two_qubit_error(
+                self.two_qubit_time(distance, chain_len),
+                self.fidelity.beam_instability(chain_len),
+                nbar,
+            )
             .total()
     }
 }

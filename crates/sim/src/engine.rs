@@ -3,9 +3,9 @@
 use crate::error::SimError;
 use crate::report::{ErrorTotals, SimReport, TimeBreakdown};
 use crate::spans::SpanSet;
-use qccd_compiler::{Executable, Inst, MachineState, Placement};
+use qccd_compiler::{Executable, Inst, MachineState, OpCounts, Placement};
 use qccd_device::{Device, IonId, JunctionKind, Leg, TrapId};
-use qccd_physics::PhysicalModel;
+use qccd_physics::{HeatingModel, PhysicalModel};
 
 /// Simulates `exe` on `device` under `model`, producing timing, fidelity
 /// and device-level metrics.
@@ -16,8 +16,9 @@ use qccd_physics::PhysicalModel;
 ///
 /// * the initial chain table has one chain per device trap, and names
 ///   each ion at most once and only ions below `num_ions`;
-/// * every instruction names only known ions, and every split, merge and
-///   move leg names only known traps, segments and junctions;
+/// * every instruction names only known ions, two-ion instructions name
+///   two distinct ions, and every split, merge and move leg names only
+///   known traps, segments and junctions;
 /// * gates, ion swaps and measurements act on trapped ions, two-ion
 ///   operations on ions of one trap, ion swaps on chain neighbours;
 /// * a split removes the end ion of the named trap on the named side,
@@ -29,6 +30,18 @@ use qccd_physics::PhysicalModel;
 /// one device can therefore simulate on a smaller-capacity one.
 /// Each [`SimError`] variant has a negative-path unit test pinning the
 /// condition that raises it.
+///
+/// # Cost
+///
+/// The step loop does per-instruction work only. Everything that depends
+/// on just the model and a chain length is tabulated once per run, for
+/// every length up to the ion count: split/merge heating
+/// [`HeatingModel::k1_for`](qccd_physics::HeatingModel::k1_for), the beam
+/// instability [`FidelityModel::beam_instability`](qccd_physics::FidelityModel::beam_instability),
+/// and the log-fidelity terms of one-qubit gates and measurements. The
+/// loop also tallies the report's operation counts, and records each
+/// interval in its resource's [`SpanSet`] lane, so the closing
+/// compute/communication split sorts a few ordered runs.
 pub fn simulate(
     exe: &Executable,
     device: &Device,
@@ -68,6 +81,9 @@ fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
             }
         }
         match inst {
+            Inst::Ms { a, b } | Inst::SwapGate { a, b } | Inst::IonSwap { a, b } if a == b => {
+                return Err(SimError::SameIon(*a));
+            }
             Inst::Split { trap, .. } | Inst::Merge { trap, .. }
                 if trap.index() >= device.trap_count() =>
             {
@@ -102,6 +118,15 @@ struct Engine<'a> {
     trap_energy: Vec<f64>,
     trap_peak: Vec<f64>,
     flight_energy: Vec<f64>,
+    /// `k1_for(n)` per chain length `n`.
+    k1_by_len: Vec<f64>,
+    /// `beam_instability(n)` per chain length `n` (NaN below 2 ions,
+    /// where no MS gate can run).
+    beam_by_len: Vec<f64>,
+    /// [`log_term`] of the fixed one-qubit gate and measurement errors.
+    one_qubit_log: f64,
+    measure_log: f64,
+    counts: OpCounts,
     log_fidelity: f64,
     errors: ErrorTotals,
     ms_executions: usize,
@@ -119,6 +144,8 @@ impl<'a> Engine<'a> {
     /// An engine holding `exe`'s initial placement at time zero.
     fn new(exe: &Executable, device: &'a Device, model: &'a PhysicalModel) -> Self {
         let placement = Placement::from_chains(exe.initial_chains().to_vec());
+        // Chains hold distinct ions, so none is longer than the ion count.
+        let lengths = 0..=exe.num_ions();
         Engine {
             device,
             model,
@@ -130,6 +157,19 @@ impl<'a> Engine<'a> {
             trap_energy: vec![0.0; device.trap_count()],
             trap_peak: vec![0.0; device.trap_count()],
             flight_energy: vec![0.0; exe.num_ions() as usize],
+            k1_by_len: lengths.clone().map(|n| model.heating.k1_for(n)).collect(),
+            beam_by_len: lengths
+                .map(|n| {
+                    if n >= 2 {
+                        model.fidelity.beam_instability(n)
+                    } else {
+                        f64::NAN
+                    }
+                })
+                .collect(),
+            one_qubit_log: log_term(model.fidelity.one_qubit_error),
+            measure_log: log_term(model.fidelity.measure_error),
+            counts: OpCounts::default(),
             log_fidelity: 0.0,
             errors: ErrorTotals::default(),
             ms_executions: 0,
@@ -151,7 +191,7 @@ impl<'a> Engine<'a> {
             name: exe.name().to_owned(),
             total_time_us: self.makespan,
             log_fidelity: self.log_fidelity,
-            counts: exe.counts(),
+            counts: self.counts,
             peak_motional_energy: self.trap_peak.iter().copied().fold(0.0, f64::max),
             trap_peak_energy: self.trap_peak,
             trap_final_energy: self.trap_energy,
@@ -166,18 +206,6 @@ impl<'a> Engine<'a> {
                 shuttle_busy_us: self.shuttle_busy,
                 shuttle_wait_us: self.shuttle_wait,
             },
-        }
-    }
-
-    /// Folds one operation's error probability into the running
-    /// log-fidelity: clamped to [0, 1], `-inf` on certain failure, and
-    /// the `ln_1p` form for small errors.
-    fn charge_error(&mut self, err: f64) {
-        let err = err.clamp(0.0, 1.0);
-        if err >= 1.0 {
-            self.log_fidelity = f64::NEG_INFINITY;
-        } else {
-            self.log_fidelity += (1.0 - err).ln_1p_workaround();
         }
     }
 
@@ -206,16 +234,16 @@ impl<'a> Engine<'a> {
     /// swaps); returns its duration and total error.
     fn ms_interaction(&mut self, a: IonId, b: IonId, trap: TrapId) -> (f64, f64) {
         let distance = self.st.distance(a, b).max(1);
-        let chain_len = self.st.chain_len(trap) as u32;
-        let tau = self.model.two_qubit_time(distance, chain_len);
-        let breakdown = self
-            .model
-            .fidelity
-            .two_qubit_error(tau, chain_len, self.nbar(trap));
+        let chain_len = self.st.chain_len(trap);
+        let tau = self.model.two_qubit_time(distance, chain_len as u32);
+        let breakdown =
+            self.model
+                .fidelity
+                .two_qubit_error(tau, self.beam_by_len[chain_len], self.nbar(trap));
         self.ms_executions += 1;
         self.ms_background_sum += breakdown.background;
         self.ms_motional_sum += breakdown.motional;
-        self.charge_error(breakdown.total());
+        self.log_fidelity += log_term(breakdown.total());
         (tau, breakdown.total())
     }
 
@@ -227,9 +255,10 @@ impl<'a> Engine<'a> {
                 let end = start + self.model.one_qubit_time;
                 self.ion_ready[ion.index()] = end;
                 self.trap_ready[trap.index()] = end;
-                self.charge_error(self.model.fidelity.one_qubit_error);
+                self.log_fidelity += self.one_qubit_log;
                 self.errors.one_qubit += self.model.fidelity.one_qubit_error;
-                self.gate_spans.add(start, end);
+                self.counts.one_qubit_gates += 1;
+                self.gate_spans.add(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -243,11 +272,12 @@ impl<'a> Engine<'a> {
                     .max(self.trap_ready[trap.index()]);
                 let (tau, err) = self.ms_interaction(*a, *b, trap);
                 self.errors.two_qubit += err;
+                self.counts.two_qubit_gates += 1;
                 let end = start + tau;
                 self.ion_ready[a.index()] = end;
                 self.ion_ready[b.index()] = end;
                 self.trap_ready[trap.index()] = end;
-                self.gate_spans.add(start, end);
+                self.gate_spans.add(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -269,16 +299,17 @@ impl<'a> Engine<'a> {
                 }
                 for _ in 0..qccd_compiler::lowering::WRAPPERS_PER_CX {
                     tau += self.model.one_qubit_time;
-                    self.charge_error(self.model.fidelity.one_qubit_error);
+                    self.log_fidelity += self.one_qubit_log;
                     swap_err += self.model.fidelity.one_qubit_error;
                 }
                 self.errors.swap += swap_err;
+                self.counts.swap_gates += 1;
                 let end = start + tau;
                 self.ion_ready[a.index()] = end;
                 self.ion_ready[b.index()] = end;
                 self.trap_ready[trap.index()] = end;
                 self.st.swap_states(*a, *b);
-                self.gate_spans.add(start, end);
+                self.gate_spans.add(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -290,15 +321,17 @@ impl<'a> Engine<'a> {
                 if self.st.distance(*a, *b) != 1 {
                     return Err(SimError::NotAdjacent(*a, *b));
                 }
-                let n = self.st.chain_len(trap) as u32;
+                let n = self.st.chain_len(trap);
                 let heating = &self.model.heating;
                 let (tau, new_energy) = if n > 2 {
                     // Split the pair off, rotate it, merge it back.
-                    let (pair, rest) = heating.split(self.trap_energy[trap.index()], 2, n - 2);
+                    let k1_n = self.k1_by_len[n];
+                    let (pair, rest) =
+                        HeatingModel::split(self.trap_energy[trap.index()], 2, n as u32 - 2, k1_n);
                     let pair = pair + heating.k1; // rotation agitation
                     (
                         self.model.shuttle.ion_swap_time(),
-                        heating.merge(pair, rest, n),
+                        HeatingModel::merge(pair, rest, k1_n),
                     )
                 } else {
                     (
@@ -315,7 +348,8 @@ impl<'a> Engine<'a> {
                 self.trap_ready[trap.index()] = end;
                 self.bump_trap_energy(trap, new_energy);
                 self.st.swap_positions(*a, *b);
-                self.comm_spans.add(start, end);
+                self.counts.ion_swaps += 1;
+                self.comm_spans.add(trap.index(), start, end);
                 self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -326,12 +360,13 @@ impl<'a> Engine<'a> {
                 if self.st.end_ion(*trap, *side) != Some(*ion) {
                     return Err(SimError::SplitNotAtEnd(*ion, *trap));
                 }
-                let n = self.st.chain_len(*trap) as u32;
+                let n = self.st.chain_len(*trap);
                 let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
                 let end = start + self.model.shuttle.split;
                 let heating = &self.model.heating;
                 let (e_ion, e_rest) = if n > 1 {
-                    heating.split(self.trap_energy[trap.index()], 1, n - 1)
+                    let k1_n = self.k1_by_len[n];
+                    HeatingModel::split(self.trap_energy[trap.index()], 1, n as u32 - 1, k1_n)
                 } else {
                     // Splitting the last ion empties the trap.
                     (self.trap_energy[trap.index()] + heating.k1, 0.0)
@@ -341,7 +376,8 @@ impl<'a> Engine<'a> {
                 self.bump_trap_energy(*trap, e_rest);
                 self.ion_ready[ion.index()] = end;
                 self.trap_ready[trap.index()] = end;
-                self.comm_spans.add(start, end);
+                self.counts.splits += 1;
+                self.comm_spans.add(trap.index(), start, end);
                 self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -361,7 +397,9 @@ impl<'a> Engine<'a> {
                     .heating
                     .move_energy(leg.length_units, leg.junctions.len() as u32);
                 self.ion_ready[ion.index()] = end;
-                self.comm_spans.add(start, end);
+                self.counts.moves += 1;
+                self.counts.junction_crossings += leg.junctions.len();
+                self.comm_spans.add(self.move_lane(leg), start, end);
                 self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -371,18 +409,19 @@ impl<'a> Engine<'a> {
                 }
                 let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
                 let end = start + self.model.shuttle.merge;
-                let n_result = self.st.chain_len(*trap) as u32 + 1;
-                let merged = self.model.heating.merge(
+                let n_result = self.st.chain_len(*trap) + 1;
+                let merged = HeatingModel::merge(
                     self.trap_energy[trap.index()],
                     self.flight_energy[ion.index()],
-                    n_result,
+                    self.k1_by_len[n_result],
                 );
                 self.flight_energy[ion.index()] = 0.0;
                 self.st.insert_end(*ion, *trap, *side);
                 self.bump_trap_energy(*trap, merged);
                 self.ion_ready[ion.index()] = end;
                 self.trap_ready[trap.index()] = end;
-                self.comm_spans.add(start, end);
+                self.counts.merges += 1;
+                self.comm_spans.add(trap.index(), start, end);
                 self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -392,14 +431,26 @@ impl<'a> Engine<'a> {
                 let end = start + self.model.measure_time;
                 self.ion_ready[ion.index()] = end;
                 self.trap_ready[trap.index()] = end;
-                self.charge_error(self.model.fidelity.measure_error);
+                self.log_fidelity += self.measure_log;
                 self.errors.measure += self.model.fidelity.measure_error;
-                self.gate_spans.add(start, end);
+                self.counts.measurements += 1;
+                self.gate_spans.add(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
         }
         Ok(())
+    }
+
+    /// The communication-span lane of a move: its leg's first segment,
+    /// whose ready time the move advances. Lanes below the trap count
+    /// belong to traps; a leg with no segment gets a lane of its own.
+    fn move_lane(&self, leg: &Leg) -> usize {
+        let segment = leg
+            .segments
+            .first()
+            .map_or(self.device.segment_count(), |s| s.index());
+        self.device.trap_count() + segment
     }
 
     /// Transit time of one shuttle leg: its segments plus a Y- or
@@ -436,23 +487,23 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// `ln(1 - e)` helper with the accuracy-preserving form for tiny errors.
-trait Ln1pWorkaround {
-    fn ln_1p_workaround(self) -> f64;
-}
-
-impl Ln1pWorkaround for f64 {
-    /// `self` is already `1 - err`; use `ln_1p(-err)` for small errors to
-    /// avoid catastrophic cancellation.
-    fn ln_1p_workaround(self) -> f64 {
-        let err = 1.0 - self;
-        (-err).ln_1p()
+/// The log-fidelity term `ln(1 - err)` of one operation's error
+/// probability: clamped to `[0, 1]`, `-inf` on certain failure, and the
+/// `ln_1p` form, accurate for small errors, otherwise. The error takes a
+/// round trip through `1 - err` first; the goldens pin its rounding.
+fn log_term(err: f64) -> f64 {
+    let err = err.clamp(0.0, 1.0);
+    if err >= 1.0 {
+        f64::NEG_INFINITY
+    } else {
+        (-(1.0 - (1.0 - err))).ln_1p()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spans::reference;
     use proptest::prelude::*;
     use qccd_circuit::{generators, Circuit, Qubit};
     use qccd_compiler::{
@@ -881,6 +932,32 @@ mod tests {
     }
 
     #[test]
+    fn same_ion_when_a_two_ion_instruction_pairs_an_ion_with_itself() {
+        // Unchecked, a self-paired MS gate panics in the gate-time model
+        // on a one-ion chain and runs as a 100 µs gate on a two-ion
+        // chain, and a self-paired gate swap panics in the machine state.
+        for ions in [1, 2] {
+            for inst in [
+                Inst::Ms {
+                    a: IonId(0),
+                    b: IonId(0),
+                },
+                Inst::SwapGate {
+                    a: IonId(0),
+                    b: IonId(0),
+                },
+                Inst::IonSwap {
+                    a: IonId(0),
+                    b: IonId(0),
+                },
+            ] {
+                let exe = exe_on(ions, chains_in_trap0(ions), vec![inst]);
+                assert_rejects(&exe, SimError::SameIon(IonId(0)));
+            }
+        }
+    }
+
+    #[test]
     fn empty_executable_yields_zero_report() {
         let exe = exe_on(1, chains_in_trap0(1), vec![]);
         let r = simulate(&exe, &presets::l6(10), &PhysicalModel::default()).expect("runs");
@@ -989,8 +1066,58 @@ mod tests {
         assert_no_double_booking(&exe, &d);
     }
 
+    /// Steps the engine through `exe` on `device` and checks its
+    /// bookkeeping against independent recomputations: the counts
+    /// tallied in the step loop against [`Executable::counts`], every
+    /// span lane in time order (the invariant the post-pass's speed
+    /// rests on), and the lane-aware compute/communication split against
+    /// the reference sweep over the flattened intervals, bit for bit.
+    fn assert_matches_references(exe: &Executable, device: &Device) {
+        let model = PhysicalModel::default();
+        let mut engine = Engine::new(exe, device, &model);
+        for inst in exe.instructions() {
+            engine.step(inst).expect("simulates");
+        }
+        assert!(engine.gate_spans.lanes_are_ordered(), "gate lanes");
+        assert!(engine.comm_spans.lanes_are_ordered(), "comm lanes");
+        let gates = engine.gate_spans.intervals();
+        let comm = engine.comm_spans.intervals();
+        let want = (
+            reference::union_length(&gates),
+            reference::union_length_excluding(&comm, &gates),
+        );
+        let r = engine.finish(exe);
+        assert_eq!(r.counts, exe.counts());
+        assert_eq!(
+            (
+                r.time.compute_us.to_bits(),
+                r.time.communication_us.to_bits()
+            ),
+            (want.0.to_bits(), want.1.to_bits()),
+            "got {:?}, want {want:?}",
+            r.time
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random circuits through all 16 policy pipelines on the linear
+        /// and the grid topology.
+        #[test]
+        fn random_circuits_match_the_references(
+            n in 2u32..24,
+            ops in 1usize..150,
+            frac in 0.0f64..0.8,
+            seed in 0u64..1000,
+            combo in 0usize..16,
+            grid in proptest::bool::ANY,
+        ) {
+            let circuit = generators::random_circuit(n, ops, frac, seed);
+            let device = if grid { presets::g2x3(8) } else { presets::l6(8) };
+            let exe = compile(&circuit, &device, &policy_grid()[combo]).expect("compiles");
+            assert_matches_references(&exe, &device);
+        }
 
         /// Random circuits on the linear topology, across all 16
         /// policy pipelines.

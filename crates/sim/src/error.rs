@@ -34,6 +34,9 @@ pub enum SimError {
     NotAdjacent(IonId, IonId),
     /// A gate or split/merge targeted an ion that is in flight.
     IonInFlight(IonId),
+    /// A two-ion instruction (MS gate, gate swap or ion swap) named the
+    /// same ion twice.
+    SameIon(IonId),
 }
 
 impl fmt::Display for SimError {
@@ -52,6 +55,7 @@ impl fmt::Display for SimError {
             SimError::NotColocated(a, b) => write!(f, "{a} and {b} are not in the same trap"),
             SimError::NotAdjacent(a, b) => write!(f, "{a} and {b} are not chain-adjacent"),
             SimError::IonInFlight(i) => write!(f, "{i} is in flight and cannot be gated"),
+            SimError::SameIon(i) => write!(f, "two-ion instruction names {i} twice"),
         }
     }
 }

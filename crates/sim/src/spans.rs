@@ -1,14 +1,22 @@
 //! Interval bookkeeping for the compute/communication time decomposition
 //! (the Fig. 6b analysis).
 
-/// Accumulates time intervals for the compute/communication split.
+/// Accumulates time intervals for the compute/communication split, one
+/// lane per resource.
 ///
 /// The simulator records one set of gate intervals and one set of
 /// communication intervals, then measures both at once with
-/// [`SpanSet::time_split`].
+/// [`SpanSet::time_split`]. Each interval goes in the lane of the
+/// resource whose ready time it advances: its trap for a gate, split,
+/// merge or ion swap, the first segment of its leg for a move. A
+/// resource's ready time only grows, so each lane is recorded in time
+/// order, and [`SpanSet::time_split`] sorts what is in effect a handful of
+/// ordered runs. The result does not depend on the lane rule: lanes that
+/// are out of order only make the sort slower.
 #[derive(Debug, Clone, Default)]
 pub struct SpanSet {
-    intervals: Vec<(f64, f64)>,
+    /// `(key(start), key(end))` per interval, lane by lane.
+    lanes: Vec<Vec<(i64, i64)>>,
 }
 
 /// Integer key whose signed order is [`f64::total_cmp`] order.
@@ -28,12 +36,30 @@ impl SpanSet {
         SpanSet::default()
     }
 
-    /// Records the interval `[start, end)`. Zero- or negative-length
-    /// intervals are ignored.
-    pub fn add(&mut self, start: f64, end: f64) {
+    /// Records the interval `[start, end)` in `lane`. Zero- or
+    /// negative-length intervals are ignored.
+    pub fn add(&mut self, lane: usize, start: f64, end: f64) {
         if end > start {
-            self.intervals.push((start, end));
+            if lane >= self.lanes.len() {
+                self.lanes.resize_with(lane + 1, Vec::new);
+            }
+            self.lanes[lane].push((key(start), key(end)));
         }
+    }
+
+    /// Every interval, concatenated lane by lane into the largest lane's
+    /// allocation.
+    fn into_concat(mut self) -> Vec<(i64, i64)> {
+        let Some(largest) = (0..self.lanes.len()).max_by_key(|&l| self.lanes[l].len()) else {
+            return Vec::new();
+        };
+        let total: usize = self.lanes.iter().map(Vec::len).sum();
+        let mut all = std::mem::take(&mut self.lanes[largest]);
+        all.reserve_exact(total - all.len());
+        for lane in &self.lanes {
+            all.extend_from_slice(lane);
+        }
+        all
     }
 
     /// Measures `(compute_us, communication_us)`: the length of the union
@@ -47,14 +73,15 @@ impl SpanSet {
     /// coalesced, so a split → move → merge chain is summed piecewise.
     /// For finite times the result is bit-identical to measuring each
     /// elementary gap of the full boundary sweep.
+    ///
+    /// The lanes are concatenated and put in order with the stable
+    /// [`slice::sort`], which finds the ordered runs and merges them:
+    /// O(n log k) for k ordered lanes, O(n log n) at worst. Equal keys are
+    /// equal values, so any correct sort gives the same sums.
     pub fn time_split(gates: SpanSet, comm: SpanSet) -> (f64, f64) {
         // Merged gate runs, in start order, as key pairs in place.
-        let mut runs: Vec<(i64, i64)> = gates
-            .intervals
-            .into_iter()
-            .map(|(s, e)| (key(s), key(e)))
-            .collect();
-        runs.sort_unstable();
+        let mut runs = gates.into_concat();
+        runs.sort();
         let mut merged = 0;
         for i in 0..runs.len() {
             if merged > 0 {
@@ -74,14 +101,21 @@ impl SpanSet {
 
         // Sweep comm starts, comm ends and merged gate boundaries.
         // Gate boundaries strictly increase, so an even count consumed
-        // means "outside every gate run".
-        let n = comm.intervals.len();
+        // means "outside every gate run". Within a lane both starts and
+        // ends increase, so both halves are ordered runs too.
+        let n: usize = comm.lanes.iter().map(Vec::len).sum();
         let mut keys: Vec<i64> = Vec::with_capacity(2 * n);
-        keys.extend(comm.intervals.iter().map(|&(s, _)| key(s)));
-        keys.extend(comm.intervals.iter().map(|&(_, e)| key(e)));
+        for lane in &comm.lanes {
+            keys.extend(lane.iter().map(|&(s, _)| s));
+        }
+        for lane in &comm.lanes {
+            keys.extend(lane.iter().map(|&(_, e)| e));
+        }
+        // Free the lanes before the sorts allocate their scratch.
+        drop(comm);
         let (starts, ends) = keys.split_at_mut(n);
-        starts.sort_unstable();
-        ends.sort_unstable();
+        starts.sort();
+        ends.sort();
         let bounds = 2 * runs.len();
         let bound = |g: usize| {
             let (s, e) = runs[g / 2];
@@ -122,70 +156,91 @@ impl SpanSet {
 }
 
 #[cfg(test)]
+impl SpanSet {
+    /// Every recorded interval as `(start, end)`, lane by lane.
+    pub(crate) fn intervals(&self) -> Vec<(f64, f64)> {
+        self.lanes
+            .iter()
+            .flatten()
+            .map(|&(s, e)| (unkey(s), unkey(e)))
+            .collect()
+    }
+
+    /// Whether every lane is in time order: each interval starts at or
+    /// after the previous one in its lane ends.
+    pub(crate) fn lanes_are_ordered(&self) -> bool {
+        self.lanes
+            .iter()
+            .all(|lane| lane.windows(2).all(|w| w[0].1 <= w[1].0))
+    }
+}
+
+/// The original two-pass measurement, kept as the reference that
+/// [`SpanSet::time_split`] must match bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    /// Length of the union of `intervals`.
+    pub(crate) fn union_length(intervals: &[(f64, f64)]) -> f64 {
+        let mut iv = intervals.to_vec();
+        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut total = 0.0;
+        let mut cur: Option<(f64, f64)> = None;
+        for (s, e) in iv {
+            match cur {
+                None => cur = Some((s, e)),
+                Some((cs, ce)) => {
+                    if s <= ce {
+                        cur = Some((cs, ce.max(e)));
+                    } else {
+                        total += ce - cs;
+                        cur = Some((s, e));
+                    }
+                }
+            }
+        }
+        if let Some((cs, ce)) = cur {
+            total += ce - cs;
+        }
+        total
+    }
+
+    /// Time covered by `mine` but not by `other`.
+    pub(crate) fn union_length_excluding(mine: &[(f64, f64)], other: &[(f64, f64)]) -> f64 {
+        let mut events: Vec<(f64, i32, i32)> = Vec::new();
+        for &(s, e) in mine {
+            events.push((s, 1, 0));
+            events.push((e, -1, 0));
+        }
+        for &(s, e) in other {
+            events.push((s, 0, 1));
+            events.push((e, 0, -1));
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut m = 0;
+        let mut o = 0;
+        let mut last = f64::NEG_INFINITY;
+        let mut total = 0.0;
+        for (t, dm, dt) in events {
+            if m > 0 && o == 0 && last.is_finite() {
+                total += t - last;
+            }
+            m += dm;
+            o += dt;
+            last = t;
+        }
+        total
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The original two-pass measurement, kept as the reference that
-    /// [`SpanSet::time_split`] must match bit for bit.
-    mod reference {
-        /// Length of the union of `intervals`.
-        pub fn union_length(intervals: &[(f64, f64)]) -> f64 {
-            let mut iv = intervals.to_vec();
-            iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut total = 0.0;
-            let mut cur: Option<(f64, f64)> = None;
-            for (s, e) in iv {
-                match cur {
-                    None => cur = Some((s, e)),
-                    Some((cs, ce)) => {
-                        if s <= ce {
-                            cur = Some((cs, ce.max(e)));
-                        } else {
-                            total += ce - cs;
-                            cur = Some((s, e));
-                        }
-                    }
-                }
-            }
-            if let Some((cs, ce)) = cur {
-                total += ce - cs;
-            }
-            total
-        }
-
-        /// Time covered by `mine` but not by `other`.
-        pub fn union_length_excluding(mine: &[(f64, f64)], other: &[(f64, f64)]) -> f64 {
-            let mut events: Vec<(f64, i32, i32)> = Vec::new();
-            for &(s, e) in mine {
-                events.push((s, 1, 0));
-                events.push((e, -1, 0));
-            }
-            for &(s, e) in other {
-                events.push((s, 0, 1));
-                events.push((e, 0, -1));
-            }
-            events.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut m = 0;
-            let mut o = 0;
-            let mut last = f64::NEG_INFINITY;
-            let mut total = 0.0;
-            for (t, dm, dt) in events {
-                if m > 0 && o == 0 && last.is_finite() {
-                    total += t - last;
-                }
-                m += dm;
-                o += dt;
-                last = t;
-            }
-            total
-        }
-    }
-
     fn set(intervals: &[(f64, f64)]) -> SpanSet {
         let mut s = SpanSet::new();
         for &(a, b) in intervals {
-            s.add(a, b);
+            s.add(0, a, b);
         }
         s
     }
@@ -193,8 +248,8 @@ mod tests {
     /// `time_split` of `(gates, comm)` must equal the reference bit for bit.
     fn assert_matches_reference(gates: &SpanSet, comm: &SpanSet) {
         let want = (
-            reference::union_length(&gates.intervals),
-            reference::union_length_excluding(&comm.intervals, &gates.intervals),
+            reference::union_length(&gates.intervals()),
+            reference::union_length_excluding(&comm.intervals(), &gates.intervals()),
         );
         let got = SpanSet::time_split(gates.clone(), comm.clone());
         assert_eq!(
@@ -285,7 +340,7 @@ mod tests {
                 1 => a - 0.1 - tenths(state, 3),
                 _ => tenths(state, grid) + 0.1 + tenths(state, 4),
             };
-            s.add(a, b);
+            s.add(0, a, b);
         }
         s
     }
@@ -322,9 +377,9 @@ mod tests {
                 let start = clocks[lane];
                 let end = start + 0.1 + tenths(&mut state, 5);
                 if xorshift(&mut state).is_multiple_of(2) {
-                    gates.add(start, end);
+                    gates.add(lane, start, end);
                 } else {
-                    comm.add(start, end);
+                    comm.add(lane, start, end);
                 }
                 // Sometimes reuse the start, so later intervals nest.
                 clocks[lane] = if xorshift(&mut state).is_multiple_of(3) {
