@@ -1,6 +1,7 @@
 //! Command-line error handling of the harness binaries: malformed input
 //! must produce a usage error and exit status 2, never a panic (101).
 
+use std::ffi::OsStr;
 use std::process::{Command, Output};
 
 fn inspect(args: &[&str]) -> Output {
@@ -10,22 +11,66 @@ fn inspect(args: &[&str]) -> Output {
         .expect("the inspect binary runs")
 }
 
-fn assert_usage_error(out: &Output, needle: &str) {
+fn run<S: AsRef<OsStr>>(args: &[S]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run"))
+        .args(args)
+        .output()
+        .expect("the run binary runs")
+}
+
+fn assert_usage_error(out: &Output, bin: &str, needle: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains(needle), "stderr: {stderr}");
-    assert!(stderr.contains("usage: inspect"), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {bin}")),
+        "stderr: {stderr}"
+    );
     assert!(out.stdout.is_empty(), "no table on a usage error");
 }
 
 #[test]
 fn inspect_rejects_a_non_integer_capacity() {
-    assert_usage_error(&inspect(&["14", "abc"]), "capacity `abc` is not an integer");
+    assert_usage_error(
+        &inspect(&["14", "abc"]),
+        "inspect",
+        "capacity `abc` is not an integer",
+    );
 }
 
 #[test]
 fn inspect_rejects_a_zero_capacity() {
-    assert_usage_error(&inspect(&["0"]), "capacities must be positive");
+    assert_usage_error(&inspect(&["0"]), "inspect", "capacities must be positive");
+}
+
+#[test]
+fn run_requires_a_spec() {
+    assert_usage_error(&run::<&str>(&[]), "run", "requires --spec");
+    assert_usage_error(&run(&["--caps", "14"]), "run", "requires --spec");
+}
+
+/// `--caps` replaces the capacities axis, so a spec none of whose
+/// device entries sweeps that axis rejects it instead of running as if
+/// it had not been given.
+#[test]
+fn run_rejects_caps_on_a_spec_without_a_sweeping_device() {
+    for name in [
+        "table1",
+        "table2",
+        "ablation_buffer",
+        "ablation_junction",
+        "ablation_device_size",
+    ] {
+        let spec = format!(
+            "{}/../../examples/experiments/{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        assert_usage_error(
+            &run(&["--spec", &spec, "--caps", "0"]),
+            "run",
+            "has no device entry that sweeps capacities",
+        );
+    }
 }
 
 /// Oversized device descriptions are rejected against
@@ -34,43 +79,38 @@ fn inspect_rejects_a_zero_capacity() {
 /// (134) from a multi-gigabyte allocation.
 #[test]
 fn run_rejects_oversized_devices_with_the_limit() {
+    let dir = std::env::temp_dir().join(format!("qccd-cli-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let spec = |device: &str| {
         format!(
             r#"{{"name": "big", "projection": "cells", "circuits": ["bv"],
                 "devices": [{device}], "configs": [{{}}], "models": ["default"]}}"#
         )
     };
+    // A compact device description goes in its own file, named by a
+    // `{"file": …}` device entry.
+    let file_device = |k: usize, text: &str| {
+        let path = dir.join(format!("device{k}.json"));
+        std::fs::write(&path, text).unwrap();
+        spec(&format!(r#"{{"file": {:?}}}"#, path.display().to_string()))
+    };
     let cases = [
-        (
-            "--spec",
-            spec(r#"{"linear": {"traps": 4294967295, "capacity": 20}}"#),
+        spec(r#"{"linear": {"traps": 4294967295, "capacity": 20}}"#),
+        spec(r#"{"grid": {"rows": 65536, "cols": 65536, "capacity": 20}}"#),
+        file_device(
+            2,
+            r#"{"name": "big", "traps": 4294967295, "capacity": 20, "edges": [["t0", "t1"]]}"#,
         ),
-        (
-            "--spec",
-            spec(r#"{"grid": {"rows": 65536, "cols": 65536, "capacity": 20}}"#),
-        ),
-        (
-            "--device",
-            r#"{"name": "big", "traps": 4294967295, "capacity": 20, "edges": [["t0", "t1"]]}"#
-                .to_owned(),
-        ),
-        (
-            "--device",
+        file_device(
+            3,
             r#"{"name": "big", "traps": 2, "capacity": 20,
-                "edges": [["t0", "j4294967294"], ["t1", "j0"]]}"#
-                .to_owned(),
+                "edges": [["t0", "j4294967294"], ["t1", "j0"]]}"#,
         ),
     ];
-    let dir = std::env::temp_dir().join(format!("qccd-cli-oversized-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for (k, (flag, text)) in cases.iter().enumerate() {
+    for (k, text) in cases.iter().enumerate() {
         let path = dir.join(format!("case{k}.json"));
         std::fs::write(&path, text).unwrap();
-        let out = Command::new(env!("CARGO_BIN_EXE_run"))
-            .arg(flag)
-            .arg(&path)
-            .output()
-            .expect("the run binary runs");
+        let out = run(&[OsStr::new("--spec"), path.as_os_str()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "case {k}: {stderr}");
         assert!(

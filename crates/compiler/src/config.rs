@@ -4,9 +4,9 @@
 //! Each seam is selected by a small `Copy` enum — [`MappingKind`],
 //! [`RoutingKind`], [`ReorderMethod`], [`EvictionKind`] — that resolves
 //! to a concrete policy object in [`crate::policy`]. All four parse from
-//! the same name registry (kebab-case CLI spelling, the Rust variant
-//! name, or a short alias, case-insensitively), so the CLI flags, JSON
-//! configs and error messages can never drift apart.
+//! the same name registry (kebab-case spelling, the Rust variant name,
+//! or a short alias, case-insensitively), so JSON configs, experiment
+//! specs and error messages can never drift apart.
 
 use serde::de;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -46,13 +46,6 @@ impl fmt::Display for ParsePolicyError {
 }
 
 impl std::error::Error for ParsePolicyError {}
-
-/// Error returned when parsing an unknown reorder-method name.
-///
-/// Kept as a dedicated name for backwards compatibility; since the
-/// policy-pipeline refactor it is the same registry-backed error as
-/// every other seam and lists the accepted names.
-pub type ParseReorderError = ParsePolicyError;
 
 /// Canonical spelling-insensitive form: lowercase with `-`/`_` removed,
 /// so `round-robin`, `RoundRobin`, `ROUND_ROBIN` and `roundrobin` all
@@ -291,7 +284,7 @@ impl fmt::Display for ReorderMethod {
 }
 
 impl FromStr for ReorderMethod {
-    type Err = ParseReorderError;
+    type Err = ParsePolicyError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let key = normalize(s);

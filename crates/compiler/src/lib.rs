@@ -6,8 +6,8 @@
 //!
 //! The compiler is a pass [`Pipeline`] with four pluggable policy seams
 //! (see [`policy`]); each seam ships two built-in implementations and is
-//! selected by [`CompilerConfig`], JSON configs, or the `qccd-bench`
-//! CLI flags:
+//! selected by [`CompilerConfig`], JSON configs, or the `configs` axis
+//! of an experiment spec:
 //!
 //! 1. **Mapping** ([`policy::MappingPolicy`]): program qubits are placed
 //!    into traps — first-use round-robin packing
@@ -68,8 +68,8 @@ pub mod state;
 
 pub use compile::compile;
 pub use config::{
-    CompilerConfig, ConfigJsonError, EvictionKind, MappingKind, ParsePolicyError,
-    ParseReorderError, ReorderMethod, RoutingKind,
+    CompilerConfig, ConfigJsonError, EvictionKind, MappingKind, ParsePolicyError, ReorderMethod,
+    RoutingKind,
 };
 pub use error::CompileError;
 pub use executable::{Executable, Inst, OpCounts};

@@ -21,10 +21,9 @@
 //!   every (mapping × routing × reorder × eviction) combination compared
 //!   at fixed capacities.
 //!
-//! The A1–A4 presets take a base `CompilerConfig`, so the `ablations`
-//! harness binary's `--mapping`/`--routing`/`--reorder`/`--eviction`
-//! flags (and `--config` files) steer the compiler policies under
-//! ablation.
+//! Each study's compiler policies are the `configs` axis of its
+//! committed spec under `examples/experiments/`, so a policy variant
+//! is an edit to that axis.
 
 use super::{series_of, Figure, Panel, Series};
 use crate::engine::{GridResults, JobGrid};

@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Devices are plain data: the same topology round-trips through
     // JSON, so it can live in a file instead of Rust code (this exact
-    // device is checked in as examples/devices/t3_y_junction.json and
-    // runnable via `cargo run -p qccd-bench --bin run -- --device ...`).
+    // device is checked in as examples/devices/t3_y_junction.json, and
+    // an experiment spec runs it through a `{"file": ...}` device entry).
     let json = serde_json::to_string_pretty(&device)?;
     let reloaded = Device::from_json(&json)?;
     assert_eq!(reloaded, device);

@@ -51,6 +51,9 @@ fn committed_experiment_specs_load_and_expand() {
         ("examples/experiments/ablation_junction.json", 2 * 4),
         ("examples/experiments/ablation_device_size.json", 6),
         ("examples/experiments/ablation_policy.json", 2 * 16),
+        // Both files load to the same device, so their jobs share ids:
+        // 6 circuits x 16 pipelines, not twice that.
+        ("examples/experiments/device_files.json", 6 * 16),
     ] {
         let spec =
             ExperimentSpec::from_file(repo_path(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));

@@ -5,10 +5,10 @@
 //! every run; these tests pin their JSON serializations to committed
 //! files so a silent drift in the heating/fidelity/timing models (or in
 //! the compiler) breaks the build instead of the paper claims. Figs.
-//! 6–8 are pinned at the `--quick` capacity set (the same three design
-//! points the CI smoke run uses); the full sweeps go through identical
-//! code paths. The tables and ablations are pinned exactly as their
-//! specs describe them.
+//! 6–8 are pinned at the quick capacity set `QUICK_CAPACITIES` (the
+//! same three design points CI runs as `--caps 14,22,30`); the full
+//! sweeps go through identical code paths. The tables and ablations are
+//! pinned exactly as their specs describe them.
 //!
 //! To regenerate after an *intentional* model change:
 //!
@@ -103,7 +103,7 @@ fn artifact_of(spec: &ExperimentSpec) -> Artifact {
         .artifact
 }
 
-/// The committed figure spec `name` at the `--quick` capacities.
+/// The committed figure spec `name` at the quick capacities.
 fn quick(name: &str) -> ExperimentSpec {
     let mut spec = committed(name);
     spec.capacities = QUICK_CAPACITIES.to_vec();
@@ -216,7 +216,8 @@ fn example_device_file_loads_and_matches_the_preset() {
 }
 
 /// The committed experiment-spec files are the paper's study presets —
-/// the declarative form of every paper artifact. Each file's text is
+/// the declarative form of every paper artifact — and the device-file
+/// example. Each file's text is
 /// pinned golden-style to the pretty serialization of its own parse
 /// (regenerate with `UPDATE_GOLDENS=1`), so a hand edit cannot hide a
 /// field the parser drops or defaults, and that form round-trips.
@@ -233,6 +234,7 @@ fn example_experiment_specs_match_the_presets() {
         "ablation_junction",
         "ablation_device_size",
         "ablation_policy",
+        "device_files",
     ] {
         let spec = committed(name);
         let json = serde_json::to_string_pretty(&spec).expect("specs serialize");
