@@ -51,7 +51,7 @@ fn bench_reorder_methods(c: &mut Criterion) {
     group.sample_size(20);
     let circuit = generators::bv(&[true; 31]);
     for method in ReorderMethod::ALL {
-        group.bench_function(method.name(), |b| {
+        group.bench_function(method.short(), |b| {
             let tf = Toolflow::with_config(
                 presets::l6(12),
                 PhysicalModel::default(),

@@ -35,8 +35,7 @@ use qccd_device::Device;
 /// Compiles `circuit` for `device` under `config`.
 ///
 /// Equivalent to `Pipeline::from_config(config).compile(circuit,
-/// device)`; build the [`Pipeline`] yourself to reuse it across calls or
-/// to inject custom policies.
+/// device)`.
 ///
 /// # Errors
 ///
@@ -231,32 +230,11 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// All 16 policy combinations (2 per seam).
-    fn all_policy_configs() -> Vec<CompilerConfig> {
-        let mut out = Vec::new();
-        for mapping in MappingKind::ALL {
-            for routing in RoutingKind::ALL {
-                for reorder in ReorderMethod::ALL {
-                    for eviction in EvictionKind::ALL {
-                        out.push(CompilerConfig {
-                            mapping,
-                            routing,
-                            reorder,
-                            eviction,
-                            ..CompilerConfig::default()
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
     #[test]
     fn every_policy_combination_compiles_every_gate() {
         let c = generators::random_circuit(20, 120, 0.5, 13);
         for d in [presets::l6(8), presets::g2x3(8)] {
-            for config in all_policy_configs() {
+            for config in CompilerConfig::policy_grid(2) {
                 let exe = compile(&c, &d, &config)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", config.policy_label(), d.name()));
                 let counts = exe.counts();
@@ -276,7 +254,7 @@ mod tests {
     fn every_policy_combination_is_deterministic() {
         let c = generators::random_circuit(18, 120, 0.5, 21);
         let d = presets::g2x3(8);
-        for config in all_policy_configs() {
+        for config in CompilerConfig::policy_grid(2) {
             let a = compile(&c, &d, &config).unwrap();
             let b = compile(&c, &d, &config).unwrap();
             assert_eq!(a, b, "{}", config.policy_label());

@@ -2,11 +2,12 @@
 //! (mapping · routing · reordering · eviction) plus mapping parameters.
 //!
 //! Each seam is selected by a small `Copy` enum — [`MappingKind`],
-//! [`RoutingKind`], [`ReorderMethod`], [`EvictionKind`] — that resolves
-//! to a concrete policy object in [`crate::policy`]. All four parse from
-//! the same name registry (kebab-case spelling, the Rust variant name,
-//! or a short alias, case-insensitively), so JSON configs, experiment
-//! specs and error messages can never drift apart.
+//! [`RoutingKind`], [`ReorderMethod`], [`EvictionKind`] — that is also
+//! the policy: its `place` / `next_route` / `bring_to_end` / `pick`
+//! method (in [`crate::policy`]) runs the named heuristic. All four
+//! parse from the same name registry (kebab-case spelling, the Rust
+//! variant name, or a short alias, case-insensitively), so JSON configs,
+//! experiment specs and error messages can never drift apart.
 
 use serde::de;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -58,7 +59,7 @@ fn normalize(s: &str) -> String {
 }
 
 /// Declares a policy-selector enum wired into the shared name registry:
-/// `ALL`, `name()` (kebab-case CLI spelling), `variant_name()` (JSON /
+/// `ALL`, `name()` (kebab-case spelling), `variant_name()` (JSON /
 /// derive spelling), `short()` (figure-label abbreviation), `Display`
 /// (= `name()`), registry-backed `FromStr`, and `Serialize`/
 /// `Deserialize` that mirror the derive encoding for unit enums (a bare
@@ -83,7 +84,7 @@ macro_rules! policy_kind {
             /// Every implementation of this seam, default first.
             pub const ALL: [$ty; 0 $(+ { let _ = $ty::$variant; 1 })+] = [$($ty::$variant),+];
 
-            /// Kebab-case canonical name — the CLI and docs spelling.
+            /// Kebab-case canonical name — the config and docs spelling.
             pub fn name(&self) -> &'static str {
                 match self { $($ty::$variant => $name),+ }
             }
@@ -187,6 +188,21 @@ policy_kind! {
 }
 
 policy_kind! {
+    /// How a chain is reconfigured to bring an ion to the end it must
+    /// depart from (paper §IV-C, Fig. 5). Pipeline seam 3.
+    ReorderMethod("reorder") {
+        /// Gate-based swapping (GS): one SWAP gate (3 MS gates) exchanges
+        /// the *quantum states* of an arbitrary ion pair; the ion already
+        /// at the chain end then departs carrying the right state.
+        GateSwap => ("gate-swap", "GS"),
+        /// Physical ion swapping (IS): the ion is moved to the end hop by
+        /// hop; each hop is a split, a 180° rotation of the adjacent
+        /// pair, and a merge (Kaufmann et al. 2017).
+        IonSwap => ("ion-swap", "IS"),
+    }
+}
+
+policy_kind! {
     /// Destination-full eviction policy (pipeline seam 4).
     EvictionKind("eviction") {
         /// The paper's §VI choice: evict the resident whose next use is
@@ -221,100 +237,6 @@ impl Default for EvictionKind {
     }
 }
 
-/// How a chain is reconfigured to bring an ion to the end it must depart
-/// from (paper §IV-C, Fig. 5). Pipeline seam 3.
-///
-/// Not declared via `policy_kind!` because its `name()` must keep
-/// returning the paper's two-letter figure labels ("GS"/"IS") — the
-/// golden snapshots pin captions built from it — whereas the macro
-/// reserves `name()` for the kebab-case CLI spelling (here
-/// [`ReorderMethod::cli_name`]). The registry contents are the same;
-/// `FromStr` accepts every spelling either layout would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub enum ReorderMethod {
-    /// Gate-based swapping (GS): one SWAP gate (3 MS gates) exchanges the
-    /// *quantum states* of an arbitrary ion pair; the ion already at the
-    /// chain end then departs carrying the right state.
-    GateSwap,
-    /// Physical ion swapping (IS): the ion is moved to the end hop by hop;
-    /// each hop is a split, a 180° rotation of the adjacent pair, and a
-    /// merge (Kaufmann et al. 2017).
-    IonSwap,
-}
-
-impl ReorderMethod {
-    /// Both methods, GS first (the paper's recommendation).
-    pub const ALL: [ReorderMethod; 2] = [ReorderMethod::GateSwap, ReorderMethod::IonSwap];
-
-    /// Two-letter name as used in the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReorderMethod::GateSwap => "GS",
-            ReorderMethod::IonSwap => "IS",
-        }
-    }
-
-    /// Kebab-case canonical name, for the policy matrix docs.
-    pub fn cli_name(&self) -> &'static str {
-        match self {
-            ReorderMethod::GateSwap => "gate-swap",
-            ReorderMethod::IonSwap => "ion-swap",
-        }
-    }
-
-    /// The Rust variant name — the JSON spelling emitted by
-    /// serialization.
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            ReorderMethod::GateSwap => "GateSwap",
-            ReorderMethod::IonSwap => "IonSwap",
-        }
-    }
-
-    /// The accepted spellings, for error messages.
-    fn accepted() -> String {
-        "gate-swap (GS), ion-swap (IS)".to_owned()
-    }
-}
-
-impl fmt::Display for ReorderMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ReorderMethod {
-    type Err = ParsePolicyError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let key = normalize(s);
-        for method in ReorderMethod::ALL {
-            if key == normalize(method.name())
-                || key == normalize(method.cli_name())
-                || key == normalize(method.variant_name())
-            {
-                return Ok(method);
-            }
-        }
-        Err(ParsePolicyError::new(
-            "reorder",
-            s,
-            ReorderMethod::accepted(),
-        ))
-    }
-}
-
-impl Deserialize for ReorderMethod {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => s
-                .parse::<ReorderMethod>()
-                .map_err(|e| DeError::custom(e.to_string())),
-            other => Err(DeError::type_mismatch("a reorder policy name", other)),
-        }
-    }
-}
-
 /// Compiler knobs: one policy per pipeline seam plus the mapping buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CompilerConfig {
@@ -346,28 +268,6 @@ impl Default for CompilerConfig {
         }
     }
 }
-
-/// Error from [`CompilerConfig::from_json`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigJsonError {
-    message: String,
-}
-
-impl ConfigJsonError {
-    /// Human-readable description (parser line/column or offending
-    /// field).
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-}
-
-impl fmt::Display for ConfigJsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "compiler config JSON error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ConfigJsonError {}
 
 impl CompilerConfig {
     /// Config with the given reorder method and paper defaults elsewhere.
@@ -410,68 +310,40 @@ impl CompilerConfig {
             "{}+{}+{}+{}",
             self.mapping.short(),
             self.routing.short(),
-            self.reorder.name(),
+            self.reorder.short(),
             self.eviction.short()
         )
     }
 
-    /// Loads a config from JSON, e.g.
-    /// `{"reorder": "IonSwap", "buffer_slots": 1}` or
-    /// `{"reorder": "GS", "buffer_slots": 2, "routing":
-    /// "lookahead-congestion"}`.
-    ///
-    /// The policy fields `mapping`, `routing` and `eviction` are
-    /// optional and default to the paper's pipeline; policy names accept
-    /// the kebab-case CLI spelling, the Rust variant name, or the short
-    /// label, case-insensitively.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigJsonError`] (never panics) for malformed JSON,
-    /// missing required fields, an unknown field, or an unknown policy
-    /// name; unknown-policy errors list the accepted names.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use qccd_compiler::{CompilerConfig, ReorderMethod, RoutingKind};
-    ///
-    /// let c = CompilerConfig::from_json(
-    ///     r#"{"reorder": "GateSwap", "buffer_slots": 2}"#,
-    /// ).unwrap();
-    /// assert_eq!(c, CompilerConfig::default());
-    ///
-    /// let c = CompilerConfig::from_json(
-    ///     r#"{"reorder": "GS", "buffer_slots": 2, "routing": "lookahead-congestion"}"#,
-    /// ).unwrap();
-    /// assert_eq!(c.routing, RoutingKind::LookaheadCongestion);
-    ///
-    /// let err = CompilerConfig::from_json(r#"{"reorder": "Sort"}"#).unwrap_err();
-    /// assert!(err.message().contains("gate-swap (GS), ion-swap (IS)"));
-    /// ```
-    pub fn from_json(text: &str) -> Result<CompilerConfig, ConfigJsonError> {
-        serde_json::from_str(text).map_err(|e| ConfigJsonError {
-            message: e.to_string(),
-        })
+    /// Every combination of the four seams' policies (2 per seam → 16
+    /// configs) with the given buffer slots, the paper's default pipeline
+    /// first.
+    pub fn policy_grid(buffer_slots: u32) -> Vec<CompilerConfig> {
+        let mut out = Vec::new();
+        for mapping in MappingKind::ALL {
+            for routing in RoutingKind::ALL {
+                for reorder in ReorderMethod::ALL {
+                    for eviction in EvictionKind::ALL {
+                        out.push(CompilerConfig {
+                            mapping,
+                            routing,
+                            reorder,
+                            eviction,
+                            buffer_slots,
+                        });
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
-/// Extracts and deserializes an optional policy field.
-fn opt_field<T: Deserialize>(
-    entries: &[(String, Value)],
-    name: &str,
-) -> Result<Option<T>, DeError> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| {
-            T::from_value(v)
-                .map_err(|e| DeError::custom(format!("field `{name}` of `CompilerConfig`: {e}")))
-        })
-        .transpose()
-}
-
 impl Deserialize for CompilerConfig {
+    /// A partial config, e.g. `{"routing": "lookahead-congestion"}`:
+    /// every field is optional and the paper's pipeline fills the rest.
+    /// Policy names accept any registered spelling; unknown fields and
+    /// unknown names are errors that list the accepted ones.
     fn from_value(value: &Value) -> Result<Self, DeError> {
         const FIELDS: [&str; 5] = ["mapping", "routing", "reorder", "eviction", "buffer_slots"];
         let entries = de::object(value, "CompilerConfig")?;
@@ -483,13 +355,24 @@ impl Deserialize for CompilerConfig {
                 )));
             }
         }
-        Ok(CompilerConfig {
-            mapping: opt_field(entries, "mapping")?.unwrap_or_default(),
-            routing: opt_field(entries, "routing")?.unwrap_or_default(),
-            reorder: de::field(entries, "reorder", "CompilerConfig")?,
-            eviction: opt_field(entries, "eviction")?.unwrap_or_default(),
-            buffer_slots: de::field(entries, "buffer_slots", "CompilerConfig")?,
-        })
+        let has = |name: &str| entries.iter().any(|(k, _)| k == name);
+        let mut config = CompilerConfig::default();
+        if has("mapping") {
+            config.mapping = de::field(entries, "mapping", "CompilerConfig")?;
+        }
+        if has("routing") {
+            config.routing = de::field(entries, "routing", "CompilerConfig")?;
+        }
+        if has("reorder") {
+            config.reorder = de::field(entries, "reorder", "CompilerConfig")?;
+        }
+        if has("eviction") {
+            config.eviction = de::field(entries, "eviction", "CompilerConfig")?;
+        }
+        if has("buffer_slots") {
+            config.buffer_slots = de::field(entries, "buffer_slots", "CompilerConfig")?;
+        }
+        Ok(config)
     }
 }
 
@@ -511,7 +394,7 @@ mod tests {
     fn reorder_names_round_trip() {
         for m in ReorderMethod::ALL {
             assert_eq!(m.name().parse::<ReorderMethod>().unwrap(), m);
-            assert_eq!(m.cli_name().parse::<ReorderMethod>().unwrap(), m);
+            assert_eq!(m.short().parse::<ReorderMethod>().unwrap(), m);
         }
         assert_eq!(
             "is".parse::<ReorderMethod>().unwrap(),
@@ -535,6 +418,11 @@ mod tests {
         for kind in RoutingKind::ALL {
             for s in [kind.name(), kind.variant_name(), kind.short()] {
                 assert_eq!(s.parse::<RoutingKind>().unwrap(), kind, "{s}");
+            }
+        }
+        for kind in ReorderMethod::ALL {
+            for s in [kind.name(), kind.variant_name(), kind.short()] {
+                assert_eq!(s.parse::<ReorderMethod>().unwrap(), kind, "{s}");
             }
         }
         for kind in EvictionKind::ALL {
@@ -606,25 +494,39 @@ mod tests {
             },
         ] {
             let json = serde_json::to_string(&config).unwrap();
-            assert_eq!(CompilerConfig::from_json(&json).unwrap(), config);
+            assert_eq!(
+                serde_json::from_str::<CompilerConfig>(&json).unwrap(),
+                config
+            );
         }
     }
 
     #[test]
     fn pre_policy_configs_still_load() {
-        // PR 2 era config files name only reorder + buffer_slots; the
+        // Early config files name only reorder + buffer_slots; the
         // policy seams must default to the paper's pipeline.
-        let c = CompilerConfig::from_json(r#"{"reorder": "IonSwap", "buffer_slots": 1}"#).unwrap();
+        let c: CompilerConfig =
+            serde_json::from_str(r#"{"reorder": "IonSwap", "buffer_slots": 1}"#).unwrap();
         assert_eq!(c.reorder, ReorderMethod::IonSwap);
         assert_eq!(c.buffer_slots, 1);
         assert_eq!(c.mapping, MappingKind::RoundRobin);
         assert_eq!(c.routing, RoutingKind::GreedyShortest);
         assert_eq!(c.eviction, EvictionKind::FurthestNextUse);
+        // Every field is optional.
+        let c: CompilerConfig = serde_json::from_str(r#"{"routing": "LC"}"#).unwrap();
+        assert_eq!(
+            c,
+            CompilerConfig::with_routing(RoutingKind::LookaheadCongestion)
+        );
+        assert_eq!(
+            serde_json::from_str::<CompilerConfig>("{}").unwrap(),
+            CompilerConfig::default()
+        );
     }
 
     #[test]
     fn json_accepts_cli_spellings() {
-        let c = CompilerConfig::from_json(
+        let c: CompilerConfig = serde_json::from_str(
             r#"{"reorder": "is", "buffer_slots": 2,
                 "mapping": "usage-weighted",
                 "routing": "LC",
@@ -639,25 +541,32 @@ mod tests {
 
     #[test]
     fn json_errors_are_descriptive() {
-        let err = CompilerConfig::from_json("{\"reorder\": \"GateSwap\"}").unwrap_err();
-        assert!(err.message().contains("buffer_slots"), "{err}");
-        let err = CompilerConfig::from_json("not json").unwrap_err();
+        let parse = |text: &str| serde_json::from_str::<CompilerConfig>(text).unwrap_err();
+        let err = parse("not json");
         assert!(err.to_string().contains("line 1"), "{err}");
-        let err =
-            CompilerConfig::from_json("{\"reorder\": \"Bogus\", \"buffer_slots\": 2}").unwrap_err();
-        assert!(err.message().contains("Bogus"), "{err}");
-        assert!(err.message().contains("gate-swap (GS)"), "{err}");
-        let err = CompilerConfig::from_json(
-            "{\"reorder\": \"GS\", \"buffer_slots\": 2, \"routing\": \"warp\"}",
-        )
-        .unwrap_err();
-        assert!(err.message().contains("greedy-shortest"), "{err}");
-        let err = CompilerConfig::from_json(
-            "{\"reorder\": \"GS\", \"buffer_slots\": 2, \"euiction\": \"chain-end\"}",
-        )
-        .unwrap_err();
-        assert!(err.message().contains("unknown field `euiction`"), "{err}");
-        assert!(err.message().contains("eviction"), "{err}");
+        let err = parse("{\"reorder\": \"Bogus\", \"buffer_slots\": 2}");
+        assert!(err.to_string().contains("Bogus"), "{err}");
+        assert!(err.to_string().contains("gate-swap (GS)"), "{err}");
+        let err = parse("{\"reorder\": \"GS\", \"buffer_slots\": 2, \"routing\": \"warp\"}");
+        assert!(err.to_string().contains("greedy-shortest"), "{err}");
+        let err = parse("{\"reorder\": \"GS\", \"buffer_slots\": 2, \"euiction\": \"chain-end\"}");
+        assert!(
+            err.to_string().contains("unknown field `euiction`"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("eviction"), "{err}");
+    }
+
+    #[test]
+    fn policy_grid_covers_every_combination_once() {
+        let grid = CompilerConfig::policy_grid(2);
+        assert_eq!(grid.len(), 16);
+        assert_eq!(grid[0], CompilerConfig::default(), "default pipeline first");
+        let mut labels: Vec<String> = grid.iter().map(|c| c.policy_label()).collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 16, "all combinations distinct");
+        assert!(grid.iter().all(|c| c.buffer_slots == 2));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! QCCD-based TI systems, so we built a backend compiler which maps and
 //! optimizes applications for QCCD systems."
 //!
-//! The compiler is a pass [`Pipeline`] with four pluggable policy seams
-//! (see [`policy`]); each seam ships two built-in implementations and is
-//! selected by [`CompilerConfig`], JSON configs, or the `configs` axis
-//! of an experiment spec:
+//! The compiler is a pass [`Pipeline`] with four policy seams (see
+//! [`policy`]). Each seam is a closed set of heuristics picked by its
+//! selector enum in [`CompilerConfig`] — written inline in a spec's
+//! `configs` axis — and the enum itself runs the heuristic it names:
 //!
-//! 1. **Mapping** ([`policy::MappingPolicy`]): program qubits are placed
+//! 1. **Mapping** ([`MappingKind::place`]): program qubits are placed
 //!    into traps — first-use round-robin packing
 //!    ([`MappingKind::RoundRobin`], the paper's §VI heuristic) or
 //!    interaction-aware co-location ([`MappingKind::UsageWeighted`]).
@@ -17,15 +17,15 @@
 //!    heuristic walks the circuit's dependency DAG.
 //! 3. **Lowering** ([`lowering`]): source gates (CX/CZ/SWAP) become native
 //!    Mølmer–Sørensen gates plus single-qubit wrappers.
-//! 4. **Routing** ([`policy::RoutingPolicy`]): cross-trap gates shuttle
+//! 4. **Routing** ([`RoutingKind::next_route`]): cross-trap gates shuttle
 //!    one ion along the device's shortest route
 //!    ([`RoutingKind::GreedyShortest`]) or a congestion-aware detour
 //!    ([`RoutingKind::LookaheadCongestion`]); chain reordering
-//!    ([`policy::ReorderPolicy`]: gate-based
+//!    ([`ReorderMethod::bring_to_end`]: gate-based
 //!    [`ReorderMethod::GateSwap`] or physical
 //!    [`ReorderMethod::IonSwap`], §IV-C) brings the departing ion to
 //!    the chain end; full destinations are cleared by the eviction
-//!    policy ([`policy::EvictionPolicy`]:
+//!    policy ([`EvictionKind::pick`]:
 //!    [`EvictionKind::FurthestNextUse`] or [`EvictionKind::ChainEnd`]).
 //!
 //! The default configuration is exactly the paper's compiler. The output
@@ -68,13 +68,11 @@ pub mod state;
 
 pub use compile::compile;
 pub use config::{
-    CompilerConfig, ConfigJsonError, EvictionKind, MappingKind, ParsePolicyError, ReorderMethod,
-    RoutingKind,
+    CompilerConfig, EvictionKind, MappingKind, ParsePolicyError, ReorderMethod, RoutingKind,
 };
 pub use error::CompileError;
 pub use executable::{Executable, Inst, OpCounts};
 pub use mapping::{initial_map, Placement};
 pub use memo::{content_digest, CompileMemo, CompileMemoRef, StageCounters, StagePersist};
 pub use passes::{Pipeline, TrapBusyMap, UsesTable};
-pub use policy::{EvictionPolicy, MappingPolicy, ReorderPolicy, RoutingPolicy};
 pub use state::MachineState;

@@ -34,9 +34,9 @@
 //! compiles without a memo; memoized compiles serve callers that
 //! replay its runs.
 
+use crate::config::MappingKind;
 use crate::error::CompileError;
 use crate::mapping::Placement;
-use crate::policy::MappingPolicy;
 use qccd_circuit::Circuit;
 use qccd_device::{Device, Route, RouteCache, TrapId};
 use serde::Serialize;
@@ -249,9 +249,8 @@ impl<'d> CompileMemo<'d> {
     }
 
     /// The stage key of an initial placement: full device digest (the
-    /// mapper reads capacities) plus everything the mapping stage sees.
-    /// Custom [`MappingPolicy`] impls are identified by their `name()`,
-    /// so two different custom policies must not share one.
+    /// mapper reads capacities) plus everything the mapping stage sees;
+    /// the mapping policy enters as its [`MappingKind::name`].
     pub fn placement_key(&self, circuit_digest: u64, mapping_name: &str, buffer_slots: u32) -> u64 {
         fnv1a(
             format!(
@@ -308,10 +307,33 @@ impl<'d> CompileMemo<'d> {
         &self,
         circuit: &Circuit,
         circuit_digest: u64,
-        mapping: &dyn MappingPolicy,
+        mapping: MappingKind,
         buffer_slots: u32,
     ) -> Result<Placement, CompileError> {
-        let key = self.placement_key(circuit_digest, mapping.name(), buffer_slots);
+        self.placement_by(
+            circuit,
+            circuit_digest,
+            mapping.name(),
+            buffer_slots,
+            |c, d, s| mapping.place(c, d, s),
+        )
+    }
+
+    /// [`CompileMemo::placement`] with the mapping stage given as its
+    /// key name and a `place` function, so tests can inject counting,
+    /// failing or lock-poisoning placements.
+    fn placement_by<F>(
+        &self,
+        circuit: &Circuit,
+        circuit_digest: u64,
+        mapping_name: &str,
+        buffer_slots: u32,
+        place: F,
+    ) -> Result<Placement, CompileError>
+    where
+        F: Fn(&Circuit, &Device, u32) -> Result<Placement, CompileError>,
+    {
+        let key = self.placement_key(circuit_digest, mapping_name, buffer_slots);
         loop {
             let (slot, claimed) = {
                 // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
@@ -327,7 +349,7 @@ impl<'d> CompileMemo<'d> {
                 }
             };
             if claimed {
-                return self.fill_claim(key, &slot, circuit, mapping, buffer_slots);
+                return self.fill_claim(key, &slot, circuit, &place, buffer_slots);
             }
             // qccd-lint: allow(engine-panic) — a poisoned lock means another worker thread already panicked; aborting the sweep is correct
             let mut state = slot.0.lock().expect("memo slot lock");
@@ -348,14 +370,17 @@ impl<'d> CompileMemo<'d> {
     /// miss), then wakes every waiter. The guard withdraws the claim if
     /// the mapping errors — or panics — so waiters never hang on a slot
     /// nobody is filling.
-    fn fill_claim(
+    fn fill_claim<F>(
         &self,
         key: u64,
         slot: &PlacementSlot,
         circuit: &Circuit,
-        mapping: &dyn MappingPolicy,
+        place: &F,
         buffer_slots: u32,
-    ) -> Result<Placement, CompileError> {
+    ) -> Result<Placement, CompileError>
+    where
+        F: Fn(&Circuit, &Device, u32) -> Result<Placement, CompileError>,
+    {
         struct Claim<'a, 'd> {
             memo: &'a CompileMemo<'d>,
             key: u64,
@@ -403,7 +428,7 @@ impl<'d> CompileMemo<'d> {
             }
             None => {
                 self.placement_misses.fetch_add(1, Ordering::Relaxed);
-                let placement = mapping.place(circuit, self.device, buffer_slots)?;
+                let placement = place(circuit, self.device, buffer_slots)?;
                 if let Some(persist) = &self.persist {
                     if let Ok(payload) = serde_json::to_string(&placement) {
                         persist.store(PLACEMENT_KIND, key, &payload);
@@ -545,18 +570,18 @@ mod tests {
         let memo = CompileMemo::new(&d);
         let c = generators::qaoa(20, 1, 3);
         let digest = content_digest(&c);
-        let mapping = MappingKind::RoundRobin.policy();
+        let mapping = MappingKind::RoundRobin;
         let cold = mapping.place(&c, &d, 2).unwrap();
-        let first = memo.placement(&c, digest, &*mapping, 2).unwrap();
-        let second = memo.placement(&c, digest, &*mapping, 2).unwrap();
+        let first = memo.placement(&c, digest, mapping, 2).unwrap();
+        let second = memo.placement(&c, digest, mapping, 2).unwrap();
         assert_eq!(first, cold);
         assert_eq!(second, cold);
         let counters = memo.counters();
         assert_eq!(counters.placement_misses, 1);
         assert_eq!(counters.placement_hits, 1);
         // A different mapping policy is a distinct stage.
-        let uw = MappingKind::UsageWeighted.policy();
-        let third = memo.placement(&c, digest, &*uw, 2).unwrap();
+        let uw = MappingKind::UsageWeighted;
+        let third = memo.placement(&c, digest, uw, 2).unwrap();
         assert_eq!(third, uw.place(&c, &d, 2).unwrap());
         assert_eq!(memo.counters().placement_misses, 2);
     }
@@ -592,14 +617,14 @@ mod tests {
         let persist: Arc<MemPersist> = Arc::default();
         let c = generators::qaoa(20, 1, 3);
         let digest = content_digest(&c);
-        let mapping = MappingKind::RoundRobin.policy();
+        let mapping = MappingKind::RoundRobin;
 
         let cold = CompileMemo::with_persist(&d, Some(persist.clone()));
-        let placed = cold.placement(&c, digest, &*mapping, 2).unwrap();
+        let placed = cold.placement(&c, digest, mapping, 2).unwrap();
         assert!(persist.kinds().iter().any(|k| k == PLACEMENT_KIND));
 
         let warm = CompileMemo::with_persist(&d, Some(persist.clone()));
-        let reloaded = warm.placement(&c, digest, &*mapping, 2).unwrap();
+        let reloaded = warm.placement(&c, digest, mapping, 2).unwrap();
         assert_eq!(reloaded, placed);
         assert_eq!(warm.counters().placement_hits, 1);
         assert_eq!(warm.counters().placement_misses, 0);
@@ -639,8 +664,8 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let mapping = MappingKind::RoundRobin.policy();
-                    let p = memo.placement(&c, digest, &*mapping, 2).unwrap();
+                    let mapping = MappingKind::RoundRobin;
+                    let p = memo.placement(&c, digest, mapping, 2).unwrap();
                     assert_eq!(p, mapping.place(&c, &d, 2).unwrap());
                 });
             }
@@ -652,10 +677,10 @@ mod tests {
         assert_eq!(counters.placement_hits, 3);
     }
 
-    /// [`MappingPolicy`] wrapper counting (and optionally failing)
-    /// `place()` calls, for the claim-protocol tests.
+    /// Round-robin placement counting (and optionally failing) its
+    /// `place()` calls, for the claim-protocol tests, which inject it
+    /// through [`CompileMemo::placement_by`].
     struct CountingMapping {
-        inner: Box<dyn MappingPolicy>,
         calls: AtomicU64,
         fail_first: AtomicU64,
     }
@@ -663,16 +688,9 @@ mod tests {
     impl CountingMapping {
         fn new(fail_first: u64) -> Self {
             CountingMapping {
-                inner: MappingKind::RoundRobin.policy(),
                 calls: AtomicU64::new(0),
                 fail_first: AtomicU64::new(fail_first),
             }
-        }
-    }
-
-    impl MappingPolicy for CountingMapping {
-        fn name(&self) -> &'static str {
-            self.inner.name()
         }
 
         fn place(
@@ -695,7 +713,7 @@ mod tests {
                     capacity: 0,
                 });
             }
-            self.inner.place(circuit, device, buffer_slots)
+            MappingKind::RoundRobin.place(circuit, device, buffer_slots)
         }
     }
 
@@ -706,13 +724,16 @@ mod tests {
         let c = generators::qaoa(12, 1, 2);
         let digest = content_digest(&c);
         let mapping = CountingMapping::new(0);
+        let place = |c: &Circuit, d: &Device, s: u32| mapping.place(c, d, s);
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     barrier.wait();
-                    let p = memo.placement(&c, digest, &mapping, 2).unwrap();
-                    assert_eq!(p, mapping.inner.place(&c, &d, 2).unwrap());
+                    let p = memo
+                        .placement_by(&c, digest, "round-robin", 2, place)
+                        .unwrap();
+                    assert_eq!(p, MappingKind::RoundRobin.place(&c, &d, 2).unwrap());
                 });
             }
         });
@@ -731,34 +752,39 @@ mod tests {
         let c = generators::qaoa(20, 1, 3);
         let digest = content_digest(&c);
         let mapping = CountingMapping::new(1);
+        let place = |c: &Circuit, d: &Device, s: u32| mapping.place(c, d, s);
         // First call fails and must not poison the stage...
-        assert!(memo.placement(&c, digest, &mapping, 2).is_err());
+        assert!(memo
+            .placement_by(&c, digest, "round-robin", 2, place)
+            .is_err());
         // ...so the retry claims afresh, recomputes, and succeeds.
-        let placed = memo.placement(&c, digest, &mapping, 2).unwrap();
-        assert_eq!(placed, mapping.inner.place(&c, &d, 2).unwrap());
+        let placed = memo
+            .placement_by(&c, digest, "round-robin", 2, place)
+            .unwrap();
+        assert_eq!(placed, MappingKind::RoundRobin.place(&c, &d, 2).unwrap());
         assert_eq!(mapping.calls.load(Ordering::Relaxed), 2);
         let counters = memo.counters();
         assert_eq!(counters.placement_misses, 2);
         // The third call is a plain memo hit.
-        assert_eq!(memo.placement(&c, digest, &mapping, 2).unwrap(), placed);
+        assert_eq!(
+            memo.placement_by(&c, digest, "round-robin", 2, place)
+                .unwrap(),
+            placed
+        );
         assert_eq!(memo.counters().placement_hits, 1);
     }
 
-    /// Mapping that poisons the memo's placement store mid-claim (a
-    /// worker panicking while holding the lock), then fails.
-    struct PoisoningMapping<'a> {
-        store: &'a Mutex<Vec<(u64, PlacementSlot)>>,
-    }
-
-    impl MappingPolicy for PoisoningMapping<'_> {
-        fn name(&self) -> &'static str {
-            "poisoning"
-        }
-
-        fn place(&self, _: &Circuit, _: &Device, _: u32) -> Result<Placement, CompileError> {
+    #[test]
+    fn unresolved_claim_withdraws_through_a_poisoned_lock() {
+        let d = presets::l6(14);
+        let memo = CompileMemo::new(&d);
+        let c = generators::qaoa(20, 1, 3);
+        // A placement that poisons the memo's placement store mid-claim
+        // (a worker panicking while holding the lock), then fails.
+        let poisoning = |_: &Circuit, _: &Device, _: u32| {
             std::thread::scope(|scope| {
                 let poisoner = scope.spawn(|| {
-                    let _held = self.store.lock().unwrap();
+                    let _held = memo.placements.lock().unwrap();
                     panic!("worker panics while holding the placement lock");
                 });
                 assert!(poisoner.join().is_err());
@@ -767,20 +793,12 @@ mod tests {
                 needed: 1,
                 capacity: 0,
             })
-        }
-    }
-
-    #[test]
-    fn unresolved_claim_withdraws_through_a_poisoned_lock() {
-        let d = presets::l6(14);
-        let memo = CompileMemo::new(&d);
-        let c = generators::qaoa(20, 1, 3);
-        let mapping = PoisoningMapping {
-            store: &memo.placements,
         };
         // The claim's drop must not panic on the poisoned lock: the
         // mapping error comes back and the claim is withdrawn.
-        assert!(memo.placement(&c, content_digest(&c), &mapping, 2).is_err());
+        assert!(memo
+            .placement_by(&c, content_digest(&c), "poisoning", 2, poisoning)
+            .is_err());
         assert!(memo.placements.is_poisoned());
         let store = memo
             .placements
@@ -791,27 +809,11 @@ mod tests {
 
     mod stage_key_invalidation {
         use super::*;
-        use crate::config::{EvictionKind, ReorderMethod, RoutingKind};
         use proptest::prelude::*;
 
         /// The 16-policy matrix, indexed for the range strategy.
         fn config_at(index: usize) -> CompilerConfig {
-            let mut grid = Vec::new();
-            for mapping in MappingKind::ALL {
-                for routing in RoutingKind::ALL {
-                    for reorder in ReorderMethod::ALL {
-                        for eviction in EvictionKind::ALL {
-                            grid.push(CompilerConfig {
-                                mapping,
-                                routing,
-                                reorder,
-                                eviction,
-                                buffer_slots: 2,
-                            });
-                        }
-                    }
-                }
-            }
+            let grid = CompilerConfig::policy_grid(2);
             grid[index % grid.len()]
         }
 

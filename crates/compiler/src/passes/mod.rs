@@ -1,8 +1,8 @@
 //! The pass pipeline: scheduling glue around the four policy seams.
 //!
-//! A [`Pipeline`] owns one policy per seam ([`MappingPolicy`] →
-//! [`RoutingPolicy`] → [`ReorderPolicy`] → [`EvictionPolicy`]) and runs
-//! the fixed pass structure of §VI around them:
+//! A [`Pipeline`] runs the fixed pass structure of §VI around the four
+//! policies its [`CompilerConfig`] names (mapping → routing → reorder →
+//! eviction, see [`crate::policy`]):
 //!
 //! 1. **Map** — the mapping policy places every program qubit's ion;
 //! 2. **Schedule** — the *earliest ready gate first* walk over the
@@ -14,21 +14,16 @@
 //! 4. **Evict** — when a final destination is full, the eviction policy
 //!    picks a victim and target, and the victim is shuttled out first.
 //!
-//! [`Pipeline::from_config`] assembles the built-in policies named by a
-//! [`CompilerConfig`]; [`Pipeline::new`] accepts any boxed custom
-//! policies. The default configuration reproduces the pre-pipeline
-//! monolithic compiler instruction for instruction — the PR 2 golden
-//! snapshots pin this.
+//! The default configuration reproduces the pre-pipeline monolithic
+//! compiler instruction for instruction — the golden snapshots pin
+//! this.
 
-use crate::config::CompilerConfig;
+use crate::config::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
 use crate::error::CompileError;
 use crate::executable::{Executable, Inst};
 use crate::lowering::lower_two_qubit;
 use crate::memo::CompileMemoRef;
-use crate::policy::{
-    Congestion, EvictionPolicy, EvictionQuery, MappingPolicy, ReorderPolicy, RouteQuery,
-    RoutingPolicy,
-};
+use crate::policy::{Congestion, EvictionQuery, RouteQuery};
 use crate::state::MachineState;
 use fixedbitset::FixedBitSet;
 use qccd_circuit::{Circuit, DependencyDag, Operation};
@@ -104,7 +99,7 @@ impl UsesTable {
 }
 
 /// A fully-assembled compiler: one policy per seam plus the mapping
-/// buffer.
+/// buffer, as named by a [`CompilerConfig`].
 ///
 /// # Example
 ///
@@ -124,77 +119,18 @@ impl UsesTable {
 /// assert_eq!(exe.counts().two_qubit_gates, 1);
 /// ```
 pub struct Pipeline {
-    mapping: Box<dyn MappingPolicy>,
-    routing: Box<dyn RoutingPolicy>,
-    reorder: Box<dyn ReorderPolicy>,
-    eviction: Box<dyn EvictionPolicy>,
-    buffer_slots: u32,
+    config: CompilerConfig,
 }
 
 impl Pipeline {
-    /// Assembles the built-in policies named by `config`.
+    /// The pipeline of the policies named by `config`.
     pub fn from_config(config: &CompilerConfig) -> Self {
-        Pipeline {
-            mapping: config.mapping.policy(),
-            routing: config.routing.policy(),
-            reorder: config.reorder.policy(),
-            eviction: config.eviction.policy(),
-            buffer_slots: config.buffer_slots,
-        }
-    }
-
-    /// Assembles a pipeline from (possibly custom) boxed policies.
-    pub fn new(
-        mapping: Box<dyn MappingPolicy>,
-        routing: Box<dyn RoutingPolicy>,
-        reorder: Box<dyn ReorderPolicy>,
-        eviction: Box<dyn EvictionPolicy>,
-        buffer_slots: u32,
-    ) -> Self {
-        Pipeline {
-            mapping,
-            routing,
-            reorder,
-            eviction,
-            buffer_slots,
-        }
+        Pipeline { config: *config }
     }
 
     /// The placement policy (seam 1).
-    pub fn mapping(&self) -> &dyn MappingPolicy {
-        &*self.mapping
-    }
-
-    /// The routing policy (seam 2).
-    pub fn routing(&self) -> &dyn RoutingPolicy {
-        &*self.routing
-    }
-
-    /// The reordering policy (seam 3).
-    pub fn reorder(&self) -> &dyn ReorderPolicy {
-        &*self.reorder
-    }
-
-    /// The eviction policy (seam 4).
-    pub fn eviction(&self) -> &dyn EvictionPolicy {
-        &*self.eviction
-    }
-
-    /// Buffer slots the mapping leaves free per trap where possible.
-    pub fn buffer_slots(&self) -> u32 {
-        self.buffer_slots
-    }
-
-    /// One-line human-readable pipeline description.
-    pub fn describe(&self) -> String {
-        format!(
-            "{} mapping · {} routing · {} reordering · {} eviction · {} buffer slots",
-            self.mapping.name(),
-            self.routing.name(),
-            self.reorder.name(),
-            self.eviction.name(),
-            self.buffer_slots
-        )
+    pub fn mapping(&self) -> MappingKind {
+        self.config.mapping
     }
 
     /// Compiles `circuit` for `device` through every pass.
@@ -236,14 +172,18 @@ impl Pipeline {
                 "stage memo was built for a different device"
             );
         }
+        let CompilerConfig {
+            mapping,
+            routing,
+            reorder,
+            eviction,
+            buffer_slots,
+        } = self.config;
         let placement = match memo {
-            Some(m) => m.memo().placement(
-                circuit,
-                m.circuit_digest(),
-                &*self.mapping,
-                self.buffer_slots,
-            )?,
-            None => self.mapping.place(circuit, device, self.buffer_slots)?,
+            Some(m) => m
+                .memo()
+                .placement(circuit, m.circuit_digest(), mapping, buffer_slots)?,
+            None => mapping.place(circuit, device, buffer_slots)?,
         };
         let st = MachineState::new(&placement);
         let busy = TrapBusyMap::new(device, &st);
@@ -259,9 +199,9 @@ impl Pipeline {
             device,
             routes,
             congestion: Congestion::new(device),
-            routing: &*self.routing,
-            reorder: &*self.reorder,
-            eviction: &*self.eviction,
+            routing,
+            reorder,
+            eviction,
             st,
             busy,
             out: Vec::new(),
@@ -294,6 +234,10 @@ impl Pipeline {
         }
 
         let final_map = ctx.st.qubit_assignment();
+        // The stream grew by doubling; the executable keeps only what it
+        // holds, not up to twice its instruction bytes, while it is
+        // simulated.
+        ctx.out.shrink_to_fit();
         Ok(Executable::new(
             circuit.name().to_owned(),
             circuit.num_qubits(),
@@ -309,9 +253,9 @@ struct Ctx<'a> {
     device: &'a Device,
     routes: &'a RouteCache<'a>,
     congestion: Congestion,
-    routing: &'a dyn RoutingPolicy,
-    reorder: &'a dyn ReorderPolicy,
-    eviction: &'a dyn EvictionPolicy,
+    routing: RoutingKind,
+    reorder: ReorderMethod,
+    eviction: EvictionKind,
     st: MachineState,
     busy: TrapBusyMap,
     out: Vec<Inst>,
@@ -400,18 +344,17 @@ impl Ctx<'_> {
             });
             self.st.remove_end(ion, src, leg.exit_side);
             self.busy.update(src, self.st.chain_len(src));
-            self.out.push(Inst::Move {
-                ion,
-                leg: leg.clone(),
-            });
-            self.out.push(Inst::Merge {
-                ion,
-                trap: leg.to,
-                side: leg.entry_side,
-            });
             self.st.insert_end(ion, leg.to, leg.entry_side);
             self.busy.update(leg.to, self.st.chain_len(leg.to));
             self.congestion.commit(&leg);
+            // The leg moves into its instruction instead of being cloned.
+            let (to, side) = (leg.to, leg.entry_side);
+            self.out.push(Inst::Move { ion, leg });
+            self.out.push(Inst::Merge {
+                ion,
+                trap: to,
+                side,
+            });
         }
     }
 }
@@ -441,17 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn from_config_names_the_selected_policies() {
-        let p = Pipeline::from_config(&CompilerConfig::default());
-        assert_eq!(p.mapping().name(), "round-robin");
-        assert_eq!(p.routing().name(), "greedy-shortest");
-        assert_eq!(p.reorder().name(), "gate-swap");
-        assert_eq!(p.eviction().name(), "furthest-next-use");
-        assert_eq!(p.buffer_slots(), 2);
-        assert!(p.describe().contains("greedy-shortest routing"));
-    }
-
-    #[test]
     fn pipeline_compile_equals_compile_fn() {
         let c = generators::random_circuit(24, 200, 0.4, 5);
         let d = presets::l6(8);
@@ -463,7 +395,6 @@ mod tests {
 
     #[test]
     fn compile_with_memo_matches_cold_compile() {
-        use crate::config::RoutingKind;
         use crate::memo::CompileMemo;
         let c = generators::random_circuit(24, 200, 0.4, 5);
         let d = presets::l6(8);
@@ -485,23 +416,5 @@ mod tests {
             "both configs share RR placement"
         );
         assert_eq!(counters.placement_hits, 3);
-    }
-
-    #[test]
-    fn custom_boxed_policies_compose() {
-        use crate::policy::{FurthestNextUse, GateSwapReorder, GreedyShortest, RoundRobin};
-        let p = Pipeline::new(
-            Box::new(RoundRobin),
-            Box::new(GreedyShortest),
-            Box::new(GateSwapReorder),
-            Box::new(FurthestNextUse),
-            2,
-        );
-        let c = generators::qaoa(20, 1, 5);
-        let d = presets::l6(8);
-        assert_eq!(
-            p.compile(&c, &d).unwrap(),
-            compile(&c, &d, &CompilerConfig::default()).unwrap()
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Eviction policies (pipeline seam 4, paper §VI).
 
-use super::EvictionPolicy;
+use crate::config::EvictionKind;
 use crate::error::CompileError;
 use crate::passes::UsesTable;
 use crate::state::MachineState;
@@ -29,8 +29,8 @@ pub struct EvictionQuery<'a> {
 }
 
 impl<'a> EvictionQuery<'a> {
-    /// Builds a query (used by the scheduler; public so custom
-    /// pipelines and tests can drive policies directly).
+    /// Builds a query (used by the scheduler, and by tests that drive
+    /// a policy directly).
     pub fn new(
         device: &'a Device,
         routes: &'a RouteCache<'a>,
@@ -108,32 +108,40 @@ fn nearest_free_target(query: &EvictionQuery<'_>) -> Result<TrapId, CompileError
         .ok_or(CompileError::CapacityExhausted { trap: query.trap() })
 }
 
+impl EvictionKind {
+    /// Picks the victim qubit and its eviction target for the query's
+    /// full trap (paper §VI). The scheduler then shuttles the victim out
+    /// (which may recurse into further evictions along the way).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::CapacityExhausted`] when every resident
+    /// is protected or no reachable trap has room.
+    pub fn pick(&self, query: &EvictionQuery<'_>) -> Result<Eviction, CompileError> {
+        match self {
+            EvictionKind::FurthestNextUse => furthest_next_use(query),
+            EvictionKind::ChainEnd => chain_end(query),
+        }
+    }
+}
+
 /// The paper's §VI rule: evict the unprotected resident whose next use
 /// is farthest in the future ("leveraging full knowledge of the program
 /// instructions"), ties broken toward lower qubit ids. The default
 /// pipeline's eviction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FurthestNextUse;
-
-impl EvictionPolicy for FurthestNextUse {
-    fn name(&self) -> &'static str {
-        "furthest-next-use"
-    }
-
-    fn pick(&self, query: &EvictionQuery<'_>) -> Result<Eviction, CompileError> {
-        let state = query.state();
-        let victim_qubit = state
-            .chain(query.trap())
-            .iter()
-            .map(|&ion| state.qubit_of_ion(ion))
-            .filter(|q| !query.protected().contains(q))
-            .max_by_key(|&q| (query.next_use(q), Reverse(q)))
-            .ok_or(CompileError::CapacityExhausted { trap: query.trap() })?;
-        Ok(Eviction {
-            victim_qubit,
-            target: nearest_free_target(query)?,
-        })
-    }
+fn furthest_next_use(query: &EvictionQuery<'_>) -> Result<Eviction, CompileError> {
+    let state = query.state();
+    let victim_qubit = state
+        .chain(query.trap())
+        .iter()
+        .map(|&ion| state.qubit_of_ion(ion))
+        .filter(|q| !query.protected().contains(q))
+        .max_by_key(|&q| (query.next_use(q), Reverse(q)))
+        .ok_or(CompileError::CapacityExhausted { trap: query.trap() })?;
+    Ok(Eviction {
+        victim_qubit,
+        target: nearest_free_target(query)?,
+    })
 }
 
 /// Evicts from the chain ends only: of the (up to) two end residents,
@@ -144,35 +152,26 @@ impl EvictionPolicy for FurthestNextUse {
 /// so evictions stay cheap *now* at the price of sometimes re-fetching
 /// a soon-needed interior qubit later. Falls back to the interior rule
 /// when both ends are protected.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChainEnd;
-
-impl EvictionPolicy for ChainEnd {
-    fn name(&self) -> &'static str {
-        "chain-end"
-    }
-
-    fn pick(&self, query: &EvictionQuery<'_>) -> Result<Eviction, CompileError> {
-        let state = query.state();
-        let ends = [
-            state.end_ion(query.trap(), Side::Left),
-            state.end_ion(query.trap(), Side::Right),
-        ];
-        let victim_qubit = ends
-            .into_iter()
-            .flatten()
-            .map(|ion| state.qubit_of_ion(ion))
-            .filter(|q| !query.protected().contains(q))
-            .max_by_key(|&q| (query.next_use(q), Reverse(q)));
-        match victim_qubit {
-            Some(victim_qubit) => Ok(Eviction {
-                victim_qubit,
-                target: nearest_free_target(query)?,
-            }),
-            // Both ends protected: fall back to the interior rule rather
-            // than failing a compilable program.
-            None => FurthestNextUse.pick(query),
-        }
+fn chain_end(query: &EvictionQuery<'_>) -> Result<Eviction, CompileError> {
+    let state = query.state();
+    let ends = [
+        state.end_ion(query.trap(), Side::Left),
+        state.end_ion(query.trap(), Side::Right),
+    ];
+    let victim_qubit = ends
+        .into_iter()
+        .flatten()
+        .map(|ion| state.qubit_of_ion(ion))
+        .filter(|q| !query.protected().contains(q))
+        .max_by_key(|&q| (query.next_use(q), Reverse(q)));
+    match victim_qubit {
+        Some(victim_qubit) => Ok(Eviction {
+            victim_qubit,
+            target: nearest_free_target(query)?,
+        }),
+        // Both ends protected: fall back to the interior rule rather
+        // than failing a compilable program.
+        None => furthest_next_use(query),
     }
 }
 
@@ -204,7 +203,7 @@ mod tests {
         let routes = RouteCache::new(&d);
         let uses = UsesTable::new(&c);
         let q = EvictionQuery::new(&d, &routes, &st, &uses, 0, TrapId(0), &[0, 3]);
-        let pick = FurthestNextUse.pick(&q).unwrap();
+        let pick = EvictionKind::FurthestNextUse.pick(&q).unwrap();
         assert_eq!(pick.victim_qubit, 1, "qubit 1's next use is op 3");
         assert_eq!(pick.target, TrapId(1), "only other trap with room");
     }
@@ -218,7 +217,7 @@ mod tests {
         let q = EvictionQuery::new(&d, &routes, &st, &uses, 0, TrapId(0), &[0, 3]);
         // Ends are qubits 0 (protected) and 2; the interior qubit 1 has a
         // farther next use but is not an end.
-        let pick = ChainEnd.pick(&q).unwrap();
+        let pick = EvictionKind::ChainEnd.pick(&q).unwrap();
         assert_eq!(pick.victim_qubit, 2);
     }
 
@@ -229,7 +228,7 @@ mod tests {
         let routes = RouteCache::new(&d);
         let uses = UsesTable::new(&c);
         let q = EvictionQuery::new(&d, &routes, &st, &uses, 0, TrapId(0), &[0, 2]);
-        let pick = ChainEnd.pick(&q).unwrap();
+        let pick = EvictionKind::ChainEnd.pick(&q).unwrap();
         assert_eq!(pick.victim_qubit, 1, "interior fallback");
     }
 
@@ -240,7 +239,7 @@ mod tests {
         let routes = RouteCache::new(&d);
         let uses = UsesTable::new(&c);
         let q = EvictionQuery::new(&d, &routes, &st, &uses, 0, TrapId(0), &[0, 1, 2]);
-        for policy in [&FurthestNextUse as &dyn EvictionPolicy, &ChainEnd] {
+        for policy in EvictionKind::ALL {
             assert!(matches!(
                 policy.pick(&q),
                 Err(CompileError::CapacityExhausted { trap: TrapId(0) })

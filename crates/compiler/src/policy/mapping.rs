@@ -1,30 +1,30 @@
 //! Initial-placement policies (pipeline seam 1).
 
-use super::MappingPolicy;
+use crate::config::MappingKind;
 use crate::error::CompileError;
 use crate::mapping::{initial_map, Placement};
 use qccd_circuit::{Circuit, Operation};
 use qccd_device::{Device, IonId};
 
-/// The paper's §VI mapper: qubits in first-use order, packed into traps
-/// in trap-id order, leaving buffer slots free where the program fits.
-///
-/// This is exactly [`initial_map`] — the default pipeline's placement.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl MappingPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn place(
+impl MappingKind {
+    /// Places `circuit`'s qubits into `device`'s traps, leaving
+    /// `buffer_slots` free per trap where the program fits (paper §VI).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::InsufficientCapacity`] if the device
+    /// cannot hold the program even with the buffer fully relaxed.
+    pub fn place(
         &self,
         circuit: &Circuit,
         device: &Device,
         buffer_slots: u32,
     ) -> Result<Placement, CompileError> {
-        initial_map(circuit, device, buffer_slots)
+        match self {
+            // The paper's §VI mapper: first-use order, trap-id packing.
+            MappingKind::RoundRobin => initial_map(circuit, device, buffer_slots),
+            MappingKind::UsageWeighted => usage_weighted(circuit, device, buffer_slots),
+        }
     }
 }
 
@@ -42,94 +42,84 @@ impl MappingPolicy for RoundRobin {
 /// Heavily-communicating clusters start in one chain, trading a denser
 /// initial chain for fewer cross-trap shuttles — the placement axis of
 /// the shuttling-overhead studies (cf. Schoenberger et al. 2024, TITAN).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UsageWeighted;
-
-impl MappingPolicy for UsageWeighted {
-    fn name(&self) -> &'static str {
-        "usage-weighted"
+fn usage_weighted(
+    circuit: &Circuit,
+    device: &Device,
+    buffer_slots: u32,
+) -> Result<Placement, CompileError> {
+    let n = circuit.num_qubits() as usize;
+    if circuit.num_qubits() > device.total_capacity() {
+        return Err(CompileError::InsufficientCapacity {
+            needed: circuit.num_qubits(),
+            capacity: device.total_capacity(),
+        });
     }
 
-    fn place(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        buffer_slots: u32,
-    ) -> Result<Placement, CompileError> {
-        let n = circuit.num_qubits() as usize;
-        if circuit.num_qubits() > device.total_capacity() {
-            return Err(CompileError::InsufficientCapacity {
-                needed: circuit.num_qubits(),
-                capacity: device.total_capacity(),
-            });
+    // Pairwise interaction weights: how many two-qubit gates touch
+    // each qubit pair.
+    let mut weight = vec![0u32; n * n];
+    for op in circuit.iter() {
+        if let Operation::TwoQubit { a, b, .. } = op {
+            weight[a.index() * n + b.index()] += 1;
+            weight[b.index() * n + a.index()] += 1;
         }
+    }
 
-        // Pairwise interaction weights: how many two-qubit gates touch
-        // each qubit pair.
-        let mut weight = vec![0u32; n * n];
-        for op in circuit.iter() {
-            if let Operation::TwoQubit { a, b, .. } = op {
-                weight[a.index() * n + b.index()] += 1;
-                weight[b.index() * n + a.index()] += 1;
-            }
-        }
+    // First-use rank: seed order and tie-breaker.
+    let order = circuit.qubits_by_first_use();
+    let mut rank = vec![0usize; n];
+    for (r, q) in order.iter().enumerate() {
+        rank[q.index()] = r;
+    }
 
-        // First-use rank: seed order and tie-breaker.
-        let order = circuit.qubits_by_first_use();
-        let mut rank = vec![0usize; n];
-        for (r, q) in order.iter().enumerate() {
-            rank[q.index()] = r;
-        }
-
-        let mut placed = vec![false; n];
-        let mut num_placed = 0usize;
-        let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); device.trap_count()];
-        let mut buffer = buffer_slots;
-        // Progressively relax the buffer until everything fits, exactly
-        // like the round-robin mapper.
-        loop {
-            for t in device.trap_ids() {
-                let cap = device.trap(t).capacity();
-                let limit = cap.saturating_sub(buffer) as usize;
-                while chains[t.index()].len() < limit && num_placed < n {
-                    let next = if chains[t.index()].is_empty() {
-                        // Seed: earliest unplaced qubit in first-use order.
-                        order
+    let mut placed = vec![false; n];
+    let mut num_placed = 0usize;
+    let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); device.trap_count()];
+    let mut buffer = buffer_slots;
+    // Progressively relax the buffer until everything fits, exactly
+    // like the round-robin mapper.
+    loop {
+        for t in device.trap_ids() {
+            let cap = device.trap(t).capacity();
+            let limit = cap.saturating_sub(buffer) as usize;
+            while chains[t.index()].len() < limit && num_placed < n {
+                let next = if chains[t.index()].is_empty() {
+                    // Seed: earliest unplaced qubit in first-use order.
+                    order
+                        .iter()
+                        .map(|q| q.index())
+                        .find(|&q| !placed[q])
+                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                        .expect("num_placed < n implies an unplaced qubit")
+                } else {
+                    // Fill: highest affinity to the trap's residents,
+                    // ties toward earlier first use.
+                    let affinity = |q: usize| -> u64 {
+                        chains[t.index()]
                             .iter()
-                            .map(|q| q.index())
-                            .find(|&q| !placed[q])
-                            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                            .expect("num_placed < n implies an unplaced qubit")
-                    } else {
-                        // Fill: highest affinity to the trap's residents,
-                        // ties toward earlier first use.
-                        let affinity = |q: usize| -> u64 {
-                            chains[t.index()]
-                                .iter()
-                                .map(|ion| u64::from(weight[q * n + ion.index()]))
-                                .sum()
-                        };
-                        (0..n)
-                            .filter(|&q| !placed[q])
-                            .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
-                            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                            .expect("num_placed < n implies an unplaced qubit")
+                            .map(|ion| u64::from(weight[q * n + ion.index()]))
+                            .sum()
                     };
-                    placed[next] = true;
-                    num_placed += 1;
-                    chains[t.index()].push(IonId(next as u32));
-                }
+                    (0..n)
+                        .filter(|&q| !placed[q])
+                        .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
+                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                        .expect("num_placed < n implies an unplaced qubit")
+                };
+                placed[next] = true;
+                num_placed += 1;
+                chains[t.index()].push(IonId(next as u32));
             }
-            if num_placed >= n {
-                break;
-            }
-            if buffer == 0 {
-                unreachable!("capacity check guarantees placement terminates");
-            }
-            buffer -= 1;
         }
-        Ok(Placement::from_chains(chains))
+        if num_placed >= n {
+            break;
+        }
+        if buffer == 0 {
+            unreachable!("capacity check guarantees placement terminates");
+        }
+        buffer -= 1;
     }
+    Ok(Placement::from_chains(chains))
 }
 
 #[cfg(test)]
@@ -146,7 +136,7 @@ mod tests {
         }
         let d = presets::l6(12);
         assert_eq!(
-            RoundRobin.place(&c, &d, 2).unwrap(),
+            MappingKind::RoundRobin.place(&c, &d, 2).unwrap(),
             initial_map(&c, &d, 2).unwrap()
         );
     }
@@ -170,16 +160,18 @@ mod tests {
                 .position(|chain| chain.contains(&IonId(q)))
                 .unwrap()
         };
-        let rr = RoundRobin.place(&c, &d, 0).unwrap();
+        let rr = MappingKind::RoundRobin.place(&c, &d, 0).unwrap();
         assert_ne!(trap_of(&rr, 0), trap_of(&rr, 9), "RR spreads the pair");
-        let uw = UsageWeighted.place(&c, &d, 0).unwrap();
+        let uw = MappingKind::UsageWeighted.place(&c, &d, 0).unwrap();
         assert_eq!(trap_of(&uw, 0), trap_of(&uw, 9), "UW co-locates the pair");
     }
 
     #[test]
     fn usage_weighted_places_every_qubit_once() {
         let c = qccd_circuit::generators::qft(30);
-        let p = UsageWeighted.place(&c, &presets::l6(8), 2).unwrap();
+        let p = MappingKind::UsageWeighted
+            .place(&c, &presets::l6(8), 2)
+            .unwrap();
         assert_eq!(p.num_ions(), 30);
         let mut seen = vec![false; 30];
         for chain in p.chains() {
@@ -199,7 +191,9 @@ mod tests {
         for i in 0..77 {
             c.cx(Qubit(i), Qubit(i + 1));
         }
-        let p = UsageWeighted.place(&c, &presets::l6(14), 2).unwrap();
+        let p = MappingKind::UsageWeighted
+            .place(&c, &presets::l6(14), 2)
+            .unwrap();
         assert_eq!(p.num_ions(), 78);
         assert_eq!(p.max_occupancy(), 13);
     }
@@ -207,7 +201,9 @@ mod tests {
     #[test]
     fn usage_weighted_fails_when_physically_impossible() {
         let c = qccd_circuit::generators::qft(100);
-        let err = UsageWeighted.place(&c, &presets::l6(14), 2).unwrap_err();
+        let err = MappingKind::UsageWeighted
+            .place(&c, &presets::l6(14), 2)
+            .unwrap_err();
         assert!(matches!(err, CompileError::InsufficientCapacity { .. }));
     }
 
@@ -216,8 +212,8 @@ mod tests {
         let c = qccd_circuit::generators::random_circuit(24, 200, 0.5, 9);
         let d = presets::g2x3(10);
         assert_eq!(
-            UsageWeighted.place(&c, &d, 2).unwrap(),
-            UsageWeighted.place(&c, &d, 2).unwrap()
+            MappingKind::UsageWeighted.place(&c, &d, 2).unwrap(),
+            MappingKind::UsageWeighted.place(&c, &d, 2).unwrap()
         );
     }
 }

@@ -3,167 +3,29 @@
 //! The paper's design-space study varies *which heuristic* fills each
 //! compilation role — initial placement, shuttling-route choice, chain
 //! reordering, and destination-full eviction — while the pass structure
-//! around them stays fixed. Each seam is a trait:
+//! around them stays fixed. Each seam is a closed set of heuristics, so
+//! its selector enum in [`crate::config`] is the policy: one inherent
+//! method per seam matches on the variant and runs its heuristic.
 //!
-//! | Seam | Trait | Implementations |
-//! |------|-------|-----------------|
-//! | 1. placement | [`MappingPolicy`] | [`RoundRobin`], [`UsageWeighted`] |
-//! | 2. routing | [`RoutingPolicy`] | [`GreedyShortest`], [`LookaheadCongestion`] |
-//! | 3. reordering | [`ReorderPolicy`] | [`GateSwapReorder`], [`IonSwapReorder`] |
-//! | 4. eviction | [`EvictionPolicy`] | [`FurthestNextUse`], [`ChainEnd`] |
+//! | Seam | Selector · method | Heuristics |
+//! |------|-------------------|------------|
+//! | 1. placement | [`MappingKind::place`] | `RoundRobin`, `UsageWeighted` |
+//! | 2. routing | [`RoutingKind::next_route`] | `GreedyShortest`, `LookaheadCongestion` |
+//! | 3. reordering | [`ReorderMethod::bring_to_end`] | `GateSwap`, `IonSwap` |
+//! | 4. eviction | [`EvictionKind::pick`] | `FurthestNextUse`, `ChainEnd` |
 //!
-//! Policies are selected by the `Copy` selector enums in
-//! [`crate::config`] ([`MappingKind`], [`RoutingKind`],
-//! [`ReorderMethod`], [`EvictionKind`]) and assembled into a
-//! [`crate::Pipeline`]; custom policies can implement the traits
-//! directly and be boxed into [`crate::Pipeline::new`].
+//! A [`crate::CompilerConfig`] names one heuristic per seam, and a
+//! [`crate::Pipeline`] runs them.
+//!
+//! [`MappingKind::place`]: crate::MappingKind::place
+//! [`RoutingKind::next_route`]: crate::RoutingKind::next_route
+//! [`ReorderMethod::bring_to_end`]: crate::ReorderMethod::bring_to_end
+//! [`EvictionKind::pick`]: crate::EvictionKind::pick
 
 pub mod eviction;
 pub mod mapping;
 pub mod reorder;
 pub mod routing;
 
-pub use eviction::{ChainEnd, Eviction, EvictionQuery, FurthestNextUse};
-pub use mapping::{RoundRobin, UsageWeighted};
-pub use reorder::{GateSwapReorder, IonSwapReorder};
-pub use routing::{Congestion, GreedyShortest, LookaheadCongestion, RouteQuery};
-
-use crate::config::{EvictionKind, MappingKind, ReorderMethod, RoutingKind};
-use crate::error::CompileError;
-use crate::executable::Inst;
-use crate::mapping::Placement;
-use crate::state::MachineState;
-use qccd_circuit::Circuit;
-use qccd_device::{Device, IonId, Route, Side, TrapId};
-
-/// Pipeline seam 1: where each program qubit's ion starts (paper §VI).
-pub trait MappingPolicy: Send + Sync {
-    /// Kebab-case policy name (matches the config/CLI spelling).
-    fn name(&self) -> &'static str;
-
-    /// Places `circuit`'s qubits into `device`'s traps, leaving
-    /// `buffer_slots` free per trap where the program fits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::InsufficientCapacity`] if the device
-    /// cannot hold the program even with the buffer fully relaxed.
-    fn place(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        buffer_slots: u32,
-    ) -> Result<Placement, CompileError>;
-}
-
-/// Pipeline seam 2: which shuttling route a cross-trap gate takes.
-pub trait RoutingPolicy: Send + Sync {
-    /// Kebab-case policy name (matches the config/CLI spelling).
-    fn name(&self) -> &'static str;
-
-    /// Chooses the route for the query's `(from, to)` trap pair. The
-    /// scheduler commits only the first leg and re-queries after every
-    /// hop, so congestion-aware policies see up-to-date traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Routing`] when no route exists.
-    fn next_route(&self, query: &RouteQuery<'_>) -> Result<Route, CompileError>;
-}
-
-/// Pipeline seam 3: how a chain brings an ion to its departure end
-/// (paper §IV-C, Fig. 5).
-pub trait ReorderPolicy: Send + Sync {
-    /// Kebab-case policy name (matches the config/CLI spelling).
-    fn name(&self) -> &'static str;
-
-    /// Emits reordering instructions into `out` (updating `state`) until
-    /// `ion` — or, for state-swapping policies, the ion carrying its
-    /// qubit — sits at the `side` end of `trap`. No-op if already there.
-    fn bring_to_end(
-        &self,
-        state: &mut MachineState,
-        out: &mut Vec<Inst>,
-        ion: IonId,
-        trap: TrapId,
-        side: Side,
-    );
-}
-
-/// Pipeline seam 4: which resident leaves a full destination trap, and
-/// where it goes (paper §VI).
-pub trait EvictionPolicy: Send + Sync {
-    /// Kebab-case policy name (matches the config/CLI spelling).
-    fn name(&self) -> &'static str;
-
-    /// Picks the victim qubit and its eviction target for the query's
-    /// full trap. The scheduler then shuttles the victim out (which may
-    /// recurse into further evictions along the way).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::CapacityExhausted`] when every resident
-    /// is protected or no reachable trap has room.
-    fn pick(&self, query: &EvictionQuery<'_>) -> Result<Eviction, CompileError>;
-}
-
-impl MappingKind {
-    /// The boxed policy implementation this selector names.
-    pub fn policy(&self) -> Box<dyn MappingPolicy> {
-        match self {
-            MappingKind::RoundRobin => Box::new(RoundRobin),
-            MappingKind::UsageWeighted => Box::new(UsageWeighted),
-        }
-    }
-}
-
-impl RoutingKind {
-    /// The boxed policy implementation this selector names.
-    pub fn policy(&self) -> Box<dyn RoutingPolicy> {
-        match self {
-            RoutingKind::GreedyShortest => Box::new(GreedyShortest),
-            RoutingKind::LookaheadCongestion => Box::new(LookaheadCongestion::default()),
-        }
-    }
-}
-
-impl ReorderMethod {
-    /// The boxed policy implementation this selector names.
-    pub fn policy(&self) -> Box<dyn ReorderPolicy> {
-        match self {
-            ReorderMethod::GateSwap => Box::new(GateSwapReorder),
-            ReorderMethod::IonSwap => Box::new(IonSwapReorder),
-        }
-    }
-}
-
-impl EvictionKind {
-    /// The boxed policy implementation this selector names.
-    pub fn policy(&self) -> Box<dyn EvictionPolicy> {
-        match self {
-            EvictionKind::FurthestNextUse => Box::new(FurthestNextUse),
-            EvictionKind::ChainEnd => Box::new(ChainEnd),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn selector_names_match_policy_names() {
-        for kind in MappingKind::ALL {
-            assert_eq!(kind.policy().name(), kind.name());
-        }
-        for kind in RoutingKind::ALL {
-            assert_eq!(kind.policy().name(), kind.name());
-        }
-        for kind in ReorderMethod::ALL {
-            assert_eq!(kind.policy().name(), kind.cli_name());
-        }
-        for kind in EvictionKind::ALL {
-            assert_eq!(kind.policy().name(), kind.name());
-        }
-    }
-}
+pub use eviction::{Eviction, EvictionQuery};
+pub use routing::{Congestion, RouteQuery};

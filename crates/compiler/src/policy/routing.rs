@@ -1,7 +1,7 @@
 //! Routing policies (pipeline seam 2) and the congestion bookkeeping
 //! they consult.
 
-use super::RoutingPolicy;
+use crate::config::RoutingKind;
 use crate::error::CompileError;
 use qccd_device::{Device, JunctionId, Leg, Route, RouteCache, SegmentId, TrapId};
 
@@ -16,8 +16,8 @@ pub struct RouteQuery<'a> {
 }
 
 impl<'a> RouteQuery<'a> {
-    /// Builds a query (used by the scheduler; public so custom
-    /// pipelines and tests can drive policies directly).
+    /// Builds a query (used by the scheduler, and by tests that drive
+    /// a policy directly).
     pub fn new(
         device: &'a Device,
         routes: &'a RouteCache<'a>,
@@ -159,20 +159,30 @@ impl Congestion {
     }
 }
 
-/// The paper's §VI router: always the device's cheapest static route
-/// (via the memoized all-pairs cache). The default pipeline's routing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyShortest;
-
-impl RoutingPolicy for GreedyShortest {
-    fn name(&self) -> &'static str {
-        "greedy-shortest"
-    }
-
-    fn next_route(&self, query: &RouteQuery<'_>) -> Result<Route, CompileError> {
-        Ok(query.routes().route(query.from(), query.to())?.clone())
+impl RoutingKind {
+    /// Chooses the route for the query's `(from, to)` trap pair. The
+    /// scheduler commits only the first leg and re-queries after every
+    /// hop, so congestion-aware policies see up-to-date traffic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::Routing`] when no route exists.
+    pub fn next_route(&self, query: &RouteQuery<'_>) -> Result<Route, CompileError> {
+        match self {
+            // The paper's §VI router: always the device's cheapest static
+            // route (via the memoized all-pairs cache).
+            RoutingKind::GreedyShortest => {
+                Ok(query.routes().route(query.from(), query.to())?.clone())
+            }
+            RoutingKind::LookaheadCongestion => lookahead_congestion(query),
+        }
     }
 }
+
+/// Extra weight per in-flight claim on a segment.
+const SEGMENT_PENALTY: u64 = 4;
+/// Extra weight per in-flight claim on a junction.
+const JUNCTION_PENALTY: u64 = 16;
 
 /// Congestion-aware lookahead routing: resources claimed by in-flight
 /// legs are penalized, steering shuttles onto detours where the
@@ -183,42 +193,18 @@ impl RoutingPolicy for GreedyShortest {
 /// crossing 12, an intermediate trap 120), so moderate congestion picks
 /// an alternate junction path but never drags a route through an extra
 /// intermediate trap unless the contention is extreme.
-#[derive(Debug, Clone, Copy)]
-pub struct LookaheadCongestion {
-    /// Extra weight per in-flight claim on a segment.
-    pub segment_penalty: u64,
-    /// Extra weight per in-flight claim on a junction.
-    pub junction_penalty: u64,
-}
-
-impl Default for LookaheadCongestion {
-    fn default() -> Self {
-        LookaheadCongestion {
-            segment_penalty: 4,
-            junction_penalty: 16,
-        }
+fn lookahead_congestion(query: &RouteQuery<'_>) -> Result<Route, CompileError> {
+    let congestion = query.congestion();
+    if congestion.in_flight() == 0 {
+        // Quiet device: identical to the static shortest path, served
+        // from the cache.
+        return Ok(query.routes().route(query.from(), query.to())?.clone());
     }
-}
-
-impl RoutingPolicy for LookaheadCongestion {
-    fn name(&self) -> &'static str {
-        "lookahead-congestion"
-    }
-
-    fn next_route(&self, query: &RouteQuery<'_>) -> Result<Route, CompileError> {
-        let congestion = query.congestion();
-        if congestion.in_flight() == 0 {
-            // Quiet device: identical to the static shortest path, served
-            // from the cache.
-            return Ok(query.routes().route(query.from(), query.to())?.clone());
-        }
-        let segment = |s: SegmentId| u64::from(congestion.segment_load(s)) * self.segment_penalty;
-        let junction =
-            |j: JunctionId| u64::from(congestion.junction_load(j)) * self.junction_penalty;
-        Ok(query
-            .device()
-            .route_weighted(query.from(), query.to(), &segment, &junction)?)
-    }
+    let segment = |s: SegmentId| u64::from(congestion.segment_load(s)) * SEGMENT_PENALTY;
+    let junction = |j: JunctionId| u64::from(congestion.junction_load(j)) * JUNCTION_PENALTY;
+    Ok(query
+        .device()
+        .route_weighted(query.from(), query.to(), &segment, &junction)?)
 }
 
 #[cfg(test)]
@@ -255,7 +241,7 @@ mod tests {
         let cache = RouteCache::new(&d);
         let congestion = Congestion::new(&d);
         let q = RouteQuery::new(&d, &cache, &congestion, TrapId(0), TrapId(4));
-        let r = GreedyShortest.next_route(&q).unwrap();
+        let r = RoutingKind::GreedyShortest.next_route(&q).unwrap();
         assert_eq!(r, d.route(TrapId(0), TrapId(4)).unwrap());
     }
 
@@ -271,8 +257,8 @@ mod tests {
                 }
                 let q = RouteQuery::new(&d, &cache, &congestion, a, b);
                 assert_eq!(
-                    LookaheadCongestion::default().next_route(&q).unwrap(),
-                    GreedyShortest.next_route(&q).unwrap(),
+                    RoutingKind::LookaheadCongestion.next_route(&q).unwrap(),
+                    RoutingKind::GreedyShortest.next_route(&q).unwrap(),
                     "{a}->{b}"
                 );
             }
@@ -292,9 +278,9 @@ mod tests {
             congestion.commit(&static_route.legs()[0]);
         }
         let q = RouteQuery::new(&d, &cache, &congestion, TrapId(0), TrapId(5));
-        let greedy = GreedyShortest.next_route(&q).unwrap();
+        let greedy = RoutingKind::GreedyShortest.next_route(&q).unwrap();
         assert_eq!(greedy, static_route, "greedy ignores congestion");
-        let lookahead = LookaheadCongestion::default().next_route(&q).unwrap();
+        let lookahead = RoutingKind::LookaheadCongestion.next_route(&q).unwrap();
         assert_ne!(
             lookahead.legs()[0].junctions,
             static_route.legs()[0].junctions,

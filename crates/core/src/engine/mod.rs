@@ -633,7 +633,7 @@ mod tests {
         // partial one, each cell checked against a serial toolflow run.
         let circuit = generators::bv(&[true; 8]);
         let devices = vec![presets::l6(6), presets::l6(8), presets::g2x3(6)];
-        let configs = crate::sweep::policy_grid(2);
+        let configs = CompilerConfig::policy_grid(2);
         let model = PhysicalModel::default();
         let grid = JobGrid::from_axes(
             vec![circuit.clone()],

@@ -27,7 +27,7 @@
 use super::grid::JobGrid;
 use qccd_circuit::generators::Benchmark;
 use qccd_circuit::Circuit;
-use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
+use qccd_compiler::CompilerConfig;
 use qccd_device::{check_node_count, presets, Device};
 use qccd_physics::{GateImpl, PhysicalModel};
 use serde::{de, DeError, Deserialize, Serialize, Value};
@@ -400,7 +400,7 @@ pub enum ConfigSpec {
     /// e.g. `{"routing": "lookahead-congestion"}`).
     Config(CompilerConfig),
     /// Every combination of the compiler's built-in policies — the 16
-    /// pipelines of [`crate::sweep::policy_grid`]
+    /// pipelines of [`CompilerConfig::policy_grid`]
     /// (JSON: `"policy-grid"` or
     /// `{"policy_grid": {"buffer_slots": 2}}`).
     PolicyGrid {
@@ -414,7 +414,7 @@ impl ConfigSpec {
     pub fn expand(&self) -> Vec<CompilerConfig> {
         match self {
             ConfigSpec::Config(c) => vec![*c],
-            ConfigSpec::PolicyGrid { buffer_slots } => crate::sweep::policy_grid(*buffer_slots),
+            ConfigSpec::PolicyGrid { buffer_slots } => CompilerConfig::policy_grid(*buffer_slots),
         }
     }
 }
@@ -443,36 +443,17 @@ impl Deserialize for ConfigSpec {
             Value::Str(s) => Err(DeError::custom(format!(
                 "unknown config spec `{s}` (expected `policy-grid` or a config object)"
             ))),
-            Value::Object(entries) => {
-                if entries.iter().any(|(k, _)| k == "policy_grid") {
-                    let (_, inner) = single_key(entries, "ConfigSpec")?;
-                    let inner = de::object(inner, "policy_grid")?;
-                    reject_unknown(inner, &["buffer_slots"], "policy_grid")?;
-                    return Ok(ConfigSpec::PolicyGrid {
-                        buffer_slots: opt_field(inner, "buffer_slots")?.unwrap_or(2),
-                    });
-                }
-                // A partial compiler config: every field optional, the
-                // paper's pipeline filling the gaps.
-                reject_unknown(
-                    entries,
-                    &["mapping", "routing", "reorder", "eviction", "buffer_slots"],
-                    "compiler config spec",
-                )?;
-                let defaults = CompilerConfig::default();
-                Ok(ConfigSpec::Config(CompilerConfig {
-                    mapping: opt_field::<MappingKind>(entries, "mapping")?
-                        .unwrap_or(defaults.mapping),
-                    routing: opt_field::<RoutingKind>(entries, "routing")?
-                        .unwrap_or(defaults.routing),
-                    reorder: opt_field::<ReorderMethod>(entries, "reorder")?
-                        .unwrap_or(defaults.reorder),
-                    eviction: opt_field::<EvictionKind>(entries, "eviction")?
-                        .unwrap_or(defaults.eviction),
-                    buffer_slots: opt_field::<u32>(entries, "buffer_slots")?
-                        .unwrap_or(defaults.buffer_slots),
-                }))
+            Value::Object(entries) if entries.iter().any(|(k, _)| k == "policy_grid") => {
+                let (_, inner) = single_key(entries, "ConfigSpec")?;
+                let inner = de::object(inner, "policy_grid")?;
+                reject_unknown(inner, &["buffer_slots"], "policy_grid")?;
+                Ok(ConfigSpec::PolicyGrid {
+                    buffer_slots: opt_field(inner, "buffer_slots")?.unwrap_or(2),
+                })
             }
+            // A partial compiler config: every field optional, the
+            // paper's pipeline filling the gaps.
+            Value::Object(_) => CompilerConfig::from_value(value).map(ConfigSpec::Config),
             other => Err(DeError::type_mismatch(
                 "a compiler config object or `policy-grid`",
                 other,
@@ -888,6 +869,7 @@ pub(crate) fn committed(name: &str) -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qccd_compiler::RoutingKind;
 
     #[test]
     fn fig6_expansion_matches_the_paper_grid() {

@@ -261,7 +261,6 @@ pub(crate) fn project_policy(grid: &JobGrid, results: &GridResults, capacities: 
 mod tests {
     use super::*;
     use crate::experiments::run_axes;
-    use crate::sweep::policy_grid;
     use crate::toolflow::Toolflow;
     use qccd_circuit::{generators, Circuit};
     use qccd_compiler::{CompilerConfig, MappingKind, ReorderMethod};
@@ -294,7 +293,7 @@ mod tests {
         run_axes(
             vec![circuit],
             caps.iter().map(|&c| presets::l6(c)).collect(),
-            policy_grid(2),
+            CompilerConfig::policy_grid(2),
             vec![PhysicalModel::default()],
             |grid, results| project_policy(grid, results, caps),
         )

@@ -134,7 +134,7 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
         id: "6".into(),
         caption: format!(
             "Trap sizing choices ({device_name} device, FM two-qubit gates, {} chain reordering)",
-            config.reorder.name()
+            config.reorder.short()
         ),
         panels,
     }

@@ -81,7 +81,7 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
         id: "7".into(),
         caption: format!(
             "Communication topology choices (L6 vs G2x3, FM gates, {} reordering)",
-            config.reorder.name()
+            config.reorder.short()
         ),
         panels,
     }

@@ -45,7 +45,7 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
                     .map(|k| results.report(grid, a, k, cfgi, mi).map(get))
                     .collect();
                 out.push(Series {
-                    label: format!("{}-{}", model.gate_impl.name(), config.reorder.name()),
+                    label: format!("{}-{}", model.gate_impl.name(), config.reorder.short()),
                     y,
                 });
             }

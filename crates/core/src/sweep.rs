@@ -1,14 +1,13 @@
 //! Parallel design-space exploration helpers.
 //!
 //! The paper's studies sweep trap capacity (Fig. 6), topology (Fig. 7) and
-//! microarchitecture (Fig. 8); [`policy_grid`] extends the
-//! microarchitecture axis to every combination of the compiler's pluggable
+//! microarchitecture (Fig. 8), and `CompilerConfig::policy_grid` extends
+//! the microarchitecture axis to every combination of the compiler's
 //! policies (mapping × routing × reorder × eviction). Sweep points are
 //! independent, so the experiment engine runs them on all available cores
 //! through [`parallel_map`]: scoped threads with a work-stealing index — no
 //! external dependency needed.
 
-use qccd_compiler::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applies `f` to every item, in parallel, preserving input order.
@@ -70,34 +69,12 @@ where
         .collect()
 }
 
-/// Every combination of the compiler's built-in policies (2 per seam →
-/// 16 configs), with the given buffer slots. The first entry is the
-/// paper's default pipeline.
-pub fn policy_grid(buffer_slots: u32) -> Vec<CompilerConfig> {
-    let mut out = Vec::new();
-    for mapping in MappingKind::ALL {
-        for routing in RoutingKind::ALL {
-            for reorder in ReorderMethod::ALL {
-                for eviction in EvictionKind::ALL {
-                    out.push(CompilerConfig {
-                        mapping,
-                        routing,
-                        reorder,
-                        eviction,
-                        buffer_slots,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::toolflow::{Toolflow, ToolflowError};
     use qccd_circuit::{generators, Circuit};
+    use qccd_compiler::CompilerConfig;
     use qccd_device::presets;
     use qccd_physics::PhysicalModel;
     use qccd_sim::SimReport;
@@ -203,20 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_grid_covers_every_combination_once() {
-        let grid = policy_grid(2);
-        assert_eq!(grid.len(), 16);
-        assert_eq!(grid[0], CompilerConfig::default(), "default pipeline first");
-        let labels: std::collections::HashSet<String> =
-            grid.iter().map(|c| c.policy_label()).collect();
-        assert_eq!(labels.len(), 16, "all combinations distinct");
-        assert!(grid.iter().all(|c| c.buffer_slots == 2));
-    }
-
-    #[test]
     fn policy_sweep_evaluates_each_config() {
         let c = generators::qaoa(16, 1, 3);
-        let grid = policy_grid(2);
+        let grid = CompilerConfig::policy_grid(2);
         let points = parallel_map(&grid, |&config| {
             Toolflow::with_config(presets::g2x3(8), PhysicalModel::default(), config).run(&c)
         });

@@ -506,9 +506,7 @@ mod tests {
     use crate::spans::reference;
     use proptest::prelude::*;
     use qccd_circuit::{generators, Circuit, Qubit};
-    use qccd_compiler::{
-        compile, CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind,
-    };
+    use qccd_compiler::{compile, CompilerConfig, ReorderMethod};
     use qccd_device::presets;
     use qccd_device::Side;
     use qccd_physics::GateImpl;
@@ -971,28 +969,6 @@ mod tests {
     // before the previous leg through any of its path elements ends.
     // ------------------------------------------------------------------
 
-    /// Every mapping × routing × reorder × eviction pipeline, with two
-    /// buffer slots.
-    fn policy_grid() -> Vec<CompilerConfig> {
-        let mut out = Vec::new();
-        for mapping in MappingKind::ALL {
-            for routing in RoutingKind::ALL {
-                for reorder in ReorderMethod::ALL {
-                    for eviction in EvictionKind::ALL {
-                        out.push(CompilerConfig {
-                            mapping,
-                            routing,
-                            reorder,
-                            eviction,
-                            buffer_slots: 2,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Steps the engine through `exe` on `device` and checks every
     /// `Move` against the releases of the segments and junctions on its
     /// leg.
@@ -1115,7 +1091,7 @@ mod tests {
         ) {
             let circuit = generators::random_circuit(n, ops, frac, seed);
             let device = if grid { presets::g2x3(8) } else { presets::l6(8) };
-            let exe = compile(&circuit, &device, &policy_grid()[combo]).expect("compiles");
+            let exe = compile(&circuit, &device, &CompilerConfig::policy_grid(2)[combo]).expect("compiles");
             assert_matches_references(&exe, &device);
         }
 
@@ -1131,7 +1107,7 @@ mod tests {
         ) {
             let circuit = generators::random_circuit(n, ops, frac, seed);
             let device = presets::l6(8);
-            let exe = compile(&circuit, &device, &policy_grid()[combo]).expect("compiles");
+            let exe = compile(&circuit, &device, &CompilerConfig::policy_grid(2)[combo]).expect("compiles");
             assert_no_double_booking(&exe, &device);
         }
 

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let r = tf.simulate(&exe)?;
             println!(
                 "{:<10} {:>11.4} {:>13.3e} {:>9} {:>9}",
-                format!("{}-{}", gate.name(), reorder.name()),
+                format!("{}-{}", gate.name(), reorder.short()),
                 r.total_time_s(),
                 r.fidelity(),
                 r.counts.swap_gates,

@@ -104,7 +104,7 @@ fn target_inventory_is_complete() {
         metadata.contains("lint/src/main.rs"),
         "qccd-lint binary missing from cargo metadata"
     );
-    for bench in ["toolflow", "compiler", "engine", "flat_structures"] {
+    for bench in ["toolflow", "compiler", "engine", "flat_structures", "lint"] {
         let needle = format!("benches/{bench}.rs");
         assert!(
             metadata.contains(&needle),

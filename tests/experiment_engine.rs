@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use qccd::engine::{
     run_spec, Engine, EngineOptions, ExperimentSpec, JobGrid, JobOutcome, Projection, ResultCache,
 };
-use qccd::sweep::policy_grid;
 use qccd::Toolflow;
 use qccd_circuit::generators;
 use qccd_compiler::CompilerConfig;
@@ -211,7 +210,7 @@ proptest! {
             .map(|i| generators::random_circuit(5 + i as u32, 20, 0.5, seed + i as u64))
             .collect();
         let devices: Vec<_> = (0..n_devices).map(|i| presets::l6(6 + 2 * i as u32)).collect();
-        let configs: Vec<_> = policy_grid(2).into_iter().take(n_configs).collect();
+        let configs: Vec<_> = CompilerConfig::policy_grid(2).into_iter().take(n_configs).collect();
         let models = vec![PhysicalModel::default()];
         let grid = JobGrid::from_axes(
             circuits.clone(), devices.clone(), configs.clone(), models.clone());
@@ -290,7 +289,7 @@ proptest! {
         let circuit = generators::random_circuit(n, ops, 0.5, seed);
         let devices = vec![presets::l6(8), presets::g2x3(8)];
         let model = PhysicalModel::default();
-        let configs = policy_grid(2);
+        let configs = CompilerConfig::policy_grid(2);
 
         let grid = JobGrid::from_axes(
             vec![circuit.clone()],

@@ -6,9 +6,8 @@
 //! outcomes.
 
 use qccd::engine::StageCache;
-use qccd::sweep::policy_grid;
 use qccd_circuit::{generators, Circuit};
-use qccd_compiler::{CompileMemo, CompileMemoRef, Pipeline, StagePersist};
+use qccd_compiler::{CompileMemo, CompileMemoRef, CompilerConfig, Pipeline, StagePersist};
 use qccd_device::{presets, Device};
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ fn memoized_compiles_are_byte_identical_across_the_policy_matrix() {
         let memo = CompileMemo::new(device);
         for circuit in &circuits() {
             let memo_ref = CompileMemoRef::for_circuit(&memo, circuit);
-            for config in policy_grid(2) {
+            for config in CompilerConfig::policy_grid(2) {
                 let pipeline = Pipeline::from_config(&config);
                 let cold = pipeline.compile(circuit, device).unwrap();
                 let filling = pipeline
@@ -82,7 +81,7 @@ fn disk_warmed_compiles_are_byte_identical() {
     {
         let memo = CompileMemo::with_persist(&device, Some(open_stages()));
         let memo_ref = CompileMemoRef::for_circuit(&memo, &circuit);
-        for config in policy_grid(2) {
+        for config in CompilerConfig::policy_grid(2) {
             Pipeline::from_config(&config)
                 .compile_with(&circuit, &device, Some(memo_ref))
                 .unwrap();
@@ -97,7 +96,7 @@ fn disk_warmed_compiles_are_byte_identical() {
         0,
         "every route row preloads from disk"
     );
-    for config in policy_grid(2) {
+    for config in CompilerConfig::policy_grid(2) {
         let pipeline = Pipeline::from_config(&config);
         let cold = pipeline.compile(&circuit, &device).unwrap();
         let warm = pipeline

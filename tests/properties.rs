@@ -2,7 +2,6 @@
 //! fits a device must compile and simulate with its invariants intact.
 
 use proptest::prelude::*;
-use qccd::sweep::policy_grid;
 use qccd::Toolflow;
 use qccd_circuit::{generators, qasm};
 use qccd_compiler::{compile, CompilerConfig};
@@ -25,7 +24,7 @@ fn every_policy_combination_simulates_cleanly_on_every_preset() {
     let model = PhysicalModel::default();
     for device in &devices {
         for circuit in &circuits {
-            for config in policy_grid(2) {
+            for config in CompilerConfig::policy_grid(2) {
                 let cell = format!(
                     "{} × {} × {}",
                     device.name(),
@@ -72,7 +71,7 @@ proptest! {
         let tf = Toolflow::with_config(
             presets::l6(8),
             PhysicalModel::default(),
-            policy_grid(2)[combo],
+            CompilerConfig::policy_grid(2)[combo],
         );
         let r = tf.run(&circuit).expect("fits and runs");
         prop_assert_eq!(r.counts.splits, r.counts.merges);
