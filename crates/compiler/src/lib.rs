@@ -74,5 +74,5 @@ pub use error::CompileError;
 pub use executable::{Executable, Inst, OpCounts};
 pub use mapping::{initial_map, Placement};
 pub use memo::{content_digest, CompileMemo, CompileMemoRef, StageCounters, StagePersist};
-pub use passes::{Pipeline, TrapBusyMap, UsesTable};
+pub use passes::{Pipeline, UsesTable};
 pub use state::MachineState;

@@ -61,6 +61,26 @@ pub fn initial_map(
     device: &Device,
     buffer_slots: u32,
 ) -> Result<Placement, CompileError> {
+    let order = circuit.qubits_by_first_use();
+    fill_traps(circuit, device, buffer_slots, |i, _| IonId(order[i].0))
+}
+
+/// Fills `device`'s traps in trap-id order up to `buffer_slots` below
+/// capacity, relaxing the buffer one slot at a time (2 → 1 → 0) while
+/// qubits remain. `next(i, chain)` names the ion appended as the `i`-th
+/// placement to a trap currently holding `chain`; it is called once per
+/// program qubit. The placement policies differ only in `next`.
+///
+/// # Errors
+///
+/// Returns [`CompileError::InsufficientCapacity`] if the device cannot
+/// hold the program even with the buffer fully relaxed.
+pub(crate) fn fill_traps(
+    circuit: &Circuit,
+    device: &Device,
+    buffer_slots: u32,
+    mut next: impl FnMut(usize, &[IonId]) -> IonId,
+) -> Result<Placement, CompileError> {
     let needed = circuit.num_qubits();
     if needed > device.total_capacity() {
         return Err(CompileError::InsufficientCapacity {
@@ -69,22 +89,21 @@ pub fn initial_map(
         });
     }
 
-    let order = circuit.qubits_by_first_use();
+    let needed = needed as usize;
     let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); device.trap_count()];
-
-    // Pass 1..: progressively relax the buffer until everything fits.
-    let mut next = 0usize; // index into `order`
+    let mut placed = 0usize;
     let mut buffer = buffer_slots;
     loop {
         for t in device.trap_ids() {
-            let cap = device.trap(t).capacity();
-            let limit = cap.saturating_sub(buffer) as usize;
-            while chains[t.index()].len() < limit && next < order.len() {
-                chains[t.index()].push(IonId(order[next].0));
-                next += 1;
+            let limit = device.trap(t).capacity().saturating_sub(buffer) as usize;
+            let chain = &mut chains[t.index()];
+            while chain.len() < limit && placed < needed {
+                let ion = next(placed, chain);
+                chain.push(ion);
+                placed += 1;
             }
         }
-        if next >= order.len() {
+        if placed >= needed {
             break;
         }
         if buffer == 0 {

@@ -9,10 +9,12 @@
 //!    circuit's dependency DAG;
 //! 3. **Route** — for each cross-trap gate the routing policy picks a
 //!    route, committed one leg at a time (reorder → split → move →
-//!    merge, the Fig. 4 sequence), re-querying after every hop so
+//!    merge, the Fig. 4 sequence), asking again after every hop so
 //!    congestion-aware policies see fresh traffic;
-//! 4. **Evict** — when a final destination is full, the eviction policy
-//!    picks a victim and target, and the victim is shuttled out first.
+//! 4. **Evict** — when a route's final destination has no free slot
+//!    ([`MachineState::free_slots`], read from the chain lengths), the
+//!    eviction policy picks a victim and target, and the victim is
+//!    shuttled out first.
 //!
 //! The default configuration reproduces the pre-pipeline monolithic
 //! compiler instruction for instruction — the golden snapshots pin
@@ -23,52 +25,10 @@ use crate::error::CompileError;
 use crate::executable::{Executable, Inst};
 use crate::lowering::lower_two_qubit;
 use crate::memo::CompileMemoRef;
-use crate::policy::{Congestion, EvictionQuery, RouteQuery};
+use crate::policy::Congestion;
 use crate::state::MachineState;
-use fixedbitset::FixedBitSet;
 use qccd_circuit::{Circuit, DependencyDag, Operation};
 use qccd_device::{Device, RouteCache, TrapId};
-
-/// Per-trap occupancy busy-map: one bit per trap, set while the trap's
-/// chain is at capacity.
-///
-/// The scheduling loop asks "is the destination full?" once per shuttle
-/// leg; this answers from a bitset updated incrementally at the two
-/// chain-length-change sites (split and merge) instead of recomputing
-/// `capacity - chain_len` from the state. Pinned against the naive
-/// recomputation by a proptest.
-#[derive(Debug, Clone)]
-pub struct TrapBusyMap {
-    full: FixedBitSet,
-    capacity: Vec<u32>,
-}
-
-impl TrapBusyMap {
-    /// Builds the busy-map from the current state of every trap.
-    pub fn new(device: &Device, st: &MachineState) -> Self {
-        let mut full = FixedBitSet::with_capacity(device.trap_count());
-        let mut capacity = Vec::with_capacity(device.trap_count());
-        for t in device.trap_ids() {
-            capacity.push(device.trap(t).capacity());
-            full.set(
-                t.index(),
-                st.chain_len(t) >= device.trap(t).capacity() as usize,
-            );
-        }
-        TrapBusyMap { full, capacity }
-    }
-
-    /// `true` while `trap` has no free slot.
-    pub fn is_full(&self, trap: TrapId) -> bool {
-        self.full.contains(trap.index())
-    }
-
-    /// Re-derives `trap`'s bit after its chain length changed to `len`.
-    pub fn update(&mut self, trap: TrapId, len: usize) {
-        self.full
-            .set(trap.index(), len >= self.capacity[trap.index()] as usize);
-    }
-}
 
 /// Per-qubit sorted lists of the operation indices that use it, for
 /// next-use lookups ("full knowledge of the program instructions", §VI).
@@ -186,7 +146,6 @@ impl Pipeline {
             None => mapping.place(circuit, device, buffer_slots)?,
         };
         let st = MachineState::new(&placement);
-        let busy = TrapBusyMap::new(device, &st);
         let owned_routes;
         let routes: &RouteCache<'_> = match memo {
             Some(m) => m.memo().routes(),
@@ -196,14 +155,12 @@ impl Pipeline {
             }
         };
         let mut ctx = Ctx {
-            device,
             routes,
             congestion: Congestion::new(device),
             routing,
             reorder,
             eviction,
             st,
-            busy,
             out: Vec::new(),
             uses: UsesTable::new(circuit),
             current_op: 0,
@@ -250,14 +207,12 @@ impl Pipeline {
 
 /// In-flight compilation state threaded through the scheduling pass.
 struct Ctx<'a> {
-    device: &'a Device,
     routes: &'a RouteCache<'a>,
     congestion: Congestion,
     routing: RoutingKind,
     reorder: ReorderMethod,
     eviction: EvictionKind,
     st: MachineState,
-    busy: TrapBusyMap,
     out: Vec<Inst>,
     uses: UsesTable,
     current_op: usize,
@@ -310,24 +265,16 @@ impl Ctx<'_> {
             if src == dest {
                 return Ok(());
             }
-            let route = self.routing.next_route(&RouteQuery::new(
-                self.device,
-                self.routes,
-                &self.congestion,
-                src,
-                dest,
-            ))?;
+            let route = self
+                .routing
+                .next_route(self.routes, &self.congestion, src, dest)?;
             let leg = route.legs()[0].clone();
-            if leg.to == dest && self.busy.is_full(dest) {
-                let pick = self.eviction.pick(&EvictionQuery::new(
-                    self.device,
-                    self.routes,
-                    &self.st,
-                    &self.uses,
-                    self.current_op,
-                    dest,
-                    protected,
-                ))?;
+            if leg.to == dest && self.st.free_slots(self.routes.device(), dest) == 0 {
+                let pick = self
+                    .eviction
+                    .pick(self.routes, &self.st, dest, protected, |q| {
+                        self.uses.next_use_after(q, self.current_op)
+                    })?;
                 self.shuttle_qubit(pick.victim_qubit, pick.target, protected)?;
             }
             // Re-read the carrier: the eviction's own transit reorders may
@@ -343,9 +290,7 @@ impl Ctx<'_> {
                 side: leg.exit_side,
             });
             self.st.remove_end(ion, src, leg.exit_side);
-            self.busy.update(src, self.st.chain_len(src));
             self.st.insert_end(ion, leg.to, leg.entry_side);
-            self.busy.update(leg.to, self.st.chain_len(leg.to));
             self.congestion.commit(&leg);
             // The leg moves into its instruction instead of being cloned.
             let (to, side) = (leg.to, leg.entry_side);
@@ -363,7 +308,7 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use qccd_circuit::generators;
+    use qccd_circuit::{generators, Qubit};
     use qccd_device::presets;
 
     #[test]
@@ -381,6 +326,57 @@ mod tests {
                 assert_eq!(uses.next_use_after(q, op), expected, "q{q} after op{op}");
             }
         }
+    }
+
+    /// The full-destination rule at its boundary on `linear(2, 4, 4)`
+    /// with no mapping buffer: T0 holds q0..q3 (full) and T1 holds
+    /// q4..q6 (one free slot). The gate's first operand shuttles to its
+    /// partner's trap.
+    #[test]
+    fn destination_is_full_exactly_at_capacity() {
+        let d = presets::linear(2, 4, 4);
+        let config = CompilerConfig {
+            buffer_slots: 0,
+            ..CompilerConfig::default()
+        };
+        // (split traps, merge traps) of compiling one CX after an H on
+        // every qubit, which fixes first-use order to index order.
+        let shuttles = |a: u32, b: u32| {
+            let mut c = Circuit::new("boundary", 7);
+            for q in 0..7 {
+                c.h(Qubit(q));
+            }
+            c.cx(Qubit(a), Qubit(b));
+            let exe = compile(&c, &d, &config).unwrap();
+            assert_eq!(exe.initial_chains()[0].len(), 4);
+            assert_eq!(exe.initial_chains()[1].len(), 3);
+            let traps = |split: bool| -> Vec<TrapId> {
+                exe.instructions()
+                    .iter()
+                    .filter_map(|inst| match *inst {
+                        Inst::Split { trap, .. } if split => Some(trap),
+                        Inst::Merge { trap, .. } if !split => Some(trap),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let counts = exe.counts();
+            assert_eq!(counts.moves, counts.splits);
+            (traps(true), traps(false))
+        };
+        // One free slot: q0 arrives with one split/move/merge, no eviction.
+        assert_eq!(
+            shuttles(0, 4),
+            (vec![TrapId(0)], vec![TrapId(1)]),
+            "a trap with one free slot is not full"
+        );
+        // At capacity: one resident of T0 is evicted to T1 first, then
+        // q4 takes its slot.
+        assert_eq!(
+            shuttles(4, 0),
+            (vec![TrapId(0), TrapId(1)], vec![TrapId(1), TrapId(0)]),
+            "a trap at capacity evicts exactly once"
+        );
     }
 
     #[test]

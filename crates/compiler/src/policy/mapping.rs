@@ -2,7 +2,7 @@
 
 use crate::config::MappingKind;
 use crate::error::CompileError;
-use crate::mapping::{initial_map, Placement};
+use crate::mapping::{fill_traps, initial_map, Placement};
 use qccd_circuit::{Circuit, Operation};
 use qccd_device::{Device, IonId};
 
@@ -36,8 +36,8 @@ impl MappingKind {
 /// filled greedily with the unplaced qubit whose total two-qubit-gate
 /// count with the trap's current residents is highest, breaking ties
 /// toward earlier first use. Buffer slots are relaxed progressively
-/// exactly as in [`initial_map`] when the program would not otherwise
-/// fit.
+/// exactly as in [`initial_map`] (both fill traps through one packing
+/// loop) when the program would not otherwise fit.
 ///
 /// Heavily-communicating clusters start in one chain, trading a denser
 /// initial chain for fewer cross-trap shuttles — the placement axis of
@@ -48,12 +48,6 @@ fn usage_weighted(
     buffer_slots: u32,
 ) -> Result<Placement, CompileError> {
     let n = circuit.num_qubits() as usize;
-    if circuit.num_qubits() > device.total_capacity() {
-        return Err(CompileError::InsufficientCapacity {
-            needed: circuit.num_qubits(),
-            capacity: device.total_capacity(),
-        });
-    }
 
     // Pairwise interaction weights: how many two-qubit gates touch
     // each qubit pair.
@@ -73,53 +67,33 @@ fn usage_weighted(
     }
 
     let mut placed = vec![false; n];
-    let mut num_placed = 0usize;
-    let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); device.trap_count()];
-    let mut buffer = buffer_slots;
-    // Progressively relax the buffer until everything fits, exactly
-    // like the round-robin mapper.
-    loop {
-        for t in device.trap_ids() {
-            let cap = device.trap(t).capacity();
-            let limit = cap.saturating_sub(buffer) as usize;
-            while chains[t.index()].len() < limit && num_placed < n {
-                let next = if chains[t.index()].is_empty() {
-                    // Seed: earliest unplaced qubit in first-use order.
-                    order
-                        .iter()
-                        .map(|q| q.index())
-                        .find(|&q| !placed[q])
-                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                        .expect("num_placed < n implies an unplaced qubit")
-                } else {
-                    // Fill: highest affinity to the trap's residents,
-                    // ties toward earlier first use.
-                    let affinity = |q: usize| -> u64 {
-                        chains[t.index()]
-                            .iter()
-                            .map(|ion| u64::from(weight[q * n + ion.index()]))
-                            .sum()
-                    };
-                    (0..n)
-                        .filter(|&q| !placed[q])
-                        .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
-                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                        .expect("num_placed < n implies an unplaced qubit")
-                };
-                placed[next] = true;
-                num_placed += 1;
-                chains[t.index()].push(IonId(next as u32));
-            }
-        }
-        if num_placed >= n {
-            break;
-        }
-        if buffer == 0 {
-            unreachable!("capacity check guarantees placement terminates");
-        }
-        buffer -= 1;
-    }
-    Ok(Placement::from_chains(chains))
+    fill_traps(circuit, device, buffer_slots, |_, chain| {
+        let next = if chain.is_empty() {
+            // Seed: earliest unplaced qubit in first-use order.
+            order
+                .iter()
+                .map(|q| q.index())
+                .find(|&q| !placed[q])
+                // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                .expect("an unplaced qubit remains while placing")
+        } else {
+            // Fill: highest affinity to the trap's residents, ties
+            // toward earlier first use.
+            let affinity = |q: usize| -> u64 {
+                chain
+                    .iter()
+                    .map(|ion| u64::from(weight[q * n + ion.index()]))
+                    .sum()
+            };
+            (0..n)
+                .filter(|&q| !placed[q])
+                .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
+                // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                .expect("an unplaced qubit remains while placing")
+        };
+        placed[next] = true;
+        IonId(next as u32)
+    })
 }
 
 #[cfg(test)]

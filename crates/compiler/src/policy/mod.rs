@@ -5,14 +5,17 @@
 //! reordering, and destination-full eviction — while the pass structure
 //! around them stays fixed. Each seam is a closed set of heuristics, so
 //! its selector enum in [`crate::config`] is the policy: one inherent
-//! method per seam matches on the variant and runs its heuristic.
+//! method per seam matches on the variant and runs its heuristic. Each
+//! method takes the scheduler's state as plain arguments — the route
+//! cache (whose `device()` is the device), the congestion window, the
+//! [`crate::MachineState`].
 //!
 //! | Seam | Selector · method | Heuristics |
 //! |------|-------------------|------------|
-//! | 1. placement | [`MappingKind::place`] | `RoundRobin`, `UsageWeighted` |
-//! | 2. routing | [`RoutingKind::next_route`] | `GreedyShortest`, `LookaheadCongestion` |
-//! | 3. reordering | [`ReorderMethod::bring_to_end`] | `GateSwap`, `IonSwap` |
-//! | 4. eviction | [`EvictionKind::pick`] | `FurthestNextUse`, `ChainEnd` |
+//! | 1. placement | [`MappingKind::place`]`(circuit, device, buffer_slots)` | `RoundRobin`, `UsageWeighted` |
+//! | 2. routing | [`RoutingKind::next_route`]`(routes, congestion, from, to)` | `GreedyShortest`, `LookaheadCongestion` |
+//! | 3. reordering | [`ReorderMethod::bring_to_end`]`(state, out, ion, trap, side)` | `GateSwap`, `IonSwap` |
+//! | 4. eviction | [`EvictionKind::pick`]`(routes, state, trap, protected, next_use)` | `FurthestNextUse`, `ChainEnd` |
 //!
 //! A [`crate::CompilerConfig`] names one heuristic per seam, and a
 //! [`crate::Pipeline`] runs them.
@@ -27,5 +30,5 @@ pub mod mapping;
 pub mod reorder;
 pub mod routing;
 
-pub use eviction::{Eviction, EvictionQuery};
-pub use routing::{Congestion, RouteQuery};
+pub use eviction::Eviction;
+pub use routing::Congestion;

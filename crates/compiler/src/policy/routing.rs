@@ -5,61 +5,6 @@ use crate::config::RoutingKind;
 use crate::error::CompileError;
 use qccd_device::{Device, JunctionId, Leg, Route, RouteCache, SegmentId, TrapId};
 
-/// What a routing policy can see when choosing the next route.
-#[derive(Debug)]
-pub struct RouteQuery<'a> {
-    device: &'a Device,
-    routes: &'a RouteCache<'a>,
-    congestion: &'a Congestion,
-    from: TrapId,
-    to: TrapId,
-}
-
-impl<'a> RouteQuery<'a> {
-    /// Builds a query (used by the scheduler, and by tests that drive
-    /// a policy directly).
-    pub fn new(
-        device: &'a Device,
-        routes: &'a RouteCache<'a>,
-        congestion: &'a Congestion,
-        from: TrapId,
-        to: TrapId,
-    ) -> Self {
-        RouteQuery {
-            device,
-            routes,
-            congestion,
-            from,
-            to,
-        }
-    }
-
-    /// The device being routed over.
-    pub fn device(&self) -> &'a Device {
-        self.device
-    }
-
-    /// Memoized static shortest routes for the device.
-    pub fn routes(&self) -> &'a RouteCache<'a> {
-        self.routes
-    }
-
-    /// Traffic committed by recently-scheduled shuttles.
-    pub fn congestion(&self) -> &'a Congestion {
-        self.congestion
-    }
-
-    /// Source trap.
-    pub fn from(&self) -> TrapId {
-        self.from
-    }
-
-    /// Destination trap.
-    pub fn to(&self) -> TrapId {
-        self.to
-    }
-}
-
 /// The resource claims of one committed leg, held in a reused ring
 /// slot. The id vectors keep their allocations across reuse (clear +
 /// extend), so a warm `Congestion` window commits legs with zero
@@ -160,21 +105,26 @@ impl Congestion {
 }
 
 impl RoutingKind {
-    /// Chooses the route for the query's `(from, to)` trap pair. The
-    /// scheduler commits only the first leg and re-queries after every
+    /// Chooses the route from trap `from` to trap `to` over
+    /// `routes.device()`, given the traffic in `congestion`. The
+    /// scheduler commits only the first leg and asks again after every
     /// hop, so congestion-aware policies see up-to-date traffic.
     ///
     /// # Errors
     ///
     /// Returns [`CompileError::Routing`] when no route exists.
-    pub fn next_route(&self, query: &RouteQuery<'_>) -> Result<Route, CompileError> {
+    pub fn next_route(
+        &self,
+        routes: &RouteCache<'_>,
+        congestion: &Congestion,
+        from: TrapId,
+        to: TrapId,
+    ) -> Result<Route, CompileError> {
         match self {
             // The paper's §VI router: always the device's cheapest static
             // route (via the memoized all-pairs cache).
-            RoutingKind::GreedyShortest => {
-                Ok(query.routes().route(query.from(), query.to())?.clone())
-            }
-            RoutingKind::LookaheadCongestion => lookahead_congestion(query),
+            RoutingKind::GreedyShortest => Ok(routes.route(from, to)?.clone()),
+            RoutingKind::LookaheadCongestion => lookahead_congestion(routes, congestion, from, to),
         }
     }
 }
@@ -193,18 +143,22 @@ const JUNCTION_PENALTY: u64 = 16;
 /// crossing 12, an intermediate trap 120), so moderate congestion picks
 /// an alternate junction path but never drags a route through an extra
 /// intermediate trap unless the contention is extreme.
-fn lookahead_congestion(query: &RouteQuery<'_>) -> Result<Route, CompileError> {
-    let congestion = query.congestion();
+fn lookahead_congestion(
+    routes: &RouteCache<'_>,
+    congestion: &Congestion,
+    from: TrapId,
+    to: TrapId,
+) -> Result<Route, CompileError> {
     if congestion.in_flight() == 0 {
         // Quiet device: identical to the static shortest path, served
         // from the cache.
-        return Ok(query.routes().route(query.from(), query.to())?.clone());
+        return Ok(routes.route(from, to)?.clone());
     }
     let segment = |s: SegmentId| u64::from(congestion.segment_load(s)) * SEGMENT_PENALTY;
     let junction = |j: JunctionId| u64::from(congestion.junction_load(j)) * JUNCTION_PENALTY;
-    Ok(query
+    Ok(routes
         .device()
-        .route_weighted(query.from(), query.to(), &segment, &junction)?)
+        .route_weighted(from, to, &segment, &junction)?)
 }
 
 #[cfg(test)]
@@ -240,8 +194,9 @@ mod tests {
         let d = presets::l6(10);
         let cache = RouteCache::new(&d);
         let congestion = Congestion::new(&d);
-        let q = RouteQuery::new(&d, &cache, &congestion, TrapId(0), TrapId(4));
-        let r = RoutingKind::GreedyShortest.next_route(&q).unwrap();
+        let r = RoutingKind::GreedyShortest
+            .next_route(&cache, &congestion, TrapId(0), TrapId(4))
+            .unwrap();
         assert_eq!(r, d.route(TrapId(0), TrapId(4)).unwrap());
     }
 
@@ -255,10 +210,13 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let q = RouteQuery::new(&d, &cache, &congestion, a, b);
                 assert_eq!(
-                    RoutingKind::LookaheadCongestion.next_route(&q).unwrap(),
-                    RoutingKind::GreedyShortest.next_route(&q).unwrap(),
+                    RoutingKind::LookaheadCongestion
+                        .next_route(&cache, &congestion, a, b)
+                        .unwrap(),
+                    RoutingKind::GreedyShortest
+                        .next_route(&cache, &congestion, a, b)
+                        .unwrap(),
                     "{a}->{b}"
                 );
             }
@@ -277,10 +235,14 @@ mod tests {
         for _ in 0..Congestion::DEFAULT_HORIZON {
             congestion.commit(&static_route.legs()[0]);
         }
-        let q = RouteQuery::new(&d, &cache, &congestion, TrapId(0), TrapId(5));
-        let greedy = RoutingKind::GreedyShortest.next_route(&q).unwrap();
+        let (from, to) = (TrapId(0), TrapId(5));
+        let greedy = RoutingKind::GreedyShortest
+            .next_route(&cache, &congestion, from, to)
+            .unwrap();
         assert_eq!(greedy, static_route, "greedy ignores congestion");
-        let lookahead = RoutingKind::LookaheadCongestion.next_route(&q).unwrap();
+        let lookahead = RoutingKind::LookaheadCongestion
+            .next_route(&cache, &congestion, from, to)
+            .unwrap();
         assert_ne!(
             lookahead.legs()[0].junctions,
             static_route.legs()[0].junctions,

@@ -7,7 +7,7 @@
 //! 0 of a chain.
 
 use crate::mapping::Placement;
-use qccd_device::{IonId, Side, TrapId};
+use qccd_device::{Device, IonId, Side, TrapId};
 
 /// Sentinel for "this ion carries no program qubit".
 pub const NO_QUBIT: u32 = u32::MAX;
@@ -71,6 +71,13 @@ impl MachineState {
     /// Number of ions currently in `trap`.
     pub fn chain_len(&self, trap: TrapId) -> usize {
         self.chains[trap.index()].len()
+    }
+
+    /// Slots left in `trap` before it reaches `device`'s capacity for
+    /// it: zero means full. The scheduler's full-destination check and
+    /// the eviction target rule both read it.
+    pub fn free_slots(&self, device: &Device, trap: TrapId) -> usize {
+        (device.trap(trap).capacity() as usize).saturating_sub(self.chain_len(trap))
     }
 
     /// The trap currently holding `ion`, or `None` while it is in flight.

@@ -1,21 +1,17 @@
-//! Randomized property pins for the flat-data-layout scheduler state.
+//! Randomized property pin for the flat-data-layout scheduler state.
 //!
-//! Two incremental structures ride the scheduling hot path and must
-//! stay consistent with the ground truth they summarize:
-//!
-//! - [`MachineState`]'s position index (the inverse of its chains) under
-//!   arbitrary interleavings of `swap_positions` / `remove_end` /
-//!   `insert_end`;
-//! - [`TrapBusyMap`]'s one-bit-per-trap occupancy under the same
-//!   split/merge traffic, against naive `chain_len >= capacity`
-//!   recomputation.
+//! [`MachineState`]'s position index (the inverse of its chains) rides
+//! the scheduling hot path and must stay consistent with the chains it
+//! summarizes under arbitrary interleavings of `swap_positions` /
+//! `remove_end` / `insert_end`. Trap fullness needs no pin of its own:
+//! the scheduler reads it straight from the chain lengths.
 //!
 //! Each proptest case draws a seed for a deterministic xorshift walk,
 //! so failures replay.
 
 use proptest::prelude::*;
-use qccd_compiler::{MachineState, Placement, TrapBusyMap};
-use qccd_device::{presets, IonId, Side, TrapId};
+use qccd_compiler::{MachineState, Placement};
+use qccd_device::{IonId, Side, TrapId};
 
 /// Deterministic xorshift64 — cheap op-sequence driver.
 fn xorshift(state: &mut u64) -> u64 {
@@ -135,70 +131,6 @@ proptest! {
                 }
             }
             mirror.check(&st);
-        }
-    }
-
-    /// The one-bit-per-trap busy map, updated only at the two
-    /// chain-length-change sites, agrees with recomputing
-    /// `chain_len >= capacity` from scratch at every trap after every
-    /// operation.
-    #[test]
-    fn trap_busy_map_agrees_with_naive_recomputation(seed in 0u64..u64::MAX) {
-        let device = presets::l6(4);
-        // Start every trap two below capacity so both directions of the
-        // full/free transition get exercised.
-        let mut chains: Vec<Vec<IonId>> = Vec::new();
-        let mut next = 0u32;
-        for t in device.trap_ids() {
-            let cap = device.trap(t).capacity() as usize;
-            chains.push(
-                (0..cap - 2)
-                    .map(|_| {
-                        next += 1;
-                        IonId(next - 1)
-                    })
-                    .collect(),
-            );
-        }
-        let mut st = MachineState::new(&Placement::from_chains(chains));
-        let mut busy = TrapBusyMap::new(&device, &st);
-        let mut in_flight: Vec<IonId> = Vec::new();
-        let mut rng = seed | 1;
-
-        for _step in 0..600 {
-            if pick(&mut rng, 2) == 0 && !in_flight.is_empty() {
-                // Merge, as the shuttle loop does: only into a trap with
-                // a free slot.
-                let open: Vec<TrapId> =
-                    device.trap_ids().filter(|&t| !busy.is_full(t)).collect();
-                if open.is_empty() {
-                    continue;
-                }
-                let t = open[pick(&mut rng, open.len())];
-                let ion = in_flight.swap_remove(pick(&mut rng, in_flight.len()));
-                st.insert_end(ion, t, side(&mut rng));
-                busy.update(t, st.chain_len(t));
-            } else {
-                let occupied: Vec<TrapId> = device
-                    .trap_ids()
-                    .filter(|&t| st.chain_len(t) > 0)
-                    .collect();
-                if occupied.is_empty() {
-                    continue;
-                }
-                let t = occupied[pick(&mut rng, occupied.len())];
-                let s = side(&mut rng);
-                let ion = st.end_ion(t, s).unwrap();
-                st.remove_end(ion, t, s);
-                busy.update(t, st.chain_len(t));
-                in_flight.push(ion);
-            }
-            // The bitset must match the naive recomputation everywhere,
-            // not just at the touched trap.
-            for t in device.trap_ids() {
-                let naive = st.chain_len(t) >= device.trap(t).capacity() as usize;
-                prop_assert_eq!(busy.is_full(t), naive, "busy bit of {}", t);
-            }
         }
     }
 }

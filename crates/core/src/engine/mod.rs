@@ -379,22 +379,18 @@ fn project(
     Ok(match spec.projection {
         Projection::Table1 => Artifact::Table(table1::generate(&grid.models()[0].shuttle)),
         Projection::Table2 => Artifact::Table(table2::generate_for(grid.circuits())),
-        Projection::Fig6 => Artifact::Figure(fig6::project(grid, results, &spec.capacities)),
-        Projection::Fig7 => Artifact::Figure(fig7::project(grid, results, &spec.capacities)),
-        Projection::Fig8 => Artifact::Figure(fig8::project(grid, results, &spec.capacities)),
+        Projection::Fig6 => Artifact::Figure(fig6::project(grid, results)),
+        Projection::Fig7 => Artifact::Figure(fig7::project(grid, results)),
+        Projection::Fig8 => Artifact::Figure(fig8::project(grid, results)),
         Projection::BufferAblation => Artifact::Figure(ablations::project_buffer(grid, results)),
-        Projection::HeatingAblation => {
-            Artifact::Figure(ablations::project_heating(grid, results, &spec.capacities))
-        }
+        Projection::HeatingAblation => Artifact::Figure(ablations::project_heating(grid, results)),
         Projection::JunctionAblation => {
             Artifact::Figure(ablations::project_junction(grid, results))
         }
         Projection::DeviceSizeAblation => {
             Artifact::Figure(ablations::project_device_size(grid, results))
         }
-        Projection::PolicyAblation => {
-            Artifact::Figure(ablations::project_policy(grid, results, &spec.capacities))
-        }
+        Projection::PolicyAblation => Artifact::Figure(ablations::project_policy(grid, results)),
         Projection::Cells => Artifact::Table(cells_table(&spec.name, grid, results)),
     })
 }

@@ -25,7 +25,7 @@
 //! committed spec under `examples/experiments/`, so a policy variant
 //! is an edit to that axis.
 
-use super::{series_of, Figure, Panel, Series};
+use super::{capacity_axis, series_of, Figure, Panel, Series};
 use crate::engine::{GridResults, JobGrid};
 use qccd_physics::ShuttleTimes;
 use qccd_sim::SimReport;
@@ -65,20 +65,13 @@ pub(crate) fn project_buffer(grid: &JobGrid, results: &GridResults) -> Figure {
 
 /// Shapes a (circuit × capacities × 2-heating-models) grid into the A2
 /// figure. The model axis must hold the scaled-k₁ model first.
-pub(crate) fn project_heating(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
+pub(crate) fn project_heating(grid: &JobGrid, results: &GridResults) -> Figure {
     let circuit_name = grid
         .circuits()
         .first()
         .map(|c| c.name().to_owned())
         .unwrap_or_default();
-    let x: Vec<u32> = if capacities.len() == grid.devices().len() {
-        capacities.to_vec()
-    } else {
-        grid.devices()
-            .iter()
-            .map(|d| d.max_trap_capacity())
-            .collect()
-    };
+    let x = capacity_axis(grid.devices());
     let row = |mi: usize| -> Vec<Option<SimReport>> {
         (0..grid.devices().len())
             .map(|k| results.report(grid, 0, k, 0, mi).cloned())
@@ -197,20 +190,13 @@ pub(crate) fn project_device_size(grid: &JobGrid, results: &GridResults) -> Figu
 
 /// Shapes a (circuit × capacities × 16-policy-configs) grid into the A5
 /// figure.
-pub(crate) fn project_policy(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
+pub(crate) fn project_policy(grid: &JobGrid, results: &GridResults) -> Figure {
     let circuit_name = grid
         .circuits()
         .first()
         .map(|c| c.name().to_owned())
         .unwrap_or_default();
-    let x: Vec<u32> = if capacities.len() == grid.devices().len() {
-        capacities.to_vec()
-    } else {
-        grid.devices()
-            .iter()
-            .map(|d| d.max_trap_capacity())
-            .collect()
-    };
+    let x = capacity_axis(grid.devices());
     let per_combo: Vec<Vec<Option<SimReport>>> = (0..grid.configs().len())
         .map(|cfgi| {
             (0..grid.devices().len())
@@ -295,7 +281,7 @@ mod tests {
             caps.iter().map(|&c| presets::l6(c)).collect(),
             CompilerConfig::policy_grid(2),
             vec![PhysicalModel::default()],
-            |grid, results| project_policy(grid, results, caps),
+            project_policy,
         )
     }
 
@@ -339,7 +325,7 @@ mod tests {
                     ..PhysicalModel::default()
                 },
             ],
-            |grid, results| project_heating(grid, results, &caps),
+            project_heating,
         );
         let energy = fig.panel("A2-energy").unwrap();
         for i in 0..2 {

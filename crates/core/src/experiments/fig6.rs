@@ -11,26 +11,16 @@
 //! grid is described by `examples/experiments/fig6.json`, executed by
 //! [`crate::engine::Engine`], and shaped into the figure by `project`.
 
-use super::{series_of, Figure, Panel, Series};
+use super::{capacity_axis, series_of, Figure, Panel, Series};
 use crate::engine::{GridResults, JobGrid};
-use qccd_device::Device;
 use qccd_sim::SimReport;
 
 /// Shapes evaluated (app × capacity) grid results into the Fig. 6
-/// panels. The grid's device axis is the capacity sweep; `capacities`
-/// labels the x axis (falling back to each device's trap capacity if
-/// the lengths disagree, e.g. for hand-authored specs with fixed-size
-/// devices).
-pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
+/// panels. The grid's device axis is the capacity sweep, and each
+/// point's x label is its device's trap capacity.
+pub(crate) fn project(grid: &JobGrid, results: &GridResults) -> Figure {
     let suite = grid.circuits();
-    let x: Vec<u32> = if capacities.len() == grid.devices().len() {
-        capacities.to_vec()
-    } else {
-        grid.devices()
-            .iter()
-            .map(Device::max_trap_capacity)
-            .collect()
-    };
+    let x = capacity_axis(grid.devices());
     let device_name = grid
         .devices()
         .first()
@@ -144,11 +134,11 @@ pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32])
 mod tests {
     use super::*;
     use crate::engine::spec::committed;
-    use crate::engine::{run_spec, Engine};
+    use crate::engine::{run_spec, DeviceSpec, Engine};
     use crate::experiments::run_axes;
     use qccd_circuit::{generators, Circuit};
     use qccd_compiler::CompilerConfig;
-    use qccd_device::presets;
+    use qccd_device::{presets, Device};
     use qccd_physics::{GateImpl, PhysicalModel};
 
     fn mini_suite() -> Vec<Circuit> {
@@ -167,7 +157,7 @@ mod tests {
             caps.iter().map(|&c| device_at(c)).collect(),
             vec![CompilerConfig::default()],
             vec![PhysicalModel::with_gate(GateImpl::Fm)],
-            |grid, results| project(grid, results, caps),
+            project,
         )
     }
 
@@ -224,6 +214,26 @@ mod tests {
         let background = p.series[1].y[0].unwrap();
         assert!(motional > 0.0);
         assert!(background > 0.0);
+    }
+
+    #[test]
+    fn fixed_capacity_device_is_labelled_by_its_own_capacity() {
+        // A fixed-capacity entry ignores the `capacities` axis, so the
+        // x label must come from the device, not from that axis.
+        let mut spec = committed("fig6");
+        spec.devices = vec![DeviceSpec::Preset {
+            family: "l6".into(),
+            capacity: Some(20),
+        }];
+        spec.capacities = vec![14];
+        spec.circuits.truncate(1);
+        let fig = run_spec(&spec, &Engine::new())
+            .unwrap()
+            .artifact
+            .into_figure();
+        for panel in &fig.panels {
+            assert_eq!(panel.x, vec![20], "panel {}", panel.id);
+        }
     }
 
     #[test]

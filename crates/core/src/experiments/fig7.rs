@@ -10,7 +10,7 @@
 //! family (one device per swept capacity each), as in
 //! `examples/experiments/fig7.json`.
 
-use super::{series_of, Figure, Panel};
+use super::{capacity_axis, series_of, Figure, Panel};
 use crate::engine::{GridResults, JobGrid};
 use qccd_sim::SimReport;
 
@@ -19,17 +19,10 @@ use qccd_sim::SimReport;
 /// grid family in its second, at the same capacities (the
 /// `examples/experiments/fig7.json` layout, which `run_spec` checks
 /// before projecting).
-pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
+pub(crate) fn project(grid: &JobGrid, results: &GridResults) -> Figure {
     let suite = grid.circuits();
     let half = grid.devices().len() / 2;
-    let x: Vec<u32> = if capacities.len() == half {
-        capacities.to_vec()
-    } else {
-        grid.devices()[..half]
-            .iter()
-            .map(qccd_device::Device::max_trap_capacity)
-            .collect()
-    };
+    let x = capacity_axis(&grid.devices()[..half]);
     let config = grid.configs().first().copied().unwrap_or_default();
 
     // topology 0 = linear (first device half), 1 = grid (second half).
@@ -106,7 +99,7 @@ mod tests {
             devices,
             vec![CompilerConfig::default()],
             vec![PhysicalModel::with_gate(GateImpl::Fm)],
-            |grid, results| project(grid, results, caps),
+            project,
         )
     }
 

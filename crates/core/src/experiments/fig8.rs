@@ -11,25 +11,18 @@
 //! [`crate::engine::Engine`]). This module is the projection shaping
 //! those results into the paper's panels.
 
-use super::{Figure, Panel, Series};
+use super::{capacity_axis, Figure, Panel, Series};
 use crate::engine::{GridResults, JobGrid};
-use qccd_device::Device;
 use qccd_sim::SimReport;
 
 /// Shapes evaluated (app × capacity × reorder × gate) grid results into
 /// the Fig. 8 panels. The config axis carries the reorder methods, the
 /// model axis the gate implementations (the
-/// `examples/experiments/fig8.json` layout).
-pub(crate) fn project(grid: &JobGrid, results: &GridResults, capacities: &[u32]) -> Figure {
+/// `examples/experiments/fig8.json` layout). Each point's x label is
+/// its device's trap capacity.
+pub(crate) fn project(grid: &JobGrid, results: &GridResults) -> Figure {
     let suite = grid.circuits();
-    let x: Vec<u32> = if capacities.len() == grid.devices().len() {
-        capacities.to_vec()
-    } else {
-        grid.devices()
-            .iter()
-            .map(Device::max_trap_capacity)
-            .collect()
-    };
+    let x = capacity_axis(grid.devices());
     let device_name = grid
         .devices()
         .first()
@@ -120,7 +113,7 @@ mod tests {
             caps.iter().map(|&c| presets::l6(c)).collect(),
             reorder_configs(),
             gate_models(),
-            |grid, results| project(grid, results, caps),
+            project,
         )
     }
 

@@ -26,6 +26,7 @@ pub mod fig8;
 pub mod table1;
 pub mod table2;
 
+use qccd_device::Device;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -152,6 +153,12 @@ pub(crate) fn run_axes<A>(
     let grid = crate::engine::JobGrid::from_axes(circuits, devices, configs, models);
     let run = crate::engine::Engine::new().run(&grid);
     project(&grid, &run.results)
+}
+
+/// The capacity axis of a device sweep: each device's largest trap
+/// capacity, so every point is labelled by the device it ran on.
+pub(crate) fn capacity_axis(devices: &[Device]) -> Vec<u32> {
+    devices.iter().map(Device::max_trap_capacity).collect()
 }
 
 /// Extracts a y-series from per-capacity outcomes with an accessor.

@@ -220,7 +220,7 @@ impl Device {
     /// Each returned route is *identical* to the corresponding
     /// [`Device::route`] result: the destination-specific run differs
     /// from this batched one only in the entry cost of the destination
-    /// itself (0 vs [`TRAP_WEIGHT`]), a constant offset on every
+    /// itself (0 vs `TRAP_WEIGHT`), a constant offset on every
     /// candidate path that cannot change which predecessor chain wins —
     /// and no edge out of a trap is relaxed until that trap is settled,
     /// so the chains the per-destination run would have produced are

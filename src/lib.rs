@@ -1,15 +1,9 @@
-//! Umbrella crate for the QCCD-Sim workspace.
+//! Umbrella package for the QCCD-Sim workspace.
 //!
-//! Re-exports every member crate under one roof so the examples and
-//! integration tests in this repository can `use qccd_suite::…`. Library
-//! consumers should normally depend on the individual crates (`qccd`,
-//! `qccd-circuit`, …) directly.
+//! This package exists to host the repository's integration tests
+//! (`tests/`) and runnable studies (`examples/`), which import the
+//! member crates (`qccd`, `qccd-circuit`, `qccd-compiler`, …) directly.
+//! The library itself exports nothing: `qccd` already re-exports every
+//! member crate for library consumers.
 
 #![warn(missing_docs)]
-
-pub use qccd;
-pub use qccd_circuit as circuit;
-pub use qccd_compiler as compiler;
-pub use qccd_device as device;
-pub use qccd_physics as physics;
-pub use qccd_sim as sim;
