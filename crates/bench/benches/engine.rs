@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the experiment engine against the direct
 //! `parallel_map` sweep it is built on: the engine's grid bookkeeping,
-//! job hashing and batching must stay a small constant overhead, its
+//! job hashing and grouping must stay a small constant overhead, its
 //! model-sharing groups must beat naive per-job compilation, and a warm
 //! result cache must beat both: `engine_warm_cache` must stay at least
 //! 2× cheaper than `engine_uncached` (the acceptance recorded in
@@ -49,7 +49,7 @@ fn bench_direct_parallel_map(c: &mut Criterion) {
 }
 
 /// The same cells through the engine (grid construction + hashing +
-/// batching included) — the overhead-vs-`parallel_map` comparison the
+/// compile grouping included) — the overhead-vs-`parallel_map` comparison the
 /// engine must keep small.
 fn bench_engine_uncached(c: &mut Criterion) {
     c.bench_function("engine/engine_uncached", |b| {

@@ -92,7 +92,9 @@ impl HarnessArgs {
     }
 
     /// An engine configured from the CLI: result cache from `--cache`,
-    /// per-batch progress on stderr.
+    /// a progress line on stderr every
+    /// [`DEFAULT_BATCH_SIZE`](qccd::engine::DEFAULT_BATCH_SIZE) executed
+    /// jobs.
     pub fn engine(&self) -> Engine {
         Engine::with_options(EngineOptions {
             cache_dir: self.cache.clone(),

@@ -20,13 +20,13 @@
 //!   studies are the committed `examples/experiments/*.json` files.
 //! * [`JobGrid`] — the resolved, deduplicated cartesian product;
 //!   every unique cell gets a stable content-hashed [`JobId`].
-//! * [`Engine`] — executes a grid in parallel batches on top of
-//!   [`crate::sweep::parallel_map`]. Jobs differing only in physical
+//! * [`Engine`] — executes a grid in one [`crate::sweep::parallel_map`]
+//!   pass over its compile groups. Jobs differing only in physical
 //!   model share one compilation (the executable does not depend on
 //!   the model — the optimization behind the paper's Fig. 8 study).
-//!   With a cache directory configured, completed jobs are persisted
-//!   under their id, so interrupted or repeated sweeps skip every cell
-//!   that already ran.
+//!   With a cache directory configured, each group's jobs are persisted
+//!   under their ids as soon as the group finishes, so interrupted or
+//!   repeated sweeps skip every cell that already ran.
 //! * [`run_spec`] — the end-to-end entry point: expand, execute,
 //!   project. Every paper artifact is produced this way, and the golden
 //!   snapshots pin the bytes.
@@ -66,18 +66,20 @@ use crate::sweep::parallel_map;
 use crate::toolflow::ToolflowError;
 use qccd_compiler::Pipeline;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Execution knobs for an [`Engine`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Directory of the on-disk result cache; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// Stream per-batch progress to stderr.
+    /// Stream progress to stderr: one line per [`DEFAULT_BATCH_SIZE`]
+    /// executed jobs, and one when the last job settles.
     pub verbose: bool,
 }
 
-/// Number of jobs per execution batch (progress is streamed per batch,
-/// and the cache is written as each batch completes).
+/// Number of executed jobs between two progress lines of a verbose
+/// [`Engine::run`].
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 
 /// Counters describing one engine run.
@@ -89,8 +91,6 @@ pub struct RunStats {
     pub executed: usize,
     /// Jobs served from the result cache.
     pub cached: usize,
-    /// Execution batches run.
-    pub batches: usize,
     /// Compilations performed (jobs differing only in physical model
     /// share one).
     pub compiles: usize,
@@ -103,13 +103,14 @@ impl RunStats {
     /// One-line human-readable summary (`executed N of M jobs, …`).
     pub fn summary(&self) -> String {
         format!(
-            "executed {} of {} jobs ({} cached, {} compiles, {} batches, {} parses)",
-            self.executed, self.jobs, self.cached, self.compiles, self.batches, self.parses,
+            "executed {} of {} jobs ({} cached, {} compiles, {} parses)",
+            self.executed, self.jobs, self.cached, self.compiles, self.parses,
         )
     }
 }
 
-/// Executes [`JobGrid`]s: batched, parallel, optionally cached.
+/// Executes [`JobGrid`]s: one parallel pass over the compile groups,
+/// optionally cached.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     options: EngineOptions,
@@ -137,9 +138,13 @@ impl Engine {
 
     /// Executes every job of `grid` and returns the outcomes.
     ///
-    /// Cached jobs are loaded without executing; fresh outcomes are
-    /// persisted as soon as their batch completes, so an interrupted
-    /// run resumes from the last finished batch.
+    /// Cached jobs are loaded without executing. The pending jobs are
+    /// grouped once by compile key, `(circuit, device, config)`, and one
+    /// [`parallel_map`] runs every group: a group compiles once and
+    /// simulates once per member, and a worker takes the next group as
+    /// soon as it finishes one. Each group's outcomes are persisted as
+    /// soon as the group finishes, so an interrupted run resumes from
+    /// every group that completed.
     pub fn run(&self, grid: &JobGrid) -> EngineRun {
         let jobs = grid.jobs();
         let cache = self.options.cache_dir.as_ref().and_then(|dir| {
@@ -169,67 +174,66 @@ impl Engine {
 
         stats.parses = grid.parses();
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| outcomes[i].is_none()).collect();
+        // The executable is model-independent, so each group of jobs
+        // sharing (circuit, device, config) compiles once.
+        let groups = group_by_compile_key(
+            &pending,
+            |ji| (jobs[ji].circuit, jobs[ji].device, jobs[ji].config),
+            (
+                grid.circuits().len(),
+                grid.devices().len(),
+                grid.configs().len(),
+            ),
+        );
+        stats.compiles = groups.len();
 
-        let total_batches = pending.len().div_ceil(DEFAULT_BATCH_SIZE);
-        for (bi, batch) in pending.chunks(DEFAULT_BATCH_SIZE).enumerate() {
-            // Group jobs that share (circuit, device, config): the
-            // executable is model-independent, so each group compiles
-            // once and simulates once per member.
-            let order = group_by_compile_key(
-                batch,
-                |ji| (jobs[ji].circuit, jobs[ji].device, jobs[ji].config),
-                (
-                    grid.circuits().len(),
-                    grid.devices().len(),
-                    grid.configs().len(),
-                ),
-            );
-            stats.compiles += order.len();
-
-            let batch_results: Vec<Vec<(usize, JobOutcome)>> =
-                parallel_map(&order, |(first, members)| {
-                    let lead = &jobs[*first];
-                    let circuit = &grid.circuits()[lead.circuit];
-                    let device = &grid.devices()[lead.device];
-                    let config = grid.configs()[lead.config];
-                    // Errors are wrapped the way Toolflow::compile wraps
-                    // them, so the persisted outcome text is the same.
-                    let compiled = Pipeline::from_config(&config)
-                        .compile(circuit, device)
-                        .map_err(|e| ToolflowError::from(e).to_string());
-                    match compiled {
-                        Err(e) => members.iter().map(|&ji| (ji, Err(e.clone()))).collect(),
-                        Ok(exe) => members
-                            .iter()
-                            .map(|&ji| {
-                                let model = &grid.models()[jobs[ji].model];
-                                let report = qccd_sim::simulate(&exe, device, model)
-                                    .map_err(|e| ToolflowError::from(e).to_string());
-                                (ji, report)
-                            })
-                            .collect(),
-                    }
-                });
-            for pairs in batch_results {
-                for (ji, outcome) in pairs {
-                    if let Some(cache) = &cache {
-                        cache.store(&jobs[ji].id, &outcome);
-                    }
-                    stats.executed += 1;
-                    outcomes[ji] = Some(outcome);
+        let executed = AtomicUsize::new(0);
+        let results: Vec<Vec<(usize, JobOutcome)>> = parallel_map(&groups, |(first, members)| {
+            let lead = &jobs[*first];
+            let circuit = &grid.circuits()[lead.circuit];
+            let device = &grid.devices()[lead.device];
+            let config = grid.configs()[lead.config];
+            // Errors are wrapped the way Toolflow::compile wraps them, so
+            // the persisted outcome text is the same.
+            let compiled = Pipeline::from_config(&config)
+                .compile(circuit, device)
+                .map_err(|e| ToolflowError::from(e).to_string());
+            let pairs: Vec<(usize, JobOutcome)> = match compiled {
+                Err(e) => members.iter().map(|&ji| (ji, Err(e.clone()))).collect(),
+                Ok(exe) => members
+                    .iter()
+                    .map(|&ji| {
+                        let model = &grid.models()[jobs[ji].model];
+                        let report = qccd_sim::simulate(&exe, device, model)
+                            .map_err(|e| ToolflowError::from(e).to_string());
+                        (ji, report)
+                    })
+                    .collect(),
+            };
+            if let Some(cache) = &cache {
+                for (ji, outcome) in &pairs {
+                    cache.store(&jobs[*ji].id, outcome);
                 }
             }
-            stats.batches += 1;
-            if self.options.verbose {
+            let before = executed.fetch_add(pairs.len(), Ordering::Relaxed);
+            let after = before + pairs.len();
+            if self.options.verbose
+                && (after / DEFAULT_BATCH_SIZE > before / DEFAULT_BATCH_SIZE
+                    || after == pending.len())
+            {
                 eprintln!(
-                    "engine: batch {}/{total_batches}: {}/{} jobs settled ({} cached)",
-                    bi + 1,
-                    stats.cached + stats.executed,
+                    "engine: {}/{} jobs settled ({} cached)",
+                    stats.cached + after,
                     stats.jobs,
                     stats.cached,
                 );
             }
+            pairs
+        });
+        for (ji, outcome) in results.into_iter().flatten() {
+            outcomes[ji] = Some(outcome);
         }
+        stats.executed = pending.len();
 
         let outcomes: Vec<JobOutcome> = outcomes
             .into_iter()
@@ -279,15 +283,15 @@ pub fn run_spec(spec: &ExperimentSpec, engine: &Engine) -> Result<SpecRun, SpecE
     })
 }
 
-/// Groups a batch's job indices by shared `(circuit, device, config)`
-/// compile key: the executable is model-independent, so each group
-/// compiles once. Returns `(first member, all members)` per group in
-/// **first-appearance order** over `batch` — grouping is reproducible by
+/// Groups job indices by shared `(circuit, device, config)` compile key:
+/// the executable is model-independent, so each group compiles once.
+/// Returns `(first member, all members)` per group in
+/// **first-appearance order** over `pending` — grouping is reproducible by
 /// construction because the key lookup is a dense array over the axis
 /// index space (`dims` = circuit/device/config axis lengths), not a
 /// hash map with iteration-order freedom.
 fn group_by_compile_key(
-    batch: &[usize],
+    pending: &[usize],
     key_of: impl Fn(usize) -> (usize, usize, usize),
     dims: (usize, usize, usize),
 ) -> Vec<(usize, Vec<usize>)> {
@@ -296,7 +300,7 @@ fn group_by_compile_key(
     let (_, nd, ncfg) = dims;
     let mut group_of: Vec<u32> = vec![NO_GROUP; (dims.0 * nd * ncfg).max(1)];
     let mut order: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &ji in batch {
+    for &ji in pending {
         let (c, d, cfg) = key_of(ji);
         let key = (c * nd + d) * ncfg + cfg;
         match group_of[key] {
@@ -477,8 +481,8 @@ mod tests {
     fn compile_groups_form_in_first_appearance_order() {
         // Keys interleave so that a map with iteration-order freedom
         // could emit any of several group orders; the dense map must
-        // pin first-appearance order over the batch, with members in
-        // batch order within each group.
+        // pin first-appearance order over the pending jobs, with members
+        // in pending order within each group.
         let keys = [
             (1, 0, 1), // ji 0 -> group 0
             (0, 1, 0), // ji 1 -> group 1
@@ -487,15 +491,15 @@ mod tests {
             (0, 1, 0), // ji 4 -> group 1
             (1, 0, 1), // ji 5 -> group 0
         ];
-        let batch: Vec<usize> = (0..keys.len()).collect();
-        let order = group_by_compile_key(&batch, |ji| keys[ji], (2, 2, 2));
+        let pending: Vec<usize> = (0..keys.len()).collect();
+        let order = group_by_compile_key(&pending, |ji| keys[ji], (2, 2, 2));
         assert_eq!(
             order,
             vec![(0, vec![0, 2, 5]), (1, vec![1, 4]), (3, vec![3]),]
         );
-        // Reversing the batch reverses the group order the same way —
-        // the order is a function of the batch, not of the key values.
-        let reversed: Vec<usize> = batch.iter().rev().copied().collect();
+        // Reversing the jobs reverses the group order the same way —
+        // the order is a function of the job order, not of the key values.
+        let reversed: Vec<usize> = pending.iter().rev().copied().collect();
         let order = group_by_compile_key(&reversed, |ji| keys[ji], (2, 2, 2));
         assert_eq!(
             order,
@@ -505,18 +509,17 @@ mod tests {
 
     #[test]
     fn summary_reports_run_counters() {
-        // Per-stage work of one run: parses, compile groups, batches.
+        // Per-stage work of one run: parses and compile groups.
         let stats = RunStats {
             jobs: 4,
             executed: 2,
             cached: 2,
-            batches: 1,
             compiles: 2,
             parses: 3,
         };
         assert_eq!(
             stats.summary(),
-            "executed 2 of 4 jobs (2 cached, 2 compiles, 1 batches, 3 parses)"
+            "executed 2 of 4 jobs (2 cached, 2 compiles, 3 parses)"
         );
         // The CLI contracts grep these two shapes out of stderr; they
         // must survive summary format changes.
@@ -624,9 +627,9 @@ mod tests {
     }
 
     #[test]
-    fn batching_does_not_change_outcomes() {
-        // 3 devices × 16 pipelines = 48 jobs: one full batch and a
-        // partial one, each cell checked against a serial toolflow run.
+    fn one_pass_over_the_groups_matches_serial_toolflow_runs() {
+        // 3 devices × 16 pipelines = 48 jobs, more than one progress
+        // window; each cell checked against a serial toolflow run.
         let circuit = generators::bv(&[true; 8]);
         let devices = vec![presets::l6(6), presets::l6(8), presets::g2x3(6)];
         let configs = CompilerConfig::policy_grid(2);
@@ -639,7 +642,7 @@ mod tests {
         );
         assert!(grid.job_count() > DEFAULT_BATCH_SIZE);
         let run = Engine::new().run(&grid);
-        assert_eq!(run.stats.batches, 2);
+        assert_eq!(run.stats.executed, 48);
         for (di, device) in devices.iter().enumerate() {
             for (cfgi, config) in configs.iter().enumerate() {
                 let direct = Toolflow::with_config(device.clone(), model, *config)
@@ -652,6 +655,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One circuit on one device under 16 pipelines and three gate
+    /// models: 48 jobs in 16 compile groups of three.
+    fn three_model_grid() -> JobGrid {
+        JobGrid::from_axes(
+            vec![generators::bv(&[true; 8])],
+            vec![presets::l6(6)],
+            CompilerConfig::policy_grid(2),
+            vec![
+                PhysicalModel::default(),
+                PhysicalModel::with_gate(GateImpl::Am1),
+                PhysicalModel::with_gate(GateImpl::Am2),
+            ],
+        )
+    }
+
+    #[test]
+    fn every_compile_group_compiles_once() {
+        // Jobs 30, 31 and 32 form one group that straddles the first
+        // progress mark; it still compiles once.
+        let grid = three_model_grid();
+        assert_eq!(grid.job_count(), 48);
+        assert!(!DEFAULT_BATCH_SIZE.is_multiple_of(3));
+        let run = Engine::new().run(&grid);
+        assert_eq!(run.stats.compiles, 16);
+        assert_eq!(run.stats.executed, 48);
+    }
+
+    #[test]
+    fn a_cached_run_leaves_one_entry_per_job() {
+        let dir = temp_dir("entries");
+        let grid = three_model_grid();
+        let run = Engine::with_options(EngineOptions {
+            cache_dir: Some(dir.clone()),
+            ..EngineOptions::default()
+        })
+        .run(&grid);
+        assert_eq!(run.stats.executed, grid.job_count());
+        assert_eq!(ResultCache::open(&dir).unwrap().len(), grid.job_count());
+        let temps = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .contains(".tmp-")
+            })
+            .count();
+        assert_eq!(temps, 0, "a worker left a temp file behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

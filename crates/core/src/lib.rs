@@ -16,7 +16,7 @@
 //! * [`sweep`] — parallel design-space exploration helpers;
 //! * [`engine`] — the declarative experiment engine: a JSON-loadable
 //!   [`engine::ExperimentSpec`] expands into a deduplicated, cached,
-//!   batch-executed job grid whose results project into paper
+//!   parallel-executed job grid whose results project into paper
 //!   artifacts;
 //! * [`experiments`] — the projections that regenerate **every table
 //!   and figure** of the paper's evaluation (Tables I–II, Figs. 6–8)

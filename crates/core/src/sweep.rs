@@ -18,7 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// sweep points don't stall a statically partitioned worker), but each
 /// worker accumulates `(index, result)` pairs in its own buffer; the
 /// buffers are stitched back into input order after the scope joins.
-/// No lock is ever taken on the result path.
+/// No lock is ever taken on the result path. Empty input spawns no
+/// thread, so a run with nothing to execute (a fully cached grid) pays
+/// no spawn.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -26,11 +28,14 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let next = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-        .min(n.max(1));
+        .min(n);
 
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {

@@ -41,7 +41,11 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 /// and the log-fidelity terms of one-qubit gates and measurements. The
 /// loop also tallies the report's operation counts, and records each
 /// interval in its resource's [`SpanSet`] lane, so the closing
-/// compute/communication split sorts a few ordered runs.
+/// compute/communication split sorts a few ordered runs. A gate that
+/// starts where its trap's last gate ended is merged into that one
+/// ([`SpanSet::add_merged`]), so the gate sort sees one entry per busy
+/// stretch of a trap, not one per gate. Communication intervals are
+/// never merged.
 pub fn simulate(
     exe: &Executable,
     device: &Device,
@@ -92,12 +96,12 @@ fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
             Inst::Move { leg, .. } => {
                 for s in &leg.segments {
                     if s.index() >= device.segment_count() {
-                        return Err(SimError::UnknownTrap(leg.to));
+                        return Err(SimError::UnknownSegment(*s));
                     }
                 }
                 for j in &leg.junctions {
                     if j.index() >= device.junction_count() {
-                        return Err(SimError::UnknownTrap(leg.to));
+                        return Err(SimError::UnknownJunction(*j));
                     }
                 }
             }
@@ -258,7 +262,7 @@ impl<'a> Engine<'a> {
                 self.log_fidelity += self.one_qubit_log;
                 self.errors.one_qubit += self.model.fidelity.one_qubit_error;
                 self.counts.one_qubit_gates += 1;
-                self.gate_spans.add(trap.index(), start, end);
+                self.gate_spans.add_merged(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -277,7 +281,7 @@ impl<'a> Engine<'a> {
                 self.ion_ready[a.index()] = end;
                 self.ion_ready[b.index()] = end;
                 self.trap_ready[trap.index()] = end;
-                self.gate_spans.add(trap.index(), start, end);
+                self.gate_spans.add_merged(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -309,7 +313,7 @@ impl<'a> Engine<'a> {
                 self.ion_ready[b.index()] = end;
                 self.trap_ready[trap.index()] = end;
                 self.st.swap_states(*a, *b);
-                self.gate_spans.add(trap.index(), start, end);
+                self.gate_spans.add_merged(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -434,7 +438,7 @@ impl<'a> Engine<'a> {
                 self.log_fidelity += self.measure_log;
                 self.errors.measure += self.model.fidelity.measure_error;
                 self.counts.measurements += 1;
-                self.gate_spans.add(trap.index(), start, end);
+                self.gate_spans.add_merged(trap.index(), start, end);
                 self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
@@ -508,8 +512,8 @@ mod tests {
     use qccd_circuit::{generators, Circuit, Qubit};
     use qccd_compiler::{compile, CompilerConfig, ReorderMethod};
     use qccd_device::presets;
-    use qccd_device::Side;
-    use qccd_physics::GateImpl;
+    use qccd_device::{JunctionId, SegmentId, Side};
+    use qccd_physics::{GateImpl, ShuttleTimes};
 
     fn run(
         circuit: &Circuit,
@@ -802,6 +806,39 @@ mod tests {
         assert_rejects(&exe, SimError::UnknownTrap(TrapId(99)));
     }
 
+    /// Ion 0 split off trap 0, then moved along `leg`.
+    fn move_along(leg: Leg) -> Executable {
+        exe_on(
+            1,
+            chains_in_trap0(1),
+            vec![
+                Inst::Split {
+                    ion: IonId(0),
+                    trap: TrapId(0),
+                    side: Side::Right,
+                },
+                Inst::Move { ion: IonId(0), leg },
+            ],
+        )
+    }
+
+    #[test]
+    fn unknown_segment_when_a_leg_crosses_a_missing_segment() {
+        // The leg still ends at a real trap, which the error must not
+        // name instead of the segment.
+        let mut leg = presets::l6(10).route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        leg.segments.push(SegmentId(99));
+        assert_rejects(&move_along(leg), SimError::UnknownSegment(SegmentId(99)));
+    }
+
+    #[test]
+    fn unknown_junction_when_a_leg_crosses_a_missing_junction() {
+        // L6 has no junctions at all.
+        let mut leg = presets::l6(10).route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        leg.junctions.push(JunctionId(0));
+        assert_rejects(&move_along(leg), SimError::UnknownJunction(JunctionId(0)));
+    }
+
     #[test]
     fn unknown_ion_when_chain_exceeds_ion_count() {
         let mut chains = chains_in_trap0(2);
@@ -1046,18 +1083,42 @@ mod tests {
     /// bookkeeping against independent recomputations: the counts
     /// tallied in the step loop against [`Executable::counts`], every
     /// span lane in time order (the invariant the post-pass's speed
-    /// rests on), and the lane-aware compute/communication split against
-    /// the reference sweep over the flattened intervals, bit for bit.
-    fn assert_matches_references(exe: &Executable, device: &Device) {
-        let model = PhysicalModel::default();
-        let mut engine = Engine::new(exe, device, &model);
+    /// rests on), and the compute/communication split, bit for bit,
+    /// against the reference sweep over every instruction's raw
+    /// interval. Those intervals are read off the ready times around each
+    /// step, not off the span sets, so a span set that merges wrongly is
+    /// never checked against its own record.
+    fn assert_matches_references(exe: &Executable, device: &Device, model: &PhysicalModel) {
+        let mut engine = Engine::new(exe, device, model);
+        let (mut gates, mut comm) = (Vec::new(), Vec::new());
         for inst in exe.instructions() {
+            let first = inst.ions().next().expect("every instruction names an ion");
+            // An instruction starts once its ions and the resource it
+            // runs on are ready, and its first ion is busy until it ends.
+            let resource = match inst {
+                Inst::Move { leg, .. } => engine.path_ready(leg),
+                Inst::Split { trap, .. } | Inst::Merge { trap, .. } => {
+                    engine.trap_ready[trap.index()]
+                }
+                _ => engine.trap_ready[engine.located_trap(first).expect("trapped").index()],
+            };
+            let start = inst
+                .ions()
+                .map(|ion| engine.ion_ready[ion.index()])
+                .fold(resource, f64::max);
             engine.step(inst).expect("simulates");
+            let end = engine.ion_ready[first.index()];
+            if end > start {
+                let set = if inst.is_communication() {
+                    &mut comm
+                } else {
+                    &mut gates
+                };
+                set.push((start, end));
+            }
         }
         assert!(engine.gate_spans.lanes_are_ordered(), "gate lanes");
         assert!(engine.comm_spans.lanes_are_ordered(), "comm lanes");
-        let gates = engine.gate_spans.intervals();
-        let comm = engine.comm_spans.intervals();
         let want = (
             reference::union_length(&gates),
             reference::union_length_excluding(&comm, &gates),
@@ -1075,11 +1136,52 @@ mod tests {
         );
     }
 
+    #[test]
+    fn touching_comm_intervals_are_summed_piecewise() {
+        // In trap 0's lane a 0.1 µs ion swap ends where an 80 µs split
+        // starts, after a 0.1 µs gate. Their piecewise sum is 80.1; the
+        // length of the merged interval is one ulp longer.
+        let defaults = PhysicalModel::default();
+        let model = PhysicalModel {
+            one_qubit_time: 0.1,
+            shuttle: ShuttleTimes {
+                ion_rotation: 0.1,
+                split: 80.0,
+                ..defaults.shuttle
+            },
+            ..defaults
+        };
+        let (swap_end, split_end) = (0.1 + 0.1, 0.1 + 0.1 + 80.0);
+        assert_ne!((swap_end - 0.1) + (split_end - swap_end), split_end - 0.1);
+        let exe = exe_on(
+            2,
+            chains_in_trap0(2),
+            vec![
+                Inst::OneQubit {
+                    gate: qccd_circuit::OneQubitGate::H,
+                    ion: IonId(0),
+                },
+                Inst::IonSwap {
+                    a: IonId(0),
+                    b: IonId(1),
+                },
+                // The swap left ion 0 at the right end.
+                Inst::Split {
+                    ion: IonId(0),
+                    trap: TrapId(0),
+                    side: Side::Right,
+                },
+            ],
+        );
+        assert_matches_references(&exe, &presets::l6(10), &model);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Random circuits through all 16 policy pipelines on the linear
-        /// and the grid topology.
+        /// and the grid topology, under every gate model (the AM and PM
+        /// gate times put instructions at non-integer times).
         #[test]
         fn random_circuits_match_the_references(
             n in 2u32..24,
@@ -1088,11 +1190,12 @@ mod tests {
             seed in 0u64..1000,
             combo in 0usize..16,
             grid in proptest::bool::ANY,
+            gate in 0usize..4,
         ) {
             let circuit = generators::random_circuit(n, ops, frac, seed);
             let device = if grid { presets::g2x3(8) } else { presets::l6(8) };
             let exe = compile(&circuit, &device, &CompilerConfig::policy_grid(2)[combo]).expect("compiles");
-            assert_matches_references(&exe, &device);
+            assert_matches_references(&exe, &device, &PhysicalModel::with_gate(GateImpl::ALL[gate]));
         }
 
         /// Random circuits on the linear topology, across all 16

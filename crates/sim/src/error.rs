@@ -1,6 +1,6 @@
 //! Simulator error type.
 
-use qccd_device::{IonId, TrapId};
+use qccd_device::{IonId, JunctionId, SegmentId, TrapId};
 use std::fmt;
 
 /// Errors raised while interpreting an executable.
@@ -22,6 +22,10 @@ pub enum SimError {
     },
     /// An instruction referenced a trap the device does not have.
     UnknownTrap(TrapId),
+    /// A move's leg crossed a segment the device does not have.
+    UnknownSegment(SegmentId),
+    /// A move's leg crossed a junction the device does not have.
+    UnknownJunction(JunctionId),
     /// An instruction referenced an ion outside the executable's range.
     UnknownIon(IonId),
     /// A split named an ion that is not at the required chain end.
@@ -47,6 +51,10 @@ impl fmt::Display for SimError {
                 "executable has {chains} initial chains but the device has {traps} traps"
             ),
             SimError::UnknownTrap(t) => write!(f, "executable references unknown trap {t}"),
+            SimError::UnknownSegment(s) => write!(f, "executable references unknown segment {s}"),
+            SimError::UnknownJunction(j) => {
+                write!(f, "executable references unknown junction {j}")
+            }
             SimError::UnknownIon(i) => write!(f, "executable references unknown ion {i}"),
             SimError::SplitNotAtEnd(i, t) => {
                 write!(f, "split of {i} which is not at the required end of {t}")

@@ -13,6 +13,13 @@
 /// order, and [`SpanSet::time_split`] sorts what is in effect a handful of
 /// ordered runs. The result does not depend on the lane rule: lanes that
 /// are out of order only make the sort slower.
+///
+/// Gate intervals go in with [`SpanSet::add_merged`], which folds a
+/// touching or overlapping interval into its lane's last one, so the sort
+/// sees about one entry per busy stretch of a trap rather than one per
+/// gate. Only a lane recorded in time order merges this way; an interval
+/// that starts before its lane's last one is kept as it is. Communication
+/// intervals go in with [`SpanSet::add`] and are never merged.
 #[derive(Debug, Clone, Default)]
 pub struct SpanSet {
     /// `(key(start), key(end))` per interval, lane by lane.
@@ -40,11 +47,38 @@ impl SpanSet {
     /// negative-length intervals are ignored.
     pub fn add(&mut self, lane: usize, start: f64, end: f64) {
         if end > start {
-            if lane >= self.lanes.len() {
-                self.lanes.resize_with(lane + 1, Vec::new);
-            }
-            self.lanes[lane].push((key(start), key(end)));
+            self.lane(lane).push((key(start), key(end)));
         }
+    }
+
+    /// Records the interval `[start, end)` in `lane`, merged into the
+    /// lane's last interval when it starts inside or at the end of that
+    /// one (`last.start <= start <= last.end`): the last interval then
+    /// ends at the larger of the two ends. Zero- or negative-length
+    /// intervals are ignored.
+    ///
+    /// Merging keeps the union, its components, their endpoints and their
+    /// order, so [`SpanSet::time_split`] measures a merged gate set bit for
+    /// bit as it measures the unmerged one. It must not be used for the
+    /// communication set, which is summed piecewise.
+    pub fn add_merged(&mut self, lane: usize, start: f64, end: f64) {
+        if end > start {
+            let (start, end) = (key(start), key(end));
+            let lane = self.lane(lane);
+            match lane.last_mut() {
+                Some(last) if last.0 <= start && start <= last.1 => last.1 = last.1.max(end),
+                _ => lane.push((start, end)),
+            }
+        }
+    }
+
+    /// The intervals of `lane`, creating it (and every lane below it) if
+    /// needed.
+    fn lane(&mut self, lane: usize) -> &mut Vec<(i64, i64)> {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, Vec::new);
+        }
+        &mut self.lanes[lane]
     }
 
     /// Every interval, concatenated lane by lane into the largest lane's
@@ -77,7 +111,9 @@ impl SpanSet {
     /// The lanes are concatenated and put in order with the stable
     /// [`slice::sort`], which finds the ordered runs and merges them:
     /// O(n log k) for k ordered lanes, O(n log n) at worst. Equal keys are
-    /// equal values, so any correct sort gives the same sums.
+    /// equal values, so any correct sort gives the same sums. Gate lanes
+    /// recorded with [`SpanSet::add_merged`] arrive with their touching
+    /// intervals already merged, so the gate sort has fewer to order.
     pub fn time_split(gates: SpanSet, comm: SpanSet) -> (f64, f64) {
         // Merged gate runs, in start order, as key pairs in place.
         let mut runs = gates.into_concat();
@@ -328,21 +364,71 @@ mod tests {
     }
 
     /// Random intervals on a small grid of non-dyadic times (`0.1·k`),
-    /// so starts and ends tie, touch and nest often. At least one in four
-    /// is zero-length or inverted, which `add` drops.
-    fn random_set(state: &mut u64, max_len: u64, grid: u64) -> SpanSet {
+    /// all in lane 0 and in no particular order, so starts and ends tie,
+    /// touch and nest often. At least one in four is zero-length or
+    /// inverted, which `add` drops.
+    fn random_intervals(state: &mut u64, max_len: u64, grid: u64) -> Vec<(usize, f64, f64)> {
         let len = xorshift(state) % (max_len + 1);
-        let mut s = SpanSet::new();
-        for _ in 0..len {
-            let a = tenths(state, grid);
-            let b = match xorshift(state) % 8 {
-                0 => a,
-                1 => a - 0.1 - tenths(state, 3),
-                _ => tenths(state, grid) + 0.1 + tenths(state, 4),
+        (0..len)
+            .map(|_| {
+                let a = tenths(state, grid);
+                let b = match xorshift(state) % 8 {
+                    0 => a,
+                    1 => a - 0.1 - tenths(state, 3),
+                    _ => tenths(state, grid) + 0.1 + tenths(state, 4),
+                };
+                (0, a, b)
+            })
+            .collect()
+    }
+
+    /// `(gates, comm)` intervals on four lanes, each lane in time order,
+    /// with times built by repeated addition as the simulator builds them
+    /// (start + duration), so ties come from equal sums. A lane's clock
+    /// sometimes stays at the last start, so later intervals nest.
+    fn sums_of_tenths(state: &mut u64, n: u64) -> [Vec<(usize, f64, f64)>; 2] {
+        let mut sets = [Vec::new(), Vec::new()];
+        let mut clocks = [0.0f64; 4];
+        for _ in 0..n {
+            let lane = (xorshift(state) % 4) as usize;
+            let start = clocks[lane];
+            let end = start + 0.1 + tenths(state, 5);
+            sets[(xorshift(state) % 2) as usize].push((lane, start, end));
+            clocks[lane] = if xorshift(state).is_multiple_of(3) {
+                start
+            } else {
+                end
             };
-            s.add(0, a, b);
+        }
+        sets
+    }
+
+    /// A span set of `intervals`, recorded with `add_merged` or `add`.
+    fn build(intervals: &[(usize, f64, f64)], merged: bool) -> SpanSet {
+        let mut s = SpanSet::new();
+        for &(lane, a, b) in intervals {
+            if merged {
+                s.add_merged(lane, a, b);
+            } else {
+                s.add(lane, a, b);
+            }
         }
         s
+    }
+
+    #[test]
+    fn add_merged_extends_only_from_the_lane_end() {
+        let mut s = SpanSet::new();
+        s.add_merged(0, 0.0, 1.0);
+        s.add_merged(0, 1.0, 2.0); // touches: extended
+        s.add_merged(0, 0.5, 1.5); // nested: absorbed
+        s.add_merged(0, 3.0, 4.0); // gap: new interval
+        s.add_merged(0, 2.5, 3.5); // starts before the last one: kept apart
+        s.add_merged(1, 0.0, 1.0); // another lane
+        assert_eq!(
+            s.intervals(),
+            vec![(0.0, 2.0), (3.0, 4.0), (2.5, 3.5), (0.0, 1.0)]
+        );
     }
 
     proptest! {
@@ -356,8 +442,8 @@ mod tests {
             grid in 1u64..40,
         ) {
             let mut state = seed;
-            let gates = random_set(&mut state, gate_len, grid);
-            let comm = random_set(&mut state, comm_len, grid);
+            let gates = build(&random_intervals(&mut state, gate_len, grid), false);
+            let comm = build(&random_intervals(&mut state, comm_len, grid), false);
             assert_matches_reference(&gates, &comm);
         }
 
@@ -366,29 +452,34 @@ mod tests {
             seed in 1u64..u64::MAX,
             n in 1u64..48,
         ) {
-            // Times built by repeated addition, as the simulator builds
-            // them (start + duration), so ties come from equal sums.
             let mut state = seed;
-            let mut gates = SpanSet::new();
-            let mut comm = SpanSet::new();
-            let mut clocks = [0.0f64; 4];
-            for _ in 0..n {
-                let lane = (xorshift(&mut state) % 4) as usize;
-                let start = clocks[lane];
-                let end = start + 0.1 + tenths(&mut state, 5);
-                if xorshift(&mut state).is_multiple_of(2) {
-                    gates.add(lane, start, end);
-                } else {
-                    comm.add(lane, start, end);
-                }
-                // Sometimes reuse the start, so later intervals nest.
-                clocks[lane] = if xorshift(&mut state).is_multiple_of(3) {
-                    start
-                } else {
-                    end
-                };
+            let [gates, comm] = sums_of_tenths(&mut state, n);
+            assert_matches_reference(&build(&gates, false), &build(&comm, false));
+        }
+
+        #[test]
+        fn merged_gate_lanes_split_like_unmerged_ones(
+            seed in 1u64..u64::MAX,
+            n in 1u64..48,
+            len in 0u64..24,
+            grid in 1u64..40,
+        ) {
+            // The lane-ordered gates merge touching sums. The random ones
+            // arrive out of order, where merging an interval that starts
+            // before the lane's last one would lose the time between.
+            let mut state = seed;
+            let [ordered, comm] = sums_of_tenths(&mut state, n);
+            let shuffled = random_intervals(&mut state, len, grid);
+            let comm = build(&comm, false);
+            for gates in [ordered, shuffled] {
+                let want = SpanSet::time_split(build(&gates, false), comm.clone());
+                let got = SpanSet::time_split(build(&gates, true), comm.clone());
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "merged {got:?}, unmerged {want:?}\ngates {gates:?}\ncomm {comm:?}"
+                );
             }
-            assert_matches_reference(&gates, &comm);
         }
     }
 }
