@@ -1,11 +1,12 @@
 //! Criterion benchmarks of individual compiler stages: mapping, routing
-//! (fresh Dijkstra vs the memoized all-pairs [`RouteCache`]) and full
-//! compilation, plus OpenQASM parsing.
+//! (fresh Dijkstra vs the memoized all-pairs [`RouteCache`], and one
+//! congestion-aware query) and full compilation, plus OpenQASM parsing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qccd_circuit::{generators, qasm};
-use qccd_compiler::{compile, initial_map, CompilerConfig};
-use qccd_device::{presets, RouteCache, TrapId};
+use qccd_compiler::policy::Congestion;
+use qccd_compiler::{compile, initial_map, CompilerConfig, RoutingKind};
+use qccd_device::{presets, RouteCache, RouteScratch, TrapId};
 
 fn bench_mapping(c: &mut Criterion) {
     let circuit = generators::qft(64);
@@ -23,6 +24,33 @@ fn bench_routing(c: &mut Criterion) {
     });
     c.bench_function("route/g2x3_diagonal", |b| {
         b.iter(|| grid.route(TrapId(0), TrapId(5)).expect("connected"));
+    });
+
+    // One lookahead-congestion query across an 8x8 grid whose window is
+    // full of legs on the query's own static route, so the router runs
+    // its weighted search rather than serving the static leg.
+    let grid8 = presets::grid(
+        8,
+        8,
+        12,
+        presets::DEFAULT_GRID_STUB,
+        presets::DEFAULT_GRID_LINK,
+    );
+    let cache = RouteCache::new(&grid8);
+    cache.warm();
+    let (from, to) = (TrapId(0), TrapId(63));
+    let mut congestion = Congestion::new(&grid8);
+    let loaded = &cache.route(from, to).expect("connected").legs()[0];
+    for _ in 0..Congestion::DEFAULT_HORIZON {
+        congestion.commit(loaded);
+    }
+    let mut scratch = RouteScratch::new();
+    c.bench_function("route/lookahead_leg_g8x8_loaded", |b| {
+        b.iter(|| {
+            RoutingKind::LookaheadCongestion
+                .next_route(&cache, &congestion, &mut scratch, from, to)
+                .expect("connected")
+        });
     });
 }
 
@@ -69,6 +97,14 @@ fn bench_compile(c: &mut Criterion) {
             b.iter(|| compile(&circuit, &device, &config).expect("compiles"));
         });
     }
+    // The largest scale-tier compile: 512 qubits on a 32-trap line,
+    // where every long shuttle re-plans at each intermediate trap.
+    let circuit = generators::random_circuit(512, 8000, 0.5, 1);
+    let line = presets::linear(32, 20, presets::DEFAULT_LINEAR_SPACING);
+    let lookahead = CompilerConfig::with_routing(RoutingKind::LookaheadCongestion);
+    group.bench_function("random512_l32_lookahead", |b| {
+        b.iter(|| compile(&circuit, &line, &lookahead).expect("compiles"));
+    });
     group.finish();
 }
 

@@ -7,10 +7,10 @@
 //! 1. **Map** — the mapping policy places every program qubit's ion;
 //! 2. **Schedule** — the *earliest ready gate first* walk over the
 //!    circuit's dependency DAG;
-//! 3. **Route** — for each cross-trap gate the routing policy picks a
-//!    route, committed one leg at a time (reorder → split → move →
-//!    merge, the Fig. 4 sequence), asking again after every hop so
-//!    congestion-aware policies see fresh traffic;
+//! 3. **Route** — for each cross-trap gate the routing policy picks
+//!    the first leg of a route, which is committed (reorder → split →
+//!    move → merge, the Fig. 4 sequence); the policy is asked again
+//!    after every hop, so congestion-aware policies see fresh traffic;
 //! 4. **Evict** — when a route's final destination has no free slot
 //!    ([`MachineState::free_slots`], read from the chain lengths), the
 //!    eviction policy picks a victim and target, and the victim is
@@ -28,7 +28,7 @@ use crate::memo::CompileMemoRef;
 use crate::policy::Congestion;
 use crate::state::MachineState;
 use qccd_circuit::{Circuit, DependencyDag, Operation};
-use qccd_device::{Device, RouteCache, TrapId};
+use qccd_device::{Device, RouteCache, RouteScratch, TrapId};
 
 /// Per-qubit sorted lists of the operation indices that use it, for
 /// next-use lookups ("full knowledge of the program instructions", §VI).
@@ -157,6 +157,7 @@ impl Pipeline {
         let mut ctx = Ctx {
             routes,
             congestion: Congestion::new(device),
+            scratch: RouteScratch::new(),
             routing,
             reorder,
             eviction,
@@ -209,6 +210,8 @@ impl Pipeline {
 struct Ctx<'a> {
     routes: &'a RouteCache<'a>,
     congestion: Congestion,
+    /// The routing policy's search arena, reused by every query.
+    scratch: RouteScratch,
     routing: RoutingKind,
     reorder: ReorderMethod,
     eviction: EvictionKind,
@@ -265,10 +268,13 @@ impl Ctx<'_> {
             if src == dest {
                 return Ok(());
             }
-            let route = self
-                .routing
-                .next_route(self.routes, &self.congestion, src, dest)?;
-            let leg = route.legs()[0].clone();
+            let leg = self.routing.next_route(
+                self.routes,
+                &self.congestion,
+                &mut self.scratch,
+                src,
+                dest,
+            )?;
             if leg.to == dest && self.st.free_slots(self.routes.device(), dest) == 0 {
                 let pick = self
                     .eviction

@@ -8,12 +8,12 @@
 //! method per seam matches on the variant and runs its heuristic. Each
 //! method takes the scheduler's state as plain arguments — the route
 //! cache (whose `device()` is the device), the congestion window, the
-//! [`crate::MachineState`].
+//! router's search arena, the [`crate::MachineState`].
 //!
 //! | Seam | Selector · method | Heuristics |
 //! |------|-------------------|------------|
 //! | 1. placement | [`MappingKind::place`]`(circuit, device, buffer_slots)` | `RoundRobin`, `UsageWeighted` |
-//! | 2. routing | [`RoutingKind::next_route`]`(routes, congestion, from, to)` | `GreedyShortest`, `LookaheadCongestion` |
+//! | 2. routing | [`RoutingKind::next_route`]`(routes, congestion, scratch, from, to)` → first leg | `GreedyShortest`, `LookaheadCongestion` |
 //! | 3. reordering | [`ReorderMethod::bring_to_end`]`(state, out, ion, trap, side)` | `GateSwap`, `IonSwap` |
 //! | 4. eviction | [`EvictionKind::pick`]`(routes, state, trap, protected, next_use)` | `FurthestNextUse`, `ChainEnd` |
 //!

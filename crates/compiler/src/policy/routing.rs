@@ -3,7 +3,7 @@
 
 use crate::config::RoutingKind;
 use crate::error::CompileError;
-use qccd_device::{Device, JunctionId, Leg, Route, RouteCache, SegmentId, TrapId};
+use qccd_device::{Device, JunctionId, Leg, RouteCache, RouteScratch, SegmentId, TrapId};
 
 /// The resource claims of one committed leg, held in a reused ring
 /// slot. The id vectors keep their allocations across reuse (clear +
@@ -98,17 +98,26 @@ impl Congestion {
         self.junction_load[junction.index()]
     }
 
-    /// Number of legs in the window.
-    pub fn in_flight(&self) -> usize {
-        self.len
+    /// The lookahead router's extra search weight on `segment`: a fixed
+    /// penalty per in-flight claim.
+    pub fn segment_penalty(&self, segment: SegmentId) -> u64 {
+        u64::from(self.segment_load(segment)) * SEGMENT_PENALTY
+    }
+
+    /// The lookahead router's extra search weight on `junction`: a
+    /// fixed penalty per in-flight claim.
+    pub fn junction_penalty(&self, junction: JunctionId) -> u64 {
+        u64::from(self.junction_load(junction)) * JUNCTION_PENALTY
     }
 }
 
 impl RoutingKind {
-    /// Chooses the route from trap `from` to trap `to` over
+    /// Chooses the next leg from trap `from` towards trap `to` over
     /// `routes.device()`, given the traffic in `congestion`. The
-    /// scheduler commits only the first leg and asks again after every
-    /// hop, so congestion-aware policies see up-to-date traffic.
+    /// scheduler commits only this first leg of the chosen route and
+    /// asks again after every hop, so congestion-aware policies see
+    /// up-to-date traffic. A weighted search runs in the caller's
+    /// `scratch` arena.
     ///
     /// # Errors
     ///
@@ -117,14 +126,17 @@ impl RoutingKind {
         &self,
         routes: &RouteCache<'_>,
         congestion: &Congestion,
+        scratch: &mut RouteScratch,
         from: TrapId,
         to: TrapId,
-    ) -> Result<Route, CompileError> {
+    ) -> Result<Leg, CompileError> {
         match self {
             // The paper's §VI router: always the device's cheapest static
             // route (via the memoized all-pairs cache).
-            RoutingKind::GreedyShortest => Ok(routes.route(from, to)?.clone()),
-            RoutingKind::LookaheadCongestion => lookahead_congestion(routes, congestion, from, to),
+            RoutingKind::GreedyShortest => Ok(routes.route(from, to)?.legs()[0].clone()),
+            RoutingKind::LookaheadCongestion => {
+                lookahead_congestion(routes, congestion, scratch, from, to)
+            }
         }
     }
 }
@@ -143,22 +155,54 @@ const JUNCTION_PENALTY: u64 = 16;
 /// crossing 12, an intermediate trap 120), so moderate congestion picks
 /// an alternate junction path but never drags a route through an extra
 /// intermediate trap unless the contention is extreme.
+///
+/// When no segment or junction of the cached static route carries any
+/// load, its first leg is served without a search. That is exactly the
+/// leg [`Device::first_leg_weighted`] would return, not an approximation
+/// (the cached route is the zero-penalty search's route):
+///
+/// - every segment is at least one unit long (the device builder and
+///   `Device::validate` reject zero-length ones), so the search settles
+///   nodes in strictly increasing `(distance, node index)` order, and a
+///   node's parent is the first settled neighbour (then the first
+///   segment in [`Device::segments_at`] order) that reaches its final
+///   distance;
+/// - penalties are never negative, so no node gets closer than its
+///   static distance; and they are zero along the whole static route,
+///   so every node on that route keeps its static distance;
+/// - a parent candidate under penalties therefore reaches its child at
+///   the static distance through a zero-penalty segment, so it is also
+///   a static candidate with the same `(distance, index)` key. The
+///   static parent is one of them and was the earliest among all static
+///   candidates, so it is still the earliest, and the path walked back
+///   from `to` is the static route.
 fn lookahead_congestion(
     routes: &RouteCache<'_>,
     congestion: &Congestion,
+    scratch: &mut RouteScratch,
     from: TrapId,
     to: TrapId,
-) -> Result<Route, CompileError> {
-    if congestion.in_flight() == 0 {
-        // Quiet device: identical to the static shortest path, served
-        // from the cache.
-        return Ok(routes.route(from, to)?.clone());
+) -> Result<Leg, CompileError> {
+    let fixed = routes.route(from, to)?;
+    let load_free = fixed.legs().iter().all(|leg| {
+        leg.segments
+            .iter()
+            .all(|&s| congestion.segment_load(s) == 0)
+            && leg
+                .junctions
+                .iter()
+                .all(|&j| congestion.junction_load(j) == 0)
+    });
+    if load_free {
+        return Ok(fixed.legs()[0].clone());
     }
-    let segment = |s: SegmentId| u64::from(congestion.segment_load(s)) * SEGMENT_PENALTY;
-    let junction = |j: JunctionId| u64::from(congestion.junction_load(j)) * JUNCTION_PENALTY;
-    Ok(routes
-        .device()
-        .route_weighted(from, to, &segment, &junction)?)
+    Ok(routes.device().first_leg_weighted(
+        from,
+        to,
+        scratch,
+        |s| congestion.segment_penalty(s),
+        |j| congestion.junction_penalty(j),
+    )?)
 }
 
 #[cfg(test)]
@@ -173,11 +217,9 @@ mod tests {
         let mut c = Congestion::with_horizon(&d, 2);
         c.commit(&leg);
         c.commit(&leg);
-        assert_eq!(c.in_flight(), 2);
         assert_eq!(c.segment_load(leg.segments[0]), 2);
         // Third commit retires the first.
         c.commit(&leg);
-        assert_eq!(c.in_flight(), 2);
         assert_eq!(c.segment_load(leg.segments[0]), 2);
         assert_eq!(c.junction_load(leg.junctions[0]), 2);
         // A horizon-1 window retires a leg entirely once another commits.
@@ -185,8 +227,8 @@ mod tests {
         let mut one = Congestion::with_horizon(&d, 1);
         one.commit(&leg);
         one.commit(&other);
-        assert_eq!(one.in_flight(), 1);
         assert_eq!(one.segment_load(leg.segments[0]), 0);
+        assert_eq!(one.segment_load(other.segments[0]), 1);
     }
 
     #[test]
@@ -194,10 +236,16 @@ mod tests {
         let d = presets::l6(10);
         let cache = RouteCache::new(&d);
         let congestion = Congestion::new(&d);
-        let r = RoutingKind::GreedyShortest
-            .next_route(&cache, &congestion, TrapId(0), TrapId(4))
+        let leg = RoutingKind::GreedyShortest
+            .next_route(
+                &cache,
+                &congestion,
+                &mut RouteScratch::new(),
+                TrapId(0),
+                TrapId(4),
+            )
             .unwrap();
-        assert_eq!(r, d.route(TrapId(0), TrapId(4)).unwrap());
+        assert_eq!(leg, d.route(TrapId(0), TrapId(4)).unwrap().legs()[0]);
     }
 
     #[test]
@@ -205,6 +253,7 @@ mod tests {
         let d = presets::g2x3(10);
         let cache = RouteCache::new(&d);
         let congestion = Congestion::new(&d);
+        let mut scratch = RouteScratch::new();
         for a in d.trap_ids() {
             for b in d.trap_ids() {
                 if a == b {
@@ -212,10 +261,10 @@ mod tests {
                 }
                 assert_eq!(
                     RoutingKind::LookaheadCongestion
-                        .next_route(&cache, &congestion, a, b)
+                        .next_route(&cache, &congestion, &mut scratch, a, b)
                         .unwrap(),
                     RoutingKind::GreedyShortest
-                        .next_route(&cache, &congestion, a, b)
+                        .next_route(&cache, &congestion, &mut scratch, a, b)
                         .unwrap(),
                     "{a}->{b}"
                 );
@@ -230,25 +279,61 @@ mod tests {
         // keeps the congested one.
         let d = presets::g2x3(10);
         let cache = RouteCache::new(&d);
-        let static_route = d.route(TrapId(0), TrapId(5)).unwrap();
+        let static_leg = d.route(TrapId(0), TrapId(5)).unwrap().legs()[0].clone();
         let mut congestion = Congestion::new(&d);
         for _ in 0..Congestion::DEFAULT_HORIZON {
-            congestion.commit(&static_route.legs()[0]);
+            congestion.commit(&static_leg);
         }
         let (from, to) = (TrapId(0), TrapId(5));
+        let mut scratch = RouteScratch::new();
         let greedy = RoutingKind::GreedyShortest
-            .next_route(&cache, &congestion, from, to)
+            .next_route(&cache, &congestion, &mut scratch, from, to)
             .unwrap();
-        assert_eq!(greedy, static_route, "greedy ignores congestion");
+        assert_eq!(greedy, static_leg, "greedy ignores congestion");
         let lookahead = RoutingKind::LookaheadCongestion
-            .next_route(&cache, &congestion, from, to)
+            .next_route(&cache, &congestion, &mut scratch, from, to)
             .unwrap();
         assert_ne!(
-            lookahead.legs()[0].junctions,
-            static_route.legs()[0].junctions,
+            lookahead.junctions, static_leg.junctions,
             "lookahead must leave the congested crossings"
         );
-        assert_eq!(lookahead.from(), TrapId(0));
-        assert_eq!(lookahead.to(), TrapId(5));
+        assert_eq!(lookahead.from, TrapId(0));
+        assert_eq!(lookahead.to, TrapId(5));
+    }
+
+    #[test]
+    fn lookahead_serves_the_static_leg_when_its_route_is_load_free() {
+        // On l6 the T0->T2 route runs T0 -> T1 -> T2. Traffic on the far
+        // side (T4 -> T5) leaves the window non-empty but loads nothing
+        // on that route, so the static first leg is served, and it is
+        // the leg the weighted search returns.
+        let d = presets::l6(10);
+        let cache = RouteCache::new(&d);
+        let far = d.route(TrapId(4), TrapId(5)).unwrap().legs()[0].clone();
+        let mut congestion = Congestion::new(&d);
+        congestion.commit(&far);
+        assert_eq!(congestion.segment_load(far.segments[0]), 1);
+        let (from, to) = (TrapId(0), TrapId(2));
+        let mut scratch = RouteScratch::new();
+        let leg = RoutingKind::LookaheadCongestion
+            .next_route(&cache, &congestion, &mut scratch, from, to)
+            .unwrap();
+        let fixed = cache.route(from, to).unwrap();
+        assert!(fixed
+            .legs()
+            .iter()
+            .flat_map(|l| &l.segments)
+            .all(|&s| congestion.segment_load(s) == 0));
+        assert_eq!(leg, fixed.legs()[0]);
+        let weighted = d
+            .first_leg_weighted(
+                from,
+                to,
+                &mut scratch,
+                |s| congestion.segment_penalty(s),
+                |j| congestion.junction_penalty(j),
+            )
+            .unwrap();
+        assert_eq!(leg, weighted);
     }
 }

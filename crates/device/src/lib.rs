@@ -46,7 +46,7 @@ pub mod topology;
 
 pub use builder::{BuildError, DeviceBuilder};
 pub use ids::{IonId, JunctionId, SegmentId, Side, TrapId};
-pub use path::{Leg, Route, RouteCache, RouteError};
+pub use path::{Leg, Route, RouteCache, RouteError, RouteScratch};
 pub use topology::{
     check_node_count, Device, DeviceJsonError, Junction, JunctionKind, NodeRef, Segment, Trap,
     MAX_DEVICE_NODES,

@@ -124,13 +124,14 @@ impl fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// Reusable flat Dijkstra arena: distance and packed-parent arrays plus
-/// the frontier heap, sized once per device and reused across sources.
+/// the frontier heap, sized once per device and reused across searches.
 ///
-/// A per-pair [`Device::route`] call allocates all three afresh; the
-/// batched [`Device::routes_from_with`] path reuses one arena across an
-/// entire all-pairs sweep (n Dijkstra runs, zero reallocation after the
-/// first), which is what [`RouteCache::warm`] and the cache's
-/// row-at-a-time fills ride on.
+/// The caller owns the arena. The compiler holds one for a whole
+/// compile and hands it to every [`Device::first_leg_weighted`] query,
+/// so the congestion-aware router's per-hop searches allocate nothing
+/// after the first. [`RouteCache::warm`] reuses one across an entire
+/// all-pairs sweep of [`Device::routes_from_with`]; a lazily filled
+/// cache row and the one-off [`Device::route`] each build their own.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     /// Per node: best known cost from the current source.
@@ -170,16 +171,25 @@ impl Device {
     ///
     /// Panics if either id is out of range for this device.
     pub fn route(&self, from: TrapId, to: TrapId) -> Result<Route, RouteError> {
-        self.route_weighted(from, to, &|_| 0, &|_| 0)
+        let mut scratch = RouteScratch::new();
+        self.search(from, to, &mut scratch, |_| 0, |_| 0)?;
+        self.extract_route(from, to, &scratch)
     }
 
-    /// Computes the cheapest shuttling route under additional per-resource
-    /// penalties: `segment_penalty` is added to the cost of traversing a
-    /// segment and `junction_penalty` to the cost of crossing a junction.
+    /// The first leg of the cheapest shuttling route from `from` to `to`
+    /// under additional per-resource penalties: `segment_penalty` is
+    /// added to the cost of traversing a segment and `junction_penalty`
+    /// to the cost of crossing a junction.
     ///
-    /// With all-zero penalties this is exactly [`Device::route`]; routing
-    /// policies (e.g. congestion-aware lookahead) supply penalties derived
-    /// from queued traffic to steer routes around contended resources.
+    /// With all-zero penalties this is exactly the first leg of
+    /// [`Device::route`]; routing policies (e.g. congestion-aware
+    /// lookahead) supply penalties derived from queued traffic to steer
+    /// routes around contended resources. Only the first leg is built: a
+    /// router that re-plans after every hop commits nothing else.
+    ///
+    /// The search runs in the caller's `scratch` arena. The compiler
+    /// owns one per compile and passes it to every query, so after the
+    /// first query a search allocates only the returned leg.
     ///
     /// # Errors
     ///
@@ -189,27 +199,49 @@ impl Device {
     /// # Panics
     ///
     /// Panics if either id is out of range for this device.
-    pub fn route_weighted(
+    pub fn first_leg_weighted(
         &self,
         from: TrapId,
         to: TrapId,
-        segment_penalty: &dyn Fn(SegmentId) -> u64,
-        junction_penalty: &dyn Fn(JunctionId) -> u64,
-    ) -> Result<Route, RouteError> {
+        scratch: &mut RouteScratch,
+        segment_penalty: impl Fn(SegmentId) -> u64,
+        junction_penalty: impl Fn(JunctionId) -> u64,
+    ) -> Result<Leg, RouteError> {
+        self.search(from, to, scratch, segment_penalty, junction_penalty)?;
+        if scratch.dist[to.index()] == u64::MAX {
+            return Err(RouteError::Unreachable(from, to));
+        }
+        // The parent chain runs from `to` back to `from`; the last trap
+        // it passes before reaching `from` ends the first leg.
+        let n_traps = self.trap_count();
+        let (mut end, mut cur) = (to.index(), to.index());
+        while scratch.prev[cur] != NO_PREV {
+            cur = (scratch.prev[cur] >> 32) as usize;
+            if cur < n_traps && cur != from.index() {
+                end = cur;
+            }
+        }
+        Ok(self.leg_ending_at(end, scratch))
+    }
+
+    /// The per-pair search behind [`Device::route`] and
+    /// [`Device::first_leg_weighted`]: checks the endpoints, then runs
+    /// Dijkstra until `to` is settled.
+    fn search(
+        &self,
+        from: TrapId,
+        to: TrapId,
+        scratch: &mut RouteScratch,
+        segment_penalty: impl Fn(SegmentId) -> u64,
+        junction_penalty: impl Fn(JunctionId) -> u64,
+    ) -> Result<(), RouteError> {
         assert!(from.index() < self.trap_count(), "unknown trap {from}");
         assert!(to.index() < self.trap_count(), "unknown trap {to}");
         if from == to {
             return Err(RouteError::SameTrap(from));
         }
-        let mut scratch = RouteScratch::new();
-        self.dijkstra(
-            from,
-            Some(to),
-            &mut scratch,
-            segment_penalty,
-            junction_penalty,
-        );
-        self.extract_route(from, to, &scratch)
+        self.dijkstra(from, Some(to), scratch, segment_penalty, junction_penalty);
+        Ok(())
     }
 
     /// Computes the cheapest static route from `from` to **every** trap
@@ -236,7 +268,7 @@ impl Device {
         scratch: &mut RouteScratch,
     ) -> Vec<Result<Route, RouteError>> {
         assert!(from.index() < self.trap_count(), "unknown trap {from}");
-        self.dijkstra(from, None, scratch, &|_| 0, &|_| 0);
+        self.dijkstra(from, None, scratch, |_| 0, |_| 0);
         self.trap_ids()
             .map(|to| {
                 if to == from {
@@ -259,8 +291,8 @@ impl Device {
         from: TrapId,
         to: Option<TrapId>,
         scratch: &mut RouteScratch,
-        segment_penalty: &dyn Fn(SegmentId) -> u64,
-        junction_penalty: &dyn Fn(JunctionId) -> u64,
+        segment_penalty: impl Fn(SegmentId) -> u64,
+        junction_penalty: impl Fn(JunctionId) -> u64,
     ) {
         let n_traps = self.trap_count();
         let n_nodes = n_traps + self.junction_count();
@@ -315,8 +347,8 @@ impl Device {
         }
     }
 
-    /// Walks `scratch.prev` back from `to` and cuts the node/segment
-    /// path into [`Leg`]s at trap boundaries.
+    /// Walks `scratch.prev` back from `to` and cuts the path into
+    /// [`Leg`]s at trap boundaries.
     fn extract_route(
         &self,
         from: TrapId,
@@ -324,82 +356,75 @@ impl Device {
         scratch: &RouteScratch,
     ) -> Result<Route, RouteError> {
         let n_traps = self.trap_count();
-        let node_of = |i: usize| {
-            if i < n_traps {
-                NodeRef::Trap(TrapId(i as u32))
-            } else {
-                NodeRef::Junction(JunctionId((i - n_traps) as u32))
-            }
-        };
         let dst = to.index();
         if scratch.dist[dst] == u64::MAX {
             return Err(RouteError::Unreachable(from, to));
         }
-
-        // Reconstruct the node/segment path. One walk of the parent
-        // chain sizes every vector up front: a row fill extracts one
-        // route per destination, and regrowing them dominated its cost.
-        let (mut hops, mut leg_count, mut cur) = (0, 0, dst);
+        // Every leg ends at a trap: count them to size the leg list, then
+        // cut the legs off the path from its end.
+        let (mut leg_count, mut cur) = (0, dst);
         while scratch.prev[cur] != NO_PREV {
-            hops += 1;
             if cur < n_traps {
-                leg_count += 1; // every leg ends at a trap
+                leg_count += 1;
             }
             cur = (scratch.prev[cur] >> 32) as usize;
         }
-        let mut nodes: Vec<NodeRef> = Vec::with_capacity(hops + 1);
-        nodes.push(NodeRef::Trap(to));
-        let mut segs: Vec<SegmentId> = Vec::with_capacity(hops);
-        cur = dst;
-        while scratch.prev[cur] != NO_PREV {
-            let packed = scratch.prev[cur];
-            let p = (packed >> 32) as usize;
-            segs.push(SegmentId(packed as u32));
-            nodes.push(node_of(p));
-            cur = p;
-        }
-        nodes.reverse();
-        segs.reverse();
-
-        // Cut into legs at trap nodes.
         let mut legs = Vec::with_capacity(leg_count);
-        let mut leg_start_trap = from;
-        let mut leg_segments: Vec<SegmentId> = Vec::new();
-        let mut leg_junctions: Vec<JunctionId> = Vec::new();
-        for (i, seg_id) in segs.iter().enumerate() {
-            leg_segments.push(*seg_id);
-            match nodes[i + 1] {
-                NodeRef::Junction(j) => leg_junctions.push(j),
-                NodeRef::Trap(t) => {
-                    let first = leg_segments[0];
-                    // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                    let last = *leg_segments.last().expect("non-empty leg");
-                    let exit_side = self
-                        .trap(leg_start_trap)
-                        .side_of_port(first)
-                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                        .expect("leg's first segment attaches to its source trap");
-                    let entry_side = self
-                        .trap(t)
-                        .side_of_port(last)
-                        // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                        .expect("leg's last segment attaches to its destination trap");
-                    let length_units = leg_segments.iter().map(|&s| self.segment(s).length()).sum();
-                    legs.push(Leg {
-                        from: leg_start_trap,
-                        exit_side,
-                        to: t,
-                        entry_side,
-                        segments: std::mem::take(&mut leg_segments),
-                        junctions: std::mem::take(&mut leg_junctions),
-                        length_units,
-                    });
-                    leg_start_trap = t;
-                }
+        let mut end = dst;
+        while end != from.index() {
+            let leg = self.leg_ending_at(end, scratch);
+            end = leg.from.index();
+            legs.push(leg);
+        }
+        legs.reverse();
+        Ok(Route { from, to, legs })
+    }
+
+    /// The leg of the path in `scratch.prev` that ends at trap node
+    /// `end`: the segments and junctions back to the previous trap.
+    /// `end` must not be the search's source.
+    fn leg_ending_at(&self, end: usize, scratch: &RouteScratch) -> Leg {
+        let n_traps = self.trap_count();
+        let parent = |node: usize| (scratch.prev[node] >> 32) as usize;
+        // One walk sizes both vectors: a row fill extracts one route per
+        // destination, and regrowing them dominated its cost.
+        let (mut hops, mut cur) = (1, parent(end));
+        while cur >= n_traps {
+            hops += 1;
+            cur = parent(cur);
+        }
+        let (from, to) = (TrapId(cur as u32), TrapId(end as u32));
+        let mut segments = vec![SegmentId(0); hops];
+        let mut junctions = vec![JunctionId(0); hops - 1];
+        cur = end;
+        for i in (0..hops).rev() {
+            let packed = scratch.prev[cur];
+            segments[i] = SegmentId(packed as u32);
+            cur = (packed >> 32) as usize;
+            if i > 0 {
+                junctions[i - 1] = JunctionId((cur - n_traps) as u32);
             }
         }
-        debug_assert!(leg_segments.is_empty(), "path must end at the target trap");
-        Ok(Route { from, to, legs })
+        let exit_side = self
+            .trap(from)
+            .side_of_port(segments[0])
+            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+            .expect("leg's first segment attaches to its source trap");
+        let entry_side = self
+            .trap(to)
+            .side_of_port(segments[hops - 1])
+            // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+            .expect("leg's last segment attaches to its destination trap");
+        let length_units = segments.iter().map(|&s| self.segment(s).length()).sum();
+        Leg {
+            from,
+            exit_side,
+            to,
+            entry_side,
+            segments,
+            junctions,
+            length_units,
+        }
     }
 }
 
@@ -649,10 +674,14 @@ mod tests {
 
     #[test]
     fn zero_penalties_reproduce_route_exactly() {
+        let mut scratch = RouteScratch::new();
         for d in [presets::l6(15), presets::g2x3(15)] {
             for a in d.trap_ids() {
                 for b in d.trap_ids() {
-                    assert_eq!(d.route(a, b), d.route_weighted(a, b, &|_| 0, &|_| 0));
+                    assert_eq!(
+                        d.route(a, b).map(|r| r.legs()[0].clone()),
+                        d.first_leg_weighted(a, b, &mut scratch, |_| 0, |_| 0)
+                    );
                 }
             }
         }
@@ -668,21 +697,21 @@ mod tests {
         let base = d.route(TrapId(0), TrapId(5)).unwrap();
         let banned: Vec<SegmentId> = base.legs()[0].segments.clone();
         let detour = d
-            .route_weighted(
+            .first_leg_weighted(
                 TrapId(0),
                 TrapId(5),
-                &|s| if banned.contains(&s) { 10_000 } else { 0 },
-                &|_| 0,
+                &mut RouteScratch::new(),
+                |s| if banned.contains(&s) { 10_000 } else { 0 },
+                |_| 0,
             )
             .unwrap();
         assert_ne!(
-            detour.legs()[0].segments,
-            banned,
+            detour.segments, banned,
             "penalized segments should be avoided on the grid"
         );
-        // The detour is still a valid T0 -> T5 route.
-        assert_eq!(detour.from(), TrapId(0));
-        assert_eq!(detour.to(), TrapId(5));
+        // The detour is still a valid T0 -> T5 leg.
+        assert_eq!(detour.from, TrapId(0));
+        assert_eq!(detour.to, TrapId(5));
     }
 
     #[test]
@@ -696,16 +725,16 @@ mod tests {
         assert!(crossed.len() >= 2, "diagonal route crosses junctions");
         let avoided = crossed[1];
         let rerouted = d
-            .route_weighted(TrapId(0), TrapId(5), &|_| 0, &|j| {
-                if j == avoided {
-                    10_000
-                } else {
-                    0
-                }
-            })
+            .first_leg_weighted(
+                TrapId(0),
+                TrapId(5),
+                &mut RouteScratch::new(),
+                |_| 0,
+                |j| if j == avoided { 10_000 } else { 0 },
+            )
             .unwrap();
         assert!(
-            !rerouted.legs()[0].junctions.contains(&avoided),
+            !rerouted.junctions.contains(&avoided),
             "a prohibitively expensive interior junction should be avoided"
         );
     }

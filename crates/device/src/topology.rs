@@ -509,31 +509,16 @@ impl Device {
         self.traps.iter().map(Trap::capacity).max().unwrap_or(0)
     }
 
-    /// Segments attached to `node`.
-    pub fn segments_at(&self, node: NodeRef) -> Vec<SegmentId> {
-        match node {
-            NodeRef::Trap(t) => Side::BOTH
-                .into_iter()
-                .filter_map(|s| self.trap(t).port(s))
-                .collect(),
-            NodeRef::Junction(j) => self.junction(j).segments().to_vec(),
-        }
-    }
-
-    /// Traps reachable from `t` by a single leg (no intermediate traps).
-    pub fn neighbor_traps(&self, t: TrapId) -> Vec<TrapId> {
-        let mut result = Vec::new();
-        for other in self.trap_ids() {
-            if other == t {
-                continue;
-            }
-            if let Ok(route) = self.route(t, other) {
-                if route.legs().len() == 1 {
-                    result.push(other);
-                }
-            }
-        }
-        result
+    /// Segments attached to `node`, borrowed without allocating: a
+    /// trap's ports in [`Side::BOTH`] order, or a junction's segment
+    /// list in its stored order. Route search relaxes edges in this
+    /// order, so it fixes how equal-cost paths tie-break.
+    pub fn segments_at(&self, node: NodeRef) -> impl Iterator<Item = SegmentId> + '_ {
+        let (ports, listed): ([Option<SegmentId>; 2], &[SegmentId]) = match node {
+            NodeRef::Trap(t) => (Side::BOTH.map(|s| self.trap(t).port(s)), &[]),
+            NodeRef::Junction(j) => ([None; 2], self.junction(j).segments()),
+        };
+        ports.into_iter().flatten().chain(listed.iter().copied())
     }
 
     /// Trap-level distance matrix in legs (merge-to-merge hops).
@@ -618,22 +603,6 @@ mod tests {
             Some(NodeRef::Trap(TrapId(1)))
         );
         assert_eq!(s.other_end(NodeRef::Trap(TrapId(5))), None);
-    }
-
-    #[test]
-    fn neighbor_traps_linear() {
-        let d = presets::l6(15);
-        assert_eq!(d.neighbor_traps(TrapId(0)), vec![TrapId(1)]);
-        assert_eq!(d.neighbor_traps(TrapId(2)), vec![TrapId(1), TrapId(3)]);
-    }
-
-    #[test]
-    fn neighbor_traps_grid_all_reachable_without_intermediates() {
-        let d = presets::g2x3(15);
-        // In the grid fabric every trap pair is one leg apart.
-        for t in d.trap_ids() {
-            assert_eq!(d.neighbor_traps(t).len(), 5, "trap {t}");
-        }
     }
 
     #[test]
