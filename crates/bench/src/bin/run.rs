@@ -7,8 +7,8 @@
 //! cargo run --release -p qccd-bench --bin run -- --spec my_study.json \
 //!     --caps 14,22,30 --cache /tmp/qccd-cache --json out.json
 //!
-//! # The Table II suite on the example device files, emitted as the
-//! # per-cell `cells` table:
+//! # The Table II suite on the example L6 device file and the L6 preset,
+//! # emitted as the per-cell `cells` table:
 //! cargo run --release -p qccd-bench --bin run -- \
 //!     --spec examples/experiments/device_files.json
 //! ```

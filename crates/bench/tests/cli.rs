@@ -73,10 +73,12 @@ fn run_rejects_caps_on_a_spec_without_a_sweeping_device() {
     }
 }
 
-/// Oversized device descriptions are rejected against
-/// `qccd_device::MAX_DEVICE_NODES` before anything is allocated for
+/// Oversized device descriptions are rejected against the device
+/// limits (`qccd_device::MAX_DEVICE_NODES`, `MAX_TRAP_CAPACITY`,
+/// `MAX_SEGMENT_LENGTH`) before anything is allocated or summed for
 /// them: exit status 2 with an error naming the limit, never an abort
-/// (134) from a multi-gigabyte allocation.
+/// (134) from a multi-gigabyte allocation or a panic (101) from a `u32`
+/// overflow.
 #[test]
 fn run_rejects_oversized_devices_with_the_limit() {
     let dir = std::env::temp_dir().join(format!("qccd-cli-oversized-{}", std::process::id()));
@@ -87,36 +89,68 @@ fn run_rejects_oversized_devices_with_the_limit() {
                 "devices": [{device}], "configs": [{{}}], "models": ["default"]}}"#
         )
     };
-    // A compact device description goes in its own file, named by a
+    // A device description goes in its own file, named by a
     // `{"file": …}` device entry.
     let file_device = |k: usize, text: &str| {
         let path = dir.join(format!("device{k}.json"));
         std::fs::write(&path, text).unwrap();
         spec(&format!(r#"{{"file": {:?}}}"#, path.display().to_string()))
     };
+    let nodes = "device size limit of 4096 (MAX_DEVICE_NODES)";
     let cases = [
-        spec(r#"{"linear": {"traps": 4294967295, "capacity": 20}}"#),
-        spec(r#"{"grid": {"rows": 65536, "cols": 65536, "capacity": 20}}"#),
-        file_device(
-            2,
-            r#"{"name": "big", "traps": 4294967295, "capacity": 20, "edges": [["t0", "t1"]]}"#,
+        (
+            spec(r#"{"linear": {"traps": 4294967295, "capacity": 20}}"#),
+            nodes,
         ),
-        file_device(
-            3,
-            r#"{"name": "big", "traps": 2, "capacity": 20,
-                "edges": [["t0", "j4294967294"], ["t1", "j0"]]}"#,
+        (
+            spec(r#"{"grid": {"rows": 65536, "cols": 65536, "capacity": 20}}"#),
+            nodes,
+        ),
+        (
+            file_device(
+                2,
+                r#"{"name": "big", "traps": 4294967295, "capacity": 20, "edges": [["t0", "t1"]]}"#,
+            ),
+            nodes,
+        ),
+        (
+            file_device(
+                3,
+                r#"{"name": "big", "traps": 2, "capacity": 20,
+                    "edges": [["t0", "j4294967294"], ["t1", "j0"]]}"#,
+            ),
+            nodes,
+        ),
+        // These three overflowed a `u32` sum: the total capacity, a
+        // leg's length, and the total capacity of a swept preset.
+        (
+            file_device(
+                4,
+                r#"{"name": "big", "traps": 2, "capacity": 4294967295, "edges": [["t0", "t1"]]}"#,
+            ),
+            "limit of 1048575 (MAX_TRAP_CAPACITY)",
+        ),
+        (
+            file_device(
+                5,
+                r#"{"name": "big", "traps": 2, "capacity": 20,
+                    "edges": [["t0", "j0", 4294967295], ["t1", "j0", 4294967295]]}"#,
+            ),
+            "limit of 524287 (MAX_SEGMENT_LENGTH)",
+        ),
+        (
+            spec(r#"{"preset": "l6"}"#)
+                .replace("\"devices\"", "\"capacities\": [4294967295], \"devices\""),
+            "limit of 1048575 (MAX_TRAP_CAPACITY)",
         ),
     ];
-    for (k, text) in cases.iter().enumerate() {
+    for (k, (text, needle)) in cases.iter().enumerate() {
         let path = dir.join(format!("case{k}.json"));
         std::fs::write(&path, text).unwrap();
         let out = run(&[OsStr::new("--spec"), path.as_os_str()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "case {k}: {stderr}");
-        assert!(
-            stderr.contains("device size limit of 4096"),
-            "case {k}: {stderr}"
-        );
+        assert!(stderr.contains(needle), "case {k}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

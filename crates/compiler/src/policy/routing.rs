@@ -161,8 +161,8 @@ const JUNCTION_PENALTY: u64 = 16;
 /// leg [`Device::first_leg_weighted`] would return, not an approximation
 /// (the cached route is the zero-penalty search's route):
 ///
-/// - every segment is at least one unit long (the device builder and
-///   `Device::validate` reject zero-length ones), so the search settles
+/// - every segment is at least one unit long (the device builder, which
+///   every device passes through, rejects zero-length ones), so the search settles
 ///   nodes in strictly increasing `(distance, node index)` order, and a
 ///   node's parent is the first settled neighbour (then the first
 ///   segment in [`Device::segments_at`] order) that reaches its final

@@ -28,7 +28,7 @@ use super::grid::JobGrid;
 use qccd_circuit::generators::Benchmark;
 use qccd_circuit::Circuit;
 use qccd_compiler::CompilerConfig;
-use qccd_device::{check_node_count, presets, Device};
+use qccd_device::{check_capacity, check_node_count, check_segment_length, presets, Device};
 use qccd_physics::{GateImpl, PhysicalModel};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -176,8 +176,8 @@ pub enum DeviceSpec {
         /// Junction-to-junction segment length.
         link: u32,
     },
-    /// A JSON device file (full serialized shape or the compact
-    /// `{name, traps, capacity, edges}` shape). With a non-empty
+    /// A JSON device file in the `{name, traps, capacity, edges}`
+    /// shape that [`Device::from_json`] loads. With a non-empty
     /// `capacities` axis the loaded topology is rescaled to each
     /// capacity; otherwise it is used as loaded
     /// (JSON: `{"file": "examples/devices/l6_cap20.json"}`).
@@ -217,7 +217,10 @@ impl DeviceSpec {
                     }
                 };
                 match capacity {
-                    Some(c) if *c > 0 => Ok(vec![build(*c)]),
+                    Some(c) if *c > 0 => {
+                        check_capacity(*c).map_err(SpecError::Invalid)?;
+                        Ok(vec![build(*c)])
+                    }
                     Some(c) => Err(SpecError::Invalid(format!(
                         "preset `{family}` capacity must be positive, got {c}"
                     ))),
@@ -226,11 +229,7 @@ impl DeviceSpec {
                          `capacities` axis to sweep"
                     ))),
                     None => {
-                        if let Some(&bad) = capacities.iter().find(|&&c| c == 0) {
-                            return Err(SpecError::Invalid(format!(
-                                "capacities axis contains {bad}; capacities must be positive"
-                            )));
-                        }
+                        check_swept_capacities(capacities)?;
                         Ok(capacities.iter().map(|&c| build(c)).collect())
                     }
                 }
@@ -246,7 +245,10 @@ impl DeviceSpec {
                          got {traps}/{capacity}/{spacing}"
                     )));
                 }
-                check_node_count(u64::from(*traps), "traps").map_err(SpecError::Invalid)?;
+                check_node_count(u64::from(*traps), "traps")
+                    .and_then(|()| check_capacity(*capacity))
+                    .and_then(|()| check_segment_length(*spacing))
+                    .map_err(SpecError::Invalid)?;
                 Ok(vec![presets::linear(*traps, *capacity, *spacing)])
             }
             DeviceSpec::Grid {
@@ -266,6 +268,9 @@ impl DeviceSpec {
                 // A grid has fewer junctions than traps, so the trap
                 // count bounds both.
                 check_node_count(u64::from(*rows) * u64::from(*cols), "traps")
+                    .and_then(|()| check_capacity(*capacity))
+                    .and_then(|()| check_segment_length(*stub))
+                    .and_then(|()| check_segment_length(*link))
                     .map_err(SpecError::Invalid)?;
                 Ok(vec![presets::grid(*rows, *cols, *capacity, *stub, *link)])
             }
@@ -276,11 +281,7 @@ impl DeviceSpec {
                 if capacities.is_empty() {
                     Ok(vec![template])
                 } else {
-                    if let Some(&bad) = capacities.iter().find(|&&c| c == 0) {
-                        return Err(SpecError::Invalid(format!(
-                            "capacities axis contains {bad}; capacities must be positive"
-                        )));
-                    }
+                    check_swept_capacities(capacities)?;
                     Ok(capacities
                         .iter()
                         .map(|&c| template.with_uniform_capacity(c))
@@ -289,6 +290,20 @@ impl DeviceSpec {
             }
         }
     }
+}
+
+/// Checks a swept capacities axis: every capacity positive and within
+/// [`qccd_device::MAX_TRAP_CAPACITY`].
+fn check_swept_capacities(capacities: &[u32]) -> Result<(), SpecError> {
+    for &c in capacities {
+        if c == 0 {
+            return Err(SpecError::Invalid(
+                "capacities axis contains 0; capacities must be positive".to_owned(),
+            ));
+        }
+        check_capacity(c).map_err(SpecError::Invalid)?;
+    }
+    Ok(())
 }
 
 impl Serialize for DeviceSpec {
@@ -989,13 +1004,34 @@ mod tests {
         assert!(spec.expand().is_err());
     }
 
+    /// Every device entry shares the device crate's capacity and length
+    /// limits, so an oversized value is an error naming the limit, not
+    /// a `u32` overflow in the compiler or the router. Only the `l6`
+    /// entry without a capacity reads the swept axis.
+    #[test]
+    fn device_entries_reject_values_past_the_device_limits() {
+        for json in [
+            r#"{"preset": "l6", "capacity": 4294967295}"#,
+            r#"{"preset": "l6"}"#,
+            r#"{"linear": {"traps": 2, "capacity": 4294967295}}"#,
+            r#"{"linear": {"traps": 2, "capacity": 8, "spacing": 4294967295}}"#,
+            r#"{"grid": {"rows": 1, "cols": 2, "capacity": 4294967295}}"#,
+            r#"{"grid": {"rows": 1, "cols": 2, "capacity": 8, "stub": 4294967295}}"#,
+            r#"{"grid": {"rows": 1, "cols": 2, "capacity": 8, "link": 4294967295}}"#,
+        ] {
+            let entry: DeviceSpec = serde_json::from_str(json).unwrap();
+            let err = entry.expand(&[14, u32::MAX]).unwrap_err().to_string();
+            assert!(err.contains("exceeds the limit of"), "{json}: {err}");
+        }
+    }
+
     #[test]
     fn file_device_spec_is_fixed_without_capacities_and_swept_with() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("qccd-spec-dev-{}.json", std::process::id()));
         std::fs::write(
             &path,
-            serde_json::to_string_pretty(&presets::l6(17)).unwrap(),
+            r#"{"name": "L2", "traps": 2, "capacity": 17, "edges": [["t0", "t1", 4]]}"#,
         )
         .unwrap();
         let spec = DeviceSpec::File {
@@ -1007,6 +1043,8 @@ mod tests {
         let swept = spec.expand(&[6, 9]).unwrap();
         assert_eq!(swept.len(), 2);
         assert_eq!(swept[1].max_trap_capacity(), 9);
+        let err = spec.expand(&[u32::MAX]).unwrap_err();
+        assert!(err.to_string().contains("MAX_TRAP_CAPACITY"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

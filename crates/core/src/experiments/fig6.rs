@@ -189,12 +189,15 @@ mod tests {
 
     #[test]
     fn custom_topology_study_matches_preset_for_the_same_family() {
-        // A JSON-round-tripped L6 template rescaled per capacity (what a
+        // A JSON-loaded L6 template rescaled per capacity (what a
         // `{"file": …}` device entry does) must reproduce the preset
         // study bit-for-bit.
         let caps = [6, 10];
-        let template =
-            Device::from_json(&serde_json::to_string(&presets::l6(99)).unwrap()).unwrap();
+        let template = Device::from_json(
+            r#"{"name": "L6", "traps": 6, "capacity": 99, "edges": [["t0", "t1", 4],
+                ["t1", "t2", 4], ["t2", "t3", 4], ["t3", "t4", 4], ["t4", "t5", 4]]}"#,
+        )
+        .unwrap();
         let preset = mini_fig6(&caps);
         let custom = fig6_on(mini_suite(), &caps, |cap| {
             template.with_uniform_capacity(cap)

@@ -1,16 +1,14 @@
-//! The compact hand-authoring device schema.
+//! The JSON device schema, the one input shape of [`Device::from_json`].
 //!
-//! The full serialized [`Device`] shape cross-references ports and
-//! segments both ways, which is exact but tedious to write by hand.
-//! [`Device::from_json`] therefore also accepts this compact shape
-//! (recognized by the presence of an `edges` key):
+//! A device is described by its trap count and the edges between its
+//! nodes:
 //!
 //! ```json
 //! {
-//!   "name": "t3",
+//!   "name": "T3",
 //!   "traps": 3,
 //!   "capacity": 16,
-//!   "edges": [["t0", "j0", 2], ["t1", "j0", 2], ["t2", "j0", 2]]
+//!   "edges": [["t0", "j0", 2], ["t1", "j0", 2], ["t2:left", "j0", 2]]
 //! }
 //! ```
 //!
@@ -26,24 +24,27 @@
 //!   like `[["t0","t1"],["t1","t2"]]` wires exactly like
 //!   [`crate::presets::linear`].
 //!
-//! Loading goes through [`crate::DeviceBuilder`], so every builder
-//! invariant (port budgets, junction degrees, connectivity) applies,
-//! and the result is indistinguishable from a programmatically built
-//! device — the round-trip tests below pin compact-loaded presets
-//! against the builders bit for bit.
+//! Counts, capacities and lengths are checked against the device limits
+//! ([`crate::MAX_DEVICE_NODES`], [`crate::MAX_TRAP_CAPACITY`],
+//! [`crate::MAX_SEGMENT_LENGTH`]). Loading then goes through
+//! [`crate::DeviceBuilder`], so every builder invariant (port budgets,
+//! junction degrees, connectivity) applies, and the result is
+//! indistinguishable from a programmatically built device — the tests
+//! below pin loaded presets against the builders bit for bit.
+//!
+//! `Device` serializes to a fuller shape (ports and segments
+//! cross-referenced both ways) for hashing job ids; that shape is
+//! output only.
 
 use crate::builder::{DeviceBuilder, Endpoint};
 use crate::ids::{JunctionId, Side, TrapId};
-use crate::topology::{check_node_count, Device, DeviceJsonError};
+use crate::topology::{
+    check_capacity, check_node_count, check_segment_length, Device, DeviceJsonError,
+};
 use serde::Value;
 // qccd-lint: allow(hash-iteration) — one-shot JSON schema validation at load time,
 // never iterated on an output path; see `used` below.
 use std::collections::HashSet;
-
-/// Whether a parsed JSON value opts into the compact schema.
-pub(crate) fn is_compact(value: &Value) -> bool {
-    matches!(value, Value::Object(entries) if entries.iter().any(|(k, _)| k == "edges"))
-}
 
 fn parse_err(message: impl Into<String>) -> DeviceJsonError {
     DeviceJsonError::Parse(message.into())
@@ -98,8 +99,7 @@ fn parse_endpoint(text: &str) -> Result<EndpointRef, DeviceJsonError> {
     }
 }
 
-/// Loads a device from the compact `{name, traps, capacity, edges}`
-/// shape.
+/// Loads a device from the `{name, traps, capacity, edges}` shape.
 pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonError> {
     let entries = match value {
         Value::Object(entries) => entries,
@@ -113,7 +113,7 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
     for (key, _) in entries {
         if !["name", "traps", "capacity", "edges"].contains(&key.as_str()) {
             return Err(parse_err(format!(
-                "unknown field `{key}` of a compact device (fields: name, traps, capacity, edges)"
+                "unknown field `{key}` of a device (fields: name, traps, capacity, edges)"
             )));
         }
     }
@@ -127,7 +127,7 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
                 other.kind()
             )))
         }
-        None => return Err(parse_err("missing field `name` of a compact device")),
+        None => return Err(parse_err("missing field `name` of a device")),
     };
 
     // Per-trap capacities: a count with uniform `capacity`, or an array.
@@ -155,8 +155,11 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
                 "a trap count in `traps` needs a uniform `capacity`",
             ))
         }
-        (None, _) => return Err(parse_err("missing field `traps` of a compact device")),
+        (None, _) => return Err(parse_err("missing field `traps` of a device")),
     };
+    for &capacity in &capacities {
+        check_capacity(capacity).map_err(DeviceJsonError::Invalid)?;
+    }
 
     let edges = match field("edges") {
         Some(Value::Array(items)) => items,
@@ -166,7 +169,7 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
                 other.kind()
             )))
         }
-        None => return Err(parse_err("missing field `edges` of a compact device")),
+        None => return Err(parse_err("missing field `edges` of a device")),
     };
 
     let mut builder = DeviceBuilder::new(name);
@@ -199,6 +202,7 @@ pub(crate) fn from_compact_value(value: &Value) -> Result<Device, DeviceJsonErro
             Some(v) => as_u32(v, "an edge length")?,
             None => 1,
         };
+        check_segment_length(length).map_err(DeviceJsonError::Invalid)?;
         for e in [&a, &b] {
             if let EndpointRef::Junction(j) = e {
                 max_junction = Some(max_junction.unwrap_or(0).max(j.0));
@@ -286,40 +290,26 @@ mod tests {
     }
 
     #[test]
-    fn compact_round_trips_through_the_full_shape() {
-        // The satellite invariant: serializing a compact-loaded device
-        // yields the full shape, which loads back to the same device.
-        let compact = r#"{
-            "name": "t3",
-            "traps": 3,
-            "capacity": 16,
-            "edges": [["t0","j0",2],["t1","j0",2],["t2:left","j0",2]]
-        }"#;
-        let loaded = load(compact).unwrap();
-        let full = serde_json::to_string_pretty(&loaded).unwrap();
-        assert!(full.contains("\"ports\""), "full shape serialized: {full}");
-        let reloaded = load(&full).unwrap();
-        assert_eq!(reloaded, loaded);
-        assert_eq!(loaded.junction_count(), 1);
-        assert_eq!(loaded.trap_count(), 3);
-    }
-
-    #[test]
     fn per_trap_capacities_and_default_length() {
-        let loaded = load(r#"{"name": "duo", "traps": [5, 9], "edges": [["t0","t1"]]}"#).unwrap();
+        // The capacity limit is inclusive.
+        let loaded =
+            load(r#"{"name": "duo", "traps": [5, 1048575], "edges": [["t0","t1"]]}"#).unwrap();
         assert_eq!(loaded.trap(TrapId(0)).capacity(), 5);
-        assert_eq!(loaded.trap(TrapId(1)).capacity(), 9);
+        assert_eq!(loaded.trap(TrapId(1)).capacity(), crate::MAX_TRAP_CAPACITY);
         assert_eq!(loaded.segment(crate::SegmentId(0)).length(), 1);
     }
 
     #[test]
     fn pinned_sides_are_respected() {
-        // Connect through the *left* port of t0 explicitly.
+        // Connect through the *left* port of t0 explicitly, with a
+        // segment exactly as long as the (inclusive) length limit.
         let loaded = load(
             r#"{"name": "pin", "traps": 2, "capacity": 4,
-                "edges": [["t0:left","t1:right",3]]}"#,
+                "edges": [["t0:left","t1:right",524287]]}"#,
         )
         .unwrap();
+        let s = crate::SegmentId(0);
+        assert_eq!(loaded.segment(s).length(), crate::MAX_SEGMENT_LENGTH);
         assert!(loaded.trap(TrapId(0)).port(Side::Left).is_some());
         assert!(loaded.trap(TrapId(0)).port(Side::Right).is_none());
         assert!(loaded.trap(TrapId(1)).port(Side::Right).is_some());
@@ -365,6 +355,19 @@ mod tests {
             (
                 r#"{"name": "x", "traps": 2, "capacity": 4, "edges": [["t0","t1"]], "junk": 1}"#,
                 "unknown field `junk`",
+            ),
+            (
+                r#"{"name": "x", "traps": 2, "capacity": 4294967295, "edges": [["t0","t1"]]}"#,
+                "trap capacity 4294967295 exceeds the limit of 1048575 (MAX_TRAP_CAPACITY)",
+            ),
+            (
+                r#"{"name": "x", "traps": [4, 1048576], "edges": [["t0","t1"]]}"#,
+                "(MAX_TRAP_CAPACITY)",
+            ),
+            (
+                r#"{"name": "x", "traps": 2, "capacity": 4,
+                    "edges": [["t0","j0",4294967295],["t1","j0",4294967295]]}"#,
+                "segment length 4294967295 exceeds the limit of 524287 (MAX_SEGMENT_LENGTH)",
             ),
         ] {
             let err = load(text).unwrap_err();

@@ -48,6 +48,6 @@ pub use builder::{BuildError, DeviceBuilder};
 pub use ids::{IonId, JunctionId, SegmentId, Side, TrapId};
 pub use path::{Leg, Route, RouteCache, RouteError, RouteScratch};
 pub use topology::{
-    check_node_count, Device, DeviceJsonError, Junction, JunctionKind, NodeRef, Segment, Trap,
-    MAX_DEVICE_NODES,
+    check_capacity, check_node_count, check_segment_length, Device, DeviceJsonError, Junction,
+    JunctionKind, NodeRef, Segment, Trap, MAX_DEVICE_NODES, MAX_SEGMENT_LENGTH, MAX_TRAP_CAPACITY,
 };

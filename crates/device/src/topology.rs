@@ -1,11 +1,11 @@
 //! The device topology graph.
 
 use crate::ids::{JunctionId, SegmentId, Side, TrapId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A node of the topology graph: either a trap or a junction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum NodeRef {
     /// A trapping zone.
     Trap(TrapId),
@@ -23,7 +23,7 @@ impl fmt::Display for NodeRef {
 }
 
 /// A trapping zone holding one linear ion chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Trap {
     capacity: u32,
     ports: [Option<SegmentId>; 2],
@@ -66,7 +66,7 @@ impl Trap {
 }
 
 /// Junction geometry, named by its degree as in Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum JunctionKind {
     /// 3-way junction (crossing time 100 µs in Table I).
     Y,
@@ -84,7 +84,7 @@ impl fmt::Display for JunctionKind {
 }
 
 /// A junction where up to four shuttling segments meet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Junction {
     segments: Vec<SegmentId>,
 }
@@ -121,7 +121,7 @@ impl Junction {
 }
 
 /// A straight run of electrode segments between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Segment {
     a: NodeRef,
     b: NodeRef,
@@ -165,11 +165,14 @@ impl Segment {
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeviceJsonError {
     /// The text is not valid JSON, or is JSON that is not shaped like a
-    /// serialized device (the parser's line/column or the offending
+    /// device description (the parser's line/column or the offending
     /// field is in the message).
     Parse(String),
-    /// Well-formed device JSON describing an inconsistent topology
-    /// (dangling ids, port/segment mismatches, disconnected traps, …).
+    /// A well-formed description of a device that
+    /// [`crate::DeviceBuilder`] rejects (taken ports, full junctions,
+    /// zero capacities or lengths, disconnected traps, …) or that
+    /// exceeds a device limit ([`MAX_DEVICE_NODES`],
+    /// [`MAX_TRAP_CAPACITY`], [`MAX_SEGMENT_LENGTH`]).
     Invalid(String),
 }
 
@@ -191,6 +194,15 @@ impl std::error::Error for DeviceJsonError {}
 /// traps and the design-space studies stay far below this.
 pub const MAX_DEVICE_NODES: u32 = 4096;
 
+/// The largest capacity one trap may have: even [`MAX_DEVICE_NODES`]
+/// traps this large have a total capacity that fits a `u32`.
+pub const MAX_TRAP_CAPACITY: u32 = u32::MAX / MAX_DEVICE_NODES;
+
+/// The longest segment, in unit segments. A route visits each of at
+/// most 2 × [`MAX_DEVICE_NODES`] traps and junctions once, so its
+/// length fits a `u32`.
+pub const MAX_SEGMENT_LENGTH: u32 = u32::MAX / (2 * MAX_DEVICE_NODES);
+
 /// Checks a trap or junction count against [`MAX_DEVICE_NODES`];
 /// `what` names the counted nodes (`"traps"`, `"junctions"`).
 ///
@@ -207,13 +219,43 @@ pub fn check_node_count(count: u64, what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks a trap capacity against [`MAX_TRAP_CAPACITY`].
+///
+/// # Errors
+///
+/// Returns a message naming the capacity and the limit.
+pub fn check_capacity(capacity: u32) -> Result<(), String> {
+    if capacity > MAX_TRAP_CAPACITY {
+        return Err(format!(
+            "trap capacity {capacity} exceeds the limit of {MAX_TRAP_CAPACITY} \
+             (MAX_TRAP_CAPACITY)"
+        ));
+    }
+    Ok(())
+}
+
+/// Checks a segment length against [`MAX_SEGMENT_LENGTH`].
+///
+/// # Errors
+///
+/// Returns a message naming the length and the limit.
+pub fn check_segment_length(length: u32) -> Result<(), String> {
+    if length > MAX_SEGMENT_LENGTH {
+        return Err(format!(
+            "segment length {length} exceeds the limit of {MAX_SEGMENT_LENGTH} \
+             (MAX_SEGMENT_LENGTH)"
+        ));
+    }
+    Ok(())
+}
+
 /// A complete QCCD device: the input "candidate architecture" of the
 /// paper's toolflow (Fig. 3).
 ///
 /// Construct devices with [`crate::DeviceBuilder`], the
 /// [`crate::presets`] functions, or load one from a JSON file with
 /// [`Device::from_json`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Device {
     name: String,
     traps: Vec<Trap>,
@@ -236,194 +278,32 @@ impl Device {
         }
     }
 
-    /// Loads a device from JSON: either its full serialization (the
-    /// format written by `serde_json::to_string_pretty(&device)`) or
-    /// the compact hand-authoring shape
-    /// `{name, traps, capacity, edges}` (recognized by the `edges`
-    /// key — see [`crate::compact`]). The topology is validated before
-    /// returning.
+    /// Loads a device from its JSON description, the
+    /// `{name, traps, capacity, edges}` shape of [`crate::compact`].
+    /// The description is built through [`crate::DeviceBuilder`], so the
+    /// loaded device is valid by construction.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceJsonError::Parse`] for malformed JSON or wrong
-    /// shape, and [`DeviceJsonError::Invalid`] for a structurally
-    /// well-formed file describing an inconsistent device — never
-    /// panics on untrusted input.
+    /// shape, and [`DeviceJsonError::Invalid`] for a well-formed
+    /// description of a device the builder rejects or one past a device
+    /// limit — never panics on untrusted input.
     ///
     /// # Example
     ///
     /// ```
     /// use qccd_device::{presets, Device};
     ///
-    /// let json = serde_json::to_string_pretty(&presets::l6(20)).unwrap();
-    /// let loaded = Device::from_json(&json).unwrap();
-    /// assert_eq!(loaded, presets::l6(20));
+    /// // The same two-trap line as `presets::linear(2, 8, 3)`.
+    /// let l2 = r#"{"name": "L2", "traps": 2, "capacity": 8, "edges": [["t0", "t1", 3]]}"#;
+    /// assert_eq!(Device::from_json(l2).unwrap(), presets::linear(2, 8, 3));
     /// assert!(Device::from_json("{\"name\": 3}").is_err());
-    ///
-    /// // The compact shape builds the same two-trap line as
-    /// // `presets::linear(2, 8, 3)`.
-    /// let compact = r#"{"name": "L2", "traps": 2, "capacity": 8,
-    ///                   "edges": [["t0", "t1", 3]]}"#;
-    /// assert_eq!(
-    ///     Device::from_json(compact).unwrap(),
-    ///     presets::linear(2, 8, 3),
-    /// );
     /// ```
     pub fn from_json(text: &str) -> Result<Device, DeviceJsonError> {
         let value: serde::Value =
             serde_json::from_str(text).map_err(|e| DeviceJsonError::Parse(e.to_string()))?;
-        if crate::compact::is_compact(&value) {
-            return crate::compact::from_compact_value(&value);
-        }
-        let device =
-            Device::from_value(&value).map_err(|e| DeviceJsonError::Parse(e.to_string()))?;
-        device.validate().map_err(DeviceJsonError::Invalid)?;
-        Ok(device)
-    }
-
-    /// Checks the internal consistency of the topology: id ranges,
-    /// port/segment/junction cross-references, junction degrees, trap
-    /// capacities and connectivity.
-    ///
-    /// Devices built through [`crate::DeviceBuilder`] are consistent by
-    /// construction; this guards the deserialization path, where every
-    /// invariant can be violated by hand-edited JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.traps.is_empty() {
-            return Err("device must contain at least one trap".into());
-        }
-        check_node_count(self.traps.len() as u64, "traps")?;
-        check_node_count(self.junctions.len() as u64, "junctions")?;
-        for t in self.trap_ids() {
-            if self.trap(t).capacity() == 0 {
-                return Err(format!("trap {t} has zero capacity"));
-            }
-        }
-        for s in self.segment_ids() {
-            let seg = self.segment(s);
-            for node in [seg.a(), seg.b()] {
-                match node {
-                    NodeRef::Trap(t) if t.index() >= self.trap_count() => {
-                        return Err(format!("segment {s} references unknown trap {t}"));
-                    }
-                    NodeRef::Junction(j) if j.index() >= self.junction_count() => {
-                        return Err(format!("segment {s} references unknown junction {j}"));
-                    }
-                    _ => {}
-                }
-            }
-            if seg.a() == seg.b() {
-                return Err(format!("segment {s} is a self-loop at {}", seg.a()));
-            }
-            if seg.length() == 0 {
-                return Err(format!("segment {s} has zero length"));
-            }
-        }
-        // Trap ports and segment endpoints must agree in both directions.
-        for t in self.trap_ids() {
-            for side in Side::BOTH {
-                if let Some(s) = self.trap(t).port(side) {
-                    if s.index() >= self.segment_count() {
-                        return Err(format!(
-                            "{side} port of trap {t} references unknown segment {s}"
-                        ));
-                    }
-                    if self.segment(s).other_end(NodeRef::Trap(t)).is_none() {
-                        return Err(format!(
-                            "{side} port of trap {t} names segment {s}, which does not end at {t}"
-                        ));
-                    }
-                }
-            }
-            if let (Some(left), Some(right)) = (
-                self.trap(t).port(Side::Left),
-                self.trap(t).port(Side::Right),
-            ) {
-                if left == right {
-                    return Err(format!(
-                        "both ports of trap {t} name the same segment {left}"
-                    ));
-                }
-            }
-        }
-        for s in self.segment_ids() {
-            let seg = self.segment(s);
-            for node in [seg.a(), seg.b()] {
-                match node {
-                    NodeRef::Trap(t) => {
-                        if self.trap(t).side_of_port(s).is_none() {
-                            return Err(format!(
-                                "segment {s} ends at trap {t}, but no port of {t} names it"
-                            ));
-                        }
-                    }
-                    NodeRef::Junction(j) => {
-                        if !self.junction(j).segments().contains(&s) {
-                            return Err(format!(
-                                "segment {s} ends at junction {j}, but {j} does not list it"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for j in self.junction_ids() {
-            let junction = self.junction(j);
-            if junction.degree() > 4 {
-                return Err(format!(
-                    "junction {j} has degree {} (at most 4 supported)",
-                    junction.degree()
-                ));
-            }
-            for (i, &s) in junction.segments().iter().enumerate() {
-                if s.index() >= self.segment_count() {
-                    return Err(format!("junction {j} lists unknown segment {s}"));
-                }
-                if self.segment(s).other_end(NodeRef::Junction(j)).is_none() {
-                    return Err(format!(
-                        "junction {j} lists segment {s}, which does not end at {j}"
-                    ));
-                }
-                if junction.segments()[..i].contains(&s) {
-                    return Err(format!("junction {j} lists segment {s} twice"));
-                }
-            }
-        }
-        // Connectivity: every trap must reach trap 0 (mirrors
-        // `DeviceBuilder::build`).
-        if self.trap_count() > 1 {
-            let n_traps = self.trap_count();
-            let idx = |n: NodeRef| match n {
-                NodeRef::Trap(t) => t.index(),
-                NodeRef::Junction(j) => n_traps + j.index(),
-            };
-            let mut seen = vec![false; n_traps + self.junction_count()];
-            let mut queue = std::collections::VecDeque::new();
-            seen[0] = true;
-            queue.push_back(NodeRef::Trap(TrapId(0)));
-            while let Some(node) = queue.pop_front() {
-                for s in self.segments_at(node) {
-                    if let Some(next) = self.segment(s).other_end(node) {
-                        if !seen[idx(next)] {
-                            seen[idx(next)] = true;
-                            queue.push_back(next);
-                        }
-                    }
-                }
-            }
-            for t in self.trap_ids() {
-                if !seen[t.index()] {
-                    return Err(format!(
-                        "device is disconnected: no path between T0 and {t}"
-                    ));
-                }
-            }
-        }
-        Ok(())
+        crate::compact::from_compact_value(&value)
     }
 
     /// A copy of this topology with every trap capacity set to
@@ -520,26 +400,6 @@ impl Device {
         };
         ports.into_iter().flatten().chain(listed.iter().copied())
     }
-
-    /// Trap-level distance matrix in legs (merge-to-merge hops).
-    ///
-    /// Entry `[a][b]` is the number of legs on the best route, or
-    /// `u32::MAX` if unreachable.
-    pub fn trap_leg_distances(&self) -> Vec<Vec<u32>> {
-        let n = self.trap_count();
-        let mut m = vec![vec![u32::MAX; n]; n];
-        for a in self.trap_ids() {
-            m[a.index()][a.index()] = 0;
-            for b in self.trap_ids() {
-                if a != b {
-                    if let Ok(route) = self.route(a, b) {
-                        m[a.index()][b.index()] = route.legs().len() as u32;
-                    }
-                }
-            }
-        }
-        m
-    }
 }
 
 impl fmt::Display for Device {
@@ -606,31 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn leg_distance_matrix_linear() {
-        let d = presets::l6(15);
-        let m = d.trap_leg_distances();
-        assert_eq!(m[0][5], 5);
-        assert_eq!(m[0][1], 1);
-        assert_eq!(m[3][3], 0);
-    }
-
-    #[test]
     fn display_summarises_shape() {
         let text = presets::l6(20).to_string();
         assert!(text.contains("6 traps"));
         assert!(text.contains("capacity 120"));
-    }
-
-    #[test]
-    fn json_round_trips_presets() {
-        for device in [presets::l6(20), presets::g2x3(17), presets::linear(4, 9, 3)] {
-            let json = serde_json::to_string_pretty(&device).unwrap();
-            let loaded = Device::from_json(&json).unwrap();
-            assert_eq!(loaded, device);
-            // Routes and capacities behave identically after the trip.
-            assert_eq!(loaded.total_capacity(), device.total_capacity());
-            assert_eq!(loaded.trap_leg_distances(), device.trap_leg_distances());
-        }
     }
 
     #[test]
@@ -649,20 +488,18 @@ mod tests {
 
     #[test]
     fn from_json_rejects_inconsistent_topologies() {
-        // Tamper with a valid serialization in ways the type system
-        // cannot catch: each must be an Invalid error, not a panic.
-        let good = serde_json::to_string(&presets::l6(10)).unwrap();
+        // Tamper with a valid device in ways the schema cannot catch:
+        // each must be an Invalid error, not a panic.
+        let good = r#"{"name":"L3","traps":3,"capacity":10,
+            "edges":[["t0:right","t1:left",4],["t1:right","t2:left",4]]}"#;
+        assert_eq!(Device::from_json(good).unwrap(), presets::linear(3, 10, 4));
         for (needle, replacement, expect) in [
-            // Dangling segment id in a trap port.
-            (
-                "\"ports\":[null,0]",
-                "\"ports\":[null,99]",
-                "unknown segment",
-            ),
+            // A second segment on a port that already carries one.
+            ("\"t1:right\"", "\"t0:right\"", "already carries a segment"),
             // Capacity zero.
             ("\"capacity\":10", "\"capacity\":0", "zero capacity"),
             // Segment length zero.
-            ("\"length\":4", "\"length\":0", "zero length"),
+            ("\"t2:left\",4]", "\"t2:left\",0]", "at least one unit"),
         ] {
             let bad = good.replacen(needle, replacement, 1);
             assert_ne!(bad, good, "tamper pattern `{needle}` did not apply");
@@ -676,38 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_disconnected_and_mismatched_ports() {
-        // Two traps, one segment, but the ports don't reference it.
-        let d = Device::from_parts(
-            "bad".into(),
-            vec![Trap::new(5), Trap::new(5)],
-            vec![],
-            vec![],
-        );
-        assert!(d.validate().unwrap_err().contains("disconnected"));
-
-        let mut t0 = Trap::new(5);
-        t0.set_port(Side::Right, SegmentId(0));
-        let d = Device::from_parts(
-            "bad".into(),
-            vec![t0, Trap::new(5)],
-            vec![Segment::new(
-                NodeRef::Trap(TrapId(0)),
-                NodeRef::Trap(TrapId(1)),
-                2,
-            )],
-            vec![],
-        );
-        // T1 end of segment 0 is not registered in T1's ports.
-        assert!(d.validate().unwrap_err().contains("no port"));
-    }
-
-    #[test]
     fn uniform_capacity_rescales_only_capacities() {
         let d = presets::g2x3(17).with_uniform_capacity(23);
         assert_eq!(d.max_trap_capacity(), 23);
         assert_eq!(d.total_capacity(), 6 * 23);
         assert_eq!(d.segment_count(), presets::g2x3(17).segment_count());
-        assert!(d.validate().is_ok());
     }
 }

@@ -1,6 +1,7 @@
 //! Building a custom QCCD topology with [`qccd_device::DeviceBuilder`]:
-//! a T-shaped three-trap device with one Y junction, plus a comparison
-//! against linear and grid presets of the same total capacity.
+//! a T-shaped three-trap device with one Y junction, checked against its
+//! JSON description in `examples/devices/`, plus a comparison against a
+//! linear preset of the same total capacity.
 //!
 //! ```text
 //! cargo run --release --example custom_device
@@ -10,6 +11,7 @@ use qccd::Toolflow;
 use qccd_circuit::generators;
 use qccd_device::{Device, DeviceBuilder, Side};
 use qccd_physics::PhysicalModel;
+use std::path::Path;
 
 fn t_device(capacity: u32) -> Result<Device, qccd_device::BuildError> {
     // Three traps around one Y junction:
@@ -32,14 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = t_device(16)?;
     println!("custom device: {device}");
 
-    // Devices are plain data: the same topology round-trips through
-    // JSON, so it can live in a file instead of Rust code (this exact
-    // device is checked in as examples/devices/t3_y_junction.json, and
-    // an experiment spec runs it through a `{"file": ...}` device entry).
-    let json = serde_json::to_string_pretty(&device)?;
-    let reloaded = Device::from_json(&json)?;
-    assert_eq!(reloaded, device);
-    println!("JSON round trip: ok ({} bytes)", json.len());
+    // Devices are plain data: this exact device is checked in as
+    // examples/devices/t3_y_junction.json, in the JSON shape
+    // `Device::from_json` loads, and an experiment spec can run it
+    // through a `{"file": ...}` device entry.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/devices/t3_y_junction.json");
+    let loaded = Device::from_json(&std::fs::read_to_string(&path)?)?;
+    assert_eq!(loaded, device);
+    println!("examples/devices/t3_y_junction.json loads to the same device");
     for a in device.trap_ids() {
         for b in device.trap_ids() {
             if a < b {

@@ -16,8 +16,8 @@
 //! UPDATE_GOLDENS=1 cargo test --test golden_snapshots
 //! ```
 //!
-//! then commit the diff under `tests/goldens/` (and
-//! `examples/devices/`) together with the change that caused it.
+//! then commit the diff under `tests/goldens/` together with the change
+//! that caused it.
 //!
 //! The snapshots also round-trip through `serde_json::from_str`, so the
 //! deserialization path is exercised against every committed artifact.
@@ -185,23 +185,16 @@ fn ablation_policy_matches_golden() {
     pin_committed_spec("ablation_policy");
 }
 
-/// The checked-in example device file is the serialization of the
-/// paper's L6 device at capacity 20; loading it must reproduce the
-/// preset exactly, and the toolflow must behave identically on both.
+/// The checked-in example device file describes the paper's L6 device
+/// at capacity 20: loading it must reproduce the preset exactly, and
+/// the toolflow must behave identically on both.
 #[test]
 fn example_device_file_loads_and_matches_the_preset() {
-    let rel = "examples/devices/l6_cap20.json";
+    let text = std::fs::read_to_string(repo_path("examples/devices/l6_cap20.json"))
+        .expect("example device file exists");
+    let loaded = Device::from_json(&text).expect("example device file loads");
     let preset = presets::l6(20);
-    check_golden(
-        rel,
-        &serde_json::to_string_pretty(&preset).expect("serializes"),
-    );
-
-    let text = std::fs::read_to_string(repo_path(rel)).expect("example device file exists");
-    let loaded: Device = serde_json::from_str(&text).expect("example device file parses");
     assert_eq!(loaded, preset);
-    let validated = Device::from_json(&text).expect("example device file validates");
-    assert_eq!(validated, preset);
 
     // Same end-to-end behavior: compile + simulate a benchmark on the
     // JSON-loaded device and on the preset-built equivalent.
@@ -213,6 +206,46 @@ fn example_device_file_loads_and_matches_the_preset() {
         .run(&circuit)
         .expect("fits");
     assert_eq!(from_file, from_preset);
+}
+
+/// Every example device file is hand-written in the compact
+/// `{name, traps, capacity, edges}` shape, the one JSON device input,
+/// and the L6 file in that shape loads to the preset.
+#[test]
+fn example_compact_device_file_matches_the_preset() {
+    let dir = repo_path("examples/devices");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("example device directory exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    assert!(
+        !files.is_empty(),
+        "no example device files in {}",
+        dir.display()
+    );
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("example device file reads");
+        let value: serde_json::Value = serde_json::from_str(&text).expect("example is JSON");
+        let serde_json::Value::Object(entries) = &value else {
+            panic!("{}: not a JSON object", path.display());
+        };
+        let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+        assert!(keys.contains(&"edges"), "{}: no `edges`", path.display());
+        for key in &keys {
+            assert!(
+                ["name", "traps", "capacity", "edges"].contains(key),
+                "{}: `{key}` is not a compact device field",
+                path.display()
+            );
+        }
+    }
+    let text = std::fs::read_to_string(dir.join("l6_cap20.json")).expect("L6 example exists");
+    assert_eq!(
+        Device::from_json(&text).expect("L6 example loads"),
+        presets::l6(20)
+    );
 }
 
 /// The committed experiment-spec files are the paper's study presets —
@@ -245,10 +278,10 @@ fn example_experiment_specs_match_the_presets() {
 }
 
 /// A topology the presets cannot express (three traps around a Y
-/// junction): pinned as a second example file and loadable end to end.
+/// junction): the second example file loads to the builder's device and
+/// runs end to end.
 #[test]
 fn example_t3_device_file_loads_and_runs() {
-    let rel = "examples/devices/t3_y_junction.json";
     let mut b = DeviceBuilder::new("T3");
     let t0 = b.add_trap(16);
     let t1 = b.add_trap(16);
@@ -258,13 +291,10 @@ fn example_t3_device_file_loads_and_runs() {
     b.connect((t1, Side::Right), j, 2).expect("fresh port");
     b.connect((t2, Side::Left), j, 2).expect("fresh port");
     let built = b.build().expect("valid topology");
-    check_golden(
-        rel,
-        &serde_json::to_string_pretty(&built).expect("serializes"),
-    );
 
-    let text = std::fs::read_to_string(repo_path(rel)).expect("example device file exists");
-    let loaded = Device::from_json(&text).expect("example device file validates");
+    let text = std::fs::read_to_string(repo_path("examples/devices/t3_y_junction.json"))
+        .expect("example device file exists");
+    let loaded = Device::from_json(&text).expect("example device file loads");
     assert_eq!(loaded, built);
     assert_eq!(loaded.junction_count(), 1);
 
@@ -272,16 +302,6 @@ fn example_t3_device_file_loads_and_runs() {
         .run(&generators::qaoa(24, 1, 3))
         .expect("fits on 48 slots");
     assert!(report.fidelity() > 0.0);
-}
-
-/// The hand-written compact device example loads to the same device as
-/// the full-shape example (and the preset both serialize).
-#[test]
-fn example_compact_device_file_matches_the_preset() {
-    let text = std::fs::read_to_string(repo_path("examples/devices/l6_cap20_compact.json"))
-        .expect("compact example exists");
-    let loaded = Device::from_json(&text).expect("compact example loads");
-    assert_eq!(loaded, presets::l6(20));
 }
 
 /// The figure goldens must themselves be loadable as `Figure`s from
