@@ -82,13 +82,6 @@ impl DependencyDag {
         &self.succs[i]
     }
 
-    /// Operations with no predecessors (ready at time zero).
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.preds[i].is_empty())
-            .collect()
-    }
-
     /// Logical depth: length of the longest dependency chain (in
     /// operations). Zero for an empty circuit.
     pub fn depth(&self) -> usize {
@@ -102,16 +95,6 @@ impl DependencyDag {
             max = max.max(l);
         }
         max
-    }
-
-    /// Per-operation level (1-based longest-path depth). Useful for
-    /// layer-oriented visualisation and tests.
-    pub fn levels(&self) -> Vec<usize> {
-        let mut level = vec![0usize; self.len()];
-        for i in 0..self.len() {
-            level[i] = self.preds[i].iter().map(|&p| level[p]).max().unwrap_or(0) + 1;
-        }
-        level
     }
 
     /// Creates a ready-set tracker for list scheduling.
@@ -131,7 +114,6 @@ impl DependencyDag {
             ready,
             ready_count,
             scan_from: 0,
-            completed: 0,
         }
     }
 }
@@ -156,7 +138,6 @@ pub struct ReadyTracker<'a> {
     ready_count: usize,
     /// Lower bound for the next minimum-bit scan.
     scan_from: usize,
-    completed: usize,
 }
 
 impl<'a> ReadyTracker<'a> {
@@ -191,7 +172,6 @@ impl<'a> ReadyTracker<'a> {
     /// ready set.
     pub fn complete(&mut self, i: usize) {
         debug_assert_eq!(self.remaining[i], 0, "completing a non-ready operation");
-        self.completed += 1;
         for &s in self.dag.successors(i) {
             self.remaining[s] -= 1;
             if self.remaining[s] == 0 {
@@ -203,16 +183,6 @@ impl<'a> ReadyTracker<'a> {
                 self.scan_from = self.scan_from.min(s);
             }
         }
-    }
-
-    /// Number of operations completed so far.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// `true` when every operation has been completed.
-    pub fn is_done(&self) -> bool {
-        self.completed == self.dag.len()
     }
 }
 
@@ -244,7 +214,6 @@ mod tests {
     fn depth_of_diamond_is_three() {
         let dag = DependencyDag::new(&diamond());
         assert_eq!(dag.depth(), 3);
-        assert_eq!(dag.levels(), vec![1, 1, 2, 3, 3]);
     }
 
     #[test]
@@ -271,7 +240,6 @@ mod tests {
             tracker.complete(i);
         }
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert!(tracker.is_done());
     }
 
     #[test]

@@ -135,14 +135,6 @@ impl TwoQubitGate {
         }
     }
 
-    /// Number of native MS gates this gate lowers to (paper §IV-C, §VII-A).
-    pub fn ms_gate_cost(&self) -> u32 {
-        match self {
-            TwoQubitGate::Cx | TwoQubitGate::Cz | TwoQubitGate::Ms => 1,
-            TwoQubitGate::Swap => 3,
-        }
-    }
-
     /// Whether the gate is symmetric under exchange of its operands.
     pub fn is_symmetric(&self) -> bool {
         matches!(
@@ -215,12 +207,6 @@ mod tests {
         assert_eq!(OneQubitGate::H.angle(), None);
         assert_eq!(OneQubitGate::Rx(0.25).angle(), Some(0.25));
         assert_eq!(OneQubitGate::Phase(-1.5).angle(), Some(-1.5));
-    }
-
-    #[test]
-    fn swap_costs_three_ms_gates() {
-        assert_eq!(TwoQubitGate::Swap.ms_gate_cost(), 3);
-        assert_eq!(TwoQubitGate::Cx.ms_gate_cost(), 1);
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl FromStr for Benchmark {
     }
 }
 
-/// Builds the full Table II suite at paper sizes.
-pub fn paper_suite() -> Vec<Circuit> {
-    Benchmark::ALL.iter().map(Benchmark::build).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,8 +160,7 @@ mod tests {
 
     #[test]
     fn paper_suite_qubit_counts_match_table_ii() {
-        let suite = paper_suite();
-        let widths: Vec<u32> = suite.iter().map(|c| c.num_qubits()).collect();
+        let widths: Vec<u32> = Benchmark::ALL.map(|b| b.build().num_qubits()).to_vec();
         assert_eq!(widths, vec![64, 64, 78, 64, 64, 64]);
     }
 

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the OpenQASM 2.0 subset.
 
 use super::lexer::{tokenize, Token, TokenKind};
-use crate::circuit::{Circuit, Operation, Qubit};
+use crate::circuit::{Circuit, CircuitError, Operation, Qubit};
 use crate::gate::{OneQubitGate, TwoQubitGate};
 use std::fmt;
 
@@ -42,6 +42,12 @@ impl fmt::Display for QasmError {
 }
 
 impl std::error::Error for QasmError {}
+
+/// Deepest nesting of parentheses and unary minus an angle expression
+/// may have. Each level is a recursive call, so a bound keeps a
+/// pathological file from overflowing the stack; real angles nest a few
+/// levels at most.
+const MAX_EXPRESSION_DEPTH: u32 = 256;
 
 /// One quantum register: flattened base offset and size.
 #[derive(Debug, Clone, Copy)]
@@ -99,6 +105,8 @@ struct Parser {
     qregs: RegisterTable,
     cregs: RegisterTable,
     num_qubits: u32,
+    /// Nesting depth of the angle expression being parsed.
+    depth: u32,
 }
 
 /// A parsed operand: a single qubit or a whole register (for broadcast).
@@ -141,6 +149,7 @@ pub fn parse(src: &str) -> Result<Circuit, QasmError> {
         qregs: RegisterTable::new(),
         cregs: RegisterTable::new(),
         num_qubits: 0,
+        depth: 0,
     };
     parser.program()
 }
@@ -276,11 +285,11 @@ impl Parser {
             }
         }
 
+        // Every operand was range-checked and every two-qubit gate's
+        // operands compared where they were parsed, so the circuit is
+        // valid by construction.
         let mut circuit = Circuit::new("qasm", self.num_qubits);
         circuit.extend(ops);
-        circuit
-            .validate()
-            .map_err(|e| QasmError::new(0, e.to_string()))?;
         Ok(circuit)
     }
 
@@ -302,20 +311,33 @@ impl Parser {
         };
         self.expect(&TokenKind::RBracket)?;
         self.expect(&TokenKind::Semicolon)?;
+        let too_wide = || {
+            let bits = if quantum { "qubits" } else { "classical bits" };
+            QasmError::new(
+                line,
+                format!(
+                    "register `{name}[{size}]` takes the program past {} {bits}",
+                    u32::MAX
+                ),
+            )
+        };
         if quantum {
             if self.qregs.contains_key(&name) {
                 return Err(QasmError::new(line, format!("duplicate qreg `{name}`")));
             }
             let base = self.num_qubits;
-            self.num_qubits += size;
+            self.num_qubits = base.checked_add(size).ok_or_else(too_wide)?;
             self.qregs.insert(name, Register { base, size });
         } else {
+            // Every stored creg passed this check, so `base + size` of
+            // each fits.
             let base = self
                 .cregs
                 .values()
                 .map(|r| r.base + r.size)
                 .max()
                 .unwrap_or(0);
+            base.checked_add(size).ok_or_else(too_wide)?;
             self.cregs.insert(name, Register { base, size });
         }
         Ok(())
@@ -523,6 +545,10 @@ impl Parser {
             for i in 0..broadcast {
                 let qa = a.nth(if a.len() == 1 { 0 } else { i });
                 let qb = b.nth(if b.len() == 1 { 0 } else { i });
+                if qa == qb {
+                    let e = CircuitError::DuplicateOperand { q: qa };
+                    return Err(QasmError::new(line, e.to_string()));
+                }
                 ops.push(Operation::TwoQubit { gate, a: qa, b: qb });
             }
             return Ok(());
@@ -567,6 +593,33 @@ impl Parser {
         }
     }
 
+    /// Runs `parse` one expression level deeper than the current one,
+    /// for the `-` or `(` token on `line`; refuses to go past
+    /// [`MAX_EXPRESSION_DEPTH`].
+    fn nested(
+        &mut self,
+        line: u32,
+        parse: impl FnOnce(&mut Self) -> Result<f64, QasmError>,
+    ) -> Result<f64, QasmError> {
+        if self.depth == MAX_EXPRESSION_DEPTH {
+            return Err(QasmError::new(
+                line,
+                format!("angle expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// The rest of a parenthesized expression, after its `(`.
+    fn parenthesized(&mut self) -> Result<f64, QasmError> {
+        let v = self.expression()?;
+        self.expect(&TokenKind::RParen)?;
+        Ok(v)
+    }
+
     fn factor(&mut self) -> Result<f64, QasmError> {
         match self.bump() {
             Some(Token {
@@ -588,16 +641,12 @@ impl Parser {
             }
             Some(Token {
                 kind: TokenKind::Minus,
-                ..
-            }) => Ok(-self.factor()?),
+                line,
+            }) => Ok(-self.nested(line, Self::factor)?),
             Some(Token {
                 kind: TokenKind::LParen,
-                ..
-            }) => {
-                let v = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(v)
-            }
+                line,
+            }) => self.nested(line, Self::parenthesized),
             Some(t) => Err(QasmError::new(
                 t.line,
                 format!("expected expression, found {}", t.kind),
@@ -743,6 +792,50 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(parse_body(src).unwrap_err(), first);
         }
+    }
+
+    #[test]
+    fn register_sizes_past_u32_are_rejected_with_their_line() {
+        let err = parse_body("qreg q[1];\nqreg r[4294967295];\nh q[0];").unwrap_err();
+        assert_eq!(err.line(), 4, "{err}");
+        assert!(err.message().contains("`r[4294967295]`"), "{err}");
+        let err = parse_body("qreg q[1];\ncreg c[2];\ncreg d[4294967295];").unwrap_err();
+        assert_eq!(err.line(), 5, "{err}");
+        assert!(err.message().contains("`d[4294967295]`"), "{err}");
+        // One register of the full width still fits.
+        assert!(parse_body("qreg q[4294967295]; creg c[4294967295];").is_ok());
+    }
+
+    #[test]
+    fn expression_nesting_is_bounded() {
+        let nested = |depth: usize, open: &str| {
+            let open = open.repeat(depth);
+            let close = ")".repeat(if open.starts_with('(') { depth } else { 0 });
+            parse_body(&format!("qreg q[1];\nrz({open}1{close}) q[0];"))
+        };
+        assert!(nested(MAX_EXPRESSION_DEPTH as usize, "(").is_ok());
+        assert!(nested(MAX_EXPRESSION_DEPTH as usize, "-").is_ok());
+        // Unbounded, 50,000 levels would overflow the main thread's stack.
+        for open in ["(", "-"] {
+            let err = nested(50_000, open).unwrap_err();
+            assert_eq!(err.line(), 4, "{err}");
+            assert_eq!(
+                err.message(),
+                format!("angle expression nests deeper than {MAX_EXPRESSION_DEPTH} levels")
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_operands_are_reported_at_their_statement() {
+        let err = parse_body("qreg q[2];\nh q[1];\ncx q[0],q[0];").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "qasm parse error at line 5: two-qubit operation uses qubit q0 twice"
+        );
+        // A broadcast that pairs a qubit with itself, too.
+        let err = parse_body("qreg q[2];\ncx q, q[1];").unwrap_err();
+        assert_eq!(err.line(), 4, "{err}");
     }
 
     #[test]

@@ -222,6 +222,27 @@ mod tests {
     }
 
     #[test]
+    fn capacity_is_checked_before_any_per_qubit_buffer() {
+        // A 2^20-qubit program would need a 4 TiB interaction matrix
+        // under usage-weighted placement; both policies must reject it
+        // before building anything per qubit.
+        let mut c = Circuit::new("wide", 1 << 20);
+        c.h(Qubit(0));
+        for mapping in MappingKind::ALL {
+            let config = CompilerConfig { mapping, ..cfg() };
+            let err = compile(&c, &presets::l6(20), &config).unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::InsufficientCapacity {
+                    needed: 1 << 20,
+                    capacity: 120
+                },
+                "{mapping:?}"
+            );
+        }
+    }
+
+    #[test]
     fn compilation_is_deterministic() {
         let c = generators::random_circuit(24, 300, 0.4, 5);
         let d = presets::g2x3(10);

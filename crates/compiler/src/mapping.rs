@@ -61,8 +61,31 @@ pub fn initial_map(
     device: &Device,
     buffer_slots: u32,
 ) -> Result<Placement, CompileError> {
+    check_capacity(circuit, device)?;
     let order = circuit.qubits_by_first_use();
-    fill_traps(circuit, device, buffer_slots, |i, _| IonId(order[i].0))
+    Ok(fill_traps(circuit, device, buffer_slots, |i, _| {
+        IonId(order[i].0)
+    }))
+}
+
+/// Checks that `device` can hold `circuit`'s qubits at all. Every
+/// placement policy calls this before it builds a per-qubit buffer, so
+/// a program far wider than the device fails here instead of in an
+/// allocation.
+///
+/// # Errors
+///
+/// Returns [`CompileError::InsufficientCapacity`] if the program has
+/// more qubits than the device has slots.
+pub(crate) fn check_capacity(circuit: &Circuit, device: &Device) -> Result<(), CompileError> {
+    let needed = circuit.num_qubits();
+    if needed > device.total_capacity() {
+        return Err(CompileError::InsufficientCapacity {
+            needed,
+            capacity: device.total_capacity(),
+        });
+    }
+    Ok(())
 }
 
 /// Fills `device`'s traps in trap-id order up to `buffer_slots` below
@@ -71,25 +94,15 @@ pub fn initial_map(
 /// placement to a trap currently holding `chain`; it is called once per
 /// program qubit. The placement policies differ only in `next`.
 ///
-/// # Errors
-///
-/// Returns [`CompileError::InsufficientCapacity`] if the device cannot
-/// hold the program even with the buffer fully relaxed.
+/// The caller has passed [`check_capacity`], so every qubit finds a
+/// slot once the buffer is fully relaxed.
 pub(crate) fn fill_traps(
     circuit: &Circuit,
     device: &Device,
     buffer_slots: u32,
     mut next: impl FnMut(usize, &[IonId]) -> IonId,
-) -> Result<Placement, CompileError> {
-    let needed = circuit.num_qubits();
-    if needed > device.total_capacity() {
-        return Err(CompileError::InsufficientCapacity {
-            needed,
-            capacity: device.total_capacity(),
-        });
-    }
-
-    let needed = needed as usize;
+) -> Placement {
+    let needed = circuit.num_qubits() as usize;
     let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); device.trap_count()];
     let mut placed = 0usize;
     let mut buffer = buffer_slots;
@@ -108,12 +121,12 @@ pub(crate) fn fill_traps(
         }
         if buffer == 0 {
             // All traps at physical capacity yet qubits remain: impossible
-            // because of the total-capacity check above.
+            // once the caller's capacity check passed.
             unreachable!("capacity check guarantees placement terminates");
         }
         buffer -= 1;
     }
-    Ok(Placement { chains })
+    Placement { chains }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::config::MappingKind;
 use crate::error::CompileError;
-use crate::mapping::{fill_traps, initial_map, Placement};
+use crate::mapping::{check_capacity, fill_traps, initial_map, Placement};
 use qccd_circuit::{Circuit, Operation};
 use qccd_device::{Device, IonId};
 
@@ -47,6 +47,7 @@ fn usage_weighted(
     device: &Device,
     buffer_slots: u32,
 ) -> Result<Placement, CompileError> {
+    check_capacity(circuit, device)?;
     let n = circuit.num_qubits() as usize;
 
     // Pairwise interaction weights: how many two-qubit gates touch
@@ -67,7 +68,7 @@ fn usage_weighted(
     }
 
     let mut placed = vec![false; n];
-    fill_traps(circuit, device, buffer_slots, |_, chain| {
+    Ok(fill_traps(circuit, device, buffer_slots, |_, chain| {
         let next = if chain.is_empty() {
             // Seed: earliest unplaced qubit in first-use order.
             order
@@ -93,7 +94,7 @@ fn usage_weighted(
         };
         placed[next] = true;
         IonId(next as u32)
-    })
+    }))
 }
 
 #[cfg(test)]

@@ -22,14 +22,6 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// The wrapped figure, if this artifact is one.
-    pub fn as_figure(&self) -> Option<&Figure> {
-        match self {
-            Artifact::Figure(f) => Some(f),
-            Artifact::Table(_) => None,
-        }
-    }
-
     /// The wrapped table, if this artifact is one.
     pub fn as_table(&self) -> Option<&Table> {
         match self {
@@ -212,7 +204,6 @@ mod tests {
     #[test]
     fn accessors_discriminate() {
         let fig = Artifact::Figure(sample_figure());
-        assert!(fig.as_figure().is_some());
         assert!(fig.as_table().is_none());
         let table = Artifact::Table(Table {
             id: "I".into(),

@@ -720,7 +720,8 @@ impl ExperimentSpec {
     pub fn from_file(path: impl AsRef<Path>) -> Result<ExperimentSpec, SpecError> {
         let path = path.as_ref();
         let text = read_file(&path.display().to_string())?;
-        Self::from_json(&text).map_err(|e| SpecError::Parse(format!("{}: {e}", path.display())))
+        serde_json::from_str(&text)
+            .map_err(|e| SpecError::Parse(format!("{}: {e}", path.display())))
     }
 
     /// Resolves every axis and enumerates the deduplicated job grid.
@@ -981,6 +982,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("nope"), "{err}");
+
+        // A file's parse error names the file once, after the prefix.
+        let path = std::env::temp_dir().join(format!("qccd-spec-deep-{}.json", std::process::id()));
+        std::fs::write(&path, "[".repeat(200)).unwrap();
+        let err = ExperimentSpec::from_file(&path).unwrap_err().to_string();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            err,
+            format!(
+                "experiment spec parse error: {}: recursion limit exceeded at line 1 column 130",
+                path.display()
+            )
+        );
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl GateImpl {
         }
     }
 
-    /// Whether gate duration depends on the separation of the two ions.
-    pub fn is_distance_dependent(&self) -> bool {
-        !matches!(self, GateImpl::Fm)
-    }
-
     /// Canonical upper-case name as used in the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -160,8 +155,6 @@ mod tests {
             GateImpl::Fm.two_qubit_time(24, 25)
         );
         assert!(GateImpl::Am1.two_qubit_time(2, 25) > GateImpl::Am1.two_qubit_time(1, 25));
-        assert!(!GateImpl::Fm.is_distance_dependent());
-        assert!(GateImpl::Pm.is_distance_dependent());
     }
 
     #[test]

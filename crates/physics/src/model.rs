@@ -21,8 +21,6 @@ use serde::{Deserialize, Serialize};
 /// let model = PhysicalModel::with_gate(GateImpl::Am2);
 /// // Adjacent ions in a 20-ion chain: AM2 is fast at short range.
 /// assert_eq!(model.two_qubit_time(1, 20), 48.0);
-/// // A SWAP costs three MS gates.
-/// assert_eq!(model.swap_time(1, 20), 3.0 * 48.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PhysicalModel {
@@ -132,12 +130,6 @@ impl PhysicalModel {
         self.gate_impl.two_qubit_time(distance, chain_len)
     }
 
-    /// Duration (µs) of a gate-based SWAP: 3 MS gates at the pair's
-    /// separation (§IV-C, Fig. 5).
-    pub fn swap_time(&self, distance: u32, chain_len: u32) -> f64 {
-        3.0 * self.two_qubit_time(distance, chain_len)
-    }
-
     /// Error probability of a native MS gate (eq. 1).
     pub fn two_qubit_error(&self, distance: u32, chain_len: u32, nbar: f64) -> f64 {
         self.fidelity
@@ -182,12 +174,6 @@ mod tests {
         let m = PhysicalModel::with_gate(GateImpl::Pm);
         assert_eq!(m.gate_impl, GateImpl::Pm);
         assert_eq!(m.shuttle, ShuttleTimes::TABLE_I);
-    }
-
-    #[test]
-    fn swap_is_three_ms_gates() {
-        let m = PhysicalModel::with_gate(GateImpl::Am1);
-        assert_eq!(m.swap_time(4, 10), 3.0 * m.two_qubit_time(4, 10));
     }
 
     #[test]

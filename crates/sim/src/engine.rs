@@ -12,13 +12,17 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 ///
 /// # Errors
 ///
-/// Returns a [`SimError`] when one of these checks fails:
+/// Returns a [`SimError`] when one of these checks fails. The chain
+/// table is checked before the first instruction; every other check runs
+/// as its instruction is stepped, so the first failing instruction in
+/// stream order decides the error, whatever later instructions hold.
+/// Within one instruction the checks apply in this order:
 ///
 /// * the initial chain table has one chain per device trap, and names
 ///   each ion at most once and only ions below `num_ions`;
-/// * every instruction names only known ions, two-ion instructions name
-///   two distinct ions, and every split, merge and move leg names only
-///   known traps, segments and junctions;
+/// * the instruction names only known ions, a two-ion instruction names
+///   two distinct ions, and a split, merge or move leg names only known
+///   traps, segments and junctions;
 /// * gates, ion swaps and measurements act on trapped ions, two-ion
 ///   operations on ions of one trap, ion swaps on chain neighbours;
 /// * a split removes the end ion of the named trap on the named side,
@@ -33,9 +37,10 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 ///
 /// # Cost
 ///
-/// The step loop does per-instruction work only. Everything that depends
-/// on just the model and a chain length is tabulated once per run, for
-/// every length up to the ion count: split/merge heating
+/// One scan over the instruction stream, with per-instruction work only:
+/// the checks above, then the timing. Everything that depends on just
+/// the model and a chain length is tabulated once per run, for every
+/// length up to the ion count: split/merge heating
 /// [`HeatingModel::k1_for`](qccd_physics::HeatingModel::k1_for), the beam
 /// instability [`FidelityModel::beam_instability`](qccd_physics::FidelityModel::beam_instability),
 /// and the log-fidelity terms of one-qubit gates and measurements. The
@@ -51,64 +56,11 @@ pub fn simulate(
     device: &Device,
     model: &PhysicalModel,
 ) -> Result<SimReport, SimError> {
-    validate(exe, device)?;
-    let mut engine = Engine::new(exe, device, model);
+    let mut engine = Engine::new(exe, device, model)?;
     for inst in exe.instructions() {
         engine.step(inst)?;
     }
     Ok(engine.finish(exe))
-}
-
-/// Structural validation of the executable against the device, run once
-/// before the first instruction is timed.
-fn validate(exe: &Executable, device: &Device) -> Result<(), SimError> {
-    if exe.initial_chains().len() != device.trap_count() {
-        return Err(SimError::ChainTableMismatch {
-            chains: exe.initial_chains().len(),
-            traps: device.trap_count(),
-        });
-    }
-    let n = exe.num_ions();
-    let mut seen = vec![false; n as usize];
-    for chain in exe.initial_chains() {
-        for &ion in chain {
-            if ion.0 >= n || seen[ion.index()] {
-                return Err(SimError::UnknownIon(ion));
-            }
-            seen[ion.index()] = true;
-        }
-    }
-    for inst in exe.instructions() {
-        for ion in inst.ions() {
-            if ion.0 >= n {
-                return Err(SimError::UnknownIon(ion));
-            }
-        }
-        match inst {
-            Inst::Ms { a, b } | Inst::SwapGate { a, b } | Inst::IonSwap { a, b } if a == b => {
-                return Err(SimError::SameIon(*a));
-            }
-            Inst::Split { trap, .. } | Inst::Merge { trap, .. }
-                if trap.index() >= device.trap_count() =>
-            {
-                return Err(SimError::UnknownTrap(*trap));
-            }
-            Inst::Move { leg, .. } => {
-                for s in &leg.segments {
-                    if s.index() >= device.segment_count() {
-                        return Err(SimError::UnknownSegment(*s));
-                    }
-                }
-                for j in &leg.junctions {
-                    if j.index() >= device.junction_count() {
-                        return Err(SimError::UnknownJunction(*j));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 struct Engine<'a> {
@@ -120,7 +72,8 @@ struct Engine<'a> {
     seg_ready: Vec<f64>,
     junc_ready: Vec<f64>,
     trap_energy: Vec<f64>,
-    trap_peak: Vec<f64>,
+    /// Peak per-mode occupation n̄ over every chain so far.
+    peak_nbar: f64,
     flight_energy: Vec<f64>,
     /// `k1_for(n)` per chain length `n`.
     k1_by_len: Vec<f64>,
@@ -138,29 +91,48 @@ struct Engine<'a> {
     ms_motional_sum: f64,
     gate_spans: SpanSet,
     comm_spans: SpanSet,
-    gate_busy: f64,
-    shuttle_busy: f64,
     shuttle_wait: f64,
     makespan: f64,
 }
 
 impl<'a> Engine<'a> {
-    /// An engine holding `exe`'s initial placement at time zero.
-    fn new(exe: &Executable, device: &'a Device, model: &'a PhysicalModel) -> Self {
-        let placement = Placement::from_chains(exe.initial_chains().to_vec());
+    /// An engine holding `exe`'s initial placement at time zero, once
+    /// its chain table fits `device`: one chain per trap, naming only
+    /// known ions, each at most once.
+    fn new(
+        exe: &Executable,
+        device: &'a Device,
+        model: &'a PhysicalModel,
+    ) -> Result<Self, SimError> {
+        let chains = exe.initial_chains();
+        if chains.len() != device.trap_count() {
+            return Err(SimError::ChainTableMismatch {
+                chains: chains.len(),
+                traps: device.trap_count(),
+            });
+        }
+        let n = exe.num_ions();
+        let mut seen = vec![false; n as usize];
+        for &ion in chains.iter().flatten() {
+            if ion.0 >= n || seen[ion.index()] {
+                return Err(SimError::UnknownIon(ion));
+            }
+            seen[ion.index()] = true;
+        }
+        let placement = Placement::from_chains(chains.to_vec());
         // Chains hold distinct ions, so none is longer than the ion count.
-        let lengths = 0..=exe.num_ions();
-        Engine {
+        let lengths = 0..=n;
+        Ok(Engine {
             device,
             model,
             st: MachineState::new(&placement),
-            ion_ready: vec![0.0; exe.num_ions() as usize],
+            ion_ready: vec![0.0; n as usize],
             trap_ready: vec![0.0; device.trap_count()],
             seg_ready: vec![0.0; device.segment_count()],
             junc_ready: vec![0.0; device.junction_count()],
             trap_energy: vec![0.0; device.trap_count()],
-            trap_peak: vec![0.0; device.trap_count()],
-            flight_energy: vec![0.0; exe.num_ions() as usize],
+            peak_nbar: 0.0,
+            flight_energy: vec![0.0; n as usize],
             k1_by_len: lengths.clone().map(|n| model.heating.k1_for(n)).collect(),
             beam_by_len: lengths
                 .map(|n| {
@@ -181,11 +153,9 @@ impl<'a> Engine<'a> {
             ms_motional_sum: 0.0,
             gate_spans: SpanSet::new(),
             comm_spans: SpanSet::new(),
-            gate_busy: 0.0,
-            shuttle_busy: 0.0,
             shuttle_wait: 0.0,
             makespan: 0.0,
-        }
+        })
     }
 
     /// The report for `exe` once every instruction has been stepped.
@@ -196,9 +166,7 @@ impl<'a> Engine<'a> {
             total_time_us: self.makespan,
             log_fidelity: self.log_fidelity,
             counts: self.counts,
-            peak_motional_energy: self.trap_peak.iter().copied().fold(0.0, f64::max),
-            trap_peak_energy: self.trap_peak,
-            trap_final_energy: self.trap_energy,
+            peak_motional_energy: self.peak_nbar,
             ms_executions: self.ms_executions,
             ms_background_error_sum: self.ms_background_sum,
             ms_motional_error_sum: self.ms_motional_sum,
@@ -206,8 +174,6 @@ impl<'a> Engine<'a> {
             time: TimeBreakdown {
                 compute_us,
                 communication_us,
-                gate_busy_us: self.gate_busy,
-                shuttle_busy_us: self.shuttle_busy,
                 shuttle_wait_us: self.shuttle_wait,
             },
         }
@@ -216,8 +182,8 @@ impl<'a> Engine<'a> {
     fn bump_trap_energy(&mut self, trap: TrapId, energy: f64) {
         self.trap_energy[trap.index()] = energy;
         let nbar = energy / self.st.chain_len(trap).max(1) as f64;
-        if nbar > self.trap_peak[trap.index()] {
-            self.trap_peak[trap.index()] = nbar;
+        if nbar > self.peak_nbar {
+            self.peak_nbar = nbar;
         }
     }
 
@@ -251,7 +217,43 @@ impl<'a> Engine<'a> {
         (tau, breakdown.total())
     }
 
+    /// The id checks of one instruction, run before anything indexes by
+    /// its ids: known ions, two distinct ions for a two-ion instruction,
+    /// and known traps, segments and junctions.
+    fn check_ids(&self, inst: &Inst) -> Result<(), SimError> {
+        for ion in inst.ions() {
+            if ion.index() >= self.ion_ready.len() {
+                return Err(SimError::UnknownIon(ion));
+            }
+        }
+        match inst {
+            Inst::Ms { a, b } | Inst::SwapGate { a, b } | Inst::IonSwap { a, b } if a == b => {
+                return Err(SimError::SameIon(*a));
+            }
+            Inst::Split { trap, .. } | Inst::Merge { trap, .. }
+                if trap.index() >= self.device.trap_count() =>
+            {
+                return Err(SimError::UnknownTrap(*trap));
+            }
+            Inst::Move { leg, .. } => {
+                for s in &leg.segments {
+                    if s.index() >= self.device.segment_count() {
+                        return Err(SimError::UnknownSegment(*s));
+                    }
+                }
+                for j in &leg.junctions {
+                    if j.index() >= self.device.junction_count() {
+                        return Err(SimError::UnknownJunction(*j));
+                    }
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
     fn step(&mut self, inst: &Inst) -> Result<(), SimError> {
+        self.check_ids(inst)?;
         match inst {
             Inst::OneQubit { ion, .. } => {
                 let trap = self.located_trap(*ion)?;
@@ -263,7 +265,6 @@ impl<'a> Engine<'a> {
                 self.errors.one_qubit += self.model.fidelity.one_qubit_error;
                 self.counts.one_qubit_gates += 1;
                 self.gate_spans.add_merged(trap.index(), start, end);
-                self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::Ms { a, b } => {
@@ -282,7 +283,6 @@ impl<'a> Engine<'a> {
                 self.ion_ready[b.index()] = end;
                 self.trap_ready[trap.index()] = end;
                 self.gate_spans.add_merged(trap.index(), start, end);
-                self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::SwapGate { a, b } => {
@@ -314,7 +314,6 @@ impl<'a> Engine<'a> {
                 self.trap_ready[trap.index()] = end;
                 self.st.swap_states(*a, *b);
                 self.gate_spans.add_merged(trap.index(), start, end);
-                self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::IonSwap { a, b } => {
@@ -354,7 +353,6 @@ impl<'a> Engine<'a> {
                 self.st.swap_positions(*a, *b);
                 self.counts.ion_swaps += 1;
                 self.comm_spans.add(trap.index(), start, end);
-                self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::Split { ion, trap, side } => {
@@ -382,7 +380,6 @@ impl<'a> Engine<'a> {
                 self.trap_ready[trap.index()] = end;
                 self.counts.splits += 1;
                 self.comm_spans.add(trap.index(), start, end);
-                self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::Move { ion, leg } => {
@@ -404,7 +401,6 @@ impl<'a> Engine<'a> {
                 self.counts.moves += 1;
                 self.counts.junction_crossings += leg.junctions.len();
                 self.comm_spans.add(self.move_lane(leg), start, end);
-                self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::Merge { ion, trap, side } => {
@@ -426,7 +422,6 @@ impl<'a> Engine<'a> {
                 self.trap_ready[trap.index()] = end;
                 self.counts.merges += 1;
                 self.comm_spans.add(trap.index(), start, end);
-                self.shuttle_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
             Inst::Measure { ion } => {
@@ -439,7 +434,6 @@ impl<'a> Engine<'a> {
                 self.errors.measure += self.model.fidelity.measure_error;
                 self.counts.measurements += 1;
                 self.gate_spans.add_merged(trap.index(), start, end);
-                self.gate_busy += end - start;
                 self.makespan = self.makespan.max(end);
             }
         }
@@ -583,7 +577,7 @@ mod tests {
         );
         assert!(r.peak_motional_energy > 0.0);
         assert!(r.counts.splits > 0);
-        assert!(r.time.shuttle_busy_us > 0.0);
+        assert!(r.time.communication_us > 0.0);
     }
 
     #[test]
@@ -629,7 +623,7 @@ mod tests {
         assert!(r.time.shuttle_wait_us >= 0.0);
         // With 96 two-qubit gates on 4+ traps there is essentially always
         // contention; allow zero but record the metric exists.
-        assert!(r.time.shuttle_busy_us > 0.0);
+        assert!(r.counts.moves > 0);
     }
 
     #[test]
@@ -993,6 +987,157 @@ mod tests {
     }
 
     #[test]
+    fn first_failing_instruction_in_stream_order_decides_the_error() {
+        // Instruction 1 gates the in-flight ion 0; instruction 2 moves it
+        // across a segment L6 does not have. The scan stops at the gate.
+        let mut leg = presets::l6(10).route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        leg.segments.push(SegmentId(99));
+        let split = Inst::Split {
+            ion: IonId(0),
+            trap: TrapId(0),
+            side: Side::Right,
+        };
+        let gate = Inst::OneQubit {
+            gate: qccd_circuit::OneQubitGate::H,
+            ion: IonId(0),
+        };
+        let bad_move = Inst::Move { ion: IonId(0), leg };
+        let exe = exe_on(
+            1,
+            chains_in_trap0(1),
+            vec![split.clone(), gate, bad_move.clone()],
+        );
+        assert_rejects(&exe, SimError::IonInFlight(IonId(0)));
+        // Without the gate, the move's segment decides.
+        let exe = exe_on(1, chains_in_trap0(1), vec![split, bad_move]);
+        assert_rejects(&exe, SimError::UnknownSegment(SegmentId(99)));
+    }
+
+    /// Compiles a seeded random circuit on L6 or G2x3, corrupts one
+    /// instruction at a random index, and returns the executable, the
+    /// device and the error the corruption must raise. The uncorrupted
+    /// prefix is legal, so the corrupted instruction is the first to
+    /// fail.
+    fn corrupted_case(rng: &mut impl rand::Rng) -> (Executable, Device, SimError) {
+        let device = if rng.gen() {
+            presets::g2x3(8)
+        } else {
+            presets::l6(8)
+        };
+        let circuit = generators::random_circuit(
+            rng.gen_range(2..24),
+            rng.gen_range(1..150),
+            rng.gen_range(0.0..0.8),
+            rng.gen_range(0..1000),
+        );
+        let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
+        let mut insts = exe.instructions().to_vec();
+        let n = exe.num_ions();
+        // Draw a corruption kind until the stream has an instruction it
+        // applies to.
+        loop {
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    let i = rng.gen_range(0..insts.len());
+                    let bad = IonId(n + rng.gen_range(0..4u32));
+                    match &mut insts[i] {
+                        Inst::OneQubit { ion, .. }
+                        | Inst::Split { ion, .. }
+                        | Inst::Move { ion, .. }
+                        | Inst::Merge { ion, .. }
+                        | Inst::Measure { ion } => *ion = bad,
+                        Inst::Ms { b, .. } | Inst::SwapGate { b, .. } | Inst::IonSwap { b, .. } => {
+                            *b = bad
+                        }
+                    }
+                    return (exe_with(&exe, insts), device, SimError::UnknownIon(bad));
+                }
+                1 => {
+                    let split_or_merge =
+                        |inst: &Inst| matches!(inst, Inst::Split { .. } | Inst::Merge { .. });
+                    let Some(i) = pick(&insts, rng, split_or_merge) else {
+                        continue;
+                    };
+                    let bad = TrapId(device.trap_count() as u32 + rng.gen_range(0..4u32));
+                    if let Inst::Split { trap, .. } | Inst::Merge { trap, .. } = &mut insts[i] {
+                        *trap = bad;
+                    }
+                    return (exe_with(&exe, insts), device, SimError::UnknownTrap(bad));
+                }
+                2 => {
+                    let Some(i) = pick(&insts, rng, |inst| matches!(inst, Inst::Move { .. }))
+                    else {
+                        continue;
+                    };
+                    let Inst::Move { leg, .. } = &mut insts[i] else {
+                        unreachable!("picked a move");
+                    };
+                    let want = if rng.gen() {
+                        let bad = SegmentId(device.segment_count() as u32 + rng.gen_range(0..4u32));
+                        let at = rng.gen_range(0..=leg.segments.len());
+                        leg.segments.insert(at, bad);
+                        SimError::UnknownSegment(bad)
+                    } else {
+                        let bad =
+                            JunctionId(device.junction_count() as u32 + rng.gen_range(0..4u32));
+                        let at = rng.gen_range(0..=leg.junctions.len());
+                        leg.junctions.insert(at, bad);
+                        SimError::UnknownJunction(bad)
+                    };
+                    return (exe_with(&exe, insts), device, want);
+                }
+                _ => {
+                    let two_ion = |inst: &Inst| inst.ions().nth(1).is_some();
+                    let Some(i) = pick(&insts, rng, two_ion) else {
+                        continue;
+                    };
+                    let (Inst::Ms { a, b } | Inst::SwapGate { a, b } | Inst::IonSwap { a, b }) =
+                        &mut insts[i]
+                    else {
+                        unreachable!("picked a two-ion instruction");
+                    };
+                    *b = *a;
+                    let want = SimError::SameIon(*a);
+                    return (exe_with(&exe, insts), device, want);
+                }
+            }
+        }
+    }
+
+    /// The index of a random instruction that `applies` to, if any.
+    fn pick(insts: &[Inst], rng: &mut impl rand::Rng, applies: fn(&Inst) -> bool) -> Option<usize> {
+        let hits: Vec<usize> = (0..insts.len()).filter(|&i| applies(&insts[i])).collect();
+        (!hits.is_empty()).then(|| hits[rng.gen_range(0..hits.len())])
+    }
+
+    /// `exe` with its instruction stream replaced by `insts`.
+    fn exe_with(exe: &Executable, insts: Vec<Inst>) -> Executable {
+        Executable::new(
+            exe.name().to_owned(),
+            exe.num_ions(),
+            exe.initial_chains().to_vec(),
+            insts,
+            exe.final_qubit_of_ion().to_vec(),
+        )
+    }
+
+    /// No id escapes the checks at the top of the step loop: one
+    /// corrupted instruction in a compiled stream raises its own
+    /// [`SimError`], never a panic or another error.
+    #[test]
+    fn one_corrupted_instruction_raises_its_error() {
+        for case in 0..96 {
+            let rng =
+                &mut proptest::rng_for_case("one_corrupted_instruction_raises_its_error", case);
+            let (exe, device, want) = corrupted_case(rng);
+            let got =
+                std::panic::catch_unwind(|| simulate(&exe, &device, &PhysicalModel::default()))
+                    .unwrap_or_else(|_| panic!("case {case} panicked; want {want}"));
+            assert_eq!(got, Err(want), "case {case}");
+        }
+    }
+
+    #[test]
     fn empty_executable_yields_zero_report() {
         let exe = exe_on(1, chains_in_trap0(1), vec![]);
         let r = simulate(&exe, &presets::l6(10), &PhysicalModel::default()).expect("runs");
@@ -1011,7 +1156,7 @@ mod tests {
     /// leg.
     fn assert_no_double_booking(exe: &Executable, device: &Device) {
         let model = PhysicalModel::default();
-        let mut engine = Engine::new(exe, device, &model);
+        let mut engine = Engine::new(exe, device, &model).expect("chain table fits");
         for (i, inst) in exe.instructions().iter().enumerate() {
             let Inst::Move { ion, leg } = inst else {
                 engine.step(inst).expect("simulates");
@@ -1089,7 +1234,7 @@ mod tests {
     /// step, not off the span sets, so a span set that merges wrongly is
     /// never checked against its own record.
     fn assert_matches_references(exe: &Executable, device: &Device, model: &PhysicalModel) {
-        let mut engine = Engine::new(exe, device, model);
+        let mut engine = Engine::new(exe, device, model).expect("chain table fits");
         let (mut gates, mut comm) = (Vec::new(), Vec::new());
         for inst in exe.instructions() {
             let first = inst.ions().next().expect("every instruction names an ion");

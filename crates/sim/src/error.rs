@@ -8,9 +8,8 @@ use std::fmt;
 /// These guard against mismatched device/executable pairs, hand-written
 /// executables, and compiler bugs. `qccd-compiler` aims never to emit a
 /// stream that triggers them for the device it compiled against. The
-/// simulator re-checks ids, ion locations and chain order (the list is on
-/// [`crate::simulate`]); it does not yet check trap capacity or shuttle
-/// path continuity.
+/// checks that raise them, and the stream-order precedence among them,
+/// are listed once, on [`crate::simulate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The initial chain table does not have one chain per device trap.

@@ -7,8 +7,10 @@
 //! ## Timing
 //!
 //! The executable is a dependency-respecting total order, so timing is
-//! computed by *resource-timeline list scheduling*: every instruction
-//! starts as soon as its ion(s) and required resources are free.
+//! computed by *resource-timeline list scheduling* in one scan of the
+//! instruction stream: every instruction is checked against the device
+//! (see [`simulate`]), then starts as soon as its ion(s) and required
+//! resources are free.
 //! Resources encode the paper's parallelism constraints (§V-B):
 //!
 //! * each **trap** executes at most one gate / split / merge at a time

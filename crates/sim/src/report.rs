@@ -47,11 +47,6 @@ pub struct TimeBreakdown {
     /// Time during which at least one shuttling operation was active and
     /// no gate was executing.
     pub communication_us: f64,
-    /// Total busy time of gates summed over traps (can exceed the
-    /// makespan when traps work in parallel).
-    pub gate_busy_us: f64,
-    /// Total busy time of shuttling operations.
-    pub shuttle_busy_us: f64,
     /// Total time shuttles spent queueing for segments or junctions (the
     /// paper's congestion "wait operations").
     pub shuttle_wait_us: f64,
@@ -73,11 +68,6 @@ pub struct SimReport {
     /// instant (quanta) — the Fig. 6f metric. A chain of N ions spreads
     /// its accumulated energy over its N motional modes, so n̄ = E/N.
     pub peak_motional_energy: f64,
-    /// Peak per-mode motional occupation per trap.
-    pub trap_peak_energy: Vec<f64>,
-    /// Final accumulated motional energy per trap (total quanta, not per
-    /// mode).
-    pub trap_final_energy: Vec<f64>,
     /// Number of MS gate executions including reorder swaps (each swap
     /// contributes 3).
     pub ms_executions: usize,
@@ -166,8 +156,6 @@ mod tests {
             log_fidelity: -0.5,
             counts: OpCounts::default(),
             peak_motional_energy: 3.5,
-            trap_peak_energy: vec![3.5, 1.0],
-            trap_final_energy: vec![3.0, 1.0],
             ms_executions: 10,
             ms_background_error_sum: 0.001,
             ms_motional_error_sum: 0.01,
