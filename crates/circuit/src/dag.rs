@@ -141,11 +141,6 @@ pub struct ReadyTracker<'a> {
 }
 
 impl<'a> ReadyTracker<'a> {
-    /// Operations currently ready, in ascending program order.
-    pub fn ready(&self) -> Vec<usize> {
-        self.ready.ones().collect()
-    }
-
     /// Pops the earliest (smallest-index) ready operation, if any.
     pub fn pop_earliest(&mut self) -> Option<usize> {
         if self.ready_count == 0 {
@@ -250,7 +245,6 @@ mod tests {
         c.h(Qubit(1)); // 2
         let dag = DependencyDag::new(&c);
         let mut tracker = dag.ready_tracker();
-        assert_eq!(tracker.ready(), vec![0, 1, 2]);
         assert_eq!(tracker.pop_earliest(), Some(0));
         tracker.complete(0);
         assert_eq!(tracker.pop_earliest(), Some(1));

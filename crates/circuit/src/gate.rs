@@ -134,14 +134,6 @@ impl TwoQubitGate {
             TwoQubitGate::Swap => "swap",
         }
     }
-
-    /// Whether the gate is symmetric under exchange of its operands.
-    pub fn is_symmetric(&self) -> bool {
-        matches!(
-            self,
-            TwoQubitGate::Cz | TwoQubitGate::Ms | TwoQubitGate::Swap
-        )
-    }
 }
 
 impl fmt::Display for TwoQubitGate {
@@ -215,13 +207,6 @@ mod tests {
         assert!(OneQubitGate::T.is_diagonal());
         assert!(!OneQubitGate::H.is_diagonal());
         assert!(!OneQubitGate::SqrtW.is_diagonal());
-    }
-
-    #[test]
-    fn symmetry_classification() {
-        assert!(TwoQubitGate::Ms.is_symmetric());
-        assert!(TwoQubitGate::Swap.is_symmetric());
-        assert!(!TwoQubitGate::Cx.is_symmetric());
     }
 
     #[test]

@@ -49,6 +49,13 @@ impl std::error::Error for QasmError {}
 /// levels at most.
 const MAX_EXPRESSION_DEPTH: u32 = 256;
 
+/// Most entries one program may expand to: its operations plus the
+/// qubits its barriers list. A register broadcast makes one operation
+/// per qubit, so without a bound `qreg q[4294967295]; h q;` would grow
+/// the operation list toward 4·10⁹ entries and abort on allocation;
+/// the paper's largest benchmark is tens of thousands of operations.
+const MAX_OPERATIONS: usize = 1 << 22;
+
 /// One quantum register: flattened base offset and size.
 #[derive(Debug, Clone, Copy)]
 struct Register {
@@ -107,6 +114,8 @@ struct Parser {
     num_qubits: u32,
     /// Nesting depth of the angle expression being parsed.
     depth: u32,
+    /// Entries expanded so far, bounded by [`MAX_OPERATIONS`].
+    expanded: usize,
 }
 
 /// A parsed operand: a single qubit or a whole register (for broadcast).
@@ -150,6 +159,7 @@ pub fn parse(src: &str) -> Result<Circuit, QasmError> {
         cregs: RegisterTable::new(),
         num_qubits: 0,
         depth: 0,
+        expanded: 0,
     };
     parser.program()
 }
@@ -167,6 +177,21 @@ impl Parser {
             .get(self.pos)
             .map(|t| t.line)
             .unwrap_or(self.final_line)
+    }
+
+    /// Counts `n` more expanded entries against [`MAX_OPERATIONS`]
+    /// before they are pushed, failing at the statement's `line`.
+    fn expand_by(&mut self, n: u32, line: u32) -> Result<(), QasmError> {
+        match self.expanded.checked_add(n as usize) {
+            Some(total) if total <= MAX_OPERATIONS => {
+                self.expanded = total;
+                Ok(())
+            }
+            _ => Err(QasmError::new(
+                line,
+                format!("program expands to more than {MAX_OPERATIONS} operations"),
+            )),
+        }
     }
 
     fn bump(&mut self) -> Option<Token> {
@@ -407,11 +432,13 @@ impl Parser {
     }
 
     fn measure(&mut self, ops: &mut Vec<Operation>) -> Result<(), QasmError> {
+        let line = self.line();
         self.bump(); // measure
         let src = self.operand()?;
         self.expect(&TokenKind::Arrow)?;
         self.classical_operand()?;
         self.expect(&TokenKind::Semicolon)?;
+        self.expand_by(src.len(), line)?;
         for i in 0..src.len() {
             ops.push(Operation::Measure { q: src.nth(i) });
         }
@@ -419,10 +446,13 @@ impl Parser {
     }
 
     fn barrier(&mut self, ops: &mut Vec<Operation>) -> Result<(), QasmError> {
+        let line = self.line();
         self.bump(); // barrier
+        self.expand_by(1, line)?;
         let mut qs = Vec::new();
         loop {
             let opnd = self.operand()?;
+            self.expand_by(opnd.len(), line)?;
             for i in 0..opnd.len() {
                 qs.push(opnd.nth(i));
             }
@@ -510,6 +540,7 @@ impl Parser {
                     format!("gate `{name}` expects 1 operand, got {}", operands.len()),
                 ));
             }
+            self.expand_by(operands[0].len(), line)?;
             for i in 0..operands[0].len() {
                 ops.push(Operation::OneQubit {
                     gate,
@@ -542,6 +573,7 @@ impl Parser {
                     "mismatched register sizes in broadcast",
                 ));
             }
+            self.expand_by(broadcast, line)?;
             for i in 0..broadcast {
                 let qa = a.nth(if a.len() == 1 { 0 } else { i });
                 let qb = b.nth(if b.len() == 1 { 0 } else { i });
@@ -804,6 +836,36 @@ mod tests {
         assert!(err.message().contains("`d[4294967295]`"), "{err}");
         // One register of the full width still fits.
         assert!(parse_body("qreg q[4294967295]; creg c[4294967295];").is_ok());
+    }
+
+    #[test]
+    fn huge_broadcasts_are_rejected_at_their_statement() {
+        let too_many = format!("program expands to more than {MAX_OPERATIONS} operations");
+        for stmt in [
+            "h q;",
+            "rz(0.5) q;",
+            "cx q, r[0];",
+            "measure q -> c;",
+            "barrier q;",
+        ] {
+            let err = parse_body(&format!(
+                "qreg q[4294967294];\nqreg r[1];\ncreg c[4294967294];\n{stmt}"
+            ))
+            .unwrap_err();
+            assert_eq!(
+                (err.line(), err.message()),
+                (6, too_many.as_str()),
+                "{stmt}"
+            );
+        }
+        // The bound counts the whole program, barrier qubits included:
+        // `half - 1` gates, a barrier over `half - 1` qubits and one more
+        // gate fill it exactly.
+        let half = MAX_OPERATIONS / 2;
+        let full = format!("qreg q[{}];\nh q;\nbarrier q;\nx q[0];", half - 1);
+        assert_eq!(parse_body(&full).unwrap().len(), half + 1);
+        let err = parse_body(&format!("{full}\nx q[1];")).unwrap_err();
+        assert_eq!(err.line(), 7, "{err}");
     }
 
     #[test]

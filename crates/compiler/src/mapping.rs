@@ -40,11 +40,6 @@ impl Placement {
     pub fn num_ions(&self) -> u32 {
         self.chains.iter().map(|c| c.len() as u32).sum()
     }
-
-    /// Ions in the trap holding the most ions.
-    pub fn max_occupancy(&self) -> usize {
-        self.chains.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Greedy first-use mapping of `circuit`'s qubits onto `device`'s traps.
@@ -149,7 +144,7 @@ mod tests {
         let d = presets::l6(20);
         let p = initial_map(&c, &d, 2).unwrap();
         assert_eq!(p.num_ions(), 64);
-        assert!(p.max_occupancy() <= 18);
+        assert!(p.chains().iter().all(|c| c.len() <= 18));
         // First-use order on a line circuit = index order.
         assert_eq!(p.chains()[0][0], IonId(0));
         assert_eq!(p.chains()[0][17], IonId(17));
@@ -164,9 +159,9 @@ mod tests {
         let d = presets::l6(14);
         let p = initial_map(&c, &d, 2).unwrap();
         assert_eq!(p.num_ions(), 78);
-        assert!(p.max_occupancy() <= 14);
+        assert!(p.chains().iter().all(|c| c.len() <= 14));
         // Still not completely full anywhere: 78 = 6×13 exactly.
-        assert_eq!(p.max_occupancy(), 13);
+        assert_eq!(p.chains().iter().map(Vec::len).max(), Some(13));
     }
 
     #[test]
@@ -202,7 +197,7 @@ mod tests {
         let d = presets::linear(3, 4, 4);
         let p = initial_map(&c, &d, 2).unwrap();
         assert_eq!(p.num_ions(), 12);
-        assert_eq!(p.max_occupancy(), 4);
+        assert_eq!(p.chains().iter().map(Vec::len).max(), Some(4));
     }
 
     #[test]
