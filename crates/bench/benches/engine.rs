@@ -7,7 +7,7 @@
 //! `BENCH_sim.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qccd::engine::{Engine, EngineOptions, JobGrid};
+use qccd::engine::{Engine, EngineOptions, ExperimentSpec, JobGrid};
 use qccd::sweep::parallel_map;
 use qccd::Toolflow;
 use qccd_circuit::{generators, Circuit};
@@ -113,11 +113,59 @@ fn bench_engine_cached(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The eight committed sweep specs (every figure and ablation).
+const SWEEP_SPECS: [&str; 8] = [
+    "fig6",
+    "fig7",
+    "fig8",
+    "ablation_buffer",
+    "ablation_heating",
+    "ablation_junction",
+    "ablation_device_size",
+    "ablation_policy",
+];
+
+/// Grid construction over the committed sweep specs' resolved axes: it
+/// content-hashes every circuit (23 axis entries, 3.9 MB of JSON),
+/// device, config and model, then dedups the cells into jobs. The axes
+/// are resolved once up front; each iteration clones them into
+/// `from_axes`.
+fn bench_from_axes_committed_specs(c: &mut Criterion) {
+    let grids: Vec<JobGrid> = SWEEP_SPECS
+        .iter()
+        .map(|name| {
+            let path = format!(
+                "{}/../../examples/experiments/{name}.json",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let spec = ExperimentSpec::from_file(&path).unwrap_or_else(|e| panic!("{e}"));
+            spec.expand().unwrap_or_else(|e| panic!("{name}: {e}"))
+        })
+        .collect();
+    c.bench_function("engine/from_axes_committed_specs", |b| {
+        b.iter(|| {
+            grids
+                .iter()
+                .map(|g| {
+                    JobGrid::from_axes(
+                        g.circuits().to_vec(),
+                        g.devices().to_vec(),
+                        g.configs().to_vec(),
+                        g.models().to_vec(),
+                    )
+                    .job_count()
+                })
+                .sum::<usize>()
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_direct_parallel_map,
     bench_engine_uncached,
     bench_engine_model_sharing,
-    bench_engine_cached
+    bench_engine_cached,
+    bench_from_axes_committed_specs
 );
 criterion_main!(benches);

@@ -80,23 +80,6 @@ impl OneQubitGate {
             _ => None,
         }
     }
-
-    /// Whether the gate is diagonal in the computational basis.
-    ///
-    /// Diagonal gates commute with each other and with control qubits of
-    /// CZ-like gates; the analysis module uses this for depth estimates.
-    pub fn is_diagonal(&self) -> bool {
-        matches!(
-            self,
-            OneQubitGate::Z
-                | OneQubitGate::S
-                | OneQubitGate::Sdg
-                | OneQubitGate::T
-                | OneQubitGate::Tdg
-                | OneQubitGate::Rz(_)
-                | OneQubitGate::Phase(_)
-        )
-    }
 }
 
 impl fmt::Display for OneQubitGate {
@@ -199,14 +182,6 @@ mod tests {
         assert_eq!(OneQubitGate::H.angle(), None);
         assert_eq!(OneQubitGate::Rx(0.25).angle(), Some(0.25));
         assert_eq!(OneQubitGate::Phase(-1.5).angle(), Some(-1.5));
-    }
-
-    #[test]
-    fn diagonal_classification() {
-        assert!(OneQubitGate::Rz(0.3).is_diagonal());
-        assert!(OneQubitGate::T.is_diagonal());
-        assert!(!OneQubitGate::H.is_diagonal());
-        assert!(!OneQubitGate::SqrtW.is_diagonal());
     }
 
     #[test]

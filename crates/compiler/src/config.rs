@@ -10,8 +10,9 @@
 //! experiment specs and error messages can never drift apart.
 
 use serde::de;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value, Writer};
 use std::fmt;
+use std::io;
 use std::str::FromStr;
 
 /// Error returned when parsing an unknown policy name for any seam.
@@ -138,8 +139,8 @@ macro_rules! policy_kind {
         }
 
         impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                Value::Str(self.variant_name().to_owned())
+            fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+                w.str(self.variant_name())
             }
         }
 

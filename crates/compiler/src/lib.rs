@@ -57,6 +57,7 @@
 
 pub mod compile;
 pub mod config;
+pub mod digest;
 pub mod error;
 pub mod executable;
 pub mod lowering;
@@ -70,9 +71,10 @@ pub use compile::compile;
 pub use config::{
     CompilerConfig, EvictionKind, MappingKind, ParsePolicyError, ReorderMethod, RoutingKind,
 };
+pub use digest::{content_digest, fnv1a};
 pub use error::CompileError;
 pub use executable::{Executable, Inst, OpCounts};
 pub use mapping::{initial_map, Placement};
-pub use memo::{content_digest, CompileMemo, CompileMemoRef, StageCounters, StagePersist};
+pub use memo::{CompileMemo, CompileMemoRef, StageCounters, StagePersist};
 pub use passes::{Pipeline, UsesTable};
 pub use state::MachineState;

@@ -35,11 +35,11 @@
 //! replay its runs.
 
 use crate::config::MappingKind;
+use crate::digest::{content_digest, fnv1a};
 use crate::error::CompileError;
 use crate::mapping::Placement;
 use qccd_circuit::Circuit;
 use qccd_device::{Device, Route, RouteCache, TrapId};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -55,32 +55,6 @@ pub const ROUTE_ROW_KIND: &str = "route-row";
 /// Persisted-stage kind for one initial placement (payload:
 /// [`Placement`]).
 pub const PLACEMENT_KIND: &str = "placement";
-
-/// FNV-1a 64-bit hash — the same function the engine's `JobId` content
-/// hashing uses, kept dependency-free.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Content hash of any serializable value: FNV-1a over its canonical
-/// JSON encoding.
-///
-/// # Panics
-///
-/// Panics if `value` fails to serialize (stage inputs are all plain
-/// data; a failure is a bug, not an input condition).
-pub fn content_digest<T: Serialize>(value: &T) -> u64 {
-    fnv1a(
-        serde_json::to_string(value)
-            .expect("stage inputs serialize")
-            .as_bytes(),
-    )
-}
 
 /// A sink the memo persists stages through (and warm-starts from), so a
 /// re-invoked sweep reuses stages across processes. Implemented by the

@@ -371,6 +371,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// The exact bytes of one entry file, as the `Value`-tree serializer
+    /// wrote them, for an `Ok` and an `Err` outcome: caches written by
+    /// earlier builds must keep reading, and their entries stay as they
+    /// are.
+    #[test]
+    fn entry_file_bytes_are_pinned() {
+        use qccd_compiler::OpCounts;
+        use qccd_sim::{ErrorTotals, SimReport, TimeBreakdown};
+        let report = SimReport {
+            name: "bv_n6".into(),
+            total_time_us: 2605.0,
+            log_fidelity: -0.007056733197598517,
+            counts: OpCounts {
+                one_qubit_gates: 38,
+                two_qubit_gates: 6,
+                swap_gates: 3,
+                ion_swaps: 0,
+                splits: 5,
+                moves: 5,
+                merges: 5,
+                junction_crossings: 0,
+                measurements: 6,
+            },
+            peak_motional_energy: 0.3794444444444445,
+            ms_executions: 15,
+            ms_background_error_sum: 0.0015000000000000005,
+            ms_motional_error_sum: 0.0005563417918213433,
+            errors: ErrorTotals {
+                one_qubit: 0.0037999999999999974,
+                two_qubit: 0.0008539200573797319,
+                swap: 0.0024024217344416118,
+                measure: 0.0,
+            },
+            time: TimeBreakdown {
+                compute_us: 2105.0,
+                communication_us: 500.0,
+                shuttle_wait_us: 0.0,
+            },
+        };
+        const OK: &str = concat!(
+            r#"{"id":"bv_n6-L6c6-c181955e2a747aa7","version":"qccd-job-v1","ok":{"#,
+            r#""name":"bv_n6","total_time_us":2605.0,"log_fidelity":-0.007056733197598517,"#,
+            r#""counts":{"one_qubit_gates":38,"two_qubit_gates":6,"swap_gates":3,"#,
+            r#""ion_swaps":0,"splits":5,"moves":5,"merges":5,"junction_crossings":0,"#,
+            r#""measurements":6},"peak_motional_energy":0.3794444444444445,"#,
+            r#""ms_executions":15,"ms_background_error_sum":0.0015000000000000005,"#,
+            r#""ms_motional_error_sum":0.0005563417918213433,"errors":{"#,
+            r#""one_qubit":0.0037999999999999974,"two_qubit":0.0008539200573797319,"#,
+            r#""swap":0.0024024217344416118,"measure":0.0},"time":{"compute_us":2105.0,"#,
+            r#""communication_us":500.0,"shuttle_wait_us":0.0}},"err":null}"#,
+        );
+        const ERR: &str = concat!(
+            r#"{"id":"bv_n6-L6c6-c181955e2a747aa7","version":"qccd-job-v1","ok":null,"#,
+            r#""err":"compile: \"it\" broke\n"}"#,
+        );
+        let cache = temp_cache("pinned-bytes");
+        let id = one_job_id();
+        let path = cache.dir().join(format!("{id}.json"));
+        cache.store(&id, &Ok(report.clone()));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), OK);
+        assert_eq!(cache.load(&id), Some(Ok(report)));
+        let message = "compile: \"it\" broke\n".to_owned();
+        cache.store(&id, &Err(message.clone()));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ERR);
+        assert_eq!(cache.load(&id), Some(Err(message)));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
     #[test]
     fn stale_version_entries_read_as_misses() {
         let cache = temp_cache("stale-version");

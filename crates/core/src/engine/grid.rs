@@ -11,193 +11,18 @@
 //! processes and machines — the property the on-disk result cache
 //! keys on.
 
-use qccd_circuit::{Circuit, OneQubitGate, Operation, TwoQubitGate};
-use qccd_compiler::CompilerConfig;
+use qccd_circuit::Circuit;
+use qccd_compiler::{content_digest, fnv1a, CompilerConfig};
 use qccd_device::Device;
 use qccd_physics::PhysicalModel;
 use qccd_sim::SimReport;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// Version salt folded into every job id; bump when the executable or
 /// report semantics change so stale caches invalidate themselves. The
 /// result cache also embeds this salt in every entry and reads entries
 /// written under an older salt as misses.
 pub(crate) const JOB_ID_VERSION: &str = "qccd-job-v1";
-
-/// FNV-1a 64-bit state: a small, dependency-free, platform-stable
-/// content hash (unlike `DefaultHasher`, whose keys are randomized per
-/// process). Bytes are fed in as they are produced, so a value's JSON
-/// text can be hashed without building it.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Hashes `v` in decimal, as JSON writes an unsigned integer.
-    fn uint(&mut self, mut v: u32) {
-        let mut buf = [0u8; 10];
-        let mut start = buf.len();
-        loop {
-            start -= 1;
-            buf[start] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.bytes(&buf[start..]);
-    }
-
-    /// Hashes `s` as a JSON string literal, with the vendored
-    /// `serde_json`'s escaping: `"` `\` `\n` `\r` `\t` by name, the
-    /// other control characters as `\u00XX`, everything else verbatim.
-    fn json_str(&mut self, s: &str) {
-        self.bytes(b"\"");
-        for &b in s.as_bytes() {
-            match b {
-                b'"' => self.bytes(b"\\\""),
-                b'\\' => self.bytes(b"\\\\"),
-                b'\n' => self.bytes(b"\\n"),
-                b'\r' => self.bytes(b"\\r"),
-                b'\t' => self.bytes(b"\\t"),
-                0..=0x1f => {
-                    const HEX: &[u8; 16] = b"0123456789abcdef";
-                    self.bytes(b"\\u00");
-                    self.bytes(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
-                }
-                _ => self.bytes(&[b]),
-            }
-        }
-        self.bytes(b"\"");
-    }
-
-    /// Hashes `f` as the vendored `serde_json` writes a float: its
-    /// `Display` text plus `.0` when that has no `.`, `e` or `E`, and
-    /// `null` when `f` is not finite.
-    fn float(&mut self, f: f64) {
-        if !f.is_finite() {
-            self.bytes(b"null");
-            return;
-        }
-        let mut text = FloatText {
-            hash: self,
-            plain: true,
-        };
-        // Neither `f64`'s `Display` nor a sink that cannot fail errors.
-        let _ = write!(text, "{f}");
-        if text.plain {
-            self.bytes(b".0");
-        }
-    }
-}
-
-/// A [`fmt::Write`] sink that hashes a float's `Display` text as it is
-/// formatted, noting whether it has a `.`, `e` or `E`; see
-/// [`Fnv1a::float`].
-struct FloatText<'a> {
-    hash: &'a mut Fnv1a,
-    plain: bool,
-}
-
-impl fmt::Write for FloatText<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.plain &= !s.bytes().any(|b| matches!(b, b'.' | b'e' | b'E'));
-        self.hash.bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// FNV-1a 64 over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a::new();
-    hash.bytes(bytes);
-    hash.0
-}
-
-/// FNV-1a 64 over `serde_json::to_string(circuit)`: the same canonical
-/// JSON bytes, streamed straight into the hash with no `Value` tree and
-/// no string. Every gate variant is spelled out, so a new one fails to
-/// compile here until its JSON form is added.
-fn circuit_json_digest(circuit: &Circuit) -> u64 {
-    let mut h = Fnv1a::new();
-    h.bytes(b"{\"name\":");
-    h.json_str(circuit.name());
-    h.bytes(b",\"num_qubits\":");
-    h.uint(circuit.num_qubits());
-    h.bytes(b",\"ops\":[");
-    for (i, op) in circuit.operations().iter().enumerate() {
-        if i > 0 {
-            h.bytes(b",");
-        }
-        match op {
-            Operation::OneQubit { gate, q } => {
-                h.bytes(b"{\"OneQubit\":{\"gate\":");
-                let (tag, angle): (&[u8], Option<f64>) = match *gate {
-                    OneQubitGate::H => (b"\"H\"", None),
-                    OneQubitGate::X => (b"\"X\"", None),
-                    OneQubitGate::Y => (b"\"Y\"", None),
-                    OneQubitGate::Z => (b"\"Z\"", None),
-                    OneQubitGate::S => (b"\"S\"", None),
-                    OneQubitGate::Sdg => (b"\"Sdg\"", None),
-                    OneQubitGate::T => (b"\"T\"", None),
-                    OneQubitGate::Tdg => (b"\"Tdg\"", None),
-                    OneQubitGate::SqrtX => (b"\"SqrtX\"", None),
-                    OneQubitGate::SqrtY => (b"\"SqrtY\"", None),
-                    OneQubitGate::SqrtW => (b"\"SqrtW\"", None),
-                    OneQubitGate::Rx(t) => (b"{\"Rx\":", Some(t)),
-                    OneQubitGate::Ry(t) => (b"{\"Ry\":", Some(t)),
-                    OneQubitGate::Rz(t) => (b"{\"Rz\":", Some(t)),
-                    OneQubitGate::Phase(t) => (b"{\"Phase\":", Some(t)),
-                };
-                h.bytes(tag);
-                // A parametric gate is a one-key object around its angle.
-                if let Some(t) = angle {
-                    h.float(t);
-                    h.bytes(b"}");
-                }
-                h.bytes(b",\"q\":");
-                h.uint(q.0);
-            }
-            Operation::TwoQubit { gate, a, b } => {
-                h.bytes(match gate {
-                    TwoQubitGate::Cx => b"{\"TwoQubit\":{\"gate\":\"Cx\",\"a\":",
-                    TwoQubitGate::Cz => b"{\"TwoQubit\":{\"gate\":\"Cz\",\"a\":",
-                    TwoQubitGate::Ms => b"{\"TwoQubit\":{\"gate\":\"Ms\",\"a\":",
-                    TwoQubitGate::Swap => b"{\"TwoQubit\":{\"gate\":\"Swap\",\"a\":",
-                });
-                h.uint(a.0);
-                h.bytes(b",\"b\":");
-                h.uint(b.0);
-            }
-            Operation::Measure { q } => {
-                h.bytes(b"{\"Measure\":{\"q\":");
-                h.uint(q.0);
-            }
-            Operation::Barrier { qs } => {
-                h.bytes(b"{\"Barrier\":{\"qs\":[");
-                for (j, q) in qs.iter().enumerate() {
-                    if j > 0 {
-                        h.bytes(b",");
-                    }
-                    h.uint(q.0);
-                }
-                h.bytes(b"]");
-            }
-        }
-        h.bytes(b"}}");
-    }
-    h.bytes(b"]}");
-    h.0
-}
 
 /// Stable identifier of one unique job: a human-readable prefix
 /// (circuit and device) plus the 64-bit content hash of the job's full
@@ -258,9 +83,7 @@ pub struct JobGrid {
     jobs: Vec<Job>,
     /// Flat cell index (circuit-major, model-minor) → job index.
     cells: Vec<usize>,
-    /// Per-circuit content digests: FNV-1a over the circuit's canonical
-    /// JSON bytes, streamed into the hash without building the text.
-    /// The same value [`qccd_compiler::content_digest`] computes, so a
+    /// Per-circuit [`qccd_compiler::content_digest`]s, kept so a
     /// memoized compile over the grid can key its stages without
     /// re-serializing circuits per job.
     c_digests: Vec<u64>,
@@ -282,23 +105,10 @@ impl JobGrid {
     ) -> JobGrid {
         // Hash each axis element once; a job's content hash combines the
         // four element hashes under a version salt.
-        let digest = |json: String| fnv1a(json.as_bytes());
-        let c_digests: Vec<u64> = circuits.iter().map(circuit_json_digest).collect();
-        let d_digests: Vec<u64> = devices
-            .iter()
-            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
-            .map(|d| digest(serde_json::to_string(d).expect("devices serialize")))
-            .collect();
-        let cfg_digests: Vec<u64> = configs
-            .iter()
-            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
-            .map(|c| digest(serde_json::to_string(c).expect("configs serialize")))
-            .collect();
-        let m_digests: Vec<u64> = models
-            .iter()
-            // qccd-lint: allow(engine-panic) — serializing plain data structs cannot fail
-            .map(|m| digest(serde_json::to_string(m).expect("models serialize")))
-            .collect();
+        let c_digests: Vec<u64> = circuits.iter().map(content_digest).collect();
+        let d_digests: Vec<u64> = devices.iter().map(content_digest).collect();
+        let cfg_digests: Vec<u64> = configs.iter().map(content_digest).collect();
+        let m_digests: Vec<u64> = models.iter().map(content_digest).collect();
 
         let mut jobs: Vec<Job> = Vec::new();
         // Sorted (id, job index) pairs: a binary-searched Vec instead of
@@ -369,13 +179,12 @@ impl JobGrid {
         self.parses
     }
 
-    /// Content digest of a circuit-axis entry: FNV-1a 64 over its
-    /// canonical JSON bytes (those of `serde_json::to_string`), streamed
-    /// into the hash as they are formatted, and identical to
-    /// [`qccd_compiler::content_digest`] of the same circuit. A caller
-    /// compiling through a [`qccd_compiler::CompileMemo`] passes this
-    /// as its circuit key, so placement stage keys are computed once
-    /// per circuit, not once per job.
+    /// Content digest of a circuit-axis entry: the
+    /// [`qccd_compiler::content_digest`] of that circuit, computed once
+    /// when the grid was built. A caller compiling through a
+    /// [`qccd_compiler::CompileMemo`] passes this as its circuit key, so
+    /// placement stage keys are computed once per circuit, not once per
+    /// job.
     ///
     /// # Panics
     ///
@@ -431,11 +240,6 @@ impl JobGrid {
         assert!(model < self.models.len(), "model index out of range");
         ((circuit * self.devices.len() + device) * self.configs.len() + config) * self.models.len()
             + model
-    }
-
-    /// The job index a cell resolved to.
-    pub fn job_of_cell(&self, cell: usize) -> usize {
-        self.cells[cell]
     }
 }
 
@@ -507,7 +311,7 @@ impl GridResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::{generators, Qubit};
+    use qccd_circuit::generators;
     use qccd_device::presets;
 
     fn tiny_grid() -> JobGrid {
@@ -525,8 +329,8 @@ mod tests {
         assert_eq!(grid.cell_count(), 4);
         assert_eq!(grid.job_count(), 4);
         // Model-minor ordering: cell 1 differs from cell 0 in device.
-        let j0 = &grid.jobs()[grid.job_of_cell(0)];
-        let j1 = &grid.jobs()[grid.job_of_cell(1)];
+        let j0 = &grid.jobs()[grid.cells[0]];
+        let j1 = &grid.jobs()[grid.cells[1]];
         assert_eq!((j0.circuit, j0.device), (0, 0));
         assert_eq!((j1.circuit, j1.device), (0, 1));
     }
@@ -541,7 +345,7 @@ mod tests {
         );
         assert_eq!(grid.cell_count(), 2);
         assert_eq!(grid.job_count(), 1, "duplicate cells share one job");
-        assert_eq!(grid.job_of_cell(0), grid.job_of_cell(1));
+        assert_eq!(grid.cells[0], grid.cells[1]);
     }
 
     #[test]
@@ -615,160 +419,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    /// Deterministic xorshift64 driving the random circuits below.
-    fn xorshift(state: &mut u64) -> u64 {
-        let mut x = *state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x
-    }
-
-    /// The reference the streamed digest must equal: FNV-1a over the
-    /// vendored `serde_json` text.
-    fn json_digest(circuit: &Circuit) -> u64 {
-        fnv1a(serde_json::to_string(circuit).unwrap().as_bytes())
-    }
-
-    /// Angles whose text is an edge of the float rule: signed zero,
-    /// integers (which gain `.0`), extremes whose `Display` runs to
-    /// hundreds of digits, a subnormal and the non-finite values.
-    const ANGLES: [f64; 12] = [
-        0.0,
-        -0.0,
-        1.0,
-        -2.0,
-        0.1,
-        1e-300,
-        1e300,
-        f64::MIN_POSITIVE,
-        5e-324,
-        f64::NAN,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-    ];
-
-    /// Every one-qubit gate variant, parametric ones at angle `t`.
-    fn one_qubit_gates(t: f64) -> [OneQubitGate; 15] {
-        use OneQubitGate::*;
-        [
-            H,
-            X,
-            Y,
-            Z,
-            S,
-            Sdg,
-            T,
-            Tdg,
-            SqrtX,
-            SqrtY,
-            SqrtW,
-            Rx(t),
-            Ry(t),
-            Rz(t),
-            Phase(t),
-        ]
-    }
-
-    const TWO_QUBIT_GATES: [TwoQubitGate; 4] = [
-        TwoQubitGate::Cx,
-        TwoQubitGate::Cz,
-        TwoQubitGate::Ms,
-        TwoQubitGate::Swap,
-    ];
-
-    /// Names with every escaped character class and non-ASCII text.
-    const NAMES: [&str; 7] = [
-        "",
-        "plain_name-1",
-        "quote\"d",
-        "back\\slash",
-        "line\nbreak\rreturn\ttab",
-        "\u{1}ctrl\u{1f}\u{7f}",
-        "ünïcødé ✓ 量子",
-    ];
-
-    fn qubit(state: &mut u64, n: u32) -> Qubit {
-        Qubit((xorshift(state) % u64::from(n)) as u32)
-    }
-
-    fn random_circuit(state: &mut u64) -> Circuit {
-        let pool: Vec<char> = NAMES
-            .concat()
-            .chars()
-            .chain(['\u{0}', '\u{8}', '\u{c}'])
-            .collect();
-        let name: String = (0..xorshift(state) % 12)
-            .map(|_| pool[(xorshift(state) % pool.len() as u64) as usize])
-            .collect();
-        let n = 1 + (xorshift(state) % 300) as u32;
-        let mut c = Circuit::new(name, n);
-        for _ in 0..xorshift(state) % 40 {
-            let op = match xorshift(state) % 4 {
-                0 => {
-                    let t = if xorshift(state).is_multiple_of(2) {
-                        ANGLES[(xorshift(state) % ANGLES.len() as u64) as usize]
-                    } else {
-                        // Any bit pattern: NaNs, subnormals, huge and tiny.
-                        f64::from_bits(xorshift(state))
-                    };
-                    let gate = one_qubit_gates(t)[(xorshift(state) % 15) as usize];
-                    Operation::OneQubit {
-                        gate,
-                        q: qubit(state, n),
-                    }
-                }
-                1 => Operation::TwoQubit {
-                    gate: TWO_QUBIT_GATES[(xorshift(state) % 4) as usize],
-                    a: qubit(state, n),
-                    b: qubit(state, n),
-                },
-                2 => Operation::Measure { q: qubit(state, n) },
-                _ => Operation::Barrier {
-                    qs: (0..xorshift(state) % 5).map(|_| qubit(state, n)).collect(),
-                },
-            };
-            c.push(op);
-        }
-        c
-    }
-
-    #[test]
-    fn streamed_circuit_digest_matches_serialized_json() {
-        // Every variant, every edge angle, every name.
-        for name in NAMES {
-            let mut c = Circuit::new(name, 4_294_967_295);
-            for t in ANGLES {
-                for gate in one_qubit_gates(t) {
-                    c.one_qubit(gate, Qubit(u32::MAX - 1));
-                }
-            }
-            for gate in TWO_QUBIT_GATES {
-                c.two_qubit(gate, Qubit(0), Qubit(10));
-            }
-            c.measure(Qubit(7));
-            c.push(Operation::Barrier { qs: vec![] });
-            c.push(Operation::Barrier {
-                qs: vec![Qubit(0), Qubit(99), Qubit(1_000_000)],
-            });
-            assert_eq!(circuit_json_digest(&c), json_digest(&c), "circuit {name:?}");
-            assert_eq!(
-                circuit_json_digest(&Circuit::new(name, 0)),
-                json_digest(&Circuit::new(name, 0))
-            );
-        }
-        let mut state = 0x9e37_79b9_7f4a_7c15;
-        for _ in 0..500 {
-            let c = random_circuit(&mut state);
-            assert_eq!(circuit_json_digest(&c), json_digest(&c), "{c:?}");
-        }
-        for b in generators::Benchmark::ALL {
-            let c = b.build();
-            assert_eq!(circuit_json_digest(&c), json_digest(&c), "{}", b.name());
-        }
     }
 
     /// FNV-1a over each committed spec's job ids, in grid order and

@@ -7,7 +7,7 @@
 //! table it wraps.
 
 use crate::experiments::{Figure, Table};
-use serde::{Serialize, Value};
+use serde::{Serialize, Writer};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -22,14 +22,6 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// The wrapped table, if this artifact is one.
-    pub fn as_table(&self) -> Option<&Table> {
-        match self {
-            Artifact::Table(t) => Some(t),
-            Artifact::Figure(_) => None,
-        }
-    }
-
     /// Unwraps the figure.
     ///
     /// # Panics
@@ -67,10 +59,10 @@ impl fmt::Display for Artifact {
 }
 
 impl Serialize for Artifact {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            Artifact::Table(t) => t.to_value(),
-            Artifact::Figure(f) => f.to_value(),
+            Artifact::Table(t) => t.serialize(w),
+            Artifact::Figure(f) => f.serialize(w),
         }
     }
 }
@@ -204,14 +196,14 @@ mod tests {
     #[test]
     fn accessors_discriminate() {
         let fig = Artifact::Figure(sample_figure());
-        assert!(fig.as_table().is_none());
+        assert!(!matches!(fig, Artifact::Table(_)));
         let table = Artifact::Table(Table {
             id: "I".into(),
             caption: "c".into(),
             headers: vec![],
             rows: vec![],
         });
-        assert!(table.as_table().is_some());
+        assert!(matches!(table, Artifact::Table(_)));
         assert_eq!(table.into_table().id, "I");
     }
 }

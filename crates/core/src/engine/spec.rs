@@ -30,8 +30,9 @@ use qccd_circuit::Circuit;
 use qccd_compiler::CompilerConfig;
 use qccd_device::{check_capacity, check_node_count, check_segment_length, presets, Device};
 use qccd_physics::{GateImpl, PhysicalModel};
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{de, DeError, Deserialize, Serialize, Value, Writer};
 use std::fmt;
+use std::io;
 use std::path::Path;
 use std::str::FromStr;
 
@@ -105,12 +106,10 @@ impl CircuitSpec {
 }
 
 impl Serialize for CircuitSpec {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            CircuitSpec::Benchmark(b) => Value::Str(b.name().to_owned()),
-            CircuitSpec::Qasm { path } => {
-                Value::Object(vec![("qasm".to_owned(), Value::Str(path.clone()))])
-            }
+            CircuitSpec::Benchmark(b) => w.str(b.name()),
+            CircuitSpec::Qasm { path } => single_entry(w, b"\"qasm\"", path),
         }
     }
 }
@@ -307,60 +306,58 @@ fn check_swept_capacities(capacities: &[u32]) -> Result<(), SpecError> {
 }
 
 impl Serialize for DeviceSpec {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.begin_object()?;
         match self {
             DeviceSpec::Preset { family, capacity } => {
-                let mut entries = vec![("preset".to_owned(), Value::Str(family.clone()))];
+                w.field(b"\"preset\"", family)?;
                 if let Some(c) = capacity {
-                    entries.push(("capacity".to_owned(), Value::UInt(u64::from(*c))));
+                    w.field(b"\"capacity\"", c)?;
                 }
-                Value::Object(entries)
             }
             DeviceSpec::Linear {
                 traps,
                 capacity,
                 spacing,
-            } => nested_object(
-                "linear",
-                vec![
-                    ("traps", u64::from(*traps)),
-                    ("capacity", u64::from(*capacity)),
-                    ("spacing", u64::from(*spacing)),
-                ],
-            ),
+            } => {
+                w.key(b"\"linear\"")?;
+                w.begin_object()?;
+                w.field(b"\"traps\"", traps)?;
+                w.field(b"\"capacity\"", capacity)?;
+                w.field(b"\"spacing\"", spacing)?;
+                w.end_object()?;
+            }
             DeviceSpec::Grid {
                 rows,
                 cols,
                 capacity,
                 stub,
                 link,
-            } => nested_object(
-                "grid",
-                vec![
-                    ("rows", u64::from(*rows)),
-                    ("cols", u64::from(*cols)),
-                    ("capacity", u64::from(*capacity)),
-                    ("stub", u64::from(*stub)),
-                    ("link", u64::from(*link)),
-                ],
-            ),
-            DeviceSpec::File { path } => {
-                Value::Object(vec![("file".to_owned(), Value::Str(path.clone()))])
+            } => {
+                w.key(b"\"grid\"")?;
+                w.begin_object()?;
+                w.field(b"\"rows\"", rows)?;
+                w.field(b"\"cols\"", cols)?;
+                w.field(b"\"capacity\"", capacity)?;
+                w.field(b"\"stub\"", stub)?;
+                w.field(b"\"link\"", link)?;
+                w.end_object()?;
             }
+            DeviceSpec::File { path } => w.field(b"\"file\"", path)?,
         }
+        w.end_object()
     }
 }
 
-fn nested_object(key: &str, fields: Vec<(&str, u64)>) -> Value {
-    Value::Object(vec![(
-        key.to_owned(),
-        Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), Value::UInt(v)))
-                .collect(),
-        ),
-    )])
+/// Writes the one-entry object `{key: value}`, `key` already quoted.
+fn single_entry<W: io::Write>(
+    w: &mut Writer<W>,
+    key: &[u8],
+    value: &(impl Serialize + ?Sized),
+) -> io::Result<()> {
+    w.begin_object()?;
+    w.field(key, value)?;
+    w.end_object()
 }
 
 impl Deserialize for DeviceSpec {
@@ -435,16 +432,15 @@ impl ConfigSpec {
 }
 
 impl Serialize for ConfigSpec {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            ConfigSpec::Config(c) => c.to_value(),
-            ConfigSpec::PolicyGrid { buffer_slots } => Value::Object(vec![(
-                "policy_grid".to_owned(),
-                Value::Object(vec![(
-                    "buffer_slots".to_owned(),
-                    Value::UInt(u64::from(*buffer_slots)),
-                )]),
-            )]),
+            ConfigSpec::Config(c) => c.serialize(w),
+            ConfigSpec::PolicyGrid { buffer_slots } => {
+                w.begin_object()?;
+                w.key(b"\"policy_grid\"")?;
+                single_entry(w, b"\"buffer_slots\"", buffer_slots)?;
+                w.end_object()
+            }
         }
     }
 }
@@ -522,16 +518,12 @@ impl ModelSpec {
 }
 
 impl Serialize for ModelSpec {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
         match self {
-            ModelSpec::Default => Value::Str("default".to_owned()),
-            ModelSpec::Gate(g) => {
-                Value::Object(vec![("gate".to_owned(), Value::Str(g.name().to_owned()))])
-            }
-            ModelSpec::File { path } => {
-                Value::Object(vec![("file".to_owned(), Value::Str(path.clone()))])
-            }
-            ModelSpec::Inline(m) => Value::Object(vec![("model".to_owned(), m.to_value())]),
+            ModelSpec::Default => w.str("default"),
+            ModelSpec::Gate(g) => single_entry(w, b"\"gate\"", g.name()),
+            ModelSpec::File { path } => single_entry(w, b"\"file\"", path),
+            ModelSpec::Inline(m) => single_entry(w, b"\"model\"", m),
         }
     }
 }
@@ -663,8 +655,8 @@ impl FromStr for Projection {
 }
 
 impl Serialize for Projection {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_owned())
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.str(self.name())
     }
 }
 
@@ -766,16 +758,16 @@ impl ExperimentSpec {
 }
 
 impl Serialize for ExperimentSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_owned(), Value::Str(self.name.clone())),
-            ("projection".to_owned(), self.projection.to_value()),
-            ("circuits".to_owned(), self.circuits.to_value()),
-            ("capacities".to_owned(), self.capacities.to_value()),
-            ("devices".to_owned(), self.devices.to_value()),
-            ("configs".to_owned(), self.configs.to_value()),
-            ("models".to_owned(), self.models.to_value()),
-        ])
+    fn serialize<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.begin_object()?;
+        w.field(b"\"name\"", &self.name)?;
+        w.field(b"\"projection\"", &self.projection)?;
+        w.field(b"\"circuits\"", &self.circuits)?;
+        w.field(b"\"capacities\"", &self.capacities)?;
+        w.field(b"\"devices\"", &self.devices)?;
+        w.field(b"\"configs\"", &self.configs)?;
+        w.field(b"\"models\"", &self.models)?;
+        w.end_object()
     }
 }
 
@@ -886,6 +878,49 @@ pub(crate) fn committed(name: &str) -> ExperimentSpec {
 mod tests {
     use super::*;
     use qccd_compiler::RoutingKind;
+
+    /// The hand-written spec encodings no committed spec (and so no
+    /// golden) uses, pinned byte for byte as the `Value`-tree serializer
+    /// wrote them, and read back.
+    #[test]
+    fn spec_shapes_outside_the_goldens_keep_their_json() {
+        let spec = ExperimentSpec {
+            name: "shapes".into(),
+            projection: Projection::Cells,
+            circuits: vec![CircuitSpec::Qasm {
+                path: "a \"b\".qasm".into(),
+            }],
+            capacities: vec![],
+            devices: vec![
+                DeviceSpec::Grid {
+                    rows: 2,
+                    cols: 3,
+                    capacity: 4,
+                    stub: 5,
+                    link: 6,
+                },
+                DeviceSpec::Preset {
+                    family: "l6".into(),
+                    capacity: None,
+                },
+            ],
+            configs: vec![ConfigSpec::PolicyGrid { buffer_slots: 1 }],
+            models: vec![
+                ModelSpec::File {
+                    path: "m.json".into(),
+                },
+                ModelSpec::Default,
+            ],
+        };
+        const JSON: &str = concat!(
+            r#"{"name":"shapes","projection":"cells","circuits":[{"qasm":"a \"b\".qasm"}],"#,
+            r#""capacities":[],"devices":[{"grid":{"rows":2,"cols":3,"capacity":4,"#,
+            r#""stub":5,"link":6}},{"preset":"l6"}],"configs":[{"policy_grid":{"#,
+            r#""buffer_slots":1}}],"models":[{"file":"m.json"},"default"]}"#,
+        );
+        assert_eq!(serde_json::to_string(&spec).unwrap(), JSON);
+        assert_eq!(ExperimentSpec::from_json(JSON).unwrap(), spec);
+    }
 
     #[test]
     fn fig6_expansion_matches_the_paper_grid() {

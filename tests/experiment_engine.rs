@@ -10,7 +10,8 @@
 
 use proptest::prelude::*;
 use qccd::engine::{
-    run_spec, Engine, EngineOptions, ExperimentSpec, JobGrid, JobOutcome, Projection, ResultCache,
+    run_spec, Artifact, Engine, EngineOptions, ExperimentSpec, JobGrid, JobOutcome, Projection,
+    ResultCache,
 };
 use qccd::Toolflow;
 use qccd_circuit::generators;
@@ -123,7 +124,7 @@ fn cache_is_shared_across_projections_of_the_same_grid() {
     spec.projection = Projection::Cells;
     let second = run_spec(&spec, &engine).unwrap();
     assert_eq!(second.stats.executed, 0);
-    assert!(second.artifact.as_table().is_some());
+    assert!(matches!(second.artifact, Artifact::Table(_)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
