@@ -105,6 +105,18 @@ fn bench_compile(c: &mut Criterion) {
     group.bench_function("random512_l32_lookahead", |b| {
         b.iter(|| compile(&circuit, &line, &lookahead).expect("compiles"));
     });
+    // The same circuit on the 8x8 grid, where loaded routes have
+    // detours and most lookahead queries run the weighted search.
+    let grid8 = presets::grid(
+        8,
+        8,
+        12,
+        presets::DEFAULT_GRID_STUB,
+        presets::DEFAULT_GRID_LINK,
+    );
+    group.bench_function("random512_g8x8_lookahead", |b| {
+        b.iter(|| compile(&circuit, &grid8, &lookahead).expect("compiles"));
+    });
     group.finish();
 }
 

@@ -69,13 +69,16 @@ pub enum Operation {
 }
 
 impl Operation {
-    /// The qubits this operation touches, in operand order.
-    pub fn qubits(&self) -> Vec<Qubit> {
-        match self {
-            Operation::OneQubit { q, .. } | Operation::Measure { q } => vec![*q],
-            Operation::TwoQubit { a, b, .. } => vec![*a, *b],
-            Operation::Barrier { qs } => qs.clone(),
-        }
+    /// The qubits this operation touches, in operand order, borrowed
+    /// without allocating: a gate's operands from a two-slot array, a
+    /// barrier's from its list.
+    pub fn qubits(&self) -> impl Iterator<Item = Qubit> + '_ {
+        let (operands, listed): ([Option<Qubit>; 2], &[Qubit]) = match self {
+            Operation::OneQubit { q, .. } | Operation::Measure { q } => ([Some(*q), None], &[]),
+            Operation::TwoQubit { a, b, .. } => ([Some(*a), Some(*b)], &[]),
+            Operation::Barrier { qs } => ([None; 2], qs),
+        };
+        operands.into_iter().flatten().chain(listed.iter().copied())
     }
 
     /// `true` for two-qubit gate operations.
@@ -217,7 +220,7 @@ impl Circuit {
     /// Appends a raw operation.
     pub fn push(&mut self, op: Operation) {
         debug_assert!(
-            op.qubits().iter().all(|q| q.0 < self.num_qubits),
+            op.qubits().all(|q| q.0 < self.num_qubits),
             "operation {op} references qubit outside 0..{}",
             self.num_qubits
         );

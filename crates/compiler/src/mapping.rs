@@ -13,7 +13,7 @@
 
 use crate::error::CompileError;
 use qccd_circuit::Circuit;
-use qccd_device::{Device, IonId};
+use qccd_device::{Device, IonId, TrapId};
 use serde::{Deserialize, Serialize};
 
 /// An initial placement of ions into traps.
@@ -58,7 +58,7 @@ pub fn initial_map(
 ) -> Result<Placement, CompileError> {
     check_capacity(circuit, device)?;
     let order = circuit.qubits_by_first_use();
-    Ok(fill_traps(circuit, device, buffer_slots, |i, _| {
+    Ok(fill_traps(circuit, device, buffer_slots, |i, _, _| {
         IonId(order[i].0)
     }))
 }
@@ -85,9 +85,10 @@ pub(crate) fn check_capacity(circuit: &Circuit, device: &Device) -> Result<(), C
 
 /// Fills `device`'s traps in trap-id order up to `buffer_slots` below
 /// capacity, relaxing the buffer one slot at a time (2 → 1 → 0) while
-/// qubits remain. `next(i, chain)` names the ion appended as the `i`-th
-/// placement to a trap currently holding `chain`; it is called once per
-/// program qubit. The placement policies differ only in `next`.
+/// qubits remain. `next(i, trap, chain)` names the ion appended as the
+/// `i`-th placement to `trap`, which currently holds `chain`; it is
+/// called once per program qubit, and every ion it names is appended.
+/// The placement policies differ only in `next`.
 ///
 /// The caller has passed [`check_capacity`], so every qubit finds a
 /// slot once the buffer is fully relaxed.
@@ -95,7 +96,7 @@ pub(crate) fn fill_traps(
     circuit: &Circuit,
     device: &Device,
     buffer_slots: u32,
-    mut next: impl FnMut(usize, &[IonId]) -> IonId,
+    mut next: impl FnMut(usize, TrapId, &[IonId]) -> IonId,
 ) -> Placement {
     let needed = circuit.num_qubits() as usize;
     let mut chains: Vec<Vec<IonId>> = vec![Vec::new(); device.trap_count()];
@@ -106,7 +107,7 @@ pub(crate) fn fill_traps(
             let limit = device.trap(t).capacity().saturating_sub(buffer) as usize;
             let chain = &mut chains[t.index()];
             while chain.len() < limit && placed < needed {
-                let ion = next(placed, chain);
+                let ion = next(placed, t, chain);
                 chain.push(ion);
                 placed += 1;
             }

@@ -327,7 +327,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .skip(op + 1)
-                    .find(|(_, o)| o.qubits().iter().any(|x| x.0 == q))
+                    .find(|(_, o)| o.qubits().any(|x| x.0 == q))
                     .map_or(usize::MAX, |(i, _)| i);
                 assert_eq!(uses.next_use_after(q, op), expected, "q{q} after op{op}");
             }

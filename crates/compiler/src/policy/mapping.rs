@@ -4,7 +4,7 @@ use crate::config::MappingKind;
 use crate::error::CompileError;
 use crate::mapping::{check_capacity, fill_traps, initial_map, Placement};
 use qccd_circuit::{Circuit, Operation};
-use qccd_device::{Device, IonId};
+use qccd_device::{Device, IonId, TrapId};
 
 impl MappingKind {
     /// Places `circuit`'s qubits into `device`'s traps, leaving
@@ -67,34 +67,54 @@ fn usage_weighted(
         rank[q.index()] = r;
     }
 
+    // `affinity[q]`: total weight between `q` and the residents of
+    // `filling`, the trap the last slot went to. Kept in step with that
+    // chain as it grows, and rebuilt when placement moves to another trap
+    // (or back to one after a buffer relaxation).
+    let mut affinity = vec![0u64; n];
+    let mut filling: Option<TrapId> = None;
     let mut placed = vec![false; n];
-    Ok(fill_traps(circuit, device, buffer_slots, |_, chain| {
-        let next = if chain.is_empty() {
-            // Seed: earliest unplaced qubit in first-use order.
-            order
-                .iter()
-                .map(|q| q.index())
-                .find(|&q| !placed[q])
-                // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                .expect("an unplaced qubit remains while placing")
-        } else {
-            // Fill: highest affinity to the trap's residents, ties
-            // toward earlier first use.
-            let affinity = |q: usize| -> u64 {
-                chain
+    Ok(fill_traps(
+        circuit,
+        device,
+        buffer_slots,
+        |_, trap, chain| {
+            if filling != Some(trap) {
+                filling = Some(trap);
+                affinity.fill(0);
+                for ion in chain {
+                    add_row(&mut affinity, &weight[ion.index() * n..][..n]);
+                }
+            }
+            let next = if chain.is_empty() {
+                // Seed: earliest unplaced qubit in first-use order.
+                order
                     .iter()
-                    .map(|ion| u64::from(weight[q * n + ion.index()]))
-                    .sum()
+                    .map(|q| q.index())
+                    .find(|&q| !placed[q])
+                    // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                    .expect("an unplaced qubit remains while placing")
+            } else {
+                // Fill: highest affinity to the trap's residents, ties
+                // toward earlier first use.
+                (0..n)
+                    .filter(|&q| !placed[q])
+                    .max_by_key(|&q| (affinity[q], std::cmp::Reverse(rank[q])))
+                    // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
+                    .expect("an unplaced qubit remains while placing")
             };
-            (0..n)
-                .filter(|&q| !placed[q])
-                .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
-                // qccd-lint: allow(engine-panic) — the expect message documents a structural invariant; a violation is a bug, not an input error
-                .expect("an unplaced qubit remains while placing")
-        };
-        placed[next] = true;
-        IonId(next as u32)
-    }))
+            placed[next] = true;
+            add_row(&mut affinity, &weight[next * n..][..n]);
+            IonId(next as u32)
+        },
+    ))
+}
+
+/// Adds one qubit's row of pairwise weights into an affinity row.
+fn add_row(affinity: &mut [u64], weights: &[u32]) {
+    for (a, &w) in affinity.iter_mut().zip(weights) {
+        *a += u64::from(w);
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +200,77 @@ mod tests {
             .place(&c, &presets::l6(14), 2)
             .unwrap_err();
         assert!(matches!(err, CompileError::InsufficientCapacity { .. }));
+    }
+
+    /// Usage-weighted placement as first written: every candidate's
+    /// affinity re-summed against the whole chain for every slot.
+    fn per_candidate_sum_placement(circuit: &Circuit, device: &Device, buffer: u32) -> Placement {
+        let n = circuit.num_qubits() as usize;
+        let mut weight = vec![0u32; n * n];
+        for op in circuit.iter() {
+            if let Operation::TwoQubit { a, b, .. } = op {
+                weight[a.index() * n + b.index()] += 1;
+                weight[b.index() * n + a.index()] += 1;
+            }
+        }
+        let order = circuit.qubits_by_first_use();
+        let mut rank = vec![0usize; n];
+        for (r, q) in order.iter().enumerate() {
+            rank[q.index()] = r;
+        }
+        let mut placed = vec![false; n];
+        fill_traps(circuit, device, buffer, |_, _, chain| {
+            let next = if chain.is_empty() {
+                order
+                    .iter()
+                    .map(|q| q.index())
+                    .find(|&q| !placed[q])
+                    .unwrap()
+            } else {
+                let affinity = |q: usize| -> u64 {
+                    chain
+                        .iter()
+                        .map(|ion| u64::from(weight[q * n + ion.index()]))
+                        .sum()
+                };
+                (0..n)
+                    .filter(|&q| !placed[q])
+                    .max_by_key(|&q| (affinity(q), std::cmp::Reverse(rank[q])))
+                    .unwrap()
+            };
+            placed[next] = true;
+            IonId(next as u32)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The incremental affinity row picks exactly what the
+        /// per-candidate sum picks, including when the program fills the
+        /// device far enough to relax the buffer and revisit traps.
+        #[test]
+        fn incremental_affinity_matches_per_candidate_sum(
+            traps in 1u32..7,
+            capacity in 2u32..9,
+            buffer in 0u32..4,
+            fill in 0.0f64..1.0,
+            ops in 0usize..300,
+            seed in 0u64..u64::MAX,
+        ) {
+            let d = if traps == 6 {
+                presets::g2x3(capacity)
+            } else {
+                presets::linear(traps, capacity, 4)
+            };
+            let slots = d.total_capacity();
+            let n = (2 + (f64::from(slots - 2) * fill) as u32).min(slots);
+            let c = qccd_circuit::generators::random_circuit(n, ops, 0.6, seed);
+            proptest::prop_assert_eq!(
+                MappingKind::UsageWeighted.place(&c, &d, buffer).unwrap(),
+                per_candidate_sum_placement(&c, &d, buffer)
+            );
+        }
     }
 
     #[test]

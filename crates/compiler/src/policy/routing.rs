@@ -156,10 +156,19 @@ const JUNCTION_PENALTY: u64 = 16;
 /// an alternate junction path but never drags a route through an extra
 /// intermediate trap unless the contention is extreme.
 ///
-/// When no segment or junction of the cached static route carries any
-/// load, its first leg is served without a search. That is exactly the
-/// leg [`Device::first_leg_weighted`] would return, not an approximation
-/// (the cached route is the zero-penalty search's route):
+/// Two cases serve the cached static route's first leg without a
+/// search. Each is exactly the leg [`RouteCache::first_leg_weighted`]
+/// would return, not an approximation (the cached route is the
+/// zero-penalty search's route).
+///
+/// **The device graph is a forest** ([`RouteCache::is_forest`], e.g.
+/// every linear device). Between two connected traps there is then
+/// exactly one simple path. Every edge weight is positive (segments are
+/// at least one unit long), so the search's parent chain from `to` back
+/// to `from` never repeats a node: it is that one simple path under any
+/// penalties, and so is the static route.
+///
+/// **No segment or junction of the static route carries any load.**
 ///
 /// - every segment is at least one unit long (the device builder, which
 ///   every device passes through, rejects zero-length ones), so the search settles
@@ -184,6 +193,9 @@ fn lookahead_congestion(
     to: TrapId,
 ) -> Result<Leg, CompileError> {
     let fixed = routes.route(from, to)?;
+    if routes.is_forest() {
+        return Ok(fixed.legs()[0].clone());
+    }
     let load_free = fixed.legs().iter().all(|leg| {
         leg.segments
             .iter()
@@ -196,7 +208,7 @@ fn lookahead_congestion(
     if load_free {
         return Ok(fixed.legs()[0].clone());
     }
-    Ok(routes.device().first_leg_weighted(
+    Ok(routes.first_leg_weighted(
         from,
         to,
         scratch,
@@ -303,29 +315,59 @@ mod tests {
 
     #[test]
     fn lookahead_serves_the_static_leg_when_its_route_is_load_free() {
-        // On l6 the T0->T2 route runs T0 -> T1 -> T2. Traffic on the far
-        // side (T4 -> T5) leaves the window non-empty but loads nothing
-        // on that route, so the static first leg is served, and it is
-        // the leg the weighted search returns.
-        let d = presets::l6(10);
+        // On g2x3 the T0->T1 route crosses J0 alone. Traffic on the far
+        // side (T4 -> T5, across J3) leaves the window non-empty but
+        // loads nothing on that route, so the static first leg is
+        // served, and it is the leg the weighted search returns.
+        let d = presets::g2x3(10);
         let cache = RouteCache::new(&d);
+        assert!(!cache.is_forest());
         let far = d.route(TrapId(4), TrapId(5)).unwrap().legs()[0].clone();
         let mut congestion = Congestion::new(&d);
         congestion.commit(&far);
         assert_eq!(congestion.segment_load(far.segments[0]), 1);
+        let (from, to) = (TrapId(0), TrapId(1));
+        let fixed = cache.route(from, to).unwrap();
+        assert!(fixed.legs().iter().all(|l| {
+            l.segments.iter().all(|&s| congestion.segment_load(s) == 0)
+                && l.junctions
+                    .iter()
+                    .all(|&j| congestion.junction_load(j) == 0)
+        }));
+        assert_weighted_leg_is_static(&cache, &congestion, from, to);
+    }
+
+    #[test]
+    fn lookahead_serves_the_static_leg_on_a_forest() {
+        // On l6 the T0->T2 route runs T0 -> T1 -> T2, the only path.
+        // Saturating its first leg leaves nothing to detour onto, so the
+        // static leg is served without a search, and it is the leg the
+        // weighted search returns.
+        let d = presets::l6(10);
+        let cache = RouteCache::new(&d);
+        assert!(cache.is_forest());
         let (from, to) = (TrapId(0), TrapId(2));
+        let mut congestion = Congestion::new(&d);
+        for _ in 0..Congestion::DEFAULT_HORIZON {
+            congestion.commit(&cache.route(from, to).unwrap().legs()[0]);
+        }
+        assert_weighted_leg_is_static(&cache, &congestion, from, to);
+    }
+
+    /// The lookahead leg from `from` to `to` is the cached static first
+    /// leg and equals the weighted search under `congestion`.
+    fn assert_weighted_leg_is_static(
+        cache: &RouteCache<'_>,
+        congestion: &Congestion,
+        from: TrapId,
+        to: TrapId,
+    ) {
         let mut scratch = RouteScratch::new();
         let leg = RoutingKind::LookaheadCongestion
-            .next_route(&cache, &congestion, &mut scratch, from, to)
+            .next_route(cache, congestion, &mut scratch, from, to)
             .unwrap();
-        let fixed = cache.route(from, to).unwrap();
-        assert!(fixed
-            .legs()
-            .iter()
-            .flat_map(|l| &l.segments)
-            .all(|&s| congestion.segment_load(s) == 0));
-        assert_eq!(leg, fixed.legs()[0]);
-        let weighted = d
+        assert_eq!(leg, cache.route(from, to).unwrap().legs()[0]);
+        let weighted = cache
             .first_leg_weighted(
                 from,
                 to,

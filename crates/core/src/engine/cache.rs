@@ -100,6 +100,28 @@ fn is_entry_stem(stem: &str) -> bool {
             .all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c))
 }
 
+/// Reads an entry whose report has a `-inf` log-fidelity (some operation
+/// failed outright). JSON has no infinities, so such a report is written
+/// with `"log_fidelity":null`; this reads that `null` back as `-inf`, the
+/// only non-finite value a log-fidelity takes (it is a sum of
+/// `ln(1 - err) <= 0` terms). `None` if the entry is anything else that
+/// failed to load.
+fn entry_with_failed_fidelity(text: &str) -> Option<CacheEntry> {
+    let mut value: serde::Value = serde_json::from_str(text).ok()?;
+    let serde::Value::Object(fields) = &mut value else {
+        return None;
+    };
+    let (_, serde::Value::Object(report)) = fields.iter_mut().find(|(k, _)| k == "ok")? else {
+        return None;
+    };
+    let (_, fidelity) = report.iter_mut().find(|(k, _)| k == "log_fidelity")?;
+    if *fidelity != serde::Value::Null {
+        return None;
+    }
+    *fidelity = serde::Value::Float(f64::NEG_INFINITY);
+    CacheEntry::from_value(&value).ok()
+}
+
 /// A directory of per-job result files.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
@@ -131,7 +153,10 @@ impl ResultCache {
     /// unreadable or corrupt entries, which execution will overwrite).
     pub fn load(&self, id: &JobId) -> Option<JobOutcome> {
         let text = std::fs::read_to_string(self.path_of(id)).ok()?;
-        let entry: CacheEntry = serde_json::from_str(&text).ok()?;
+        let entry: CacheEntry = match serde_json::from_str(&text) {
+            Ok(entry) => entry,
+            Err(_) => entry_with_failed_fidelity(&text)?,
+        };
         if entry.id != id.as_str() || entry.version != JOB_ID_VERSION {
             return None;
         }
@@ -436,6 +461,31 @@ mod tests {
         cache.store(&id, &Err(message.clone()));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), ERR);
         assert_eq!(cache.load(&id), Some(Err(message)));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A failed run's `-inf` log-fidelity is written as `null` and reads
+    /// back as the stored report, so the job is served from the cache.
+    #[test]
+    fn failed_fidelity_entries_load_as_hits() {
+        let cache = temp_cache("failed-fidelity");
+        let id = one_job_id();
+        let mut report = crate::Toolflow::new(presets::l6(6), PhysicalModel::default())
+            .run(&generators::bv(&[true; 6]))
+            .expect("fits");
+        report.log_fidelity = f64::NEG_INFINITY;
+        cache.store(&id, &Ok(report.clone()));
+        let path = cache.dir().join(format!("{id}.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(r#""log_fidelity":null"#), "{text}");
+        assert_eq!(cache.load(&id), Some(Ok(report)));
+        // Any other null where a number belongs is still a miss.
+        std::fs::write(
+            &path,
+            text.replace(r#""total_time_us":"#, r#""total_time_us":null,"x":"#),
+        )
+        .unwrap();
+        assert!(cache.load(&id).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -12,8 +12,9 @@
 //! junctions.
 
 use crate::ids::{JunctionId, SegmentId, Side, TrapId};
-use crate::topology::{Device, NodeRef};
+use crate::topology::{Device, NodeRef, MAX_DEVICE_NODES};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -127,11 +128,11 @@ impl std::error::Error for RouteError {}
 /// the frontier heap, sized once per device and reused across searches.
 ///
 /// The caller owns the arena. The compiler holds one for a whole
-/// compile and hands it to every [`Device::first_leg_weighted`] query,
-/// so the congestion-aware router's per-hop searches allocate nothing
-/// after the first. [`RouteCache::warm`] reuses one across an entire
-/// all-pairs sweep of [`Device::routes_from_with`]; a lazily filled
-/// cache row and the one-off [`Device::route`] each build their own.
+/// compile and hands it to every [`RouteCache::first_leg_weighted`]
+/// query, so the congestion-aware router's per-hop searches allocate
+/// nothing after the first. [`RouteCache::warm`] reuses one across an
+/// entire all-pairs sweep of row fills; a lazily filled cache row and
+/// the one-off [`Device::route`] each build their own.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     /// Per node: best known cost from the current source.
@@ -139,8 +140,9 @@ pub struct RouteScratch {
     /// Per node: packed `(parent node index << 32) | segment raw id`,
     /// or [`NO_PREV`].
     prev: Vec<u64>,
-    /// Frontier, min-first via `Reverse`.
-    heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    /// Frontier of packed `(cost << NODE_BITS) | node` keys, min-first
+    /// via `Reverse`.
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl RouteScratch {
@@ -159,8 +161,200 @@ impl RouteScratch {
     }
 }
 
+/// Low bits of a packed frontier key that hold the node index. Nodes are
+/// traps then junctions, fewer than 2 × [`MAX_DEVICE_NODES`] = 2^13.
+///
+/// The cost in the high bits stays below 2^51, so the packing is exact.
+/// Weights are positive, so a settled path repeats no node and has fewer
+/// than 2^13 edges (a candidate is a settled path plus one edge). An
+/// edge costs its length (at most [`crate::MAX_SEGMENT_LENGTH`], under
+/// 2^19), an entry weight (at most [`TRAP_WEIGHT`], or
+/// [`JUNCTION_WEIGHT`] plus a junction penalty) and a segment penalty.
+/// With every penalty below 2^36, an edge costs under 2^38 and a path
+/// under 2^51; the kernel asserts the bound on every cost it records.
+const NODE_BITS: u32 = 13;
+const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
+const _: () = assert!(2 * MAX_DEVICE_NODES as u64 <= 1 << NODE_BITS);
+
+/// One directed edge of a [`FlatGraph`] node.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// Flat index of the node at the segment's other end.
+    to: u32,
+    /// Raw id of the segment.
+    segment: u32,
+    /// Segment length in unit segments.
+    length: u32,
+}
+
+/// A device's topology graph as flat adjacency (CSR) over the node index
+/// space, traps then junctions, built once per [`RouteCache`].
+///
+/// Node `u`'s edges are `edges[offsets[u]..offsets[u + 1]]`, in exactly
+/// the order [`Device::segments_at`] yields its segments, so equal-cost
+/// paths tie-break as they always have. The graph lives beside the
+/// device rather than in it: [`Device`] serializes into job ids.
+#[derive(Debug)]
+struct FlatGraph {
+    n_traps: usize,
+    offsets: Box<[u32]>,
+    edges: Box<[Edge]>,
+}
+
+impl FlatGraph {
+    fn new(device: &Device) -> Self {
+        let n_traps = device.trap_count();
+        let n = n_traps + device.junction_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(2 * device.segment_count());
+        offsets.push(0);
+        for u in 0..n {
+            let u_node = if u < n_traps {
+                NodeRef::Trap(TrapId(u as u32))
+            } else {
+                NodeRef::Junction(JunctionId((u - n_traps) as u32))
+            };
+            for s in device.segments_at(u_node) {
+                let seg = device.segment(s);
+                if let Some(v) = seg.other_end(u_node) {
+                    edges.push(Edge {
+                        to: flat_index(n_traps, v) as u32,
+                        segment: s.0,
+                        length: seg.length(),
+                    });
+                }
+            }
+            offsets.push(edges.len() as u32);
+        }
+        FlatGraph {
+            n_traps,
+            offsets: offsets.into(),
+            edges: edges.into(),
+        }
+    }
+
+    /// Checks a per-pair query's endpoints, then runs [`FlatGraph::dijkstra`]
+    /// until `to` is settled.
+    fn search(
+        &self,
+        from: TrapId,
+        to: TrapId,
+        scratch: &mut RouteScratch,
+        segment_penalty: impl Fn(SegmentId) -> u64,
+        junction_penalty: impl Fn(JunctionId) -> u64,
+    ) -> Result<(), RouteError> {
+        assert!(from.index() < self.n_traps, "unknown trap {from}");
+        assert!(to.index() < self.n_traps, "unknown trap {to}");
+        if from == to {
+            return Err(RouteError::SameTrap(from));
+        }
+        self.dijkstra(
+            from.index(),
+            Some(to.index()),
+            scratch,
+            segment_penalty,
+            junction_penalty,
+        );
+        if scratch.dist[to.index()] == u64::MAX {
+            return Err(RouteError::Unreachable(from, to));
+        }
+        Ok(())
+    }
+
+    /// The one Dijkstra kernel, over the flat node index space. With
+    /// `to == Some(t)`, entering `t` is free and the search stops once
+    /// `t` is settled (the per-pair query); with `to == None` every trap
+    /// entry costs [`TRAP_WEIGHT`] and the search settles the whole
+    /// component (a cache row fill).
+    ///
+    /// Nodes settle in `(cost, node index)` order, and a node's parent
+    /// is the first settled neighbour, then its first edge, that
+    /// strictly improves its cost.
+    fn dijkstra(
+        &self,
+        from: usize,
+        to: Option<usize>,
+        scratch: &mut RouteScratch,
+        segment_penalty: impl Fn(SegmentId) -> u64,
+        junction_penalty: impl Fn(JunctionId) -> u64,
+    ) {
+        let n_traps = self.n_traps;
+        scratch.reset(self.offsets.len() - 1);
+        scratch.dist[from] = 0;
+        scratch.heap.push(Reverse(from as u64));
+
+        while let Some(Reverse(key)) = scratch.heap.pop() {
+            let (d, u) = (key >> NODE_BITS, (key & NODE_MASK) as usize);
+            if d > scratch.dist[u] {
+                continue;
+            }
+            if Some(u) == to {
+                break;
+            }
+            let edges = &self.edges[self.offsets[u] as usize..self.offsets[u + 1] as usize];
+            for e in edges {
+                let v = e.to as usize;
+                // Cost of *entering* `v`: junctions cost a crossing (plus
+                // any caller-supplied congestion penalty); traps other
+                // than the final destination cost a merge+reorder+split.
+                let entry = if v >= n_traps {
+                    JUNCTION_WEIGHT + junction_penalty(JunctionId((v - n_traps) as u32))
+                } else if Some(v) == to {
+                    0
+                } else {
+                    TRAP_WEIGHT
+                };
+                let nd = d + u64::from(e.length) + segment_penalty(SegmentId(e.segment)) + entry;
+                if nd < scratch.dist[v] {
+                    assert!(
+                        nd < 1 << (64 - NODE_BITS),
+                        "route cost {nd} overflows a frontier key: a penalty is past 2^36"
+                    );
+                    scratch.dist[v] = nd;
+                    scratch.prev[v] = ((u as u64) << 32) | u64::from(e.segment);
+                    scratch.heap.push(Reverse((nd << NODE_BITS) | v as u64));
+                }
+            }
+        }
+    }
+}
+
+/// The index of `node` in the flat node space: traps, then junctions.
+fn flat_index(n_traps: usize, node: NodeRef) -> usize {
+    match node {
+        NodeRef::Trap(t) => t.index(),
+        NodeRef::Junction(j) => n_traps + j.index(),
+    }
+}
+
+/// Whether no segment of `device` closes a cycle (two segments joining
+/// the same pair of nodes form one), so every pair of connected nodes
+/// has exactly one simple path. Union-find over the segments: the first
+/// one whose ends are already connected closes a cycle.
+fn is_forest(device: &Device) -> bool {
+    fn find(root: &mut [usize], mut x: usize) -> usize {
+        while root[x] != x {
+            root[x] = root[root[x]];
+            x = root[x];
+        }
+        x
+    }
+    let n_traps = device.trap_count();
+    let mut root: Vec<usize> = (0..n_traps + device.junction_count()).collect();
+    (0..device.segment_count()).all(|s| {
+        let seg = device.segment(SegmentId(s as u32));
+        let a = find(&mut root, flat_index(n_traps, seg.a()));
+        let b = find(&mut root, flat_index(n_traps, seg.b()));
+        root[a] = b;
+        a != b
+    })
+}
+
 impl Device {
     /// Computes the cheapest shuttling route from `from` to `to`.
+    ///
+    /// A one-off query: it flattens the graph and searches afresh on
+    /// every call. Repeated queries belong in a [`RouteCache`].
     ///
     /// # Errors
     ///
@@ -172,194 +366,15 @@ impl Device {
     /// Panics if either id is out of range for this device.
     pub fn route(&self, from: TrapId, to: TrapId) -> Result<Route, RouteError> {
         let mut scratch = RouteScratch::new();
-        self.search(from, to, &mut scratch, |_| 0, |_| 0)?;
-        self.extract_route(from, to, &scratch)
+        FlatGraph::new(self).search(from, to, &mut scratch, |_| 0, |_| 0)?;
+        Ok(self.extract_route(from, to, &scratch))
     }
 
-    /// The first leg of the cheapest shuttling route from `from` to `to`
-    /// under additional per-resource penalties: `segment_penalty` is
-    /// added to the cost of traversing a segment and `junction_penalty`
-    /// to the cost of crossing a junction.
-    ///
-    /// With all-zero penalties this is exactly the first leg of
-    /// [`Device::route`]; routing policies (e.g. congestion-aware
-    /// lookahead) supply penalties derived from queued traffic to steer
-    /// routes around contended resources. Only the first leg is built: a
-    /// router that re-plans after every hop commits nothing else.
-    ///
-    /// The search runs in the caller's `scratch` arena. The compiler
-    /// owns one per compile and passes it to every query, so after the
-    /// first query a search allocates only the returned leg.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::SameTrap`] if `from == to` and
-    /// [`RouteError::Unreachable`] if the traps are not connected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range for this device.
-    pub fn first_leg_weighted(
-        &self,
-        from: TrapId,
-        to: TrapId,
-        scratch: &mut RouteScratch,
-        segment_penalty: impl Fn(SegmentId) -> u64,
-        junction_penalty: impl Fn(JunctionId) -> u64,
-    ) -> Result<Leg, RouteError> {
-        self.search(from, to, scratch, segment_penalty, junction_penalty)?;
-        if scratch.dist[to.index()] == u64::MAX {
-            return Err(RouteError::Unreachable(from, to));
-        }
-        // The parent chain runs from `to` back to `from`; the last trap
-        // it passes before reaching `from` ends the first leg.
-        let n_traps = self.trap_count();
-        let (mut end, mut cur) = (to.index(), to.index());
-        while scratch.prev[cur] != NO_PREV {
-            cur = (scratch.prev[cur] >> 32) as usize;
-            if cur < n_traps && cur != from.index() {
-                end = cur;
-            }
-        }
-        Ok(self.leg_ending_at(end, scratch))
-    }
-
-    /// The per-pair search behind [`Device::route`] and
-    /// [`Device::first_leg_weighted`]: checks the endpoints, then runs
-    /// Dijkstra until `to` is settled.
-    fn search(
-        &self,
-        from: TrapId,
-        to: TrapId,
-        scratch: &mut RouteScratch,
-        segment_penalty: impl Fn(SegmentId) -> u64,
-        junction_penalty: impl Fn(JunctionId) -> u64,
-    ) -> Result<(), RouteError> {
-        assert!(from.index() < self.trap_count(), "unknown trap {from}");
-        assert!(to.index() < self.trap_count(), "unknown trap {to}");
-        if from == to {
-            return Err(RouteError::SameTrap(from));
-        }
-        self.dijkstra(from, Some(to), scratch, segment_penalty, junction_penalty);
-        Ok(())
-    }
-
-    /// Computes the cheapest static route from `from` to **every** trap
-    /// in one Dijkstra pass over `scratch`'s flat distance/parent
-    /// arrays, returning one `Result` per destination (indexed by trap
-    /// id; `from` itself yields [`RouteError::SameTrap`]).
-    ///
-    /// Each returned route is *identical* to the corresponding
-    /// [`Device::route`] result: the destination-specific run differs
-    /// from this batched one only in the entry cost of the destination
-    /// itself (0 vs `TRAP_WEIGHT`), a constant offset on every
-    /// candidate path that cannot change which predecessor chain wins —
-    /// and no edge out of a trap is relaxed until that trap is settled,
-    /// so the chains the per-destination run would have produced are
-    /// settled identically here. Pinned by the all-pairs equivalence
-    /// tests below.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of range for this device.
-    pub fn routes_from_with(
-        &self,
-        from: TrapId,
-        scratch: &mut RouteScratch,
-    ) -> Vec<Result<Route, RouteError>> {
-        assert!(from.index() < self.trap_count(), "unknown trap {from}");
-        self.dijkstra(from, None, scratch, |_| 0, |_| 0);
-        self.trap_ids()
-            .map(|to| {
-                if to == from {
-                    Err(RouteError::SameTrap(from))
-                } else {
-                    self.extract_route(from, to, scratch)
-                }
-            })
-            .collect()
-    }
-
-    /// The shared Dijkstra core over the flat node index space (traps
-    /// then junctions). With `to == Some(t)`, entering `t` is free and
-    /// the search stops once `t` is settled (the per-pair query); with
-    /// `to == None` every trap entry costs [`TRAP_WEIGHT`] and the
-    /// search settles the whole component (the batched all-destinations
-    /// query).
-    fn dijkstra(
-        &self,
-        from: TrapId,
-        to: Option<TrapId>,
-        scratch: &mut RouteScratch,
-        segment_penalty: impl Fn(SegmentId) -> u64,
-        junction_penalty: impl Fn(JunctionId) -> u64,
-    ) {
-        let n_traps = self.trap_count();
-        let n_nodes = n_traps + self.junction_count();
-        let node_of = |i: usize| {
-            if i < n_traps {
-                NodeRef::Trap(TrapId(i as u32))
-            } else {
-                NodeRef::Junction(JunctionId((i - n_traps) as u32))
-            }
-        };
-
-        // Cost of *entering* a node: junctions cost a crossing (plus any
-        // caller-supplied congestion penalty); traps other than the final
-        // destination cost a merge+reorder+split.
-        let entry_cost = |node: NodeRef| -> u64 {
-            match node {
-                NodeRef::Trap(t) if Some(t) == to => 0,
-                NodeRef::Trap(_) => TRAP_WEIGHT,
-                NodeRef::Junction(j) => JUNCTION_WEIGHT + junction_penalty(j),
-            }
-        };
-
-        scratch.reset(n_nodes);
-        let src = from.index();
-        scratch.dist[src] = 0;
-        scratch.heap.push(std::cmp::Reverse((0, src)));
-
-        while let Some(std::cmp::Reverse((d, u))) = scratch.heap.pop() {
-            if d > scratch.dist[u] {
-                continue;
-            }
-            if Some(u) == to.map(TrapId::index) {
-                break;
-            }
-            let u_node = node_of(u);
-            for s in self.segments_at(u_node) {
-                let seg = self.segment(s);
-                let Some(v_node) = seg.other_end(u_node) else {
-                    continue;
-                };
-                let v = match v_node {
-                    NodeRef::Trap(t) => t.index(),
-                    NodeRef::Junction(j) => n_traps + j.index(),
-                };
-                let nd = d + u64::from(seg.length()) + segment_penalty(s) + entry_cost(v_node);
-                if nd < scratch.dist[v] {
-                    scratch.dist[v] = nd;
-                    scratch.prev[v] = ((u as u64) << 32) | u64::from(s.0);
-                    scratch.heap.push(std::cmp::Reverse((nd, v)));
-                }
-            }
-        }
-    }
-
-    /// Walks `scratch.prev` back from `to` and cuts the path into
-    /// [`Leg`]s at trap boundaries.
-    fn extract_route(
-        &self,
-        from: TrapId,
-        to: TrapId,
-        scratch: &RouteScratch,
-    ) -> Result<Route, RouteError> {
+    /// Walks `scratch.prev` back from the settled, reachable trap `to`
+    /// and cuts the path into [`Leg`]s at trap boundaries.
+    fn extract_route(&self, from: TrapId, to: TrapId, scratch: &RouteScratch) -> Route {
         let n_traps = self.trap_count();
         let dst = to.index();
-        if scratch.dist[dst] == u64::MAX {
-            return Err(RouteError::Unreachable(from, to));
-        }
         // Every leg ends at a trap: count them to size the leg list, then
         // cut the legs off the path from its end.
         let (mut leg_count, mut cur) = (0, dst);
@@ -377,7 +392,7 @@ impl Device {
             legs.push(leg);
         }
         legs.reverse();
-        Ok(Route { from, to, legs })
+        Route { from, to, legs }
     }
 
     /// The leg of the path in `scratch.prev` that ends at trap node
@@ -434,11 +449,16 @@ impl Device {
 /// routing and eviction policies ask for the same trap pairs over and
 /// over (once per gate, and once per candidate trap per eviction).
 /// The cache stores one dense row of routes per source trap, filled by
-/// a *single* batched Dijkstra pass ([`Device::routes_from_with`]) on
-/// the first query from that source — the common access pattern routes
-/// one source to many candidate destinations, so the whole row pays
-/// for itself immediately, and every later `(src, dst)` query is a
-/// dense index lookup with no hashing.
+/// a *single* batched Dijkstra pass on the first query from that source
+/// — the common access pattern routes one source to many candidate
+/// destinations, so the whole row pays for itself immediately, and
+/// every later `(src, dst)` query is a dense index lookup with no
+/// hashing.
+///
+/// The cache flattens the device graph once, on creation: row fills
+/// and the congestion-aware router's
+/// [`RouteCache::first_leg_weighted`] searches all run one Dijkstra
+/// kernel over that flat adjacency.
 ///
 /// The cache is `Sync`: sweep workers can share one per device.
 ///
@@ -457,6 +477,9 @@ impl Device {
 #[derive(Debug)]
 pub struct RouteCache<'d> {
     device: &'d Device,
+    graph: FlatGraph,
+    /// See [`RouteCache::is_forest`].
+    forest: bool,
     /// One dense destination-indexed row per source trap, each batch
     /// computed at most once.
     rows: Vec<OnceLock<RouteRow>>,
@@ -467,11 +490,14 @@ pub struct RouteCache<'d> {
 type RouteRow = Box<[Result<Route, RouteError>]>;
 
 impl<'d> RouteCache<'d> {
-    /// Creates an empty cache over `device`. No routes are computed yet.
+    /// Creates an empty cache over `device`, flattening its graph. No
+    /// routes are computed yet.
     pub fn new(device: &'d Device) -> Self {
         let n = device.trap_count();
         RouteCache {
             device,
+            graph: FlatGraph::new(device),
+            forest: is_forest(device),
             rows: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -481,15 +507,51 @@ impl<'d> RouteCache<'d> {
         self.device
     }
 
+    /// Whether the device graph is a forest: no segment closes a cycle,
+    /// and no two segments join the same pair of nodes. Every pair of
+    /// connected traps then has exactly one simple path (a linear device
+    /// is the common case).
+    pub fn is_forest(&self) -> bool {
+        self.forest
+    }
+
     /// Eagerly computes every row, reusing one scratch arena across all
     /// sources. After `warm()` every [`RouteCache::route`] call is a
     /// pure lookup.
     pub fn warm(&self) {
         let mut scratch = RouteScratch::new();
         for from in self.device.trap_ids() {
-            self.rows[from.index()]
-                .get_or_init(|| self.device.routes_from_with(from, &mut scratch).into());
+            self.rows[from.index()].get_or_init(|| self.fill_row(from, &mut scratch));
         }
+    }
+
+    /// Computes the cheapest static route from `from` to **every** trap
+    /// in one Dijkstra pass, one `Result` per destination (indexed by
+    /// trap id; `from` itself yields [`RouteError::SameTrap`]).
+    ///
+    /// Each route is *identical* to the corresponding [`Device::route`]
+    /// result: the destination-specific run differs from this batched
+    /// one only in the entry cost of the destination itself (0 vs
+    /// `TRAP_WEIGHT`), a constant offset on every candidate path that
+    /// cannot change which predecessor chain wins — and no edge out of
+    /// a trap is relaxed until that trap is settled, so the chains the
+    /// per-destination run would have produced are settled identically
+    /// here. Pinned by the all-pairs equivalence tests below.
+    fn fill_row(&self, from: TrapId, scratch: &mut RouteScratch) -> RouteRow {
+        self.graph
+            .dijkstra(from.index(), None, scratch, |_| 0, |_| 0);
+        self.device
+            .trap_ids()
+            .map(|to| {
+                if to == from {
+                    Err(RouteError::SameTrap(from))
+                } else if scratch.dist[to.index()] == u64::MAX {
+                    Err(RouteError::Unreachable(from, to))
+                } else {
+                    Ok(self.device.extract_route(from, to, scratch))
+                }
+            })
+            .collect()
     }
 
     /// A serializable snapshot of one computed row: `Some(route)` per
@@ -571,11 +633,57 @@ impl<'d> RouteCache<'d> {
         let n = self.device.trap_count();
         assert!(from.index() < n, "unknown trap {from}");
         assert!(to.index() < n, "unknown trap {to}");
-        let row = self.rows[from.index()].get_or_init(|| {
-            let mut scratch = RouteScratch::new();
-            self.device.routes_from_with(from, &mut scratch).into()
-        });
+        let row =
+            self.rows[from.index()].get_or_init(|| self.fill_row(from, &mut RouteScratch::new()));
         row[to.index()].as_ref().map_err(Clone::clone)
+    }
+
+    /// The first leg of the cheapest shuttling route from `from` to `to`
+    /// under additional per-resource penalties: `segment_penalty` is
+    /// added to the cost of traversing a segment and `junction_penalty`
+    /// to the cost of crossing a junction. Each penalty must stay below
+    /// 2^36, which keeps every search cost exact.
+    ///
+    /// With all-zero penalties this is exactly the first leg of
+    /// [`Device::route`]; routing policies (e.g. congestion-aware
+    /// lookahead) supply penalties derived from queued traffic to steer
+    /// routes around contended resources. Only the first leg is built: a
+    /// router that re-plans after every hop commits nothing else.
+    ///
+    /// The search runs over the cache's flat graph in the caller's
+    /// `scratch` arena. The compiler owns one per compile and passes it
+    /// to every query, so after the first query a search allocates only
+    /// the returned leg.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::SameTrap`] if `from == to` and
+    /// [`RouteError::Unreachable`] if the traps are not connected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range for this device.
+    pub fn first_leg_weighted(
+        &self,
+        from: TrapId,
+        to: TrapId,
+        scratch: &mut RouteScratch,
+        segment_penalty: impl Fn(SegmentId) -> u64,
+        junction_penalty: impl Fn(JunctionId) -> u64,
+    ) -> Result<Leg, RouteError> {
+        self.graph
+            .search(from, to, scratch, segment_penalty, junction_penalty)?;
+        // The parent chain runs from `to` back to `from`; the last trap
+        // it passes before reaching `from` ends the first leg.
+        let n_traps = self.graph.n_traps;
+        let (mut end, mut cur) = (to.index(), to.index());
+        while scratch.prev[cur] != NO_PREV {
+            cur = (scratch.prev[cur] >> 32) as usize;
+            if cur < n_traps && cur != from.index() {
+                end = cur;
+            }
+        }
+        Ok(self.device.leg_ending_at(end, scratch))
     }
 }
 
@@ -676,11 +784,12 @@ mod tests {
     fn zero_penalties_reproduce_route_exactly() {
         let mut scratch = RouteScratch::new();
         for d in [presets::l6(15), presets::g2x3(15)] {
+            let cache = RouteCache::new(&d);
             for a in d.trap_ids() {
                 for b in d.trap_ids() {
                     assert_eq!(
                         d.route(a, b).map(|r| r.legs()[0].clone()),
-                        d.first_leg_weighted(a, b, &mut scratch, |_| 0, |_| 0)
+                        cache.first_leg_weighted(a, b, &mut scratch, |_| 0, |_| 0)
                     );
                 }
             }
@@ -696,7 +805,7 @@ mod tests {
         let d = presets::g2x3(15);
         let base = d.route(TrapId(0), TrapId(5)).unwrap();
         let banned: Vec<SegmentId> = base.legs()[0].segments.clone();
-        let detour = d
+        let detour = RouteCache::new(&d)
             .first_leg_weighted(
                 TrapId(0),
                 TrapId(5),
@@ -724,7 +833,7 @@ mod tests {
         let crossed = base.legs()[0].junctions.clone();
         assert!(crossed.len() >= 2, "diagonal route crosses junctions");
         let avoided = crossed[1];
-        let rerouted = d
+        let rerouted = RouteCache::new(&d)
             .first_leg_weighted(
                 TrapId(0),
                 TrapId(5),
@@ -762,14 +871,43 @@ mod tests {
         // early-break run, including errors, on both topology families.
         let mut scratch = RouteScratch::new();
         for d in [presets::l6(15), presets::g2x3(15)] {
+            let cache = RouteCache::new(&d);
             for a in d.trap_ids() {
-                let row = d.routes_from_with(a, &mut scratch);
+                let row = cache.fill_row(a, &mut scratch);
                 assert_eq!(row.len(), d.trap_count());
                 for b in d.trap_ids() {
                     assert_eq!(row[b.index()], d.route(a, b), "{a}->{b}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn forest_flag_marks_lines_and_clears_on_cycles() {
+        let (stub, link) = (presets::DEFAULT_GRID_STUB, presets::DEFAULT_GRID_LINK);
+        for d in [
+            presets::l6(15),
+            presets::linear(1, 10, 4),
+            presets::linear(32, 20, presets::DEFAULT_LINEAR_SPACING),
+        ] {
+            assert!(RouteCache::new(&d).is_forest(), "{}", d.name());
+        }
+        for d in [
+            presets::g2x3(15),
+            presets::grid(3, 4, 10, stub, link),
+            presets::grid(4, 8, 20, stub, link),
+            presets::grid(8, 8, 12, stub, link),
+        ] {
+            assert!(!RouteCache::new(&d).is_forest(), "{}", d.name());
+        }
+        // Two parallel segments between one pair of nodes close a cycle.
+        let mut b = crate::DeviceBuilder::new("parallel");
+        let (t0, t1) = (b.add_trap(4), b.add_trap(4));
+        b.connect((t0, Side::Right), (t1, Side::Left), 3).unwrap();
+        let tree = b.clone().build().unwrap();
+        assert!(RouteCache::new(&tree).is_forest());
+        b.connect((t0, Side::Left), (t1, Side::Right), 3).unwrap();
+        assert!(!RouteCache::new(&b.build().unwrap()).is_forest());
     }
 
     #[test]
