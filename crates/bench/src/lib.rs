@@ -6,24 +6,21 @@
 //!
 //! ```text
 //! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/table1.json
-//! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json  # full sweep
 //! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/fig6.json \
-//!     --caps 14,22,30 --cache /tmp/qccd-cache --json fig6.json   # cached re-runs skip all jobs
+//!     --cache /tmp/qccd-cache --json fig6.json   # cached re-runs skip all jobs
 //! cargo run --release -p qccd-bench --bin run -- --spec examples/experiments/device_files.json
 //! ```
 //!
-//! The spec is the whole study: devices, configs and models are its
-//! axes, never flags. `--caps` replaces the capacities axis, and only a
-//! spec with a device entry that sweeps it (a preset without a fixed
-//! `capacity`, or a `file`) accepts it. Any other flag, and `--caps` on
-//! any other spec, is rejected with a usage error, so nothing is ever
-//! silently ignored.
+//! The spec is the whole study: capacities, devices, configs and models
+//! are its axes, never flags; to sweep other capacities, edit the spec's
+//! `capacities`. Any flag other than `--spec`, `--json` and `--cache` is
+//! rejected with a usage error, so nothing is ever silently ignored.
 
 #![warn(missing_docs)]
 
 use qccd::engine::{
-    run_spec, Artifact, ArtifactSink, CsvSink, DeviceSpec, Engine, EngineOptions, ExperimentSpec,
-    JsonSink, SpecRun,
+    run_spec, Artifact, ArtifactSink, CsvSink, Engine, EngineOptions, ExperimentSpec, JsonSink,
+    SpecRun,
 };
 use std::path::{Path, PathBuf};
 
@@ -32,8 +29,6 @@ use std::path::{Path, PathBuf};
 pub struct HarnessArgs {
     /// Experiment spec file to run.
     pub spec: PathBuf,
-    /// Capacity list replacing the spec's capacities axis.
-    pub caps: Option<Vec<u32>>,
     /// Where to additionally dump the artifact as JSON.
     pub json: Option<PathBuf>,
     /// Engine result-cache directory (repeated runs skip finished
@@ -61,7 +56,7 @@ impl HarnessArgs {
     where
         I: IntoIterator<Item = String>,
     {
-        let (mut spec, mut caps, mut json, mut cache) = (None, None, None, None);
+        let (mut spec, mut json, mut cache) = (None, None, None);
         let mut args = args.into_iter();
         let path = |flag: &str, args: &mut dyn Iterator<Item = String>| {
             args.next()
@@ -70,12 +65,6 @@ impl HarnessArgs {
         };
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--caps" => {
-                    let list = args.next().ok_or("--caps needs a value")?;
-                    let list: Result<Vec<u32>, _> =
-                        list.split(',').map(|s| s.trim().parse()).collect();
-                    caps = Some(list.map_err(|_| "--caps expects e.g. 14,22,30")?);
-                }
                 "--json" => json = Some(path("--json", &mut args)?),
                 "--spec" => spec = Some(path("--spec", &mut args)?),
                 "--cache" => cache = Some(path("--cache", &mut args)?),
@@ -85,7 +74,6 @@ impl HarnessArgs {
         }
         Ok(HarnessArgs {
             spec: spec.ok_or("`run` requires --spec <experiment.json>")?,
-            caps,
             json,
             cache,
         })
@@ -101,28 +89,6 @@ impl HarnessArgs {
             verbose: true,
         })
     }
-
-    /// Replaces `spec`'s capacities axis with `--caps`, if given.
-    ///
-    /// # Errors
-    ///
-    /// Returns the usage-error message when `--caps` is given but no
-    /// device entry of `spec` sweeps the capacities axis, so the flag
-    /// would change nothing.
-    pub fn apply_to_spec(&self, spec: &mut ExperimentSpec) -> Result<(), String> {
-        let Some(caps) = &self.caps else {
-            return Ok(());
-        };
-        if !spec.devices.iter().any(DeviceSpec::sweeps_capacities) {
-            return Err(format!(
-                "--caps: spec `{}` has no device entry that sweeps capacities \
-                 (a preset without `capacity`, or a `file`)",
-                spec.name
-            ));
-        }
-        spec.capacities.clone_from(caps);
-        Ok(())
-    }
 }
 
 fn usage(message: &str) -> ! {
@@ -130,7 +96,7 @@ fn usage(message: &str) -> ! {
         eprintln!("error: {message}");
     }
     eprintln!(
-        "usage: run --spec experiment.json [--caps 14,22,30] [--json out.json] [--cache dir]\n       \
+        "usage: run --spec experiment.json [--json out.json] [--cache dir]\n       \
          (the committed studies are in examples/experiments/)"
     );
     std::process::exit(if message.is_empty() { 0 } else { 2 });
@@ -170,12 +136,10 @@ fn run_spec_or_die(spec: &ExperimentSpec, engine: &Engine) -> SpecRun {
 /// The `run` binary: executes the `--spec` experiment file.
 pub fn run_main() {
     let args = HarnessArgs::parse();
-    let mut spec = ExperimentSpec::from_file(&args.spec).unwrap_or_else(|e| {
+    let spec = ExperimentSpec::from_file(&args.spec).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    args.apply_to_spec(&mut spec)
-        .unwrap_or_else(|message| usage(&message));
 
     let run = run_spec_or_die(&spec, &args.engine());
     emit_artifact(&run.artifact, args.json.as_deref());
@@ -184,36 +148,9 @@ pub fn run_main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd::experiments::QUICK_CAPACITIES;
 
     fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
         HarnessArgs::parse_from(args.iter().map(|s| s.to_string()))
-    }
-
-    /// Loads the committed study `examples/experiments/<name>.json`.
-    fn committed(name: &str) -> ExperimentSpec {
-        let path = format!(
-            "{}/../../examples/experiments/{name}.json",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        ExperimentSpec::from_file(path).unwrap()
-    }
-
-    #[test]
-    fn capacities_default_quick_and_explicit() {
-        let mut spec = committed("fig6");
-        let default = parse(&["--spec", "fig6.json"]).unwrap();
-        default.apply_to_spec(&mut spec).unwrap();
-        assert_eq!(spec, committed("fig6"), "the spec keeps its own sweep");
-        // The quick set the figure goldens pin is spelled as plain --caps.
-        let quick = parse(&["--spec", "fig6.json", "--caps", "14,22,30"]).unwrap();
-        quick.apply_to_spec(&mut spec).unwrap();
-        assert_eq!(spec.capacities, QUICK_CAPACITIES.to_vec());
-        let explicit = parse(&["--spec", "fig6.json", "--caps", "10, 12"]).unwrap();
-        explicit.apply_to_spec(&mut spec).unwrap();
-        assert_eq!(spec.capacities, vec![10, 12]);
-        let err = parse(&["--spec", "fig6.json", "--caps", "14,x"]).unwrap_err();
-        assert!(err.contains("--caps expects"), "{err}");
     }
 
     #[test]
@@ -231,6 +168,7 @@ mod tests {
             (&["--shard", "0/2"], "--shard"),
             (&["--cache", "/tmp/x", "--cache-gc"], "--cache-gc"),
             (&["--spec", "fig6.json", "--quick"], "--quick"),
+            (&["--spec", "fig6.json", "--caps", "14,22,30"], "--caps"),
             (&["--device", "dev.json"], "--device"),
             (&["--config", "cfg.json"], "--config"),
             (&["--model", "model.json"], "--model"),

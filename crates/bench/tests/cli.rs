@@ -46,31 +46,6 @@ fn inspect_rejects_a_zero_capacity() {
 #[test]
 fn run_requires_a_spec() {
     assert_usage_error(&run::<&str>(&[]), "run", "requires --spec");
-    assert_usage_error(&run(&["--caps", "14"]), "run", "requires --spec");
-}
-
-/// `--caps` replaces the capacities axis, so a spec none of whose
-/// device entries sweeps that axis rejects it instead of running as if
-/// it had not been given.
-#[test]
-fn run_rejects_caps_on_a_spec_without_a_sweeping_device() {
-    for name in [
-        "table1",
-        "table2",
-        "ablation_buffer",
-        "ablation_junction",
-        "ablation_device_size",
-    ] {
-        let spec = format!(
-            "{}/../../examples/experiments/{name}.json",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        assert_usage_error(
-            &run(&["--spec", &spec, "--caps", "0"]),
-            "run",
-            "has no device entry that sweeps capacities",
-        );
-    }
 }
 
 /// Oversized device descriptions are rejected against the device

@@ -471,4 +471,43 @@ mod tests {
             }
         }
     }
+
+    /// FNV-1a over every committed golden under `tests/goldens/`, name
+    /// then bytes, in name order, for each `JOB_ID_VERSION` it was
+    /// committed under. A change that moves a golden moves the digest,
+    /// so it must append a row with a bumped version (and bump
+    /// `JOB_ID_VERSION` to it): every result cache then reads entries
+    /// computed before the move as misses instead of serving them.
+    #[test]
+    fn committed_goldens_move_with_the_job_id_version() {
+        const ROWS: [(&str, u64); 1] = [("qccd-job-v1", 0xe71e_13a7_aa41_8ee5)];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens");
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.unwrap().file_name().into_string().ok())
+            .filter(|f| f.ends_with(".json"))
+            .collect();
+        names.sort();
+        let mut bytes = Vec::new();
+        for name in &names {
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.push(0);
+            bytes.extend(std::fs::read(format!("{dir}/{name}")).unwrap());
+            bytes.push(0);
+        }
+        assert!(
+            ROWS.windows(2).all(|w| w[0].0 != w[1].0),
+            "each row bumps the version"
+        );
+        let (version, digest) = ROWS[ROWS.len() - 1];
+        assert_eq!(
+            version, JOB_ID_VERSION,
+            "the last row is the current version"
+        );
+        assert_eq!(
+            fnv1a(&bytes),
+            digest,
+            "the goldens {names:?} moved: append a row with a bumped JOB_ID_VERSION"
+        );
+    }
 }

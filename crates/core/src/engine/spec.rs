@@ -187,15 +187,6 @@ pub enum DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// Whether [`DeviceSpec::expand`] reads the capacities axis: a
-    /// preset without a fixed capacity, or a file.
-    pub fn sweeps_capacities(&self) -> bool {
-        matches!(
-            self,
-            DeviceSpec::Preset { capacity: None, .. } | DeviceSpec::File { .. }
-        )
-    }
-
     /// Resolves this entry into concrete devices, expanding
     /// capacity-parametric entries over `capacities`.
     ///

@@ -30,7 +30,13 @@ use qccd_device::Device;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A reduced capacity set for quick runs and CI.
+/// The three capacities of `tests/goldens/fig8_quick.json`, the full
+/// Fig. 8 golden restricted to these columns.
+///
+/// Public only for perfbench: its `fig8-cold` set-up runs Fig. 8 at
+/// these capacities and diffs the dump against that file. ROADMAP item
+/// 1b points that check at the full `fig8.json` golden and retires both
+/// the constant and the quick golden.
 pub const QUICK_CAPACITIES: [u32; 3] = [14, 22, 30];
 
 /// One labelled data series over trap capacity.

@@ -1,209 +1,216 @@
-//! Paper-scale shape checks: the qualitative findings of §IX–§X that this
-//! reproduction commits to (the artifacts themselves are regenerated as
-//! in the README's *Regenerating the paper's tables and figures*).
-//!
-//! These run the real 60–80 qubit benchmarks, restricted to a few design
-//! points each to stay test-suite friendly.
+//! The qualitative findings of §IX–§X that this reproduction commits
+//! to, checked against the committed figures `tests/goldens/fig{6,7,8}.json`
+//! (pinned byte for byte to `run --spec examples/experiments/figN.json`
+//! by `tests/golden_snapshots.rs`). Each claim names the section, panel
+//! and series it reads, and holds at every one of the paper's 11 trap
+//! capacities unless its doc says otherwise; a golden regenerated with
+//! `UPDATE_GOLDENS` that flips a finding fails the claim by name.
 
-use qccd::Toolflow;
-use qccd_circuit::generators;
-use qccd_compiler::{CompilerConfig, ReorderMethod};
-use qccd_device::presets;
-use qccd_physics::{GateImpl, PhysicalModel};
-use qccd_sim::SimReport;
+use qccd::experiments::Figure;
+use std::path::Path;
 
-fn run_l6(
-    circuit: &qccd_circuit::Circuit,
-    capacity: u32,
-    gate: GateImpl,
-    reorder: ReorderMethod,
-) -> SimReport {
-    Toolflow::with_config(
-        presets::l6(capacity),
-        PhysicalModel::with_gate(gate),
-        CompilerConfig::with_reorder(reorder),
-    )
-    .run(circuit)
-    .expect("paper-scale run succeeds")
+/// The committed figure `tests/goldens/<name>.json`.
+fn figure(name: &str) -> Figure {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/goldens/{name}.json"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// §IX-A: communication (shuttling volume) drops as traps grow.
+/// One series of one panel: its capacities and a value at each.
+#[derive(Debug)]
+struct Curve {
+    x: Vec<u32>,
+    y: Vec<f64>,
+}
+
+impl Curve {
+    /// Series `label` of panel `panel`, which must be feasible everywhere.
+    fn of(fig: &Figure, panel: &str, label: &str) -> Curve {
+        let p = fig
+            .panel(panel)
+            .unwrap_or_else(|| panic!("no panel {panel}"));
+        let s = p
+            .series
+            .iter()
+            .find(|s| s.label == label)
+            .unwrap_or_else(|| panic!("no series {label} in panel {panel}"));
+        assert_eq!(s.y.len(), p.x.len(), "{panel} {label}");
+        let y =
+            s.y.iter()
+                .map(|v| v.unwrap_or_else(|| panic!("{panel} {label}: infeasible point")));
+        Curve {
+            x: p.x.clone(),
+            y: y.collect(),
+        }
+    }
+
+    /// The value at `capacity`.
+    fn at(&self, capacity: u32) -> f64 {
+        let i = self.x.iter().position(|&c| c == capacity);
+        self.y[i.unwrap_or_else(|| panic!("capacity {capacity} is not swept"))]
+    }
+}
+
+/// Asserts `holds(a, b)` at every capacity of two curves over the same
+/// capacities.
+fn at_every(what: &str, a: &Curve, b: &Curve, holds: impl Fn(f64, f64) -> bool) {
+    assert_eq!(a.x, b.x, "{what}: different capacities");
+    for ((cap, &a), &b) in a.x.iter().zip(&a.y).zip(&b.y) {
+        assert!(holds(a, b), "{what} at capacity {cap}: {a} vs {b}");
+    }
+}
+
+/// §IX-A, Fig. 6b *QFT performance analysis*, series `communication`:
+/// shuttling time falls strictly with every step up in trap capacity,
+/// and is more than halved from capacity 14 to 30.
 #[test]
 fn communication_decreases_with_trap_capacity() {
-    let circuit = generators::supremacy_paper();
-    let small = run_l6(&circuit, 14, GateImpl::Fm, ReorderMethod::GateSwap);
-    let large = run_l6(&circuit, 30, GateImpl::Fm, ReorderMethod::GateSwap);
-    assert!(
-        small.counts.splits > 2 * large.counts.splits,
-        "splits: {} vs {}",
-        small.counts.splits,
-        large.counts.splits
-    );
+    let comm = Curve::of(&figure("fig6"), "6b", "communication");
+    assert!(comm.y.windows(2).all(|w| w[1] < w[0]), "{comm:?}");
+    assert!(comm.at(14) > 2.0 * comm.at(30), "{comm:?}");
 }
 
-/// §IX-A / Fig. 6g: on heated paper-scale runs the motional term dominates
-/// the background term, and the per-gate motional error grows with trap
-/// capacity (beam instability + hot spots).
+/// §IX-A, Fig. 6g *Supremacy fidelity analysis*, series `motional` and
+/// `background`: on the heated Supremacy runs the motional term of the
+/// mean MS gate error is above the background term at every capacity,
+/// more than twice it at capacity 20, and larger at 34 than at 20 (beam
+/// instability and hot spots). Motional error is not monotone in
+/// capacity, and at 34 it is only 1.85× background, so those two checks
+/// stay at their design points.
 #[test]
 fn motional_error_dominates_and_grows_with_capacity() {
-    let circuit = generators::supremacy_paper();
-    let mid = run_l6(&circuit, 20, GateImpl::Fm, ReorderMethod::GateSwap);
-    assert!(
-        mid.mean_ms_motional_error() > 2.0 * mid.mean_ms_background_error(),
-        "motional {} vs background {}",
-        mid.mean_ms_motional_error(),
-        mid.mean_ms_background_error()
-    );
-    let large = run_l6(&circuit, 34, GateImpl::Fm, ReorderMethod::GateSwap);
-    assert!(
-        large.mean_ms_motional_error() > mid.mean_ms_motional_error(),
-        "motional error should grow with capacity: {} vs {}",
-        large.mean_ms_motional_error(),
-        mid.mean_ms_motional_error()
-    );
+    let fig6 = figure("fig6");
+    let motional = Curve::of(&fig6, "6g", "motional");
+    let background = Curve::of(&fig6, "6g", "background");
+    at_every("motional vs background", &motional, &background, |m, b| {
+        m > b
+    });
+    assert!(motional.at(20) > 2.0 * background.at(20));
+    assert!(motional.at(34) > motional.at(20), "{motional:?}");
 }
 
-/// §IX-A: low-communication applications (BV, QAOA) keep high fidelity
-/// even at very low trap capacity.
+/// §IX-A, Fig. 6c–6e (L6, FM, GS): the low-communication applications
+/// keep high fidelity at every capacity, down to the smallest traps
+/// (6c `bv_n63` above 0.3, 6d `qaoa_n64_p10` above 0.2), while the
+/// communication-heavy 6e `qft_n64` collapses below 1e-6 at every one.
 #[test]
 fn low_communication_apps_stay_reliable_at_small_capacity() {
-    let bv = run_l6(
-        &generators::bv_paper(),
-        14,
-        GateImpl::Fm,
-        ReorderMethod::GateSwap,
-    );
-    assert!(bv.fidelity() > 0.3, "bv fidelity {}", bv.fidelity());
-    let qaoa = run_l6(
-        &generators::qaoa_paper(),
-        14,
-        GateImpl::Fm,
-        ReorderMethod::GateSwap,
-    );
-    assert!(qaoa.fidelity() > 0.2, "qaoa fidelity {}", qaoa.fidelity());
-    // ...while the communication-heavy QFT collapses at the same point.
-    let qft = run_l6(
-        &generators::qft_paper(),
-        14,
-        GateImpl::Fm,
-        ReorderMethod::GateSwap,
-    );
-    assert!(qft.fidelity() < 1e-6, "qft fidelity {}", qft.fidelity());
+    let fig6 = figure("fig6");
+    let bv = Curve::of(&fig6, "6c", "bv_n63");
+    assert!(bv.y.iter().all(|&f| f > 0.3), "{bv:?}");
+    let qaoa = Curve::of(&fig6, "6d", "qaoa_n64_p10");
+    assert!(qaoa.y.iter().all(|&f| f > 0.2), "{qaoa:?}");
+    let qft = Curve::of(&fig6, "6e", "qft_n64");
+    assert!(qft.y.iter().all(|&f| f < 1e-6), "{qft:?}");
 }
 
-/// §IX-B / Fig. 7: the grid topology dramatically improves the irregular
-/// SquareRoot workload — higher fidelity and less motional heating,
-/// because shuttles cross junctions instead of merging through
-/// intermediate traps.
+/// §IX-B, Fig. 7c `squareroot_n40_k1` and Fig. 7g *SquareRoot: motional
+/// heating*: at every capacity the grid topology more than doubles
+/// SquareRoot's fidelity (`fidelity-grid` against `fidelity-linear`)
+/// and heats the chains less (`grid` against `linear`), because
+/// shuttles cross junctions instead of merging through intermediate
+/// traps.
 #[test]
 fn squareroot_prefers_grid_topology() {
-    let circuit = generators::square_root_paper();
-    let linear = Toolflow::new(presets::l6(20), PhysicalModel::default())
-        .run(&circuit)
-        .expect("linear");
-    let grid = Toolflow::new(presets::g2x3(20), PhysicalModel::default())
-        .run(&circuit)
-        .expect("grid");
-    assert!(
-        grid.fidelity() > 2.0 * linear.fidelity(),
-        "grid {} vs linear {}",
-        grid.fidelity(),
-        linear.fidelity()
+    let fig7 = figure("fig7");
+    at_every(
+        "grid vs linear fidelity",
+        &Curve::of(&fig7, "7c", "fidelity-grid"),
+        &Curve::of(&fig7, "7c", "fidelity-linear"),
+        |grid, linear| grid > 2.0 * linear,
     );
-    assert!(
-        grid.peak_motional_energy < linear.peak_motional_energy,
-        "grid heat {} vs linear {}",
-        grid.peak_motional_energy,
-        linear.peak_motional_energy
+    at_every(
+        "grid vs linear heat",
+        &Curve::of(&fig7, "7g", "grid"),
+        &Curve::of(&fig7, "7g", "linear"),
+        |grid, linear| grid < linear,
     );
 }
 
-/// §IX-B: nearest-neighbour QAOA runs (slightly) faster on the simpler
-/// linear topology — grids pay junction-crossing time.
+/// §IX-B, Fig. 7b `qaoa_n64_p10`, series `time-linear` and `time-grid`:
+/// nearest-neighbour QAOA runs no more than 5 % slower on the simpler
+/// linear topology at any capacity — grids pay junction-crossing time.
 #[test]
 fn qaoa_linear_topology_is_faster() {
-    let circuit = generators::qaoa_paper();
-    let linear = Toolflow::new(presets::l6(20), PhysicalModel::default())
-        .run(&circuit)
-        .expect("linear");
-    let grid = Toolflow::new(presets::g2x3(20), PhysicalModel::default())
-        .run(&circuit)
-        .expect("grid");
-    assert!(
-        linear.total_time_us <= grid.total_time_us * 1.05,
-        "linear {} vs grid {}",
-        linear.total_time_us,
-        grid.total_time_us
+    let fig7 = figure("fig7");
+    at_every(
+        "linear vs grid time",
+        &Curve::of(&fig7, "7b", "time-linear"),
+        &Curve::of(&fig7, "7b", "time-grid"),
+        |linear, grid| linear <= grid * 1.05,
     );
 }
 
-/// §X-B / Fig. 8: gate-based swapping is at least as reliable as physical
-/// ion swapping, and strictly better when reordering is needed.
+/// §X-B, Fig. 8c `squareroot_n40_k1 fidelity`, series `FM-GS` and
+/// `FM-IS`: on a workload that needs chain reordering, gate-based
+/// swapping is strictly more reliable than physical ion swapping at
+/// every capacity. (GS is not ahead for every app and gate: BV under
+/// every gate, and Supremacy under AM1, favour IS at small capacities.)
 #[test]
 fn gs_reordering_beats_is() {
-    let circuit = generators::square_root_paper();
-    let gs = run_l6(&circuit, 18, GateImpl::Fm, ReorderMethod::GateSwap);
-    let is = run_l6(&circuit, 18, GateImpl::Fm, ReorderMethod::IonSwap);
-    assert!(
-        gs.fidelity() > is.fidelity(),
-        "GS {} vs IS {}",
-        gs.fidelity(),
-        is.fidelity()
+    let fig8 = figure("fig8");
+    at_every(
+        "GS vs IS fidelity",
+        &Curve::of(&fig8, "8c", "FM-GS"),
+        &Curve::of(&fig8, "8c", "FM-IS"),
+        |gs, is| gs > is,
     );
 }
 
-/// §X / Fig. 8: QAOA needs no chain reordering, so its GS and IS results
-/// coincide exactly.
+/// §X, Fig. 8b `qaoa_n64_p10 fidelity` and Fig. 8h `qaoa_n64_p10 time`:
+/// QAOA needs no chain reordering, so for each of the four gate
+/// implementations its GS and IS series coincide bit for bit at every
+/// capacity.
 #[test]
 fn qaoa_gs_equals_is_at_paper_scale() {
-    let circuit = generators::qaoa_paper();
-    let gs = run_l6(&circuit, 20, GateImpl::Fm, ReorderMethod::GateSwap);
-    let is = run_l6(&circuit, 20, GateImpl::Fm, ReorderMethod::IonSwap);
-    assert_eq!(gs.counts.swap_gates, 0);
-    assert_eq!(is.counts.ion_swaps, 0);
-    assert_eq!(gs.total_time_us, is.total_time_us);
-    assert_eq!(gs.log_fidelity, is.log_fidelity);
+    let fig8 = figure("fig8");
+    for panel in ["8b", "8h"] {
+        for gate in ["AM1", "AM2", "PM", "FM"] {
+            at_every(
+                &format!("{panel} {gate} GS vs IS"),
+                &Curve::of(&fig8, panel, &format!("{gate}-GS")),
+                &Curve::of(&fig8, panel, &format!("{gate}-IS")),
+                |gs, is| gs.to_bits() == is.to_bits(),
+            );
+        }
+    }
 }
 
-/// §X-A: AM2's fast short-range gates make QAOA faster than the
-/// distance-robust PM implementation, while AM1 is the slow outlier for
-/// long-range workloads.
+/// §X-A, Fig. 8h `qaoa_n64_p10 time` and Fig. 8c `squareroot_n40_k1
+/// fidelity`: at every capacity AM2's fast short-range gates make QAOA
+/// faster than the distance-robust PM implementation (`AM2-GS` against
+/// `PM-GS`), while AM1 is the unreliable outlier for the long-range
+/// SquareRoot workload (`FM-GS` against `AM1-GS`).
 #[test]
 fn gate_implementation_performance_tradeoffs() {
-    let qaoa = generators::qaoa_paper();
-    let am2 = run_l6(&qaoa, 20, GateImpl::Am2, ReorderMethod::GateSwap);
-    let pm = run_l6(&qaoa, 20, GateImpl::Pm, ReorderMethod::GateSwap);
-    assert!(
-        am2.total_time_us < pm.total_time_us,
-        "AM2 {} vs PM {}",
-        am2.total_time_us,
-        pm.total_time_us
+    let fig8 = figure("fig8");
+    at_every(
+        "QAOA AM2 vs PM time",
+        &Curve::of(&fig8, "8h", "AM2-GS"),
+        &Curve::of(&fig8, "8h", "PM-GS"),
+        |am2, pm| am2 < pm,
     );
-
-    let sq = generators::square_root_paper();
-    let am1 = run_l6(&sq, 20, GateImpl::Am1, ReorderMethod::GateSwap);
-    let fm = run_l6(&sq, 20, GateImpl::Fm, ReorderMethod::GateSwap);
-    assert!(
-        fm.fidelity() > am1.fidelity(),
-        "FM {} vs AM1 {}",
-        fm.fidelity(),
-        am1.fidelity()
+    at_every(
+        "SquareRoot FM vs AM1 fidelity",
+        &Curve::of(&fig8, "8c", "FM-GS"),
+        &Curve::of(&fig8, "8c", "AM1-GS"),
+        |fm, am1| fm > am1,
     );
 }
 
-/// Design-space spread: across the studied space, application reliability
-/// varies by many orders of magnitude (the paper quotes up to five).
+/// Design-space spread, Fig. 7d `qft_n64` series `fidelity-grid` (G2x3,
+/// FM, GS) against Fig. 8d `qft_n64 fidelity` series `AM1-IS` (L6):
+/// QFT's reliability across the studied space varies by more than five
+/// orders of magnitude (the paper's figure), between every capacity of
+/// the one and every capacity of the other.
 #[test]
 fn design_space_spans_orders_of_magnitude() {
-    let qft = generators::qft_paper();
-    let best = Toolflow::new(presets::g2x3(22), PhysicalModel::default())
-        .run(&qft)
-        .expect("grid");
-    let worst = run_l6(&qft, 14, GateImpl::Am1, ReorderMethod::IonSwap);
+    let grid = Curve::of(&figure("fig7"), "7d", "fidelity-grid");
+    let am1_is = Curve::of(&figure("fig8"), "8d", "AM1-IS");
+    let grid_worst = grid.y.iter().copied().fold(f64::INFINITY, f64::min);
+    let am1_is_best = am1_is.y.iter().copied().fold(0.0, f64::max);
     assert!(
-        best.log_fidelity - worst.log_fidelity > 5.0 * std::f64::consts::LN_10,
-        "spread too small: best {} worst {}",
-        best.fidelity(),
-        worst.fidelity()
+        grid_worst.ln() - am1_is_best.ln() > 5.0 * std::f64::consts::LN_10,
+        "spread too small: grid at worst {grid_worst}, AM1-IS at best {am1_is_best}"
     );
 }
