@@ -2,7 +2,6 @@
 //!
 //! * `route_cache` — one batched single-source pass per row
 //!   ([`RouteCache::warm`]).
-//! * `ready_tracker` — the bitset + cursor ready tracker.
 //! * `congestion` — the claim-counter ring.
 //! * `machine_state` — the O(1) position index.
 //!
@@ -11,7 +10,6 @@
 //! `notes` record the naive layouts they replaced.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use qccd_circuit::generators;
 use qccd_compiler::policy::Congestion;
 use qccd_compiler::{MachineState, Placement};
 use qccd_device::{presets, IonId, Leg, RouteCache, SegmentId, Side, TrapId};
@@ -36,24 +34,6 @@ fn bench_route_cache_warm(c: &mut Criterion) {
             let cache = RouteCache::new(&grid);
             cache.warm();
             black_box(cache.route(TrapId(0), TrapId(5)).expect("connected"));
-        });
-    });
-    g.finish();
-}
-
-fn bench_ready_tracker(c: &mut Criterion) {
-    let circuit = generators::qft(64);
-    let dag = qccd_circuit::DependencyDag::new(&circuit);
-    let mut g = c.benchmark_group("ready_tracker");
-    g.bench_function("drain_qft64/bitset_cursor", |b| {
-        b.iter(|| {
-            let mut tracker = dag.ready_tracker();
-            let mut drained = 0usize;
-            while let Some(i) = tracker.pop_earliest() {
-                drained += 1;
-                tracker.complete(i);
-            }
-            black_box(drained)
         });
     });
     g.finish();
@@ -118,7 +98,6 @@ fn bench_machine_state(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_route_cache_warm,
-    bench_ready_tracker,
     bench_congestion,
     bench_machine_state
 );

@@ -7,7 +7,6 @@
 //! classification.
 
 use crate::circuit::{Circuit, Operation};
-use crate::dag::DependencyDag;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -109,7 +108,7 @@ impl CircuitStats {
             two_qubit_gates: distances.len(),
             one_qubit_gates: circuit.one_qubit_gate_count(),
             measurements: circuit.measure_count(),
-            depth: DependencyDag::new(circuit).depth(),
+            depth: logical_depth(circuit),
             distance_histogram: histogram,
             median_distance,
             p95_distance,
@@ -117,6 +116,29 @@ impl CircuitStats {
             pattern,
         }
     }
+}
+
+/// Logical depth: the length, in operations, of the longest dependency
+/// chain, where an operation depends on the last earlier operation on
+/// each of its qubits (QC IR has only data dependencies, §VI). Zero for
+/// an empty circuit.
+///
+/// One pass in program order over per-qubit levels: an operation's level
+/// is one more than the highest level any of its qubits has reached, and
+/// it lifts each of its qubits to that level. Its predecessors are
+/// exactly the operations that last set those levels, so the highest
+/// level is the dependency DAG's longest path.
+fn logical_depth(circuit: &Circuit) -> usize {
+    let mut level = vec![0usize; circuit.num_qubits() as usize];
+    let mut depth = 0;
+    for op in circuit.iter() {
+        let l = 1 + op.qubits().map(|q| level[q.index()]).max().unwrap_or(0);
+        for q in op.qubits() {
+            level[q.index()] = l;
+        }
+        depth = depth.max(l);
+    }
+    depth
 }
 
 /// Classifies the communication pattern from distance percentiles.
@@ -269,6 +291,121 @@ mod tests {
         assert_eq!(stats.depth, 0);
         assert_eq!(stats.max_distance, 0);
         assert_eq!(stats.pattern, CommunicationPattern::NearestNeighbor);
+    }
+
+    #[test]
+    fn empty_circuit_has_depth_zero() {
+        let c = Circuit::new("e", 4);
+        assert_eq!(c.iter().count(), 0);
+        assert_eq!(logical_depth(&c), 0);
+        assert_eq!(logical_depth(&Circuit::new("e", 0)), 0);
+    }
+
+    #[test]
+    fn depth_of_diamond_is_three() {
+        let mut c = Circuit::new("d", 2);
+        c.h(Qubit(0)); // 0
+        c.h(Qubit(1)); // 1
+        c.cx(Qubit(0), Qubit(1)); // 2 depends on 0,1
+        c.measure(Qubit(0)); // 3 depends on 2
+        c.measure(Qubit(1)); // 4 depends on 2
+        assert_eq!(CircuitStats::of(&c).depth, 3);
+    }
+
+    #[test]
+    fn depth_follows_last_use() {
+        // Ops 0 and 1 touch distinct qubits, so they share level 1; op 2
+        // waits for both; op 3 only for op 1, the last use of q1.
+        let mut c = Circuit::new("t", 3);
+        c.h(Qubit(0)); // 0
+        c.h(Qubit(1)); // 1
+        c.cx(Qubit(0), Qubit(2)); // 2
+        c.h(Qubit(1)); // 3
+        assert_eq!(CircuitStats::of(&c).depth, 2);
+        c.cx(Qubit(2), Qubit(1)); // 4: after 2 (level 2) and 3 (level 2)
+        assert_eq!(CircuitStats::of(&c).depth, 3);
+    }
+
+    #[test]
+    fn shared_predecessor_counts_once() {
+        // Op 1 depends on op 0 through both qubits: one level, not two.
+        let mut c = Circuit::new("t", 2);
+        c.cx(Qubit(0), Qubit(1));
+        c.cx(Qubit(0), Qubit(1));
+        assert_eq!(CircuitStats::of(&c).depth, 2);
+    }
+
+    #[test]
+    fn barrier_orders_across_qubits() {
+        let mut c = Circuit::new("t", 2);
+        c.h(Qubit(0));
+        c.h(Qubit(1));
+        assert_eq!(CircuitStats::of(&c).depth, 1);
+        let mut fenced = Circuit::new("t", 2);
+        fenced.h(Qubit(0)); // 0
+        fenced.barrier_all(); // 1
+        fenced.h(Qubit(1)); // 2 must follow the barrier
+        assert_eq!(CircuitStats::of(&fenced).depth, 3);
+        // An empty barrier fences nothing and is one level of its own.
+        let mut empty = Circuit::new("t", 2);
+        empty.h(Qubit(0));
+        empty.push(Operation::Barrier { qs: Vec::new() });
+        assert_eq!(CircuitStats::of(&empty).depth, 1);
+    }
+
+    /// The longest chain of operations in which each shares a qubit with
+    /// the next, by the quadratic longest-path recurrence over every
+    /// earlier operation (not just the last one per qubit).
+    fn reference_depth(c: &Circuit) -> usize {
+        let ops = c.operations();
+        let mut level = vec![0usize; ops.len()];
+        for j in 0..ops.len() {
+            let deps = (0..j).filter(|&i| ops[i].qubits().any(|q| ops[j].qubits().any(|r| r == q)));
+            level[j] = 1 + deps.map(|i| level[i]).max().unwrap_or(0);
+        }
+        level.into_iter().max().unwrap_or(0)
+    }
+
+    /// A seeded random circuit over `n` qubits mixing one- and two-qubit
+    /// gates, measurements and empty, partial and full barriers.
+    fn random_with_barriers(rng: &mut impl rand::Rng, n: u32) -> Circuit {
+        let mut c = Circuit::new("r", n);
+        for _ in 0..rng.gen_range(0..60usize) {
+            let q = Qubit(rng.gen_range(0..n));
+            match rng.gen_range(0..6u32) {
+                0 => c.h(q),
+                1 => c.measure(q),
+                2 if n > 1 => {
+                    let mut r = Qubit(rng.gen_range(0..n));
+                    if r == q {
+                        r = Qubit((q.0 + 1) % n);
+                    }
+                    c.cx(q, r);
+                }
+                3 => c.push(Operation::Barrier { qs: Vec::new() }),
+                4 => {
+                    let qs = (0..n).filter(|_| rng.gen()).map(Qubit).collect();
+                    c.push(Operation::Barrier { qs });
+                }
+                _ => c.barrier_all(),
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn depth_equals_the_longest_dependency_path() {
+        use rand::{Rng, SeedableRng};
+        for case in 0..256u64 {
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(case);
+            let n = rng.gen_range(1..8u32);
+            let c = random_with_barriers(rng, n);
+            assert_eq!(
+                CircuitStats::of(&c).depth,
+                reference_depth(&c),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! * a gate-level circuit IR ([`Circuit`], [`Operation`], [`Gate`]) with the
 //!   fully-unrolled, control-flow-free structure assumed by NISQ compilers
 //!   (§VI of the paper);
-//! * a qubit-dependency DAG ([`dag::DependencyDag`]) supporting the
-//!   *earliest ready gate first* scheduling heuristic;
 //! * static analysis ([`analysis`]) of gate counts, depth and communication
 //!   patterns, reproducing the columns of Table II;
 //! * an OpenQASM 2.0 subset reader/writer ([`qasm`]), mirroring the paper's
@@ -32,12 +30,10 @@
 
 pub mod analysis;
 pub mod circuit;
-pub mod dag;
 pub mod gate;
 pub mod generators;
 pub mod qasm;
 
 pub use analysis::{CircuitStats, CommunicationPattern};
 pub use circuit::{Circuit, Operation, Qubit};
-pub use dag::DependencyDag;
 pub use gate::{Gate, OneQubitGate, TwoQubitGate};

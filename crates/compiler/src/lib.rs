@@ -14,7 +14,8 @@
 //!    ([`MappingKind::RoundRobin`], the paper's §VI heuristic) or
 //!    interaction-aware co-location ([`MappingKind::UsageWeighted`]).
 //! 2. **Scheduling** ([`compile()`]): the *earliest ready gate first*
-//!    heuristic walks the circuit's dependency DAG.
+//!    heuristic, which on a circuit's qubit dependencies is program
+//!    order.
 //! 3. **Lowering** ([`lowering`]): source gates (CX/CZ/SWAP) become native
 //!    Mølmer–Sørensen gates plus single-qubit wrappers.
 //! 4. **Routing** ([`RoutingKind::next_route`]): cross-trap gates shuttle
@@ -29,8 +30,9 @@
 //!    [`EvictionKind::FurthestNextUse`] or [`EvictionKind::ChainEnd`]).
 //!
 //! The default configuration is exactly the paper's compiler. The output
-//! is an [`Executable`] of primitive QCCD instructions ([`Inst`]) plus
-//! the initial ion placement — exactly what the `qccd-sim` crate
+//! is an [`Executable`] of primitive QCCD instructions ([`Inst`]), the
+//! route legs its moves index ([`LegTable`]) and the initial ion
+//! placement — exactly what the `qccd-sim` crate
 //! consumes.
 //!
 //! # Example
@@ -73,7 +75,7 @@ pub use config::{
 };
 pub use digest::{content_digest, fnv1a};
 pub use error::CompileError;
-pub use executable::{Executable, Inst, OpCounts};
+pub use executable::{Executable, Inst, LegId, LegTable, LegView, OpCounts};
 pub use mapping::{initial_map, Placement};
 pub use memo::{CompileMemo, CompileMemoRef, StageCounters, StagePersist};
 pub use passes::{Pipeline, UsesTable};

@@ -5,8 +5,10 @@
 //! eviction, see [`crate::policy`]):
 //!
 //! 1. **Map** — the mapping policy places every program qubit's ion;
-//! 2. **Schedule** — the *earliest ready gate first* walk over the
-//!    circuit's dependency DAG;
+//! 2. **Schedule** — the *earliest ready gate first* walk, which is
+//!    program order: operation *j* depends only on earlier operations
+//!    (the last ones on each of its qubits), so once operations `0..j`
+//!    are done, *j* is ready and is the earliest ready one;
 //! 3. **Route** — for each cross-trap gate the routing policy picks
 //!    the first leg of a route, which is committed (reorder → split →
 //!    move → merge, the Fig. 4 sequence); the policy is asked again
@@ -22,12 +24,12 @@
 
 use crate::config::{CompilerConfig, EvictionKind, MappingKind, ReorderMethod, RoutingKind};
 use crate::error::CompileError;
-use crate::executable::{Executable, Inst};
+use crate::executable::{Executable, Inst, LegTable};
 use crate::lowering::lower_two_qubit;
 use crate::memo::CompileMemoRef;
 use crate::policy::Congestion;
 use crate::state::MachineState;
-use qccd_circuit::{Circuit, DependencyDag, Operation};
+use qccd_circuit::{Circuit, Operation};
 use qccd_device::{Device, RouteCache, RouteScratch, TrapId};
 
 /// Per-qubit sorted lists of the operation indices that use it, for
@@ -163,15 +165,14 @@ impl Pipeline {
             eviction,
             st,
             out: Vec::new(),
+            legs: LegTable::new(),
             uses: UsesTable::new(circuit),
             current_op: 0,
         };
 
-        let dag = DependencyDag::new(circuit);
-        let mut tracker = dag.ready_tracker();
-        while let Some(i) = tracker.pop_earliest() {
+        for (i, op) in circuit.operations().iter().enumerate() {
             ctx.current_op = i;
-            match &circuit.operations()[i] {
+            match op {
                 Operation::OneQubit { gate, q } => {
                     let ion = ctx.st.ion_of_qubit(q.0);
                     ctx.out.push(Inst::OneQubit { gate: *gate, ion });
@@ -188,19 +189,15 @@ impl Pipeline {
                     ctx.two_qubit_gate(*gate, a.0, b.0)?;
                 }
             }
-            tracker.complete(i);
         }
 
         let final_map = ctx.st.qubit_assignment();
-        // The stream grew by doubling; the executable keeps only what it
-        // holds, not up to twice its instruction bytes, while it is
-        // simulated.
-        ctx.out.shrink_to_fit();
         Ok(Executable::new(
             circuit.name().to_owned(),
             circuit.num_qubits(),
             placement.chains().to_vec(),
             ctx.out,
+            ctx.legs,
             final_map,
         ))
     }
@@ -217,6 +214,8 @@ struct Ctx<'a> {
     eviction: EvictionKind,
     st: MachineState,
     out: Vec<Inst>,
+    /// The legs `out`'s moves index.
+    legs: LegTable,
     uses: UsesTable,
     current_op: usize,
 }
@@ -298,13 +297,12 @@ impl Ctx<'_> {
             self.st.remove_end(ion, src, leg.exit_side);
             self.st.insert_end(ion, leg.to, leg.entry_side);
             self.congestion.commit(&leg);
-            // The leg moves into its instruction instead of being cloned.
-            let (to, side) = (leg.to, leg.entry_side);
-            self.out.push(Inst::Move { ion, leg });
+            let id = self.legs.push(&leg);
+            self.out.push(Inst::Move { ion, leg: id });
             self.out.push(Inst::Merge {
                 ion,
-                trap: to,
-                side,
+                trap: leg.to,
+                side: leg.entry_side,
             });
         }
     }

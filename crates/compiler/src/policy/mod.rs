@@ -13,7 +13,7 @@
 //! | Seam | Selector · method | Heuristics |
 //! |------|-------------------|------------|
 //! | 1. placement | [`MappingKind::place`]`(circuit, device, buffer_slots)` | `RoundRobin`, `UsageWeighted` |
-//! | 2. routing | [`RoutingKind::next_route`]`(routes, congestion, scratch, from, to)` → first leg | `GreedyShortest`, `LookaheadCongestion` |
+//! | 2. routing | [`RoutingKind::next_route`]`(routes, congestion, scratch, from, to)` → first leg, lent from the cache unless searched | `GreedyShortest`, `LookaheadCongestion` |
 //! | 3. reordering | [`ReorderMethod::bring_to_end`]`(state, out, ion, trap, side)` | `GateSwap`, `IonSwap` |
 //! | 4. eviction | [`EvictionKind::pick`]`(routes, state, trap, protected, next_use)` | `FurthestNextUse`, `ChainEnd` |
 //!

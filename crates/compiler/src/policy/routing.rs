@@ -4,6 +4,7 @@
 use crate::config::RoutingKind;
 use crate::error::CompileError;
 use qccd_device::{Device, JunctionId, Leg, RouteCache, RouteScratch, SegmentId, TrapId};
+use std::borrow::Cow;
 
 /// The resource claims of one committed leg, held in a reused ring
 /// slot. The id vectors keep their allocations across reuse (clear +
@@ -119,21 +120,26 @@ impl RoutingKind {
     /// up-to-date traffic. A weighted search runs in the caller's
     /// `scratch` arena.
     ///
+    /// The leg is lent from `routes` whenever it is the cached static
+    /// route's first leg (always for greedy routing; for lookahead on a
+    /// forest device or a load-free route). Only a weighted search
+    /// builds an owned one.
+    ///
     /// # Errors
     ///
     /// Returns [`CompileError::Routing`] when no route exists.
-    pub fn next_route(
+    pub fn next_route<'r>(
         &self,
-        routes: &RouteCache<'_>,
+        routes: &'r RouteCache<'_>,
         congestion: &Congestion,
         scratch: &mut RouteScratch,
         from: TrapId,
         to: TrapId,
-    ) -> Result<Leg, CompileError> {
+    ) -> Result<Cow<'r, Leg>, CompileError> {
         match self {
             // The paper's §VI router: always the device's cheapest static
             // route (via the memoized all-pairs cache).
-            RoutingKind::GreedyShortest => Ok(routes.route(from, to)?.legs()[0].clone()),
+            RoutingKind::GreedyShortest => Ok(Cow::Borrowed(&routes.route(from, to)?.legs()[0])),
             RoutingKind::LookaheadCongestion => {
                 lookahead_congestion(routes, congestion, scratch, from, to)
             }
@@ -185,16 +191,16 @@ const JUNCTION_PENALTY: u64 = 16;
 ///   static parent is one of them and was the earliest among all static
 ///   candidates, so it is still the earliest, and the path walked back
 ///   from `to` is the static route.
-fn lookahead_congestion(
-    routes: &RouteCache<'_>,
+fn lookahead_congestion<'r>(
+    routes: &'r RouteCache<'_>,
     congestion: &Congestion,
     scratch: &mut RouteScratch,
     from: TrapId,
     to: TrapId,
-) -> Result<Leg, CompileError> {
+) -> Result<Cow<'r, Leg>, CompileError> {
     let fixed = routes.route(from, to)?;
     if routes.is_forest() {
-        return Ok(fixed.legs()[0].clone());
+        return Ok(Cow::Borrowed(&fixed.legs()[0]));
     }
     let load_free = fixed.legs().iter().all(|leg| {
         leg.segments
@@ -206,15 +212,15 @@ fn lookahead_congestion(
                 .all(|&j| congestion.junction_load(j) == 0)
     });
     if load_free {
-        return Ok(fixed.legs()[0].clone());
+        return Ok(Cow::Borrowed(&fixed.legs()[0]));
     }
-    Ok(routes.first_leg_weighted(
+    Ok(Cow::Owned(routes.first_leg_weighted(
         from,
         to,
         scratch,
         |s| congestion.segment_penalty(s),
         |j| congestion.junction_penalty(j),
-    )?)
+    )?))
 }
 
 #[cfg(test)]
@@ -257,7 +263,11 @@ mod tests {
                 TrapId(4),
             )
             .unwrap();
-        assert_eq!(leg, d.route(TrapId(0), TrapId(4)).unwrap().legs()[0]);
+        assert!(
+            matches!(leg, Cow::Borrowed(_)),
+            "greedy lends the cached leg"
+        );
+        assert_eq!(*leg, d.route(TrapId(0), TrapId(4)).unwrap().legs()[0]);
     }
 
     #[test]
@@ -301,10 +311,14 @@ mod tests {
         let greedy = RoutingKind::GreedyShortest
             .next_route(&cache, &congestion, &mut scratch, from, to)
             .unwrap();
-        assert_eq!(greedy, static_leg, "greedy ignores congestion");
+        assert_eq!(*greedy, static_leg, "greedy ignores congestion");
         let lookahead = RoutingKind::LookaheadCongestion
             .next_route(&cache, &congestion, &mut scratch, from, to)
             .unwrap();
+        assert!(
+            matches!(lookahead, Cow::Owned(_)),
+            "only the search builds a leg"
+        );
         assert_ne!(
             lookahead.junctions, static_leg.junctions,
             "lookahead must leave the congested crossings"
@@ -366,7 +380,8 @@ mod tests {
         let leg = RoutingKind::LookaheadCongestion
             .next_route(cache, congestion, &mut scratch, from, to)
             .unwrap();
-        assert_eq!(leg, cache.route(from, to).unwrap().legs()[0]);
+        assert!(matches!(leg, Cow::Borrowed(_)), "the static leg is lent");
+        assert_eq!(*leg, cache.route(from, to).unwrap().legs()[0]);
         let weighted = cache
             .first_leg_weighted(
                 from,
@@ -376,6 +391,6 @@ mod tests {
                 |j| congestion.junction_penalty(j),
             )
             .unwrap();
-        assert_eq!(leg, weighted);
+        assert_eq!(*leg, weighted);
     }
 }

@@ -215,7 +215,7 @@ fn check_device(device: &Device, horizon: usize, seed: u64) -> usize {
             .first_leg_weighted(from, to, &mut scratch, segment_penalty, junction_penalty)
             .unwrap();
         assert_eq!(weighted, reference, "{} {from}->{to}", device.name());
-        assert_eq!(leg, reference, "{} {from}->{to}", device.name());
+        assert_eq!(*leg, reference, "{} {from}->{to}", device.name());
         let fixed = routes.route(from, to).unwrap();
         if fixed.legs().iter().all(|l| {
             l.segments.iter().all(|&s| congestion.segment_load(s) == 0)

@@ -3,8 +3,10 @@
 use crate::error::SimError;
 use crate::report::{ErrorTotals, SimReport, TimeBreakdown};
 use crate::spans::SpanSet;
-use qccd_compiler::{Executable, Inst, MachineState, OpCounts, Placement};
-use qccd_device::{Device, IonId, JunctionKind, Leg, TrapId};
+use qccd_compiler::{
+    Executable, Inst, LegId, LegTable, LegView, MachineState, OpCounts, Placement,
+};
+use qccd_device::{Device, IonId, JunctionKind, TrapId};
 use qccd_physics::{HeatingModel, PhysicalModel};
 
 /// Simulates `exe` on `device` under `model`, producing timing, fidelity
@@ -21,8 +23,9 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 /// * the initial chain table has one chain per device trap, and names
 ///   each ion at most once and only ions below `num_ions`;
 /// * the instruction names only known ions, a two-ion instruction names
-///   two distinct ions, and a split, merge or move leg names only known
-///   traps, segments and junctions;
+///   two distinct ions, a split or merge names a known trap, and a move
+///   names a leg of the executable's leg table that crosses only known
+///   segments and junctions;
 /// * gates, ion swaps and measurements act on trapped ions, two-ion
 ///   operations on ions of one trap, ion swaps on chain neighbours;
 /// * a split removes the end ion of the named trap on the named side,
@@ -66,6 +69,8 @@ pub fn simulate(
 struct Engine<'a> {
     device: &'a Device,
     model: &'a PhysicalModel,
+    /// The executable's legs, which its moves index.
+    legs: &'a LegTable,
     st: MachineState,
     ion_ready: Vec<f64>,
     trap_ready: Vec<f64>,
@@ -100,7 +105,7 @@ impl<'a> Engine<'a> {
     /// its chain table fits `device`: one chain per trap, naming only
     /// known ions, each at most once.
     fn new(
-        exe: &Executable,
+        exe: &'a Executable,
         device: &'a Device,
         model: &'a PhysicalModel,
     ) -> Result<Self, SimError> {
@@ -125,6 +130,7 @@ impl<'a> Engine<'a> {
         Ok(Engine {
             device,
             model,
+            legs: exe.legs(),
             st: MachineState::new(&placement),
             ion_ready: vec![0.0; n as usize],
             trap_ready: vec![0.0; device.trap_count()],
@@ -219,7 +225,7 @@ impl<'a> Engine<'a> {
 
     /// The id checks of one instruction, run before anything indexes by
     /// its ids: known ions, two distinct ions for a two-ion instruction,
-    /// and known traps, segments and junctions.
+    /// and known traps. A move's leg is checked by [`Engine::leg`].
     fn check_ids(&self, inst: &Inst) -> Result<(), SimError> {
         for ion in inst.ions() {
             if ion.index() >= self.ion_ready.len() {
@@ -235,21 +241,26 @@ impl<'a> Engine<'a> {
             {
                 return Err(SimError::UnknownTrap(*trap));
             }
-            Inst::Move { leg, .. } => {
-                for s in &leg.segments {
-                    if s.index() >= self.device.segment_count() {
-                        return Err(SimError::UnknownSegment(*s));
-                    }
-                }
-                for j in &leg.junctions {
-                    if j.index() >= self.device.junction_count() {
-                        return Err(SimError::UnknownJunction(*j));
-                    }
-                }
-            }
             _ => {}
         }
         Ok(())
+    }
+
+    /// Leg `id` of the executable's table, once it is known and crosses
+    /// only segments and junctions the device has.
+    fn leg(&self, id: LegId) -> Result<LegView<'a>, SimError> {
+        let leg = self.legs.get(id).ok_or(SimError::UnknownLeg(id))?;
+        for s in leg.segments {
+            if s.index() >= self.device.segment_count() {
+                return Err(SimError::UnknownSegment(*s));
+            }
+        }
+        for j in leg.junctions {
+            if j.index() >= self.device.junction_count() {
+                return Err(SimError::UnknownJunction(*j));
+            }
+        }
+        Ok(leg)
     }
 
     fn step(&mut self, inst: &Inst) -> Result<(), SimError> {
@@ -383,16 +394,17 @@ impl<'a> Engine<'a> {
                 self.makespan = self.makespan.max(end);
             }
             Inst::Move { ion, leg } => {
+                let leg = self.leg(*leg)?;
                 if self.st.trap_of(*ion).is_some() {
                     return Err(SimError::IonNotInFlight(*ion));
                 }
-                let tau = self.leg_time(leg);
-                let resource_ready = self.path_ready(leg);
+                let tau = self.leg_time(&leg);
+                let resource_ready = self.path_ready(&leg);
                 let ready = self.ion_ready[ion.index()];
                 let start = ready.max(resource_ready);
                 self.shuttle_wait += (resource_ready - ready).max(0.0);
                 let end = start + tau;
-                self.set_path_ready(leg, end);
+                self.set_path_ready(&leg, end);
                 self.flight_energy[ion.index()] += self
                     .model
                     .heating
@@ -400,7 +412,7 @@ impl<'a> Engine<'a> {
                 self.ion_ready[ion.index()] = end;
                 self.counts.moves += 1;
                 self.counts.junction_crossings += leg.junctions.len();
-                self.comm_spans.add(self.move_lane(leg), start, end);
+                self.comm_spans.add(self.move_lane(&leg), start, end);
                 self.makespan = self.makespan.max(end);
             }
             Inst::Merge { ion, trap, side } => {
@@ -443,7 +455,7 @@ impl<'a> Engine<'a> {
     /// The communication-span lane of a move: its leg's first segment,
     /// whose ready time the move advances. Lanes below the trap count
     /// belong to traps; a leg with no segment gets a lane of its own.
-    fn move_lane(&self, leg: &Leg) -> usize {
+    fn move_lane(&self, leg: &LegView<'_>) -> usize {
         let segment = leg
             .segments
             .first()
@@ -453,9 +465,9 @@ impl<'a> Engine<'a> {
 
     /// Transit time of one shuttle leg: its segments plus a Y- or
     /// X-junction crossing for every junction on it.
-    fn leg_time(&self, leg: &Leg) -> f64 {
+    fn leg_time(&self, leg: &LegView<'_>) -> f64 {
         let (mut y, mut x) = (0u32, 0u32);
-        for j in &leg.junctions {
+        for j in leg.junctions {
             match self.device.junction(*j).kind() {
                 JunctionKind::Y => y += 1,
                 JunctionKind::X => x += 1,
@@ -464,22 +476,22 @@ impl<'a> Engine<'a> {
         self.model.shuttle.move_time(leg.length_units, y, x)
     }
 
-    fn path_ready(&self, leg: &Leg) -> f64 {
+    fn path_ready(&self, leg: &LegView<'_>) -> f64 {
         let mut t: f64 = 0.0;
-        for s in &leg.segments {
+        for s in leg.segments {
             t = t.max(self.seg_ready[s.index()]);
         }
-        for j in &leg.junctions {
+        for j in leg.junctions {
             t = t.max(self.junc_ready[j.index()]);
         }
         t
     }
 
-    fn set_path_ready(&mut self, leg: &Leg, end: f64) {
-        for s in &leg.segments {
+    fn set_path_ready(&mut self, leg: &LegView<'_>, end: f64) {
+        for s in leg.segments {
             self.seg_ready[s.index()] = end;
         }
-        for j in &leg.junctions {
+        for j in leg.junctions {
             self.junc_ready[j.index()] = end;
         }
     }
@@ -506,7 +518,7 @@ mod tests {
     use qccd_circuit::{generators, Circuit, Qubit};
     use qccd_compiler::{compile, CompilerConfig, ReorderMethod};
     use qccd_device::presets;
-    use qccd_device::{JunctionId, SegmentId, Side};
+    use qccd_device::{JunctionId, Leg, SegmentId, Side};
     use qccd_physics::{GateImpl, ShuttleTimes};
 
     fn run(
@@ -697,6 +709,7 @@ mod tests {
                 trap: TrapId(0),
                 side: Side::Right,
             }],
+            LegTable::new(),
             vec![0, 1, 2],
         );
         let d = presets::l6(10);
@@ -721,6 +734,7 @@ mod tests {
                 a: IonId(0),
                 b: IonId(1),
             }],
+            LegTable::new(),
             vec![0, 1],
         );
         let d = presets::l6(10);
@@ -745,8 +759,40 @@ mod tests {
 
     /// A hand-built (usually malformed) executable on `num_ions` ions.
     fn exe_on(num_ions: u32, chains: Vec<Vec<IonId>>, insts: Vec<Inst>) -> Executable {
+        exe_with_legs(num_ions, chains, insts, LegTable::new())
+    }
+
+    /// [`exe_on`] with moves that index `legs`.
+    fn exe_with_legs(
+        num_ions: u32,
+        chains: Vec<Vec<IonId>>,
+        insts: Vec<Inst>,
+        legs: LegTable,
+    ) -> Executable {
         let final_map = (0..num_ions).collect();
-        Executable::new("bad".into(), num_ions, chains, insts, final_map)
+        Executable::new("bad".into(), num_ions, chains, insts, legs, final_map)
+    }
+
+    /// The first leg of L6's route from `from` to `to`.
+    fn l6_leg(from: u32, to: u32) -> Leg {
+        presets::l6(10)
+            .route(TrapId(from), TrapId(to))
+            .unwrap()
+            .legs()[0]
+            .clone()
+    }
+
+    /// An owned copy of a table leg.
+    fn owned(leg: LegView<'_>) -> Leg {
+        Leg {
+            from: leg.from,
+            exit_side: leg.exit_side,
+            to: leg.to,
+            entry_side: leg.entry_side,
+            segments: leg.segments.to_vec(),
+            junctions: leg.junctions.to_vec(),
+            length_units: leg.length_units,
+        }
     }
 
     /// All ions in trap 0 of a 6-trap device.
@@ -802,7 +848,9 @@ mod tests {
 
     /// Ion 0 split off trap 0, then moved along `leg`.
     fn move_along(leg: Leg) -> Executable {
-        exe_on(
+        let mut legs = LegTable::new();
+        let leg = legs.push(&leg);
+        exe_with_legs(
             1,
             chains_in_trap0(1),
             vec![
@@ -813,6 +861,7 @@ mod tests {
                 },
                 Inst::Move { ion: IonId(0), leg },
             ],
+            legs,
         )
     }
 
@@ -820,7 +869,7 @@ mod tests {
     fn unknown_segment_when_a_leg_crosses_a_missing_segment() {
         // The leg still ends at a real trap, which the error must not
         // name instead of the segment.
-        let mut leg = presets::l6(10).route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        let mut leg = l6_leg(0, 1);
         leg.segments.push(SegmentId(99));
         assert_rejects(&move_along(leg), SimError::UnknownSegment(SegmentId(99)));
     }
@@ -828,9 +877,32 @@ mod tests {
     #[test]
     fn unknown_junction_when_a_leg_crosses_a_missing_junction() {
         // L6 has no junctions at all.
-        let mut leg = presets::l6(10).route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        let mut leg = l6_leg(0, 1);
         leg.junctions.push(JunctionId(0));
         assert_rejects(&move_along(leg), SimError::UnknownJunction(JunctionId(0)));
+    }
+
+    #[test]
+    fn unknown_leg_when_a_move_names_a_leg_past_the_table() {
+        // The table holds leg 0 only; the move names leg 1.
+        let exe = move_along(l6_leg(0, 1));
+        let mut insts = exe.instructions().to_vec();
+        insts[1] = Inst::Move {
+            ion: IonId(0),
+            leg: LegId(1),
+        };
+        let exe = exe_with_legs(1, chains_in_trap0(1), insts, exe.legs().clone());
+        assert_rejects(&exe, SimError::UnknownLeg(LegId(1)));
+        // A trapped ion on a missing leg: the id check comes first.
+        let exe = exe_on(
+            1,
+            chains_in_trap0(1),
+            vec![Inst::Move {
+                ion: IonId(0),
+                leg: LegId(0),
+            }],
+        );
+        assert_rejects(&exe, SimError::UnknownLeg(LegId(0)));
     }
 
     #[test]
@@ -950,12 +1022,13 @@ mod tests {
 
     #[test]
     fn ion_not_in_flight_when_moving_a_trapped_ion() {
-        let d = presets::l6(10);
-        let leg = d.route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
-        let exe = exe_on(
+        let mut legs = LegTable::new();
+        let leg = legs.push(&l6_leg(0, 1));
+        let exe = exe_with_legs(
             1,
             chains_in_trap0(1),
             vec![Inst::Move { ion: IonId(0), leg }],
+            legs,
         );
         assert_rejects(&exe, SimError::IonNotInFlight(IonId(0)));
     }
@@ -990,8 +1063,10 @@ mod tests {
     fn first_failing_instruction_in_stream_order_decides_the_error() {
         // Instruction 1 gates the in-flight ion 0; instruction 2 moves it
         // across a segment L6 does not have. The scan stops at the gate.
-        let mut leg = presets::l6(10).route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
+        let mut leg = l6_leg(0, 1);
         leg.segments.push(SegmentId(99));
+        let mut legs = LegTable::new();
+        let leg = legs.push(&leg);
         let split = Inst::Split {
             ion: IonId(0),
             trap: TrapId(0),
@@ -1002,14 +1077,15 @@ mod tests {
             ion: IonId(0),
         };
         let bad_move = Inst::Move { ion: IonId(0), leg };
-        let exe = exe_on(
+        let exe = exe_with_legs(
             1,
             chains_in_trap0(1),
-            vec![split.clone(), gate, bad_move.clone()],
+            vec![split, gate, bad_move],
+            legs.clone(),
         );
         assert_rejects(&exe, SimError::IonInFlight(IonId(0)));
         // Without the gate, the move's segment decides.
-        let exe = exe_on(1, chains_in_trap0(1), vec![split, bad_move]);
+        let exe = exe_with_legs(1, chains_in_trap0(1), vec![split, bad_move], legs);
         assert_rejects(&exe, SimError::UnknownSegment(SegmentId(99)));
     }
 
@@ -1032,11 +1108,12 @@ mod tests {
         );
         let exe = compile(&circuit, &device, &CompilerConfig::default()).expect("compiles");
         let mut insts = exe.instructions().to_vec();
+        let mut legs = exe.legs().clone();
         let n = exe.num_ions();
         // Draw a corruption kind until the stream has an instruction it
         // applies to.
         loop {
-            match rng.gen_range(0..4u32) {
+            match rng.gen_range(0..5u32) {
                 0 => {
                     let i = rng.gen_range(0..insts.len());
                     let bad = IonId(n + rng.gen_range(0..4u32));
@@ -1050,7 +1127,11 @@ mod tests {
                             *b = bad
                         }
                     }
-                    return (exe_with(&exe, insts), device, SimError::UnknownIon(bad));
+                    return (
+                        exe_with(&exe, insts, legs),
+                        device,
+                        SimError::UnknownIon(bad),
+                    );
                 }
                 1 => {
                     let split_or_merge =
@@ -1062,16 +1143,23 @@ mod tests {
                     if let Inst::Split { trap, .. } | Inst::Merge { trap, .. } = &mut insts[i] {
                         *trap = bad;
                     }
-                    return (exe_with(&exe, insts), device, SimError::UnknownTrap(bad));
+                    return (
+                        exe_with(&exe, insts, legs),
+                        device,
+                        SimError::UnknownTrap(bad),
+                    );
                 }
                 2 => {
                     let Some(i) = pick(&insts, rng, |inst| matches!(inst, Inst::Move { .. }))
                     else {
                         continue;
                     };
-                    let Inst::Move { leg, .. } = &mut insts[i] else {
+                    let Inst::Move { leg: id, .. } = &mut insts[i] else {
                         unreachable!("picked a move");
                     };
+                    // The move's leg with an unknown segment or junction,
+                    // appended to the table.
+                    let mut leg = owned(legs.get(*id).expect("compiled legs are known"));
                     let want = if rng.gen() {
                         let bad = SegmentId(device.segment_count() as u32 + rng.gen_range(0..4u32));
                         let at = rng.gen_range(0..=leg.segments.len());
@@ -1084,7 +1172,24 @@ mod tests {
                         leg.junctions.insert(at, bad);
                         SimError::UnknownJunction(bad)
                     };
-                    return (exe_with(&exe, insts), device, want);
+                    *id = legs.push(&leg);
+                    return (exe_with(&exe, insts, legs), device, want);
+                }
+                3 => {
+                    let Some(i) = pick(&insts, rng, |inst| matches!(inst, Inst::Move { .. }))
+                    else {
+                        continue;
+                    };
+                    let Inst::Move { leg, .. } = &mut insts[i] else {
+                        unreachable!("picked a move");
+                    };
+                    let bad = LegId(legs.len() as u32 + rng.gen_range(0..4u32));
+                    *leg = bad;
+                    return (
+                        exe_with(&exe, insts, legs),
+                        device,
+                        SimError::UnknownLeg(bad),
+                    );
                 }
                 _ => {
                     let two_ion = |inst: &Inst| inst.ions().nth(1).is_some();
@@ -1098,7 +1203,7 @@ mod tests {
                     };
                     *b = *a;
                     let want = SimError::SameIon(*a);
-                    return (exe_with(&exe, insts), device, want);
+                    return (exe_with(&exe, insts, legs), device, want);
                 }
             }
         }
@@ -1110,13 +1215,14 @@ mod tests {
         (!hits.is_empty()).then(|| hits[rng.gen_range(0..hits.len())])
     }
 
-    /// `exe` with its instruction stream replaced by `insts`.
-    fn exe_with(exe: &Executable, insts: Vec<Inst>) -> Executable {
+    /// `exe` with its instruction stream and leg table replaced.
+    fn exe_with(exe: &Executable, insts: Vec<Inst>, legs: LegTable) -> Executable {
         Executable::new(
             exe.name().to_owned(),
             exe.num_ions(),
             exe.initial_chains().to_vec(),
             insts,
+            legs,
             exe.final_qubit_of_ion().to_vec(),
         )
     }
@@ -1162,6 +1268,7 @@ mod tests {
                 engine.step(inst).expect("simulates");
                 continue;
             };
+            let leg = exe.legs().get(*leg).expect("compiled legs are known");
             let released: Vec<f64> = leg
                 .segments
                 .iter()
@@ -1170,7 +1277,7 @@ mod tests {
                 .collect();
             engine.step(inst).expect("simulates");
             let end = engine.ion_ready[ion.index()];
-            let tau = engine.leg_time(leg);
+            let tau = engine.leg_time(&leg);
             // Rounding is monotone, so `start >= release` implies
             // `start + tau >= release + tau` in floating point too.
             for release in released {
@@ -1181,10 +1288,10 @@ mod tests {
                 );
             }
             // The leg holds every element it crosses until it ends.
-            for s in &leg.segments {
+            for s in leg.segments {
                 assert_eq!(engine.seg_ready[s.index()], end, "move {i}: segment {s}");
             }
-            for j in &leg.junctions {
+            for j in leg.junctions {
                 assert_eq!(engine.junc_ready[j.index()], end, "move {i}: junction {j}");
             }
         }
@@ -1195,13 +1302,14 @@ mod tests {
         // Ions in traps 0 and 1 swap traps: both split at once, then
         // the second move waits for the first to clear the segment.
         let d = presets::l6(10);
-        let there = d.route(TrapId(0), TrapId(1)).unwrap().legs()[0].clone();
-        let back = d.route(TrapId(1), TrapId(0)).unwrap().legs()[0].clone();
+        let mut legs = LegTable::new();
+        let there = legs.push(&l6_leg(0, 1));
+        let back = legs.push(&l6_leg(1, 0));
         let mut chains = chains_in_trap0(1);
         chains[1] = vec![IonId(1)];
         let split = |ion, trap, side| Inst::Split { ion, trap, side };
         let merge = |ion, trap, side| Inst::Merge { ion, trap, side };
-        let exe = exe_on(
+        let exe = exe_with_legs(
             2,
             chains,
             vec![
@@ -1218,6 +1326,7 @@ mod tests {
                 merge(IonId(0), TrapId(1), Side::Left),
                 merge(IonId(1), TrapId(0), Side::Right),
             ],
+            legs,
         );
         let r = simulate(&exe, &d, &PhysicalModel::default()).expect("simulates");
         assert!(r.time.shuttle_wait_us > 0.0, "{:?}", r.time);
@@ -1241,7 +1350,9 @@ mod tests {
             // An instruction starts once its ions and the resource it
             // runs on are ready, and its first ion is busy until it ends.
             let resource = match inst {
-                Inst::Move { leg, .. } => engine.path_ready(leg),
+                Inst::Move { leg, .. } => {
+                    engine.path_ready(&exe.legs().get(*leg).expect("compiled legs are known"))
+                }
                 Inst::Split { trap, .. } | Inst::Merge { trap, .. } => {
                     engine.trap_ready[trap.index()]
                 }
@@ -1254,11 +1365,14 @@ mod tests {
             engine.step(inst).expect("simulates");
             let end = engine.ion_ready[first.index()];
             if end > start {
-                let set = if inst.is_communication() {
-                    &mut comm
-                } else {
-                    &mut gates
-                };
+                let communication = matches!(
+                    inst,
+                    Inst::Split { .. }
+                        | Inst::Move { .. }
+                        | Inst::Merge { .. }
+                        | Inst::IonSwap { .. }
+                );
+                let set = if communication { &mut comm } else { &mut gates };
                 set.push((start, end));
             }
         }

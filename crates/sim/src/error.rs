@@ -1,5 +1,6 @@
 //! Simulator error type.
 
+use qccd_compiler::LegId;
 use qccd_device::{IonId, JunctionId, SegmentId, TrapId};
 use std::fmt;
 
@@ -21,6 +22,8 @@ pub enum SimError {
     },
     /// An instruction referenced a trap the device does not have.
     UnknownTrap(TrapId),
+    /// A move named a leg past the end of the executable's leg table.
+    UnknownLeg(LegId),
     /// A move's leg crossed a segment the device does not have.
     UnknownSegment(SegmentId),
     /// A move's leg crossed a junction the device does not have.
@@ -50,6 +53,7 @@ impl fmt::Display for SimError {
                 "executable has {chains} initial chains but the device has {traps} traps"
             ),
             SimError::UnknownTrap(t) => write!(f, "executable references unknown trap {t}"),
+            SimError::UnknownLeg(l) => write!(f, "executable references unknown {l}"),
             SimError::UnknownSegment(s) => write!(f, "executable references unknown segment {s}"),
             SimError::UnknownJunction(j) => {
                 write!(f, "executable references unknown junction {j}")
@@ -85,6 +89,10 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "executable has 0 initial chains but the device has 6 traps"
+        );
+        assert_eq!(
+            SimError::UnknownLeg(LegId(7)).to_string(),
+            "executable references unknown leg7"
         );
     }
 }
