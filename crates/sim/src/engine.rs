@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::report::{ErrorTotals, SimReport, TimeBreakdown};
-use crate::spans::SpanSet;
+use crate::spans::Timeline;
 use qccd_compiler::{
     Executable, Inst, LegId, LegTable, LegView, MachineState, OpCounts, Placement,
 };
@@ -20,8 +20,9 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 /// stream order decides the error, whatever later instructions hold.
 /// Within one instruction the checks apply in this order:
 ///
-/// * the initial chain table has one chain per device trap, and names
-///   each ion at most once and only ions below `num_ions`;
+/// * the initial chain table has one chain per device trap, names each
+///   ion below `num_ions` exactly once and no other ion, and holds no
+///   chain longer than its trap's capacity;
 /// * the instruction names only known ions, a two-ion instruction names
 ///   two distinct ions, a split or merge names a known trap, and a move
 ///   names a leg of the executable's leg table that crosses only known
@@ -29,12 +30,14 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 /// * gates, ion swaps and measurements act on trapped ions, two-ion
 ///   operations on ions of one trap, ion swaps on chain neighbours;
 /// * a split removes the end ion of the named trap on the named side,
-///   and moves and merges act on ions in flight.
+///   and moves and merges act on ions in flight;
+/// * an ion in flight is where its split or its last move left it: a
+///   move's leg starts at that trap, and a merge puts it into that trap.
 ///
-/// Not yet checked: trap capacity (initial chains and merges), and the
-/// continuity of a shuttle (leg endpoints matching the split and merge
-/// traps, legs forming a real device path). An executable compiled for
-/// one device can therefore simulate on a smaller-capacity one.
+/// Not yet checked: trap capacity at a merge (whether an ion may pass
+/// through a full trap is an open modelling question), and whether a
+/// leg's segments and junctions form a real device path between its
+/// end traps.
 /// Each [`SimError`] variant has a negative-path unit test pinning the
 /// condition that raises it.
 ///
@@ -47,13 +50,16 @@ use qccd_physics::{HeatingModel, PhysicalModel};
 /// [`HeatingModel::k1_for`](qccd_physics::HeatingModel::k1_for), the beam
 /// instability [`FidelityModel::beam_instability`](qccd_physics::FidelityModel::beam_instability),
 /// and the log-fidelity terms of one-qubit gates and measurements. The
-/// loop also tallies the report's operation counts, and records each
-/// interval in its resource's [`SpanSet`] lane, so the closing
-/// compute/communication split sorts a few ordered runs. A gate that
-/// starts where its trap's last gate ended is merged into that one
-/// ([`SpanSet::add_merged`]), so the gate sort sees one entry per busy
-/// stretch of a trap, not one per gate. Communication intervals are
-/// never merged.
+/// loop also tallies the report's operation counts, and records every
+/// interval boundary on one timeline kept in time order, so the closing
+/// compute/communication split is a single walk with no sort. Each
+/// instruction starts at the latest ready time of its ion and its
+/// resources, and each ready time is held with its place on the
+/// timeline, so placing an end walks forward only past the boundaries
+/// already recorded inside its interval. Consecutive gates on a trap
+/// extend one open gate run, whose end is placed only when the trap's
+/// next split, ion swap or merge, or the end of the stream, needs it.
+/// Communication intervals are never merged.
 pub fn simulate(
     exe: &Executable,
     device: &Device,
@@ -66,20 +72,75 @@ pub fn simulate(
     Ok(engine.finish(exe))
 }
 
+/// A ready time and its node on the timeline.
+#[derive(Debug, Clone, Copy)]
+struct Ready {
+    t: f64,
+    node: u32,
+}
+
+impl Ready {
+    /// Time zero, when every resource is first ready.
+    const ZERO: Ready = Ready {
+        t: 0.0,
+        node: Timeline::ZERO,
+    };
+
+    /// The later of `self` and `other`: the value [`f64::max`] picks,
+    /// with its node.
+    fn max(self, other: Ready) -> Ready {
+        if other.t > self.t {
+            other
+        } else {
+            self
+        }
+    }
+}
+
+/// When a trap is next free.
+///
+/// Every ion in a trap is ready no later than its trap: a merge and
+/// every trap operation set both, a split takes the ion out, and a
+/// trap's ready time never falls (no model duration is negative). So
+/// trap-local instructions (gates, ion swaps, splits and measurements)
+/// start exactly when their trap is ready, and only ions in flight keep
+/// a ready time of their own.
+#[derive(Debug, Clone, Copy)]
+struct TrapClock {
+    /// When the trap's last instruction ends.
+    ready: f64,
+    /// The timeline node of `ready`, or of the open gate run's start.
+    node: u32,
+    /// Whether the trap's last instructions were gates whose run has no
+    /// end node yet.
+    gate_run: bool,
+}
+
+/// An ion between its split and its merge.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    ready: Ready,
+    /// Motional energy carried since the split.
+    energy: f64,
+    /// The trap the ion was split from or last moved to.
+    at: TrapId,
+}
+
 struct Engine<'a> {
     device: &'a Device,
     model: &'a PhysicalModel,
     /// The executable's legs, which its moves index.
     legs: &'a LegTable,
     st: MachineState,
-    ion_ready: Vec<f64>,
-    trap_ready: Vec<f64>,
-    seg_ready: Vec<f64>,
-    junc_ready: Vec<f64>,
+    /// Per ion; read only while the ion is in flight.
+    flights: Vec<Flight>,
+    traps: Vec<TrapClock>,
+    seg_ready: Vec<Ready>,
+    junc_ready: Vec<Ready>,
+    timeline: Timeline,
     trap_energy: Vec<f64>,
     /// Peak per-mode occupation n̄ over every chain so far.
     peak_nbar: f64,
-    flight_energy: Vec<f64>,
     /// `k1_for(n)` per chain length `n`.
     k1_by_len: Vec<f64>,
     /// `beam_instability(n)` per chain length `n` (NaN below 2 ions,
@@ -94,16 +155,14 @@ struct Engine<'a> {
     ms_executions: usize,
     ms_background_sum: f64,
     ms_motional_sum: f64,
-    gate_spans: SpanSet,
-    comm_spans: SpanSet,
     shuttle_wait: f64,
     makespan: f64,
 }
 
 impl<'a> Engine<'a> {
     /// An engine holding `exe`'s initial placement at time zero, once
-    /// its chain table fits `device`: one chain per trap, naming only
-    /// known ions, each at most once.
+    /// its chain table fits `device`: one chain per trap, placing every
+    /// ion exactly once, none longer than its trap's capacity.
     fn new(
         exe: &'a Executable,
         device: &'a Device,
@@ -124,21 +183,47 @@ impl<'a> Engine<'a> {
             }
             seen[ion.index()] = true;
         }
+        if let Some(ion) = seen.iter().position(|&placed| !placed) {
+            return Err(SimError::UnplacedIon(IonId(ion as u32)));
+        }
+        for (t, chain) in chains.iter().enumerate() {
+            let trap = TrapId(t as u32);
+            let capacity = device.trap(trap).capacity();
+            if chain.len() > capacity as usize {
+                return Err(SimError::OverCapacity {
+                    trap,
+                    ions: chain.len(),
+                    capacity,
+                });
+            }
+        }
         let placement = Placement::from_chains(chains.to_vec());
         // Chains hold distinct ions, so none is longer than the ion count.
         let lengths = 0..=n;
+        let idle = TrapClock {
+            ready: 0.0,
+            node: Timeline::ZERO,
+            gate_run: false,
+        };
+        let grounded = Flight {
+            ready: Ready::ZERO,
+            energy: 0.0,
+            at: TrapId(0),
+        };
         Ok(Engine {
             device,
             model,
             legs: exe.legs(),
             st: MachineState::new(&placement),
-            ion_ready: vec![0.0; n as usize],
-            trap_ready: vec![0.0; device.trap_count()],
-            seg_ready: vec![0.0; device.segment_count()],
-            junc_ready: vec![0.0; device.junction_count()],
+            flights: vec![grounded; n as usize],
+            traps: vec![idle; device.trap_count()],
+            seg_ready: vec![Ready::ZERO; device.segment_count()],
+            junc_ready: vec![Ready::ZERO; device.junction_count()],
+            // At most one node per instruction: a trap operation's or a
+            // move's end, or a gate run's end.
+            timeline: Timeline::new(exe.instructions().len()),
             trap_energy: vec![0.0; device.trap_count()],
             peak_nbar: 0.0,
-            flight_energy: vec![0.0; n as usize],
             k1_by_len: lengths.clone().map(|n| model.heating.k1_for(n)).collect(),
             beam_by_len: lengths
                 .map(|n| {
@@ -157,16 +242,17 @@ impl<'a> Engine<'a> {
             ms_executions: 0,
             ms_background_sum: 0.0,
             ms_motional_sum: 0.0,
-            gate_spans: SpanSet::new(),
-            comm_spans: SpanSet::new(),
             shuttle_wait: 0.0,
             makespan: 0.0,
         })
     }
 
     /// The report for `exe` once every instruction has been stepped.
-    fn finish(self, exe: &Executable) -> SimReport {
-        let (compute_us, communication_us) = SpanSet::time_split(self.gate_spans, self.comm_spans);
+    fn finish(mut self, exe: &Executable) -> SimReport {
+        for trap in 0..self.traps.len() {
+            self.trap_ready(trap);
+        }
+        let (compute_us, communication_us) = self.timeline.time_split();
         SimReport {
             name: exe.name().to_owned(),
             total_time_us: self.makespan,
@@ -228,7 +314,7 @@ impl<'a> Engine<'a> {
     /// and known traps. A move's leg is checked by [`Engine::leg`].
     fn check_ids(&self, inst: &Inst) -> Result<(), SimError> {
         for ion in inst.ions() {
-            if ion.index() >= self.ion_ready.len() {
+            if ion.index() >= self.flights.len() {
                 return Err(SimError::UnknownIon(ion));
             }
         }
@@ -263,47 +349,80 @@ impl<'a> Engine<'a> {
         Ok(leg)
     }
 
+    /// The in-flight record of `ion`, once it is in flight.
+    fn flight(&self, ion: IonId) -> Result<Flight, SimError> {
+        match self.st.trap_of(ion) {
+            Some(_) => Err(SimError::IonNotInFlight(ion)),
+            None => Ok(self.flights[ion.index()]),
+        }
+    }
+
+    /// When trap `trap` is ready, with its node: the end of its open gate
+    /// run, if it has one, is placed first.
+    fn trap_ready(&mut self, trap: usize) -> Ready {
+        let clock = &mut self.traps[trap];
+        if clock.gate_run {
+            clock.node = self.timeline.close_gate(clock.node, clock.ready);
+            clock.gate_run = false;
+        }
+        Ready {
+            t: clock.ready,
+            node: clock.node,
+        }
+    }
+
+    /// Runs a gate of duration `tau` on `trap` once the trap is ready,
+    /// extending the trap's open gate run or opening one.
+    fn gate(&mut self, trap: TrapId, tau: f64) {
+        let clock = &mut self.traps[trap.index()];
+        if !clock.gate_run {
+            self.timeline.open_gate(clock.node);
+            clock.gate_run = true;
+        }
+        clock.ready += tau;
+        self.makespan = self.makespan.max(clock.ready);
+    }
+
+    /// Records a communication interval of duration `tau` from `start`
+    /// on `trap`, which is then ready at its end, and returns the end
+    /// with its node.
+    fn trap_comm(&mut self, trap: TrapId, start: Ready, tau: f64) -> Ready {
+        let end = start.t + tau;
+        let node = self.timeline.comm(start.node, end);
+        self.traps[trap.index()] = TrapClock {
+            ready: end,
+            node,
+            gate_run: false,
+        };
+        self.makespan = self.makespan.max(end);
+        Ready { t: end, node }
+    }
+
     fn step(&mut self, inst: &Inst) -> Result<(), SimError> {
         self.check_ids(inst)?;
         match inst {
             Inst::OneQubit { ion, .. } => {
                 let trap = self.located_trap(*ion)?;
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.one_qubit_time;
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
                 self.log_fidelity += self.one_qubit_log;
                 self.errors.one_qubit += self.model.fidelity.one_qubit_error;
                 self.counts.one_qubit_gates += 1;
-                self.gate_spans.add_merged(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
+                self.gate(trap, self.model.one_qubit_time);
             }
             Inst::Ms { a, b } => {
                 let trap = self.located_trap(*a)?;
                 if self.st.trap_of(*b) != Some(trap) {
                     return Err(SimError::NotColocated(*a, *b));
                 }
-                let start = self.ion_ready[a.index()]
-                    .max(self.ion_ready[b.index()])
-                    .max(self.trap_ready[trap.index()]);
                 let (tau, err) = self.ms_interaction(*a, *b, trap);
                 self.errors.two_qubit += err;
                 self.counts.two_qubit_gates += 1;
-                let end = start + tau;
-                self.ion_ready[a.index()] = end;
-                self.ion_ready[b.index()] = end;
-                self.trap_ready[trap.index()] = end;
-                self.gate_spans.add_merged(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
+                self.gate(trap, tau);
             }
             Inst::SwapGate { a, b } => {
                 let trap = self.located_trap(*a)?;
                 if self.st.trap_of(*b) != Some(trap) {
                     return Err(SimError::NotColocated(*a, *b));
                 }
-                let start = self.ion_ready[a.index()]
-                    .max(self.ion_ready[b.index()])
-                    .max(self.trap_ready[trap.index()]);
                 // 3 MS gates plus the 4 single-qubit corrections (§IV-C).
                 let mut tau = 0.0;
                 let mut swap_err = 0.0;
@@ -319,13 +438,8 @@ impl<'a> Engine<'a> {
                 }
                 self.errors.swap += swap_err;
                 self.counts.swap_gates += 1;
-                let end = start + tau;
-                self.ion_ready[a.index()] = end;
-                self.ion_ready[b.index()] = end;
-                self.trap_ready[trap.index()] = end;
                 self.st.swap_states(*a, *b);
-                self.gate_spans.add_merged(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
+                self.gate(trap, tau);
             }
             Inst::IonSwap { a, b } => {
                 let trap = self.located_trap(*a)?;
@@ -353,18 +467,11 @@ impl<'a> Engine<'a> {
                         self.trap_energy[trap.index()] + heating.k1,
                     )
                 };
-                let start = self.ion_ready[a.index()]
-                    .max(self.ion_ready[b.index()])
-                    .max(self.trap_ready[trap.index()]);
-                let end = start + tau;
-                self.ion_ready[a.index()] = end;
-                self.ion_ready[b.index()] = end;
-                self.trap_ready[trap.index()] = end;
+                let start = self.trap_ready(trap.index());
+                self.trap_comm(trap, start, tau);
                 self.bump_trap_energy(trap, new_energy);
                 self.st.swap_positions(*a, *b);
                 self.counts.ion_swaps += 1;
-                self.comm_spans.add(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
             }
             Inst::Split { ion, trap, side } => {
                 if self.st.trap_of(*ion) != Some(*trap) {
@@ -374,8 +481,6 @@ impl<'a> Engine<'a> {
                     return Err(SimError::SplitNotAtEnd(*ion, *trap));
                 }
                 let n = self.st.chain_len(*trap);
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.shuttle.split;
                 let heating = &self.model.heating;
                 let (e_ion, e_rest) = if n > 1 {
                     let k1_n = self.k1_by_len[n];
@@ -384,83 +489,80 @@ impl<'a> Engine<'a> {
                     // Splitting the last ion empties the trap.
                     (self.trap_energy[trap.index()] + heating.k1, 0.0)
                 };
-                self.flight_energy[ion.index()] = e_ion;
                 self.st.remove_end(*ion, *trap, *side);
                 self.bump_trap_energy(*trap, e_rest);
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
+                let start = self.trap_ready(trap.index());
+                let end = self.trap_comm(*trap, start, self.model.shuttle.split);
+                self.flights[ion.index()] = Flight {
+                    ready: end,
+                    energy: e_ion,
+                    at: *trap,
+                };
                 self.counts.splits += 1;
-                self.comm_spans.add(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
             }
             Inst::Move { ion, leg } => {
                 let leg = self.leg(*leg)?;
-                if self.st.trap_of(*ion).is_some() {
-                    return Err(SimError::IonNotInFlight(*ion));
+                let flight = self.flight(*ion)?;
+                if leg.from != flight.at {
+                    return Err(SimError::MoveFromElsewhere {
+                        ion: *ion,
+                        from: leg.from,
+                        at: flight.at,
+                    });
                 }
                 let tau = self.leg_time(&leg);
-                let resource_ready = self.path_ready(&leg);
-                let ready = self.ion_ready[ion.index()];
-                let start = ready.max(resource_ready);
-                self.shuttle_wait += (resource_ready - ready).max(0.0);
-                let end = start + tau;
+                let path = self.path_ready(&leg);
+                let start = flight.ready.max(path);
+                self.shuttle_wait += (path.t - flight.ready.t).max(0.0);
+                let t = start.t + tau;
+                let end = Ready {
+                    t,
+                    node: self.timeline.comm(start.node, t),
+                };
                 self.set_path_ready(&leg, end);
-                self.flight_energy[ion.index()] += self
-                    .model
-                    .heating
-                    .move_energy(leg.length_units, leg.junctions.len() as u32);
-                self.ion_ready[ion.index()] = end;
+                self.flights[ion.index()] = Flight {
+                    ready: end,
+                    energy: flight.energy
+                        + self
+                            .model
+                            .heating
+                            .move_energy(leg.length_units, leg.junctions.len() as u32),
+                    at: leg.to,
+                };
                 self.counts.moves += 1;
                 self.counts.junction_crossings += leg.junctions.len();
-                self.comm_spans.add(self.move_lane(&leg), start, end);
-                self.makespan = self.makespan.max(end);
+                self.makespan = self.makespan.max(t);
             }
             Inst::Merge { ion, trap, side } => {
-                if self.st.trap_of(*ion).is_some() {
-                    return Err(SimError::IonNotInFlight(*ion));
+                let flight = self.flight(*ion)?;
+                if flight.at != *trap {
+                    return Err(SimError::MergeElsewhere {
+                        ion: *ion,
+                        trap: *trap,
+                        at: flight.at,
+                    });
                 }
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.shuttle.merge;
+                let start = flight.ready.max(self.trap_ready(trap.index()));
                 let n_result = self.st.chain_len(*trap) + 1;
                 let merged = HeatingModel::merge(
                     self.trap_energy[trap.index()],
-                    self.flight_energy[ion.index()],
+                    flight.energy,
                     self.k1_by_len[n_result],
                 );
-                self.flight_energy[ion.index()] = 0.0;
                 self.st.insert_end(*ion, *trap, *side);
                 self.bump_trap_energy(*trap, merged);
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
+                self.trap_comm(*trap, start, self.model.shuttle.merge);
                 self.counts.merges += 1;
-                self.comm_spans.add(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
             }
             Inst::Measure { ion } => {
                 let trap = self.located_trap(*ion)?;
-                let start = self.ion_ready[ion.index()].max(self.trap_ready[trap.index()]);
-                let end = start + self.model.measure_time;
-                self.ion_ready[ion.index()] = end;
-                self.trap_ready[trap.index()] = end;
                 self.log_fidelity += self.measure_log;
                 self.errors.measure += self.model.fidelity.measure_error;
                 self.counts.measurements += 1;
-                self.gate_spans.add_merged(trap.index(), start, end);
-                self.makespan = self.makespan.max(end);
+                self.gate(trap, self.model.measure_time);
             }
         }
         Ok(())
-    }
-
-    /// The communication-span lane of a move: its leg's first segment,
-    /// whose ready time the move advances. Lanes below the trap count
-    /// belong to traps; a leg with no segment gets a lane of its own.
-    fn move_lane(&self, leg: &LegView<'_>) -> usize {
-        let segment = leg
-            .segments
-            .first()
-            .map_or(self.device.segment_count(), |s| s.index());
-        self.device.trap_count() + segment
     }
 
     /// Transit time of one shuttle leg: its segments plus a Y- or
@@ -476,18 +578,19 @@ impl<'a> Engine<'a> {
         self.model.shuttle.move_time(leg.length_units, y, x)
     }
 
-    fn path_ready(&self, leg: &LegView<'_>) -> f64 {
-        let mut t: f64 = 0.0;
+    /// When every segment and junction on `leg` is free, with its node.
+    fn path_ready(&self, leg: &LegView<'_>) -> Ready {
+        let mut r = Ready::ZERO;
         for s in leg.segments {
-            t = t.max(self.seg_ready[s.index()]);
+            r = r.max(self.seg_ready[s.index()]);
         }
         for j in leg.junctions {
-            t = t.max(self.junc_ready[j.index()]);
+            r = r.max(self.junc_ready[j.index()]);
         }
-        t
+        r
     }
 
-    fn set_path_ready(&mut self, leg: &LegView<'_>, end: f64) {
+    fn set_path_ready(&mut self, leg: &LegView<'_>, end: Ready) {
         for s in leg.segments {
             self.seg_ready[s.index()] = end;
         }
@@ -1034,6 +1137,145 @@ mod tests {
     }
 
     #[test]
+    fn unplaced_ion_when_chains_leave_an_ion_out() {
+        // Ion 2 is below the ion count but in no chain.
+        let mut chains = chains_in_trap0(2);
+        chains[1] = vec![];
+        assert_rejects(&exe_on(3, chains, vec![]), SimError::UnplacedIon(IonId(2)));
+        // Ions 0 and 1 are missing; only the first is named.
+        let mut chains = chains_in_trap0(0);
+        chains[3] = vec![IonId(2)];
+        assert_rejects(&exe_on(3, chains, vec![]), SimError::UnplacedIon(IonId(0)));
+    }
+
+    #[test]
+    fn over_capacity_when_an_initial_chain_overfills_its_trap() {
+        // L6 at capacity 10: trap 0 holds 10 ions, trap 1 holds 11.
+        let mut chains = chains_in_trap0(10);
+        chains[1] = (10..21).map(IonId).collect();
+        assert_rejects(
+            &exe_on(21, chains, vec![]),
+            SimError::OverCapacity {
+                trap: TrapId(1),
+                ions: 11,
+                capacity: 10,
+            },
+        );
+    }
+
+    #[test]
+    fn over_capacity_when_simulated_on_a_smaller_trap_than_compiled_for() {
+        let exe = compile(
+            &generators::qft(64),
+            &presets::l6(20),
+            &CompilerConfig::default(),
+        )
+        .expect("compiles");
+        let small = presets::l6(14);
+        let (t, chain) = exe
+            .initial_chains()
+            .iter()
+            .enumerate()
+            .find(|(_, chain)| chain.len() > 14)
+            .expect("64 ions overfill some trap of six at capacity 14");
+        assert_eq!(
+            simulate(&exe, &small, &PhysicalModel::default()).unwrap_err(),
+            SimError::OverCapacity {
+                trap: TrapId(t as u32),
+                ions: chain.len(),
+                capacity: 14,
+            }
+        );
+        assert!(simulate(&exe, &presets::l6(20), &PhysicalModel::default()).is_ok());
+    }
+
+    #[test]
+    fn move_from_elsewhere_when_a_leg_starts_at_another_trap() {
+        // Ion 0 leaves trap 0 on a leg from trap 1 to trap 2.
+        assert_rejects(
+            &move_along(l6_leg(1, 2)),
+            SimError::MoveFromElsewhere {
+                ion: IonId(0),
+                from: TrapId(1),
+                at: TrapId(0),
+            },
+        );
+    }
+
+    #[test]
+    fn merge_elsewhere_when_an_ion_merges_away_from_its_leg_end() {
+        // Ion 0 moves from trap 0 to trap 1, then merges into trap 2.
+        let exe = move_along(l6_leg(0, 1));
+        let mut insts = exe.instructions().to_vec();
+        let merge = |trap| Inst::Merge {
+            ion: IonId(0),
+            trap: TrapId(trap),
+            side: Side::Left,
+        };
+        insts.push(merge(2));
+        let moved = exe_with_legs(1, chains_in_trap0(1), insts, exe.legs().clone());
+        assert_rejects(
+            &moved,
+            SimError::MergeElsewhere {
+                ion: IonId(0),
+                trap: TrapId(2),
+                at: TrapId(1),
+            },
+        );
+        // With no move, the ion is still where it was split.
+        let split = exe.instructions()[0];
+        let unmoved = exe_on(1, chains_in_trap0(1), vec![split, merge(1)]);
+        assert_rejects(
+            &unmoved,
+            SimError::MergeElsewhere {
+                ion: IonId(0),
+                trap: TrapId(1),
+                at: TrapId(0),
+            },
+        );
+    }
+
+    #[test]
+    fn a_compiled_stream_with_a_move_deleted_is_rejected() {
+        // Without its first move, the ion is still at the leg's start
+        // when its next move or merge comes.
+        let device = presets::l6(20);
+        let exe =
+            compile(&generators::qft(64), &device, &CompilerConfig::default()).expect("compiles");
+        let mut insts = exe.instructions().to_vec();
+        let i = insts
+            .iter()
+            .position(|inst| matches!(inst, Inst::Move { .. }))
+            .expect("qft_n64 on l6(20) shuttles");
+        let Inst::Move { ion, leg } = insts.remove(i) else {
+            unreachable!("picked a move");
+        };
+        let at = exe.legs().get(leg).expect("compiled legs are known").from;
+        let want = match insts[i..]
+            .iter()
+            .find(|inst| inst.ions().any(|x| x == ion))
+            .expect("a moved ion merges")
+        {
+            Inst::Move { leg, .. } => SimError::MoveFromElsewhere {
+                ion,
+                from: exe.legs().get(*leg).expect("compiled legs are known").from,
+                at,
+            },
+            Inst::Merge { trap, .. } => SimError::MergeElsewhere {
+                ion,
+                trap: *trap,
+                at,
+            },
+            other => panic!("{ion} in flight is next named by {other:?}"),
+        };
+        let exe = exe_with(&exe, insts, exe.legs().clone());
+        assert_eq!(
+            simulate(&exe, &device, &PhysicalModel::default()).unwrap_err(),
+            want
+        );
+    }
+
+    #[test]
     fn same_ion_when_a_two_ion_instruction_pairs_an_ion_with_itself() {
         // Unchecked, a self-paired MS gate panics in the gate-time model
         // on a one-ion chain and runs as a 100 µs gate on a two-ion
@@ -1272,11 +1514,11 @@ mod tests {
             let released: Vec<f64> = leg
                 .segments
                 .iter()
-                .map(|s| engine.seg_ready[s.index()])
-                .chain(leg.junctions.iter().map(|j| engine.junc_ready[j.index()]))
+                .map(|s| engine.seg_ready[s.index()].t)
+                .chain(leg.junctions.iter().map(|j| engine.junc_ready[j.index()].t))
                 .collect();
             engine.step(inst).expect("simulates");
-            let end = engine.ion_ready[ion.index()];
+            let end = engine.flights[ion.index()].ready.t;
             let tau = engine.leg_time(&leg);
             // Rounding is monotone, so `start >= release` implies
             // `start + tau >= release + tau` in floating point too.
@@ -1289,10 +1531,14 @@ mod tests {
             }
             // The leg holds every element it crosses until it ends.
             for s in leg.segments {
-                assert_eq!(engine.seg_ready[s.index()], end, "move {i}: segment {s}");
+                assert_eq!(engine.seg_ready[s.index()].t, end, "move {i}: segment {s}");
             }
             for j in leg.junctions {
-                assert_eq!(engine.junc_ready[j.index()], end, "move {i}: junction {j}");
+                assert_eq!(
+                    engine.junc_ready[j.index()].t,
+                    end,
+                    "move {i}: junction {j}"
+                );
             }
         }
     }
@@ -1335,35 +1581,55 @@ mod tests {
 
     /// Steps the engine through `exe` on `device` and checks its
     /// bookkeeping against independent recomputations: the counts
-    /// tallied in the step loop against [`Executable::counts`], every
-    /// span lane in time order (the invariant the post-pass's speed
-    /// rests on), and the compute/communication split, bit for bit,
-    /// against the reference sweep over every instruction's raw
-    /// interval. Those intervals are read off the ready times around each
-    /// step, not off the span sets, so a span set that merges wrongly is
-    /// never checked against its own record.
+    /// tallied in the step loop against [`Executable::counts`], and the
+    /// compute/communication split, bit for bit, against the reference
+    /// sweep over every instruction's raw interval. Those intervals come
+    /// from this function's own per-ion ready times and the engine's
+    /// resource ready times, by the max rule (an instruction starts once
+    /// its ions and its resource are ready), never from the timeline. It
+    /// also asserts that every trap-local instruction starts when its
+    /// trap is ready, the invariant that lets the engine keep ready times
+    /// only for ions in flight.
     fn assert_matches_references(exe: &Executable, device: &Device, model: &PhysicalModel) {
         let mut engine = Engine::new(exe, device, model).expect("chain table fits");
+        let mut ion_ready = vec![0.0f64; exe.num_ions() as usize];
         let (mut gates, mut comm) = (Vec::new(), Vec::new());
-        for inst in exe.instructions() {
+        for (i, inst) in exe.instructions().iter().enumerate() {
             let first = inst.ions().next().expect("every instruction names an ion");
-            // An instruction starts once its ions and the resource it
-            // runs on are ready, and its first ion is busy until it ends.
-            let resource = match inst {
-                Inst::Move { leg, .. } => {
-                    engine.path_ready(&exe.legs().get(*leg).expect("compiled legs are known"))
+            let trap = match inst {
+                Inst::Move { .. } => None,
+                Inst::Split { trap, .. } | Inst::Merge { trap, .. } => Some(*trap),
+                _ => Some(engine.located_trap(first).expect("trapped")),
+            };
+            let resource = match (inst, trap) {
+                (Inst::Move { leg, .. }, _) => {
+                    engine
+                        .path_ready(&exe.legs().get(*leg).expect("compiled legs are known"))
+                        .t
                 }
-                Inst::Split { trap, .. } | Inst::Merge { trap, .. } => {
-                    engine.trap_ready[trap.index()]
-                }
-                _ => engine.trap_ready[engine.located_trap(first).expect("trapped").index()],
+                (_, Some(trap)) => engine.traps[trap.index()].ready,
+                (_, None) => unreachable!("only moves run off a trap"),
             };
             let start = inst
                 .ions()
-                .map(|ion| engine.ion_ready[ion.index()])
+                .map(|ion| ion_ready[ion.index()])
                 .fold(resource, f64::max);
+            if !matches!(inst, Inst::Move { .. } | Inst::Merge { .. }) {
+                assert_eq!(
+                    start.to_bits(),
+                    resource.to_bits(),
+                    "instruction {i} ({inst:?}) starts after its trap is ready"
+                );
+            }
             engine.step(inst).expect("simulates");
-            let end = engine.ion_ready[first.index()];
+            let end = match (inst, trap) {
+                (Inst::Move { .. }, _) => engine.flights[first.index()].ready.t,
+                (_, Some(trap)) => engine.traps[trap.index()].ready,
+                (_, None) => unreachable!("only moves run off a trap"),
+            };
+            for ion in inst.ions() {
+                ion_ready[ion.index()] = end;
+            }
             if end > start {
                 let communication = matches!(
                     inst,
@@ -1376,8 +1642,6 @@ mod tests {
                 set.push((start, end));
             }
         }
-        assert!(engine.gate_spans.lanes_are_ordered(), "gate lanes");
-        assert!(engine.comm_spans.lanes_are_ordered(), "comm lanes");
         let want = (
             reference::union_length(&gates),
             reference::union_length_excluding(&comm, &gates),
@@ -1433,6 +1697,105 @@ mod tests {
             ],
         );
         assert_matches_references(&exe, &presets::l6(10), &model);
+    }
+
+    /// The timeline's boundaries once every instruction of `exe` has
+    /// been stepped on L6, before the closing walk places the end of any
+    /// open gate run. `exe` must also match the references.
+    fn boundaries_after(exe: &Executable) -> Vec<(f64, i64, i32)> {
+        let (d, model) = (presets::l6(10), PhysicalModel::default());
+        assert_matches_references(exe, &d, &model);
+        let mut engine = Engine::new(exe, &d, &model).expect("chain table fits");
+        for inst in exe.instructions() {
+            engine.step(inst).expect("simulates");
+        }
+        engine.timeline.boundaries()
+    }
+
+    /// A one-qubit gate on `ion`.
+    fn h(ion: u32) -> Inst {
+        Inst::OneQubit {
+            gate: qccd_circuit::OneQubitGate::H,
+            ion: IonId(ion),
+        }
+    }
+
+    #[test]
+    fn a_gate_run_closes_where_a_split_starts() {
+        // Two gates on trap 0 make one run [0, 2g); the split starts there.
+        let m = PhysicalModel::default();
+        let split = Inst::Split {
+            ion: IonId(1),
+            trap: TrapId(0),
+            side: Side::Right,
+        };
+        let exe = exe_on(2, chains_in_trap0(2), vec![h(0), h(1), split]);
+        let g2 = m.one_qubit_time + m.one_qubit_time;
+        assert_eq!(
+            boundaries_after(&exe),
+            vec![(0.0, 0, 1), (g2, 1, -1), (g2 + m.shuttle.split, -1, 0)]
+        );
+    }
+
+    #[test]
+    fn a_gate_run_closes_where_an_ion_swap_starts() {
+        let m = PhysicalModel::default();
+        let swap = Inst::IonSwap {
+            a: IonId(1),
+            b: IonId(2),
+        };
+        // Chains of three swap by split, rotate and merge.
+        let exe = exe_on(3, chains_in_trap0(3), vec![h(0), swap, h(0)]);
+        let g = m.one_qubit_time;
+        let swapped = g + m.shuttle.ion_swap_time();
+        assert_eq!(
+            boundaries_after(&exe),
+            vec![(0.0, 0, 1), (g, 1, -1), (swapped, -1, 1)]
+        );
+    }
+
+    #[test]
+    fn a_gate_run_closes_at_its_own_end_when_a_later_merge_follows() {
+        // Trap 1 gates [0, 2g) while ion 0 is split off trap 0 and moved
+        // there; the merge starts after the move, not where the run ends.
+        let m = PhysicalModel::default();
+        let mut legs = LegTable::new();
+        let leg = legs.push(&l6_leg(0, 1));
+        let mut chains = chains_in_trap0(1);
+        chains[1] = vec![IonId(1)];
+        let exe = exe_with_legs(
+            2,
+            chains,
+            vec![
+                Inst::Split {
+                    ion: IonId(0),
+                    trap: TrapId(0),
+                    side: Side::Right,
+                },
+                h(1),
+                h(1),
+                Inst::Move { ion: IonId(0), leg },
+                Inst::Merge {
+                    ion: IonId(0),
+                    trap: TrapId(1),
+                    side: Side::Left,
+                },
+            ],
+            legs,
+        );
+        let g2 = m.one_qubit_time + m.one_qubit_time;
+        let split = m.shuttle.split;
+        let moved = split + m.shuttle.move_time(l6_leg(0, 1).length_units, 0, 0);
+        assert_eq!(
+            boundaries_after(&exe),
+            vec![
+                (0.0, 1, 1),
+                (g2, 0, -1),
+                (split, 0, 0),
+                (moved, 0, 0),
+                (moved + m.shuttle.merge, -1, 0),
+            ]
+        );
     }
 
     proptest! {

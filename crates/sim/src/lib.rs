@@ -21,6 +21,13 @@
 //!   operations");
 //! * independent shuttles and gates in different traps run concurrently.
 //!
+//! The Fig. 6b split of run time into compute and communication comes
+//! from the same scan. Every interval boundary goes on one timeline,
+//! kept in time order as it is recorded: each instruction starts at a
+//! ready time whose place on the timeline the engine already holds, so
+//! placing its end is a short walk forward, and the closing split is one
+//! walk with no sort (see [`simulate`]'s *Cost*).
+//!
 //! ## Heating and fidelity
 //!
 //! Per-chain motional energy evolves under `qccd-physics`'s
@@ -58,7 +65,7 @@
 pub mod engine;
 pub mod error;
 pub mod report;
-pub mod spans;
+mod spans;
 
 pub use engine::simulate;
 pub use error::SimError;

@@ -1,30 +1,5 @@
-//! Interval bookkeeping for the compute/communication time decomposition
+//! The boundary timeline behind the compute/communication time split
 //! (the Fig. 6b analysis).
-
-/// Accumulates time intervals for the compute/communication split, one
-/// lane per resource.
-///
-/// The simulator records one set of gate intervals and one set of
-/// communication intervals, then measures both at once with
-/// [`SpanSet::time_split`]. Each interval goes in the lane of the
-/// resource whose ready time it advances: its trap for a gate, split,
-/// merge or ion swap, the first segment of its leg for a move. A
-/// resource's ready time only grows, so each lane is recorded in time
-/// order, and [`SpanSet::time_split`] sorts what is in effect a handful of
-/// ordered runs. The result does not depend on the lane rule: lanes that
-/// are out of order only make the sort slower.
-///
-/// Gate intervals go in with [`SpanSet::add_merged`], which folds a
-/// touching or overlapping interval into its lane's last one, so the sort
-/// sees about one entry per busy stretch of a trap rather than one per
-/// gate. Only a lane recorded in time order merges this way; an interval
-/// that starts before its lane's last one is kept as it is. Communication
-/// intervals go in with [`SpanSet::add`] and are never merged.
-#[derive(Debug, Clone, Default)]
-pub struct SpanSet {
-    /// `(key(start), key(end))` per interval, lane by lane.
-    lanes: Vec<Vec<(i64, i64)>>,
-}
 
 /// Integer key whose signed order is [`f64::total_cmp`] order.
 fn key(x: f64) -> i64 {
@@ -37,182 +12,188 @@ fn unkey(k: i64) -> f64 {
     f64::from_bits(key(f64::from_bits(k as u64)) as u64)
 }
 
-impl SpanSet {
-    /// Creates an empty span set.
-    pub fn new() -> Self {
-        SpanSet::default()
+/// The `next` of the last node.
+const END: u32 = u32::MAX;
+
+/// One distinct boundary time of a [`Timeline`].
+///
+/// The two counts are net: intervals that start here minus those that
+/// end here. At most one gate run per trap is open at a time, so the
+/// gate count stays within the trap count, which `MAX_DEVICE_NODES`
+/// (4096) bounds, and `i32` holds it. The communication count has no
+/// such bound: a hand-built leg may cross no segment and hold no
+/// resource, so every in-flight ion can be moving at once. It is an
+/// `i64`, which keeps the node at 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// [`key`] of the boundary time.
+    key: i64,
+    /// Net communication intervals starting here.
+    comm: i64,
+    /// The next later boundary, or [`END`].
+    next: u32,
+    /// Net gate runs starting here.
+    gate: i32,
+}
+
+/// Every interval boundary the simulator records, kept in time order as
+/// it is recorded, so that [`Timeline::time_split`] is one walk with no
+/// sort.
+///
+/// The nodes form a linked list in an arena: node [`Timeline::ZERO`] is
+/// time zero, and each later node is one distinct time (by
+/// [`f64::total_cmp`]), linked to the next later one. Every interval is
+/// recorded from the node of its start, which the caller already holds:
+/// each start is the ready time of some resource, and each ready time is
+/// time zero or an end placed earlier. Placing the end walks forward
+/// from the start past the boundaries already recorded inside the
+/// interval, then reuses the end's node or inserts it. Times must not
+/// run backwards: an end is never before its start, which holds for any
+/// model that passes `PhysicalModel::validate`.
+///
+/// Node ids are `u32`; an instruction stream places at most one node per
+/// instruction, and no stream of `u32::MAX` instructions fits in memory.
+#[derive(Debug, Clone)]
+pub(crate) struct Timeline {
+    nodes: Vec<Node>,
+}
+
+impl Timeline {
+    /// The node of time zero, where every resource starts ready.
+    pub(crate) const ZERO: u32 = 0;
+
+    /// A timeline holding only time zero, with room for `boundaries`
+    /// more before it reallocates.
+    pub(crate) fn new(boundaries: usize) -> Self {
+        let mut nodes = Vec::with_capacity(boundaries + 1);
+        nodes.push(Node {
+            key: key(0.0),
+            comm: 0,
+            next: END,
+            gate: 0,
+        });
+        Timeline { nodes }
     }
 
-    /// Records the interval `[start, end)` in `lane`. Zero- or
-    /// negative-length intervals are ignored.
-    pub fn add(&mut self, lane: usize, start: f64, end: f64) {
-        if end > start {
-            self.lane(lane).push((key(start), key(end)));
+    /// The node of time `t`, found by walking forward from node `from`,
+    /// whose time is at or before `t`, and inserted if `t` is new.
+    fn at(&mut self, from: u32, t: f64) -> u32 {
+        let k = key(t);
+        let mut cur = from as usize;
+        if self.nodes[cur].key == k {
+            return from;
         }
+        loop {
+            let next = self.nodes[cur].next;
+            if next == END || self.nodes[next as usize].key > k {
+                break;
+            }
+            if self.nodes[next as usize].key == k {
+                return next;
+            }
+            cur = next as usize;
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            key: k,
+            comm: 0,
+            next: self.nodes[cur].next,
+            gate: 0,
+        });
+        self.nodes[cur].next = id;
+        id
     }
 
-    /// Records the interval `[start, end)` in `lane`, merged into the
-    /// lane's last interval when it starts inside or at the end of that
-    /// one (`last.start <= start <= last.end`): the last interval then
-    /// ends at the larger of the two ends. Zero- or negative-length
-    /// intervals are ignored.
+    /// Records the communication interval from node `start`'s time to
+    /// `end` and returns the node of `end`. An interval that does not end
+    /// after it starts records nothing and returns `start`.
+    pub(crate) fn comm(&mut self, start: u32, end: f64) -> u32 {
+        if key(end) <= self.nodes[start as usize].key {
+            return start;
+        }
+        let e = self.at(start, end);
+        self.nodes[start as usize].comm += 1;
+        self.nodes[e as usize].comm -= 1;
+        e
+    }
+
+    /// Opens a gate run at node `start`.
+    pub(crate) fn open_gate(&mut self, start: u32) {
+        self.nodes[start as usize].gate += 1;
+    }
+
+    /// Closes the gate run opened at node `start` at time `end`, and
+    /// returns the node of `end`. A run that ends where it starts nets
+    /// to nothing.
+    pub(crate) fn close_gate(&mut self, start: u32, end: f64) -> u32 {
+        let e = self.at(start, end);
+        self.nodes[e as usize].gate -= 1;
+        e
+    }
+
+    /// Measures `(compute_us, communication_us)`: the length of the
+    /// union of the gate runs, and the time covered by some
+    /// communication interval but by no gate run.
     ///
-    /// Merging keeps the union, its components, their endpoints and their
-    /// order, so [`SpanSet::time_split`] measures a merged gate set bit for
-    /// bit as it measures the unmerged one. It must not be used for the
-    /// communication set, which is summed piecewise.
-    pub fn add_merged(&mut self, lane: usize, start: f64, end: f64) {
-        if end > start {
-            let (start, end) = (key(start), key(end));
-            let lane = self.lane(lane);
-            match lane.last_mut() {
-                Some(last) if last.0 <= start && start <= last.1 => last.1 = last.1.max(end),
-                _ => lane.push((start, end)),
+    /// One walk in time order. Compute sums the merged gate runs (runs
+    /// that touch or overlap merge), in start order. Communication sums
+    /// one term `t_k - t_{k-1}` per pair of consecutive boundaries
+    /// between which some communication interval and no gate run is
+    /// active. Every communication endpoint is a boundary: communication
+    /// intervals are never coalesced, so a split → move → merge chain is
+    /// summed piecewise. The list also holds boundaries where a gate run
+    /// is active or nothing is (a run's end inside another trap's run,
+    /// time zero); those add no term. For finite times the result is
+    /// bit-identical to measuring each elementary gap of the full
+    /// boundary sweep.
+    pub(crate) fn time_split(&self) -> (f64, f64) {
+        let (mut compute, mut communication) = (0.0, 0.0);
+        let (mut comm, mut gate) = (0i64, 0i32);
+        let (mut last, mut run_start) = (0.0, 0.0);
+        let mut i = Timeline::ZERO;
+        while i != END {
+            let node = self.nodes[i as usize];
+            let t = unkey(node.key);
+            if comm > 0 && gate == 0 {
+                communication += t - last;
             }
-        }
-    }
-
-    /// The intervals of `lane`, creating it (and every lane below it) if
-    /// needed.
-    fn lane(&mut self, lane: usize) -> &mut Vec<(i64, i64)> {
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, Vec::new);
-        }
-        &mut self.lanes[lane]
-    }
-
-    /// Every interval, concatenated lane by lane into the largest lane's
-    /// allocation.
-    fn into_concat(mut self) -> Vec<(i64, i64)> {
-        let Some(largest) = (0..self.lanes.len()).max_by_key(|&l| self.lanes[l].len()) else {
-            return Vec::new();
-        };
-        let total: usize = self.lanes.iter().map(Vec::len).sum();
-        let mut all = std::mem::take(&mut self.lanes[largest]);
-        all.reserve_exact(total - all.len());
-        for lane in &self.lanes {
-            all.extend_from_slice(lane);
-        }
-        all
-    }
-
-    /// Measures `(compute_us, communication_us)`: the length of the union
-    /// of `gates`, and the time covered by `comm` but by no gate.
-    ///
-    /// Both sums are taken in increasing time order. Compute sums the
-    /// merged gate runs (touching runs merge). Communication sums one
-    /// term `t_k - t_{k-1}` per pair of consecutive distinct boundary
-    /// times between which some comm interval and no gate is active.
-    /// Every comm endpoint is a boundary: comm intervals are never
-    /// coalesced, so a split → move → merge chain is summed piecewise.
-    /// For finite times the result is bit-identical to measuring each
-    /// elementary gap of the full boundary sweep.
-    ///
-    /// The lanes are concatenated and put in order with the stable
-    /// [`slice::sort`], which finds the ordered runs and merges them:
-    /// O(n log k) for k ordered lanes, O(n log n) at worst. Equal keys are
-    /// equal values, so any correct sort gives the same sums. Gate lanes
-    /// recorded with [`SpanSet::add_merged`] arrive with their touching
-    /// intervals already merged, so the gate sort has fewer to order.
-    pub fn time_split(gates: SpanSet, comm: SpanSet) -> (f64, f64) {
-        // Merged gate runs, in start order, as key pairs in place.
-        let mut runs = gates.into_concat();
-        runs.sort();
-        let mut merged = 0;
-        for i in 0..runs.len() {
-            if merged > 0 {
-                let ce = unkey(runs[merged - 1].1);
-                if unkey(runs[i].0) <= ce {
-                    runs[merged - 1].1 = key(ce.max(unkey(runs[i].1)));
-                    continue;
-                }
+            let was_gated = gate > 0;
+            gate += node.gate;
+            comm += node.comm;
+            match (was_gated, gate > 0) {
+                (false, true) => run_start = t,
+                (true, false) => compute += t - run_start,
+                _ => {}
             }
-            runs[merged] = runs[i];
-            merged += 1;
-        }
-        runs.truncate(merged);
-        let compute = runs
-            .iter()
-            .fold(0.0, |total, &(s, e)| total + (unkey(e) - unkey(s)));
-
-        // Sweep comm starts, comm ends and merged gate boundaries.
-        // Gate boundaries strictly increase, so an even count consumed
-        // means "outside every gate run". Within a lane both starts and
-        // ends increase, so both halves are ordered runs too.
-        let n: usize = comm.lanes.iter().map(Vec::len).sum();
-        let mut keys: Vec<i64> = Vec::with_capacity(2 * n);
-        for lane in &comm.lanes {
-            keys.extend(lane.iter().map(|&(s, _)| s));
-        }
-        for lane in &comm.lanes {
-            keys.extend(lane.iter().map(|&(_, e)| e));
-        }
-        // Free the lanes before the sorts allocate their scratch.
-        drop(comm);
-        let (starts, ends) = keys.split_at_mut(n);
-        starts.sort();
-        ends.sort();
-        let bounds = 2 * runs.len();
-        let bound = |g: usize| {
-            let (s, e) = runs[g / 2];
-            if g.is_multiple_of(2) {
-                s
-            } else {
-                e
-            }
-        };
-        let (mut i, mut j, mut g) = (0, 0, 0);
-        let mut last = f64::NEG_INFINITY;
-        let mut communication = 0.0;
-        while j < n {
-            let mut t = ends[j];
-            if i < n {
-                t = t.min(starts[i]);
-            }
-            if g < bounds {
-                t = t.min(bound(g));
-            }
-            let tf = unkey(t);
-            if i > j && g.is_multiple_of(2) && last.is_finite() {
-                communication += tf - last;
-            }
-            while i < n && starts[i] == t {
-                i += 1;
-            }
-            while j < n && ends[j] == t {
-                j += 1;
-            }
-            if g < bounds && bound(g) == t {
-                g += 1;
-            }
-            last = tf;
+            last = t;
+            i = node.next;
         }
         (compute, communication)
     }
 }
 
 #[cfg(test)]
-impl SpanSet {
-    /// Every recorded interval as `(start, end)`, lane by lane.
-    pub(crate) fn intervals(&self) -> Vec<(f64, f64)> {
-        self.lanes
-            .iter()
-            .flatten()
-            .map(|&(s, e)| (unkey(s), unkey(e)))
-            .collect()
+impl Timeline {
+    /// Every node in list order, as `(time, net comm, net gate)`.
+    pub(crate) fn boundaries(&self) -> Vec<(f64, i64, i32)> {
+        let mut out = Vec::new();
+        let mut i = Timeline::ZERO;
+        while i != END {
+            let n = self.nodes[i as usize];
+            out.push((unkey(n.key), n.comm, n.gate));
+            i = n.next;
+        }
+        out
     }
 
-    /// Whether every lane is in time order: each interval starts at or
-    /// after the previous one in its lane ends.
-    pub(crate) fn lanes_are_ordered(&self) -> bool {
-        self.lanes
-            .iter()
-            .all(|lane| lane.windows(2).all(|w| w[0].1 <= w[1].0))
+    /// The time of node `i`.
+    fn time(&self, i: u32) -> f64 {
+        unkey(self.nodes[i as usize].key)
     }
 }
 
 /// The original two-pass measurement, kept as the reference that
-/// [`SpanSet::time_split`] must match bit for bit.
+/// [`Timeline::time_split`] must match bit for bit.
 #[cfg(test)]
 pub(crate) mod reference {
     /// Length of the union of `intervals`.
@@ -273,21 +254,34 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn set(intervals: &[(f64, f64)]) -> SpanSet {
-        let mut s = SpanSet::new();
-        for &(a, b) in intervals {
-            s.add(0, a, b);
+    /// A timeline of `gates` and `comm`, each interval recorded from time
+    /// zero's node. Intervals that do not end after they start are
+    /// dropped first, so they place no start node either.
+    fn record(gates: &[(f64, f64)], comm: &[(f64, f64)]) -> Timeline {
+        let mut tl = Timeline::new(2 * (gates.len() + comm.len()));
+        for &(s, e) in gates.iter().filter(|(s, e)| e > s) {
+            let start = tl.at(Timeline::ZERO, s);
+            tl.open_gate(start);
+            tl.close_gate(start, e);
         }
-        s
+        for &(s, e) in comm.iter().filter(|(s, e)| e > s) {
+            let start = tl.at(Timeline::ZERO, s);
+            tl.comm(start, e);
+        }
+        tl
     }
 
-    /// `time_split` of `(gates, comm)` must equal the reference bit for bit.
-    fn assert_matches_reference(gates: &SpanSet, comm: &SpanSet) {
+    /// The split of `(gates, comm)` must equal the reference bit for bit.
+    fn assert_matches_reference(gates: &[(f64, f64)], comm: &[(f64, f64)]) {
+        let kept = |iv: &[(f64, f64)]| -> Vec<(f64, f64)> {
+            iv.iter().copied().filter(|(s, e)| e > s).collect()
+        };
+        let (g, c) = (kept(gates), kept(comm));
         let want = (
-            reference::union_length(&gates.intervals()),
-            reference::union_length_excluding(&comm.intervals(), &gates.intervals()),
+            reference::union_length(&g),
+            reference::union_length_excluding(&c, &g),
         );
-        let got = SpanSet::time_split(gates.clone(), comm.clone());
+        let got = record(gates, comm).time_split();
         assert_eq!(
             (got.0.to_bits(), got.1.to_bits()),
             (want.0.to_bits(), want.1.to_bits()),
@@ -297,55 +291,91 @@ mod tests {
 
     #[test]
     fn union_merges_overlaps() {
-        let gates = set(&[(0.0, 10.0), (5.0, 15.0), (20.0, 25.0)]);
-        let (compute, comm) = SpanSet::time_split(gates, SpanSet::new());
+        let tl = record(&[(0.0, 10.0), (5.0, 15.0), (20.0, 25.0)], &[]);
+        let (compute, comm) = tl.time_split();
         assert!((compute - 20.0).abs() < 1e-12);
         assert_eq!(comm, 0.0);
     }
 
     #[test]
     fn empty_and_degenerate_intervals() {
-        assert_eq!(
-            SpanSet::time_split(SpanSet::new(), SpanSet::new()),
-            (0.0, 0.0)
-        );
-        let degenerate = set(&[(5.0, 5.0), (7.0, 3.0)]);
-        assert_eq!(
-            SpanSet::time_split(degenerate.clone(), degenerate),
-            (0.0, 0.0)
-        );
+        assert_eq!(record(&[], &[]).time_split(), (0.0, 0.0));
+        let degenerate = [(5.0, 5.0), (7.0, 3.0)];
+        assert_eq!(record(&degenerate, &degenerate).time_split(), (0.0, 0.0));
     }
 
     #[test]
     fn exclusion_subtracts_overlap() {
-        let comm = set(&[(0.0, 10.0)]);
-        let gates = set(&[(4.0, 6.0)]);
         // Communication-only time: [0,4) and [6,10) = 8.
-        let (compute, communication) = SpanSet::time_split(gates, comm);
+        let (compute, communication) = record(&[(4.0, 6.0)], &[(0.0, 10.0)]).time_split();
         assert!((compute - 2.0).abs() < 1e-12);
         assert!((communication - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn exclusion_with_no_overlap_is_full_union() {
-        let comm = set(&[(0.0, 3.0), (10.0, 12.0)]);
-        let (_, communication) = SpanSet::time_split(SpanSet::new(), comm);
+        let (_, communication) = record(&[], &[(0.0, 3.0), (10.0, 12.0)]).time_split();
         assert!((communication - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn adjacent_intervals_do_not_double_count() {
-        let gates = set(&[(0.0, 5.0), (5.0, 10.0)]);
-        let (compute, _) = SpanSet::time_split(gates, SpanSet::new());
+        let (compute, _) = record(&[(0.0, 5.0), (5.0, 10.0)], &[]).time_split();
         assert!((compute - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn touching_comm_is_summed_piecewise() {
-        // 0.1 + 0.2 != 0.3 in binary: a split → move chain must be
-        // measured as two terms, exactly as the full sweep does.
-        let comm = set(&[(0.0, 0.1), (0.1, 0.30000000000000004)]);
-        assert_matches_reference(&SpanSet::new(), &comm);
+        // A 0.1 µs ion swap from 0.1 touches an 80 µs split: the two
+        // terms sum to 80.1, one ulp short of the merged interval's
+        // length, so a chain must be measured piece by piece, exactly as
+        // the full sweep does.
+        let (a, b) = (0.1, 0.1 + 0.1);
+        let c = b + 80.0;
+        assert_ne!((b - a) + (c - b), c - a);
+        assert_matches_reference(&[], &[(a, b), (b, c)]);
+    }
+
+    #[test]
+    fn an_earlier_end_recorded_later_is_walked_into_place() {
+        let mut tl = Timeline::new(4);
+        let five = tl.comm(Timeline::ZERO, 5.0);
+        let three = tl.comm(Timeline::ZERO, 3.0);
+        let four = tl.comm(three, 4.0);
+        assert_eq!(
+            (tl.time(five), tl.time(three), tl.time(four)),
+            (5.0, 3.0, 4.0)
+        );
+        assert_eq!(
+            tl.boundaries(),
+            vec![(0.0, 2, 0), (3.0, 0, 0), (4.0, -1, 0), (5.0, -1, 0)]
+        );
+    }
+
+    #[test]
+    fn equal_ends_share_a_node() {
+        let mut tl = Timeline::new(4);
+        let one = tl.comm(Timeline::ZERO, 1.0);
+        let a = tl.comm(Timeline::ZERO, 5.0);
+        let b = tl.comm(one, 5.0);
+        tl.open_gate(one);
+        let c = tl.close_gate(one, 5.0);
+        assert!(a == b && b == c);
+        assert_eq!(
+            tl.boundaries(),
+            vec![(0.0, 2, 0), (1.0, 0, 1), (5.0, -2, -1)]
+        );
+    }
+
+    #[test]
+    fn a_zero_length_interval_adds_no_node() {
+        let mut tl = Timeline::new(2);
+        let two = tl.comm(Timeline::ZERO, 2.0);
+        assert_eq!(tl.comm(two, 2.0), two);
+        tl.open_gate(two);
+        assert_eq!(tl.close_gate(two, 2.0), two);
+        assert_eq!(tl.boundaries(), vec![(0.0, 1, 0), (2.0, -1, 0)]);
+        assert_eq!(tl.time_split(), (0.0, 2.0));
     }
 
     /// Deterministic xorshift64 driving the interval generator.
@@ -363,11 +393,11 @@ mod tests {
         (xorshift(state) % n) as f64 * 0.1
     }
 
-    /// Random intervals on a small grid of non-dyadic times (`0.1·k`),
-    /// all in lane 0 and in no particular order, so starts and ends tie,
-    /// touch and nest often. At least one in four is zero-length or
-    /// inverted, which `add` drops.
-    fn random_intervals(state: &mut u64, max_len: u64, grid: u64) -> Vec<(usize, f64, f64)> {
+    /// Random intervals on a small grid of non-dyadic times (`0.1·k`), in
+    /// no particular order, so starts and ends tie, touch and nest often.
+    /// At least one in four is zero-length or inverted, which the
+    /// timeline drops.
+    fn random_intervals(state: &mut u64, max_len: u64, grid: u64) -> Vec<(f64, f64)> {
         let len = xorshift(state) % (max_len + 1);
         (0..len)
             .map(|_| {
@@ -377,58 +407,31 @@ mod tests {
                     1 => a - 0.1 - tenths(state, 3),
                     _ => tenths(state, grid) + 0.1 + tenths(state, 4),
                 };
-                (0, a, b)
+                (a, b)
             })
             .collect()
     }
 
-    /// `(gates, comm)` intervals on four lanes, each lane in time order,
-    /// with times built by repeated addition as the simulator builds them
-    /// (start + duration), so ties come from equal sums. A lane's clock
-    /// sometimes stays at the last start, so later intervals nest.
-    fn sums_of_tenths(state: &mut u64, n: u64) -> [Vec<(usize, f64, f64)>; 2] {
+    /// `(gates, comm)` intervals on four resources, each resource's in
+    /// time order, with times built by repeated addition as the
+    /// simulator builds them (start + duration), so ties come from equal
+    /// sums. A resource's clock sometimes stays at the last start, so
+    /// later intervals nest.
+    fn sums_of_tenths(state: &mut u64, n: u64) -> [Vec<(f64, f64)>; 2] {
         let mut sets = [Vec::new(), Vec::new()];
         let mut clocks = [0.0f64; 4];
         for _ in 0..n {
-            let lane = (xorshift(state) % 4) as usize;
-            let start = clocks[lane];
+            let clock = (xorshift(state) % 4) as usize;
+            let start = clocks[clock];
             let end = start + 0.1 + tenths(state, 5);
-            sets[(xorshift(state) % 2) as usize].push((lane, start, end));
-            clocks[lane] = if xorshift(state).is_multiple_of(3) {
+            sets[(xorshift(state) % 2) as usize].push((start, end));
+            clocks[clock] = if xorshift(state).is_multiple_of(3) {
                 start
             } else {
                 end
             };
         }
         sets
-    }
-
-    /// A span set of `intervals`, recorded with `add_merged` or `add`.
-    fn build(intervals: &[(usize, f64, f64)], merged: bool) -> SpanSet {
-        let mut s = SpanSet::new();
-        for &(lane, a, b) in intervals {
-            if merged {
-                s.add_merged(lane, a, b);
-            } else {
-                s.add(lane, a, b);
-            }
-        }
-        s
-    }
-
-    #[test]
-    fn add_merged_extends_only_from_the_lane_end() {
-        let mut s = SpanSet::new();
-        s.add_merged(0, 0.0, 1.0);
-        s.add_merged(0, 1.0, 2.0); // touches: extended
-        s.add_merged(0, 0.5, 1.5); // nested: absorbed
-        s.add_merged(0, 3.0, 4.0); // gap: new interval
-        s.add_merged(0, 2.5, 3.5); // starts before the last one: kept apart
-        s.add_merged(1, 0.0, 1.0); // another lane
-        assert_eq!(
-            s.intervals(),
-            vec![(0.0, 2.0), (3.0, 4.0), (2.5, 3.5), (0.0, 1.0)]
-        );
     }
 
     proptest! {
@@ -442,8 +445,8 @@ mod tests {
             grid in 1u64..40,
         ) {
             let mut state = seed;
-            let gates = build(&random_intervals(&mut state, gate_len, grid), false);
-            let comm = build(&random_intervals(&mut state, comm_len, grid), false);
+            let gates = random_intervals(&mut state, gate_len, grid);
+            let comm = random_intervals(&mut state, comm_len, grid);
             assert_matches_reference(&gates, &comm);
         }
 
@@ -454,32 +457,7 @@ mod tests {
         ) {
             let mut state = seed;
             let [gates, comm] = sums_of_tenths(&mut state, n);
-            assert_matches_reference(&build(&gates, false), &build(&comm, false));
-        }
-
-        #[test]
-        fn merged_gate_lanes_split_like_unmerged_ones(
-            seed in 1u64..u64::MAX,
-            n in 1u64..48,
-            len in 0u64..24,
-            grid in 1u64..40,
-        ) {
-            // The lane-ordered gates merge touching sums. The random ones
-            // arrive out of order, where merging an interval that starts
-            // before the lane's last one would lose the time between.
-            let mut state = seed;
-            let [ordered, comm] = sums_of_tenths(&mut state, n);
-            let shuffled = random_intervals(&mut state, len, grid);
-            let comm = build(&comm, false);
-            for gates in [ordered, shuffled] {
-                let want = SpanSet::time_split(build(&gates, false), comm.clone());
-                let got = SpanSet::time_split(build(&gates, true), comm.clone());
-                assert_eq!(
-                    (got.0.to_bits(), got.1.to_bits()),
-                    (want.0.to_bits(), want.1.to_bits()),
-                    "merged {got:?}, unmerged {want:?}\ngates {gates:?}\ncomm {comm:?}"
-                );
-            }
+            assert_matches_reference(&gates, &comm);
         }
     }
 }
